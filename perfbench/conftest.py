@@ -1,0 +1,6 @@
+"""Puts this checkout's zoocast (src/) on the path for the benchmark's own tests."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
