@@ -35,7 +35,7 @@ def main():
     spec = ForecasterSpec("linear", args.look_back, args.horizon)
     tm, models = compute_transfer_matrix(suite, spec, TrainConfig(seed=args.seed))
     params, log = train_extractor(
-        suite, tm, ExtractorTrainConfig(seed=args.seed), MaskSpec(seed=args.seed), input_len=args.look_back
+        suite, tm, ExtractorTrainConfig(seed=args.seed), MaskSpec(), input_len=args.look_back
     )
     reprs = {n: compute_model_representation(params, d, 256, seed=args.seed) for n, d in zip(names, suite)}
     zoo = zoo_from_models(models, params, reprs)

@@ -20,7 +20,6 @@ def main():
     ap.add_argument("--look-back", type=int, default=36)
     ap.add_argument("--horizon", type=int, default=12, help="per-model forecast block length")
     ap.add_argument("--horizons", default="6,8,14,18,24,36,48")
-    ap.add_argument("--trials", type=int, default=1)
     ap.add_argument("--top-k", type=int, default=1)
     ap.add_argument("--out", default=None, help="optional JSON report path")
     args = ap.parse_args()
@@ -30,7 +29,7 @@ def main():
     spec = ForecasterSpec("linear", args.look_back, args.horizon)
     tm, models = compute_transfer_matrix(suite, spec, TrainConfig(seed=args.seed))
     params, _ = train_extractor(
-        suite, tm, ExtractorTrainConfig(seed=args.seed), MaskSpec(seed=args.seed), input_len=args.look_back
+        suite, tm, ExtractorTrainConfig(seed=args.seed), MaskSpec(), input_len=args.look_back
     )
     reprs = {d.name: compute_model_representation(params, d, 256, seed=args.seed) for d in suite}
     zoo = zoo_from_models(models, params, reprs)
@@ -39,9 +38,7 @@ def main():
     cfg = BenchConfig(
         look_back=args.look_back,
         horizons=tuple(int(h) for h in args.horizons.split(",")),
-        trials=args.trials,
         top_k=args.top_k,
-        seed=args.seed,
     )
     report = run_benchmark(cfg, zoo, suite)
     for warning in report["warnings"]:

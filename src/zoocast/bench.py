@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import forecasters, fusion
-from .core import Dataset, MultivariateSeries, mape, mse, smape
+from .core import Dataset, MultivariateSeries, canonical_json, mape, mse, smape
 
 SYNTH_KINDS = ("sine", "sawtooth", "trend_sine", "random_walk", "ar1")
 
@@ -39,16 +38,12 @@ class BenchConfig:
     look_back: int = 36
     horizons: tuple = (6, 8, 14, 18, 24, 36, 48)
     metrics: tuple = ("mse",)
-    seed: int = 0
-    trials: int = 5
     top_k: int = 1
     season_period: int = 7
 
     def __post_init__(self):
         if not self.horizons:
             raise ValueError("horizons must be nonempty")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         unknown = set(self.metrics) - set(METRIC_FNS)
         if unknown:
             raise ValueError(f"unknown metrics {sorted(unknown)}")
@@ -114,16 +109,13 @@ def evaluation_windows(data: Dataset, look_back: int, horizon: int):
 
 
 def _baseline_forecast(architecture: str, window: MultivariateSeries, horizon: int, season_period: int):
-    preds = np.empty((horizon, window.num_channels))
-    for c in range(window.num_channels):
-        model = forecasters.make_baseline(architecture, window.length, horizon, season_period)
-        preds[:, c] = forecasters.forecast(model, window.channel(c))
-    return MultivariateSeries(preds, window.channel_names)
+    model = forecasters.make_baseline(architecture, window.length, horizon, season_period)
+    return MultivariateSeries(forecasters.forecast_batch(model, window.values.T).T, window.channel_names)
 
 
 def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
-    """Evaluate the zoo pipeline and the naive baselines on every dataset,
-    horizon, and trial; metrics computed on the raw (de-normalized) scale.
+    """Evaluate the zoo pipeline and the naive baselines on every dataset
+    and horizon; metrics computed on the raw (de-normalized) scale.
 
     Returns a report dict with per-(dataset, method, horizon) rows, a
     per-window record list, the horizon-averaged summary, and the per-zoo-
@@ -140,38 +132,35 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
             if not windows:
                 warnings.append(f"{data.name}: horizon {horizon} skipped (series too short)")
                 continue
-            for trial in range(cfg.trials):
-                fusion_cfg = fusion.FusionConfig(horizon=horizon, top_k=cfg.top_k)
-                for method in methods:
-                    scores = {m: [] for m in cfg.metrics}
-                    for wi, (window, truth) in enumerate(windows):
-                        if method == "zoocast":
-                            pred, _, _ = fusion.forecast_multivariate(zoo, window, fusion_cfg)
-                        else:
-                            pred = _baseline_forecast(method, window, horizon, cfg.season_period)
-                        for metric in cfg.metrics:
-                            value = METRIC_FNS[metric](truth, pred)
-                            scores[metric].append(value)
-                            per_window.append(
-                                {
-                                    "dataset": data.name,
-                                    "method": method,
-                                    "horizon": horizon,
-                                    "trial": trial,
-                                    "window": wi,
-                                    "metric": metric,
-                                    "value": value,
-                                }
-                            )
-                    rows.append(
-                        {
-                            "dataset": data.name,
-                            "method": method,
-                            "horizon": horizon,
-                            "trial": trial,
-                            **{m: float(np.mean(scores[m])) for m in cfg.metrics},
-                        }
-                    )
+            fusion_cfg = fusion.FusionConfig(horizon=horizon, top_k=cfg.top_k)
+            for method in methods:
+                scores = {m: [] for m in cfg.metrics}
+                for wi, (window, truth) in enumerate(windows):
+                    if method == "zoocast":
+                        pred, _, _ = fusion.forecast_multivariate(zoo, window, fusion_cfg)
+                    else:
+                        pred = _baseline_forecast(method, window, horizon, cfg.season_period)
+                    for metric in cfg.metrics:
+                        value = METRIC_FNS[metric](truth, pred)
+                        scores[metric].append(value)
+                        per_window.append(
+                            {
+                                "dataset": data.name,
+                                "method": method,
+                                "horizon": horizon,
+                                "window": wi,
+                                "metric": metric,
+                                "value": value,
+                            }
+                        )
+                rows.append(
+                    {
+                        "dataset": data.name,
+                        "method": method,
+                        "horizon": horizon,
+                        **{m: float(np.mean(scores[m])) for m in cfg.metrics},
+                    }
+                )
         # per-model MSE distribution at the first horizon (violin-plot data)
         horizon = cfg.horizons[0]
         windows = evaluation_windows(data, cfg.look_back, horizon)
@@ -204,8 +193,6 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
             "look_back": cfg.look_back,
             "horizons": list(cfg.horizons),
             "metrics": list(cfg.metrics),
-            "seed": cfg.seed,
-            "trials": cfg.trials,
             "top_k": cfg.top_k,
         },
         "rows": rows,
@@ -217,4 +204,4 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
 
 
 def report_to_bytes(report: dict) -> bytes:
-    return json.dumps(report, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return canonical_json(report)

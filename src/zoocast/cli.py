@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, extractor, forecasters, fusion, zoo as zoo_mod
-from .core import Dataset, MultivariateSeries, load_csv, trim_to_last
+from .core import MultivariateSeries, canonical_json, load_csv, normalize, trim_to_last
 
 ARCH_FLAGS = {"linear": "linear", "patch-mlp": "patch_mlp"}
 
@@ -79,7 +79,7 @@ def cmd_train_extractor(args):
         hidden_dim=args.hidden_dim,
         repr_dim=args.dim,
     )
-    mask_spec = extractor.MaskSpec(mask_ratio=args.mask_ratio, num_views=args.views, seed=args.seed)
+    mask_spec = extractor.MaskSpec(mask_ratio=args.mask_ratio, num_views=args.views)
     params, log = extractor.train_extractor(datasets, tm, cfg, mask_spec, input_len=args.input_len)
     Path(args.out).write_bytes(extractor.save(params, log))
     _emit(args, {"out": args.out, "final_loss": log[-1]["total"] if log else None})
@@ -105,8 +105,6 @@ def cmd_embed(args):
         data = load_csv(args.input)
         for c in range(data.series.num_channels):
             window = trim_to_last(data.series.channel(c), z.extractor_params.input_len)
-            from .core import normalize
-
             norm_win, _ = normalize(window)
             labels.append(data.series.channel_names[c] if data.series.channel_names else f"{data.name}:{c}")
             kinds.append("variate")
@@ -154,9 +152,7 @@ def cmd_forecast(args):
             for c in range(pred.num_channels)
         ]
     }
-    (out_dir / "provenance.json").write_bytes(
-        json.dumps(provenance, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    )
+    (out_dir / "provenance.json").write_bytes(canonical_json(provenance))
     _emit(args, {"out": str(csv_path), "horizon": args.horizon, "channels": pred.num_channels})
 
 
@@ -208,13 +204,12 @@ def parse_flat_config(text: str) -> dict:
 def cmd_benchmark(args):
     raw = parse_flat_config(Path(args.config).read_text(encoding="utf-8"))
     datasets = [load_csv(p) for p in raw.get("datasets", [])]
+    default = bench.BenchConfig
     cfg = bench.BenchConfig(
-        look_back=int(raw.get("look_back", 36)),
-        horizons=tuple(raw.get("horizons", (6, 8, 14, 18, 24, 36, 48))),
-        metrics=tuple(raw.get("metrics", ("mse",))),
-        seed=int(raw.get("seed", args.seed)),
-        trials=int(raw.get("trials", 5)),
-        top_k=int(raw.get("top_k", 1)),
+        look_back=int(raw.get("look_back", default.look_back)),
+        horizons=tuple(raw.get("horizons", default.horizons)),
+        metrics=tuple(raw.get("metrics", default.metrics)),
+        top_k=int(raw.get("top_k", default.top_k)),
     )
     z = zoo_mod.load_zoo(args.zoo)
     report = bench.run_benchmark(cfg, z, datasets)
@@ -229,15 +224,16 @@ def _add_common(p):
 
 
 def _add_model_flags(p):
+    spec, train = forecasters.ForecasterSpec, forecasters.TrainConfig
     p.add_argument("--arch", choices=sorted(ARCH_FLAGS), default="linear")
     p.add_argument("--input-len", type=int, default=36)
     p.add_argument("--horizon", type=int, default=12)
-    p.add_argument("--patch-len", type=int, default=16)
-    p.add_argument("--hidden-dim", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--patch-len", type=int, default=spec.patch_len)
+    p.add_argument("--hidden-dim", type=int, default=spec.hidden_dim)
+    p.add_argument("--epochs", type=int, default=train.epochs)
+    p.add_argument("--lr", type=float, default=train.learning_rate)
+    p.add_argument("--batch-size", type=int, default=train.batch_size)
+    p.add_argument("--stride", type=int, default=train.stride)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,19 +252,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_transfer_matrix)
 
+    ext, mask = extractor.ExtractorTrainConfig, extractor.MaskSpec
     p = sub.add_parser("train-extractor", help="train the representation extractor")
     p.add_argument("--datasets", required=True)
     p.add_argument("--transfer-matrix", required=True)
-    p.add_argument("--lambda", dest="constraint_weight", type=float, default=0.5)
-    p.add_argument("--mask-ratio", type=float, default=0.25)
-    p.add_argument("--views", type=int, default=3)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--hidden-dim", type=int, default=64)
+    p.add_argument("--lambda", dest="constraint_weight", type=float, default=ext.constraint_weight)
+    p.add_argument("--mask-ratio", type=float, default=mask.mask_ratio)
+    p.add_argument("--views", type=int, default=mask.num_views)
+    p.add_argument("--dim", type=int, default=ext.repr_dim)
+    p.add_argument("--hidden-dim", type=int, default=ext.hidden_dim)
     p.add_argument("--input-len", type=int, default=36)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=0.02)
-    p.add_argument("--batch-size", type=int, default=None, help="default: one window per dataset")
-    p.add_argument("--windows-per-dataset", type=int, default=32)
+    p.add_argument("--epochs", type=int, default=ext.epochs)
+    p.add_argument("--lr", type=float, default=ext.learning_rate)
+    p.add_argument("--batch-size", type=int, default=ext.batch_size, help="default: one window per dataset")
+    p.add_argument("--windows-per-dataset", type=int, default=ext.windows_per_dataset)
     _add_common(p)
     p.set_defaults(func=cmd_train_extractor)
 
@@ -291,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zoo", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--top-k", type=int, default=1)
+    p.add_argument("--top-k", type=int, default=fusion.FusionConfig.top_k)
     _add_common(p)
     p.set_defaults(func=cmd_forecast)
 
@@ -303,13 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
+    synth = bench.SyntheticFamilySpec
     p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     p.add_argument("--kind", choices=bench.SYNTH_KINDS, required=True)
-    p.add_argument("--period", type=int, default=12)
-    p.add_argument("--amplitude", type=float, default=1.0)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--length", type=int, default=600)
-    p.add_argument("--channels", type=int, default=1)
+    p.add_argument("--period", type=int, default=synth.period)
+    p.add_argument("--amplitude", type=float, default=synth.amplitude)
+    p.add_argument("--noise", type=float, default=synth.noise_std)
+    p.add_argument("--length", type=int, default=synth.length)
+    p.add_argument("--channels", type=int, default=synth.channels)
     _add_common(p)
     p.set_defaults(func=cmd_synth)
 

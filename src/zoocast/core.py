@@ -1,4 +1,6 @@
-"""Series containers, instance normalization, trimming, metrics, CSV ingestion.
+"""Series containers, instance normalization, window sampling, trimming,
+metrics, CSV ingestion, and the weight initializer and JSON encoding that
+every artifact shares.
 
 Everything here is a pure function over numpy arrays. A univariate series
 is a 1-D float64 array; a multivariate series is a (T, C) float64 array
@@ -8,10 +10,12 @@ wrapped in MultivariateSeries together with optional channel names.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 ZERO_STD_THRESHOLD = 1e-8
 
@@ -79,23 +83,69 @@ def as_series(x) -> np.ndarray:
     return arr
 
 
-def normalize(x) -> tuple[np.ndarray, NormStats]:
-    """Instance-normalize with population statistics.
+def normalize_rows(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Instance-normalize every row (last axis) of an array of any rank
+    with population statistics; returns (normalized, means, stds).
 
-    A window with population std below 1e-8 keeps its values centered but
-    divides by 1.0, and that fallback std is what gets recorded.
+    A row with population std below 1e-8 keeps its values centered but
+    divides by 1.0, and that fallback std is what gets returned.
+
+    The sums are the ones `ndarray.mean` and `ndarray.std` compute, without
+    their per-call overhead, so a row's statistics equal theirs bit for bit.
+    Rows are reduced C-contiguous: numpy sums a strided axis in another
+    order, which would change the last bit.
     """
-    arr = as_series(x)
-    mu = float(arr.mean())
-    sigma = float(arr.std())  # population std (ddof=0)
-    if sigma < ZERO_STD_THRESHOLD:
-        sigma = 1.0
-    return (arr - mu) / sigma, NormStats(mean=mu, std=sigma)
+    arr = np.ascontiguousarray(x, dtype=np.float64)
+    n = arr.shape[-1]
+    mu = arr.sum(axis=-1, keepdims=True) / n
+    centered = arr - mu
+    sigma = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) / n)  # population std (ddof=0)
+    sigma[sigma < ZERO_STD_THRESHOLD] = 1.0
+    return centered / sigma, mu[..., 0], sigma[..., 0]
+
+
+def normalize(x) -> tuple[np.ndarray, NormStats]:
+    """Instance-normalize one series; see `normalize_rows`."""
+    norm, mu, sigma = normalize_rows(as_series(x))
+    return norm, NormStats(mean=float(mu), std=float(sigma))
+
+
+def sample_windows(rng: np.random.Generator, data: Dataset, length: int, count: int) -> np.ndarray:
+    """(count, length) instance-normalized windows at random places.
+
+    Each window draws its channel, then its start, from `rng`; callers
+    that share a generator rely on that order.
+    """
+    series = data.series
+    if series.length < length:
+        raise ValueError(f"dataset {data.name!r} has no window of length {length}")
+    picks = [
+        (int(rng.integers(series.num_channels)), int(rng.integers(series.length - length + 1))) for _ in range(count)
+    ]
+    channels, starts = np.array(picks, dtype=np.intp).reshape(count, 2).T
+    windows = sliding_window_view(series.values, length, axis=0)  # (starts, C, length)
+    return normalize_rows(windows[starts, channels])[0]
 
 
 def denormalize(x_norm, stats: NormStats) -> np.ndarray:
     arr = np.asarray(x_norm, dtype=np.float64)
     return stats.std * arr + stats.mean
+
+
+def init_uniform(shapes: dict, seed: int) -> dict:
+    """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] tensors drawn from one
+    seeded generator in `shapes` order; fan_in is the last dimension."""
+    rng = np.random.default_rng(seed)
+    weights = {}
+    for name, shape in shapes.items():
+        bound = 1.0 / np.sqrt(shape[-1])
+        weights[name] = rng.uniform(-bound, bound, size=shape)
+    return weights
+
+
+def canonical_json(payload) -> bytes:
+    """Byte-stable JSON: sorted keys, no whitespace, UTF-8."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def trim_to_last(x, n: int) -> np.ndarray:

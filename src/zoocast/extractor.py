@@ -10,11 +10,11 @@ used for model matching; cosine similarity is the metric throughout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Dataset, normalize
+from .core import canonical_json, init_uniform, sample_windows
 
 EXTRACTOR_FORMAT_VERSION = 1
 
@@ -45,7 +45,6 @@ class ExtractorParams:
 class MaskSpec:
     mask_ratio: float = 0.25
     num_views: int = 3
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.mask_ratio < 1.0):
@@ -88,12 +87,7 @@ def param_shapes(input_len: int, hidden_dim: int, repr_dim: int) -> dict:
 
 
 def init_params(input_len: int, hidden_dim: int, repr_dim: int, seed: int) -> ExtractorParams:
-    rng = np.random.default_rng(seed)
-    weights = {}
-    for name, shape in param_shapes(input_len, hidden_dim, repr_dim).items():
-        fan_in = shape[-1] if len(shape) > 1 else shape[0]
-        bound = 1.0 / np.sqrt(fan_in)
-        weights[name] = rng.uniform(-bound, bound, size=shape)
+    weights = init_uniform(param_shapes(input_len, hidden_dim, repr_dim), seed)
     return ExtractorParams(weights=weights, input_len=input_len, hidden_dim=hidden_dim, repr_dim=repr_dim)
 
 
@@ -129,19 +123,16 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-def mask_series(window, spec: MaskSpec) -> list:
-    """num_views copies of the window, each with floor(ratio*L) positions
-    zeroed (the mask token is 0 on normalized input)."""
+def mask_series(window, spec: MaskSpec, rng: np.random.Generator) -> np.ndarray:
+    """(num_views, L): copies of the window, each with floor(ratio*L)
+    positions drawn from `rng` and zeroed (the mask token is 0 on
+    normalized input)."""
     x = np.asarray(window, dtype=np.float64)
     length = x.shape[0]
     count = int(spec.mask_ratio * length)
-    rng = np.random.default_rng(spec.seed)
-    views = []
-    for _ in range(spec.num_views):
-        masked = x.copy()
-        idx = rng.choice(length, size=count, replace=False)
-        masked[idx] = 0.0
-        views.append(masked)
+    views = np.repeat(x[None, :], spec.num_views, axis=0)
+    for view in views:
+        view[rng.choice(length, size=count, replace=False)] = 0.0
     return views
 
 
@@ -352,19 +343,6 @@ def combined_loss_and_grad(
 # training
 
 
-def _sample_normalized_windows(rng: np.random.Generator, data: Dataset, length: int, count: int) -> np.ndarray:
-    series = data.series
-    if series.length < length:
-        raise ValueError(f"dataset {data.name!r} shorter than window length {length}")
-    out = np.empty((count, length))
-    for i in range(count):
-        c = int(rng.integers(series.num_channels))
-        start = int(rng.integers(series.length - length + 1))
-        window = series.channel(c)[start : start + length]
-        out[i], _ = normalize(window)
-    return out
-
-
 def train_extractor(
     datasets: list,
     transfer_matrix,
@@ -393,17 +371,11 @@ def train_extractor(
 
     params = init_params(input_len, cfg.hidden_dim, cfg.repr_dim, cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
-    mask_count = int(mask_spec.mask_ratio * input_len)
     batch_size = max(2, len(datasets)) if cfg.batch_size is None else cfg.batch_size
     log = []
     for epoch in range(cfg.epochs):
-        windows = []
-        dataset_index = []
-        for di, data in enumerate(datasets):
-            windows.append(_sample_normalized_windows(rng, data, input_len, cfg.windows_per_dataset))
-            dataset_index.extend([di] * cfg.windows_per_dataset)
-        windows = np.concatenate(windows, axis=0)
-        dataset_index = np.asarray(dataset_index)
+        windows = np.concatenate([sample_windows(rng, data, input_len, cfg.windows_per_dataset) for data in datasets])
+        dataset_index = np.repeat(np.arange(len(datasets)), cfg.windows_per_dataset)
         # interleave datasets so each batch draws evenly across them
         order = (
             np.arange(windows.shape[0]).reshape(len(datasets), cfg.windows_per_dataset).T.ravel()
@@ -415,12 +387,7 @@ def train_extractor(
             if idx.size < 2:
                 continue  # constraint needs negatives
             batch = windows[idx]
-            views = np.empty((idx.size, mask_spec.num_views, input_len))
-            for s in range(idx.size):
-                for view in range(mask_spec.num_views):
-                    masked = batch[s].copy()
-                    masked[rng.choice(input_len, size=mask_count, replace=False)] = 0.0
-                    views[s, view] = masked
+            views = np.stack([mask_series(window, mask_spec, rng) for window in batch])
             with np.errstate(over="ignore", invalid="ignore"):
                 loss, grads, components = combined_loss_and_grad(
                     params, batch, views, dataset_index[idx], g, cfg.constraint_weight
@@ -495,7 +462,7 @@ def save(params: ExtractorParams, training_log: list | None = None) -> bytes:
         "weights": {name: w.tolist() for name, w in sorted(params.weights.items())},
         "training_log": training_log or [],
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return canonical_json(payload)
 
 
 def load(blob: bytes):

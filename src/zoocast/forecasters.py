@@ -8,11 +8,12 @@ fit with plain SGD on instance-normalized (window, target) pairs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Dataset, normalize
+from .core import Dataset, canonical_json, init_uniform, normalize_rows
 
 TRAINABLE = ("linear", "patch_mlp")
 BASELINES = ("last", "mean", "seasonal_naive")
@@ -90,56 +91,43 @@ def _weight_shapes(spec: ForecasterSpec) -> dict:
 
 def init_weights(spec: ForecasterSpec, seed: int) -> dict:
     """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] init from a seeded PRNG."""
-    rng = np.random.default_rng(seed)
-    weights = {}
-    for name, shape in _weight_shapes(spec).items():
-        fan_in = shape[-1] if len(shape) > 1 else shape[0]
-        bound = 1.0 / np.sqrt(fan_in)
-        weights[name] = rng.uniform(-bound, bound, size=shape)
-    return weights
+    return init_uniform(_weight_shapes(spec), seed)
 
 
 def _patchify(x: np.ndarray, spec: ForecasterSpec) -> np.ndarray:
-    """(B, T) -> (B, num_patches, patch_len), zero-padding the tail."""
-    b = x.shape[0]
-    padded_len = spec.num_patches * spec.patch_len
-    padded = np.zeros((b, padded_len))
-    padded[:, : spec.input_len] = x
-    return padded.reshape(b, spec.num_patches, spec.patch_len)
+    """(..., T) -> (..., num_patches, patch_len), zero-padding the tail."""
+    lead = x.shape[:-1]
+    padded = np.zeros(lead + (spec.num_patches * spec.patch_len,))
+    padded[..., : spec.input_len] = x
+    return padded.reshape(lead + (spec.num_patches, spec.patch_len))
 
 
 def forecast(model: Forecaster, window) -> np.ndarray:
     """Predict h steps from a length-T window (already normalized by the
     caller for trainable models; baselines are scale-agnostic anyway)."""
-    spec = model.spec
     x = np.asarray(window, dtype=np.float64)
-    if x.shape != (spec.input_len,):
-        raise ValueError(f"window length {x.shape[0] if x.ndim == 1 else x.shape} != input_len {spec.input_len}")
-    if spec.architecture == "linear":
-        return model.weights["W"] @ x + model.weights["b"]
-    if spec.architecture == "patch_mlp":
-        return forecast_batch(model, x[None, :])[0]
-    if spec.architecture == "last":
-        return np.full(spec.horizon, x[-1])
-    if spec.architecture == "mean":
-        return np.full(spec.horizon, x.mean())
-    # seasonal_naive: y[i] = x[T - period + (i mod period)]
-    period = min(spec.season_period, spec.input_len)
-    idx = spec.input_len - period + (np.arange(spec.horizon) % period)
-    return x[idx]
+    if x.shape != (model.spec.input_len,):
+        raise ValueError(f"window length {x.shape[0] if x.ndim == 1 else x.shape} != input_len {model.spec.input_len}")
+    return forecast_batch(model, x)
 
 
 def forecast_batch(model: Forecaster, windows: np.ndarray) -> np.ndarray:
-    """(B, T) -> (B, h) for trainable architectures; loops otherwise."""
+    """(..., T) -> (..., h) for every architecture."""
     spec = model.spec
+    w = model.weights
     if spec.architecture == "linear":
-        return windows @ model.weights["W"].T + model.weights["b"]
+        return windows @ w["W"].T + w["b"]
     if spec.architecture == "patch_mlp":
-        patches = _patchify(windows, spec)
-        z = np.maximum(0.0, patches @ model.weights["P_embed"].T + model.weights["p_bias"])
-        flat = z.reshape(windows.shape[0], -1)
-        return flat @ model.weights["W_out"].T + model.weights["b_out"]
-    return np.stack([forecast(model, w) for w in windows])
+        z = np.maximum(0.0, _patchify(windows, spec) @ w["P_embed"].T + w["p_bias"])
+        return z.reshape(z.shape[:-2] + (-1,)) @ w["W_out"].T + w["b_out"]
+    if spec.architecture == "last":
+        return np.repeat(windows[..., -1:], spec.horizon, axis=-1)
+    if spec.architecture == "mean":
+        # contiguous rows sum in the same order as a single window
+        return np.repeat(np.ascontiguousarray(windows).mean(axis=-1, keepdims=True), spec.horizon, axis=-1)
+    # seasonal_naive: y[i] = x[T - period + (i mod period)]
+    period = min(spec.season_period, spec.input_len)
+    return windows[..., spec.input_len - period + (np.arange(spec.horizon) % period)]
 
 
 def loss_and_grad(spec: ForecasterSpec, weights: dict, windows: np.ndarray, targets: np.ndarray):
@@ -174,22 +162,14 @@ def loss_and_grad(spec: ForecasterSpec, weights: dict, windows: np.ndarray, targ
 
 
 def extract_windows(data: Dataset, input_len: int, horizon: int, stride: int = 1):
-    """All (window, target) pairs from every channel, instance-normalized
-    with the window's own stats (applied to both sides)."""
-    xs, ys = [], []
-    series = data.series
+    """All (window, target) pairs from every channel, channel-major, each
+    instance-normalized with its window's own stats (applied to both sides)."""
     total = input_len + horizon
-    for c in range(series.num_channels):
-        chan = series.channel(c)
-        for start in range(0, len(chan) - total + 1, stride):
-            window = chan[start : start + input_len]
-            target = chan[start + input_len : start + total]
-            norm_win, stats = normalize(window)
-            xs.append(norm_win)
-            ys.append((target - stats.mean) / stats.std)
-    if not xs:
-        raise ValueError("no training windows")
-    return np.stack(xs), np.stack(ys)
+    if data.series.length < total:
+        raise ValueError(f"no training windows of length {total} in dataset {data.name!r}")
+    pairs = sliding_window_view(data.series.values.T, total, axis=-1)[:, ::stride].reshape(-1, total)
+    windows, mu, sigma = normalize_rows(pairs[:, :input_len])
+    return windows, (pairs[:, input_len:] - mu[:, None]) / sigma[:, None]
 
 
 def train(spec: ForecasterSpec, data: Dataset, cfg: TrainConfig) -> Forecaster:
@@ -222,25 +202,14 @@ def make_baseline(architecture: str, input_len: int, horizon: int, season_period
     return Forecaster(spec=spec)
 
 
-def _spec_to_dict(spec: ForecasterSpec) -> dict:
-    return {
-        "architecture": spec.architecture,
-        "input_len": spec.input_len,
-        "horizon": spec.horizon,
-        "patch_len": spec.patch_len,
-        "hidden_dim": spec.hidden_dim,
-        "season_period": spec.season_period,
-    }
-
-
 def save(model: Forecaster) -> bytes:
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
-        "spec": _spec_to_dict(model.spec),
+        "spec": asdict(model.spec),
         "source_dataset": model.source_dataset,
         "weights": {name: w.tolist() for name, w in sorted(model.weights.items())},
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return canonical_json(payload)
 
 
 def load(blob: bytes) -> Forecaster:
@@ -250,7 +219,10 @@ def load(blob: bytes) -> Forecaster:
         raise ValueError(f"malformed model file: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {payload.get('format_version') if isinstance(payload, dict) else None!r}")
-    spec = ForecasterSpec(**payload["spec"])
+    try:
+        spec = ForecasterSpec(**payload["spec"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"model file field 'spec' is invalid: {exc}") from None
     expected = _weight_shapes(spec)
     raw = payload.get("weights", {})
     if set(raw) != set(expected):

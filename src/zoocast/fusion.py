@@ -9,7 +9,7 @@ models inside each block, then de-normalize with the window's stats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import extractor as extractor_mod
 from . import forecasters
-from .core import Dataset, mse, normalize
+from .core import Dataset, MultivariateSeries, canonical_json, mse, sample_windows
 
 ZOO_FORMAT_VERSION = 1
 
@@ -47,8 +46,7 @@ class TransferMatrix:
         return float(self.g[i, j])
 
     def to_bytes(self) -> bytes:
-        payload = {"datasets": list(self.dataset_names), "g": self.g.tolist()}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return canonical_json({"datasets": list(self.dataset_names), "g": self.g.tolist()})
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "TransferMatrix":
@@ -107,46 +105,17 @@ def compute_model_representation(
     params: extractor_mod.ExtractorParams, source_data: Dataset, sample_count: int = 256, seed: int = 0
 ) -> np.ndarray:
     """Mean encoding of sampled, instance-normalized source windows."""
-    series = source_data.series
-    length = params.input_len
-    if series.length < length:
-        raise ValueError(f"dataset {source_data.name!r} has no window of length {length}")
-    rng = np.random.default_rng(seed)
-    windows = np.empty((sample_count, length))
-    for i in range(sample_count):
-        c = int(rng.integers(series.num_channels))
-        start = int(rng.integers(series.length - length + 1))
-        windows[i], _ = normalize(series.channel(c)[start : start + length])
+    windows = sample_windows(np.random.default_rng(seed), source_data, params.input_len, sample_count)
     return extractor_mod.encode_batch(params, windows).mean(axis=0)
 
 
-def _holdout_eval_windows(data: Dataset, input_len: int, horizon: int):
-    """(window, target) pairs drawn entirely from the last 20% of each
-    channel, instance-normalized with the window's stats."""
-    xs, ys = [], []
-    series = data.series
-    total = input_len + horizon
-    for c in range(series.num_channels):
-        chan = series.channel(c)
-        tail_start = int(len(chan) * 0.8)
-        tail = chan[tail_start:]
-        for start in range(0, len(tail) - total + 1):
-            window = tail[start : start + input_len]
-            target = tail[start + input_len : start + total]
-            norm_win, stats = normalize(window)
-            xs.append(norm_win)
-            ys.append((target - stats.mean) / stats.std)
-    if not xs:
-        raise ValueError(f"dataset {data.name!r} tail too short for evaluation windows")
-    return np.stack(xs), np.stack(ys)
-
-
-def _train_split(data: Dataset) -> Dataset:
+def _split(data: Dataset) -> tuple:
+    """(first 80%, last 20%) of every channel, as two datasets."""
     cut = int(data.series.length * 0.8)
-    return Dataset(
-        series=type(data.series)(data.series.values[:cut], data.series.channel_names),
-        name=data.name,
-        granularity=data.granularity,
+    values, names = data.series.values, data.series.channel_names
+    return tuple(
+        Dataset(series=MultivariateSeries(part, names), name=data.name, granularity=data.granularity)
+        for part in (values[:cut], values[cut:])
     )
 
 
@@ -160,13 +129,17 @@ def compute_transfer_matrix(
     """
     if len(datasets) < 2:
         raise ValueError("need at least 2 datasets")
-    models = {}
+    models, eval_sets = {}, {}
     for data in datasets:
         try:
-            models[data.name] = forecasters.train(spec, _train_split(data), cfg)
+            train_part, tail = _split(data)
+            models[data.name] = forecasters.train(spec, train_part, cfg)
         except ValueError as exc:
             raise ValueError(f"training failed on dataset {data.name!r}: {exc}") from exc
-    eval_sets = {d.name: _holdout_eval_windows(d, spec.input_len, spec.horizon) for d in datasets}
+        try:
+            eval_sets[data.name] = forecasters.extract_windows(tail, spec.input_len, spec.horizon)
+        except ValueError:
+            raise ValueError(f"dataset {data.name!r} tail too short for evaluation windows") from None
     names = [d.name for d in datasets]
     g = np.empty((len(names), len(names)))
     for i, src in enumerate(names):
@@ -222,6 +195,7 @@ def build_zoo(
     dims = {len(e["representation"]) for e in entries}
     if dims != {params.repr_dim}:
         raise ValueError(f"mixed representation dimensions {sorted(dims)}")
+    _check_entry_shapes(entries, params.input_len)
     (out / "extractor.json").write_bytes(extractor_blob)
     manifest = {
         "format_version": ZOO_FORMAT_VERSION,
@@ -229,8 +203,24 @@ def build_zoo(
         "extractor_digest": _digest(extractor_blob),
         "entries": entries,
     }
-    (out / "zoo.json").write_bytes(json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+    (out / "zoo.json").write_bytes(canonical_json(manifest))
     return out
+
+
+def _check_entry_shapes(entries: list, extractor_input_len: int) -> None:
+    """Every manifest entry reads windows of the extractor's length and
+    forecasts the same horizon as the first entry."""
+    first = entries[0]
+    for e in entries:
+        if e["input_len"] != extractor_input_len:
+            raise ValueError(
+                f"entry {e['model_id']!r}: input_len {e['input_len']} != extractor input_len {extractor_input_len}"
+            )
+        if e["horizon"] != first["horizon"]:
+            raise ValueError(
+                f"entry {e['model_id']!r}: horizon {e['horizon']} != horizon {first['horizon']} "
+                f"of entry {first['model_id']!r}"
+            )
 
 
 def load_zoo(zoo_dir) -> Zoo:
@@ -271,6 +261,7 @@ def load_zoo(zoo_dir) -> Zoo:
         )
     if not entries:
         raise ValueError("zoo manifest has no entries")
+    _check_entry_shapes(manifest["entries"], params.input_len)
     return Zoo(entries=entries, extractor_params=params, root=root)
 
 

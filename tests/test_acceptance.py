@@ -37,7 +37,7 @@ def _build_pipeline(noise_std):
     suite = default_family_suite(seed=0, noise_std=noise_std)
     spec = ForecasterSpec("linear", LOOK_BACK, HORIZON)
     tm, models = compute_transfer_matrix(suite, spec, TrainConfig(seed=0))
-    params, _ = train_extractor(suite, tm, ExtractorTrainConfig(seed=0), MaskSpec(seed=0), input_len=LOOK_BACK)
+    params, _ = train_extractor(suite, tm, ExtractorTrainConfig(seed=0), MaskSpec(), input_len=LOOK_BACK)
     reprs = {d.name: compute_model_representation(params, d, 256, seed=0) for d in suite}
     zoo = zoo_from_models(models, params, reprs)
     return suite, spec, models, params, reprs, zoo

@@ -85,7 +85,7 @@ def _tiny_last_zoo(input_len=12, horizon=4):
 def test_benchmark_last_zoo_equals_last_baseline():
     zoo = _tiny_last_zoo()
     data = generate_synthetic(SyntheticFamilySpec(kind="sine", period=6, length=120, seed=1))
-    cfg = BenchConfig(look_back=12, horizons=(4, 6), trials=1, metrics=("mse",))
+    cfg = BenchConfig(look_back=12, horizons=(4, 6), metrics=("mse",))
     report = run_benchmark(cfg, zoo, [data])
     by_key = {(r["method"], r["horizon"]): r["mse"] for r in report["rows"]}
     for horizon in (4, 6):
@@ -95,7 +95,7 @@ def test_benchmark_last_zoo_equals_last_baseline():
 def test_benchmark_seasonal_naive_exact_on_noiseless_periodic():
     zoo = _tiny_last_zoo(input_len=14, horizon=7)
     data = generate_synthetic(SyntheticFamilySpec(kind="sine", period=7, noise_std=0.0, length=210, seed=2))
-    cfg = BenchConfig(look_back=14, horizons=(7,), trials=1, season_period=7)
+    cfg = BenchConfig(look_back=14, horizons=(7,), season_period=7)
     report = run_benchmark(cfg, zoo, [data])
     seasonal = [r for r in report["rows"] if r["method"] == "seasonal_naive"]
     assert seasonal[0]["mse"] == pytest.approx(0.0, abs=1e-18)
@@ -104,7 +104,7 @@ def test_benchmark_seasonal_naive_exact_on_noiseless_periodic():
 def test_benchmark_determinism():
     zoo = _tiny_last_zoo()
     data = generate_synthetic(SyntheticFamilySpec(kind="ar1", noise_std=0.2, length=150, seed=3))
-    cfg = BenchConfig(look_back=12, horizons=(4,), trials=2)
+    cfg = BenchConfig(look_back=12, horizons=(4,))
     r1 = report_to_bytes(run_benchmark(cfg, zoo, [data]))
     r2 = report_to_bytes(run_benchmark(cfg, zoo, [data]))
     assert r1 == r2
@@ -113,7 +113,7 @@ def test_benchmark_determinism():
 def test_benchmark_skips_short_horizons_with_warning():
     zoo = _tiny_last_zoo()
     data = generate_synthetic(SyntheticFamilySpec(kind="sine", length=20, seed=4))
-    cfg = BenchConfig(look_back=12, horizons=(4, 500), trials=1)
+    cfg = BenchConfig(look_back=12, horizons=(4, 500))
     report = run_benchmark(cfg, zoo, [data])
     assert any("500" in w for w in report["warnings"])
     assert all(r["horizon"] != 500 for r in report["rows"])
@@ -122,7 +122,7 @@ def test_benchmark_skips_short_horizons_with_warning():
 def test_report_totals_match_per_window_recomputation():
     zoo = _tiny_last_zoo()
     data = generate_synthetic(SyntheticFamilySpec(kind="sawtooth", period=5, noise_std=0.1, length=160, seed=5))
-    cfg = BenchConfig(look_back=12, horizons=(4, 8), trials=1, metrics=("mse", "smape"))
+    cfg = BenchConfig(look_back=12, horizons=(4, 8), metrics=("mse", "smape"))
     report = run_benchmark(cfg, zoo, [data])
     for row in report["rows"]:
         for metric in cfg.metrics:
@@ -132,7 +132,6 @@ def test_report_totals_match_per_window_recomputation():
                 if w["dataset"] == row["dataset"]
                 and w["method"] == row["method"]
                 and w["horizon"] == row["horizon"]
-                and w["trial"] == row["trial"]
                 and w["metric"] == metric
             ]
             assert row[metric] == pytest.approx(np.mean(values), abs=1e-12)
@@ -141,7 +140,7 @@ def test_report_totals_match_per_window_recomputation():
 def test_zoo_distribution_present():
     zoo = _tiny_last_zoo()
     data = generate_synthetic(SyntheticFamilySpec(kind="sine", length=120, seed=6))
-    report = run_benchmark(BenchConfig(look_back=12, horizons=(4,), trials=1), zoo, [data])
+    report = run_benchmark(BenchConfig(look_back=12, horizons=(4,)), zoo, [data])
     assert report["zoo_distribution"]
     assert {d["model_id"] for d in report["zoo_distribution"]} == {"m0"}
 

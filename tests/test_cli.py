@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zoocast import forecasters
 from zoocast.cli import main, parse_flat_config
+from zoocast.core import load_csv
 
 
 def run_cli(*argv):
@@ -140,6 +142,29 @@ def test_train_ptm_determinism(pipeline, tmp_path):
             "train-ptm", "--data", str(datasets[0]), "--epochs", "2", "--seed", "7", "--out", str(out)
         ) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_train_ptm_defaults_match_the_api(pipeline, tmp_path):
+    root, datasets, _ = pipeline
+    out = tmp_path / "cli.json"
+    assert run_cli("train-ptm", "--data", str(datasets[0]), "--out", str(out)) == 0
+    spec = forecasters.ForecasterSpec("linear", 36, 12)
+    model = forecasters.train(spec, load_csv(datasets[0]), forecasters.TrainConfig())
+    assert out.read_bytes() == forecasters.save(model)
+
+
+def test_malformed_model_spec_exits_with_error_line(pipeline, tmp_path, capsys):
+    root, datasets, _ = pipeline
+    payload = json.loads((root / "sine.model.json").read_bytes())
+    payload["spec"] = None
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    rc = run_cli(
+        "build-zoo", "--models", str(bad), "--data", str(datasets[0]),
+        "--extractor", str(root / "extractor.json"), "--out", str(tmp_path / "zoo"),
+    )
+    assert rc == 1
+    assert "error: model file field 'spec'" in capsys.readouterr().err
 
 
 def test_missing_file_exits_nonzero(tmp_path, capsys):

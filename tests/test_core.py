@@ -12,6 +12,8 @@ from zoocast.core import (
     mape,
     mse,
     normalize,
+    normalize_rows,
+    sample_windows,
     smape,
     trim_to_first,
     trim_to_last,
@@ -76,6 +78,49 @@ def test_normalize_output_statistics(x):
     assert abs(norm.mean()) < 1e-9
     if np.asarray(x).std() >= 1e-8:
         assert abs(norm.std() - 1.0) < 1e-9
+
+
+row_matrix_strategy = st.tuples(st.integers(1, 12), st.integers(1, 40), st.integers(0, 2**32 - 1))
+
+
+def _random_rows(shape_and_seed):
+    """Random rows at mixed scales, a third of them flat."""
+    rows, length, seed = shape_and_seed
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, length)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 1))
+    flat = rng.random(rows) < 1 / 3
+    x[flat] = rng.normal(size=(int(flat.sum()), 1))
+    return x
+
+
+@given(row_matrix_strategy)
+def test_normalize_rows_matches_normalize_bit_for_bit(shape_and_seed):
+    x = _random_rows(shape_and_seed)
+    # a transposed view must give the same bits as its contiguous rows
+    for rows in (x, np.asfortranarray(x)):
+        norm, mu, sigma = normalize_rows(rows)
+        for i, row in enumerate(x):
+            expected, stats = normalize(row)
+            assert np.array_equal(norm[i], expected)
+            assert (mu[i], sigma[i]) == (stats.mean, stats.std)
+
+
+@given(row_matrix_strategy, st.integers(1, 12), st.integers(0, 20))
+def test_sample_windows_matches_per_window_loop(shape_and_seed, length, count):
+    values = _random_rows(shape_and_seed).T  # (T, C)
+    data = Dataset(series=MultivariateSeries(values), name="d")
+    if values.shape[0] < length:
+        with pytest.raises(ValueError, match="no window"):
+            sample_windows(np.random.default_rng(0), data, length, count)
+        return
+    rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
+    got = sample_windows(rng, data, length, count)
+    assert got.shape == (count, length)
+    for row in got:
+        c = int(ref_rng.integers(values.shape[1]))
+        start = int(ref_rng.integers(values.shape[0] - length + 1))
+        assert np.array_equal(row, normalize(values[start : start + length, c])[0])
+    assert rng.random() == ref_rng.random()  # same number of draws
 
 
 def test_trim_to_last():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zoocast.bench import SyntheticFamilySpec, generate_synthetic
 from zoocast.extractor import (
@@ -64,7 +66,7 @@ def test_encode_length_mismatch():
 
 def test_mask_counts():
     window = np.ones(36)
-    views = mask_series(window, MaskSpec(mask_ratio=0.25, num_views=3, seed=0))
+    views = mask_series(window, MaskSpec(mask_ratio=0.25, num_views=3), np.random.default_rng(0))
     assert len(views) == 3
     for v in views:
         assert np.sum(v == 0.0) == 9
@@ -73,13 +75,35 @@ def test_mask_counts():
 
 def test_mask_determinism_and_independence():
     window = np.arange(1.0, 21.0)
-    spec = MaskSpec(mask_ratio=0.3, num_views=3, seed=7)
-    a = mask_series(window, spec)
-    b = mask_series(window, spec)
+    spec = MaskSpec(mask_ratio=0.3, num_views=3)
+    a = mask_series(window, spec, np.random.default_rng(7))
+    b = mask_series(window, spec, np.random.default_rng(7))
     for va, vb in zip(a, b):
         np.testing.assert_array_equal(va, vb)
     masks = [tuple(np.flatnonzero(v == 0.0)) for v in a]
     assert len(set(masks)) > 1  # views draw independent masks
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(2, 40),
+    ratio=st.floats(0.01, 0.99),
+    num_views=st.integers(1, 4),
+)
+@settings(max_examples=50, deadline=None)
+def test_mask_series_draws_like_the_training_loop(seed, length, ratio, num_views):
+    spec = MaskSpec(mask_ratio=ratio, num_views=num_views)
+    window = np.random.default_rng(seed).normal(size=length)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    views = mask_series(window, spec, rng)
+    # the per-(sample, view) loop train_extractor used to inline
+    expected = np.empty((num_views, length))
+    for view in range(num_views):
+        masked = window.copy()
+        masked[ref_rng.choice(length, size=int(ratio * length), replace=False)] = 0.0
+        expected[view] = masked
+    assert np.array_equal(views, expected)
+    assert rng.random() == ref_rng.random()  # generator left in the same state
 
 
 # -- constraint loss ---------------------------------------------------------
@@ -241,7 +265,7 @@ def test_train_extractor_loss_decreases():
     datasets = _tiny_suite()
     tm = _uniform_tm([d.name for d in datasets])
     cfg = ExtractorTrainConfig(epochs=30, learning_rate=0.01, seed=0, windows_per_dataset=16, hidden_dim=16, repr_dim=8)
-    params, log = train_extractor(datasets, tm, cfg, MaskSpec(seed=0), input_len=36)
+    params, log = train_extractor(datasets, tm, cfg, MaskSpec(), input_len=36)
     assert log[-1]["total"] < log[0]["total"]
     assert log[-1]["recon"] < log[0]["recon"]
 
@@ -250,8 +274,8 @@ def test_train_extractor_determinism():
     datasets = _tiny_suite()
     tm = _uniform_tm([d.name for d in datasets])
     cfg = ExtractorTrainConfig(epochs=3, seed=5, windows_per_dataset=8, hidden_dim=8, repr_dim=4)
-    p1, log1 = train_extractor(datasets, tm, cfg, MaskSpec(seed=5), input_len=36)
-    p2, log2 = train_extractor(datasets, tm, cfg, MaskSpec(seed=5), input_len=36)
+    p1, log1 = train_extractor(datasets, tm, cfg, MaskSpec(), input_len=36)
+    p2, log2 = train_extractor(datasets, tm, cfg, MaskSpec(), input_len=36)
     assert save(p1, log1) == save(p2, log2)
 
 
@@ -271,7 +295,7 @@ def test_within_family_similarity_exceeds_cross_family():
     datasets = default_family_suite(seed=0, noise_std=0.05, length=300)[:3]
     tm = _uniform_tm([d.name for d in datasets], value=0.2)
     cfg = ExtractorTrainConfig(epochs=40, learning_rate=0.01, seed=0, windows_per_dataset=24)
-    params, _ = train_extractor(datasets, tm, cfg, MaskSpec(seed=0), input_len=36)
+    params, _ = train_extractor(datasets, tm, cfg, MaskSpec(), input_len=36)
     rng = np.random.default_rng(0)
     reprs = []
     for data in datasets:

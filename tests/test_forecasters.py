@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zoocast.bench import SyntheticFamilySpec, generate_synthetic
-from zoocast.core import Dataset, MultivariateSeries
+from zoocast.core import Dataset, MultivariateSeries, normalize
 from zoocast.forecasters import (
     Forecaster,
     ForecasterSpec,
@@ -69,6 +69,82 @@ def test_baselines_match_closed_forms(values, horizon, period):
     seasonal = forecast(make_baseline("seasonal_naive", t, horizon, season_period=period), x)
     expected = np.array([x[t - period + (i % period)] for i in range(horizon)])
     np.testing.assert_array_equal(seasonal, expected)
+
+
+ALL_SPECS = [
+    _linear_spec(20, 3),
+    _patch_spec(t=20, h=3, patch=6, hidden=4),
+    ForecasterSpec("last", 20, 3),
+    ForecasterSpec("mean", 20, 3),
+    ForecasterSpec("seasonal_naive", 20, 3, season_period=7),
+]
+
+
+def _reference_forecast(model, x):
+    """The per-window forms each architecture's batch kernel replaced."""
+    spec, w = model.spec, model.weights
+    if spec.architecture == "linear":
+        return w["W"] @ x + w["b"]
+    if spec.architecture == "patch_mlp":
+        return forecast_batch(model, x[None, :])[0]
+    if spec.architecture == "last":
+        return np.full(spec.horizon, x[-1])
+    if spec.architecture == "mean":
+        return np.full(spec.horizon, x.mean())
+    period = min(spec.season_period, spec.input_len)
+    return x[spec.input_len - period + (np.arange(spec.horizon) % period)]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.architecture)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 9))
+@settings(max_examples=30, deadline=None)
+def test_forecast_is_a_row_of_forecast_batch(spec, seed, batch):
+    rng = np.random.default_rng(seed)
+    model = Forecaster(spec=spec, weights=init_weights(spec, seed))
+    windows = rng.normal(size=(batch, spec.input_len)) * 10.0 ** rng.uniform(-3, 3)
+    for view in (windows, np.asfortranarray(windows)):
+        rows = forecast_batch(model, view)
+        assert rows.shape == (batch, spec.horizon)
+        for i, x in enumerate(view):
+            single = forecast(model, x)
+            assert np.array_equal(single, _reference_forecast(model, x))
+            if spec.architecture in ("linear", "patch_mlp"):
+                # BLAS sums a matrix product in another order than a
+                # matrix-vector product, so batched rows may differ in the last bit
+                np.testing.assert_allclose(rows[i], single, rtol=1e-12, atol=1e-12)
+            else:
+                assert np.array_equal(rows[i], single)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    channels=st.integers(1, 3),
+    length=st.integers(1, 40),
+    input_len=st.integers(1, 8),
+    horizon=st.integers(1, 5),
+    stride=st.integers(1, 6),
+)
+@settings(max_examples=50, deadline=None)
+def test_extract_windows_matches_per_window_loop(seed, channels, length, input_len, horizon, stride):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(length, channels)) * 10.0 ** rng.uniform(-3, 3, size=channels)
+    values[:, 0] = values[0, 0]  # one flat channel exercises the std fallback
+    data = Dataset(series=MultivariateSeries(values), name="d")
+    xs, ys = [], []
+    total = input_len + horizon
+    for c in range(channels):
+        chan = values[:, c]
+        for start in range(0, length - total + 1, stride):
+            norm_win, stats = normalize(chan[start : start + input_len])
+            xs.append(norm_win)
+            ys.append((chan[start + input_len : start + total] - stats.mean) / stats.std)
+    if not xs:
+        with pytest.raises(ValueError, match="no training windows"):
+            extract_windows(data, input_len, horizon, stride)
+        return
+    windows, targets = extract_windows(data, input_len, horizon, stride)
+    assert np.array_equal(windows, np.stack(xs))
+    assert np.array_equal(targets, np.stack(ys))
 
 
 # -- gradients ---------------------------------------------------------------
@@ -241,6 +317,18 @@ def test_load_rejects_bad_version_and_shape():
     payload["format_version"] = 1
     payload["weights"]["b"] = [0.0]  # wrong length
     with pytest.raises(ValueError, match="shape"):
+        load(json.dumps(payload).encode())
+
+
+@pytest.mark.parametrize(
+    "spec", [None, {"architecture": "linear", "input_len": 4, "horizon": 2, "bogus": 1}], ids=["null", "unknown-key"]
+)
+def test_load_rejects_malformed_spec(spec):
+    import json
+
+    payload = json.loads(save(train(_linear_spec(), _sine_dataset(length=60), TrainConfig(epochs=1))))
+    payload["spec"] = spec
+    with pytest.raises(ValueError, match="'spec'"):
         load(json.dumps(payload).encode())
 
 

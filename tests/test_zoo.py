@@ -216,6 +216,34 @@ def test_load_zoo_rejects_mixed_dims(tmp_path):
         load_zoo(out)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("horizon", 5, "horizon 5 != horizon 4"), ("input_len", 10, "input_len 10 != extractor input_len 12")],
+)
+def test_load_zoo_rejects_mismatched_entry_shapes(tmp_path, field, value, message):
+    out = _build_test_zoo(tmp_path)
+    manifest = json.loads((out / "zoo.json").read_bytes())
+    manifest["entries"][2][field] = value
+    (out / "zoo.json").write_bytes(json.dumps(manifest).encode())
+    with pytest.raises(ValueError, match=f"entry 'model2': {message}"):
+        load_zoo(out)
+
+
+@pytest.mark.parametrize(
+    "spec", [ForecasterSpec("linear", 12, 6), ForecasterSpec("linear", 10, 4)], ids=["horizon", "input_len"]
+)
+def test_build_zoo_rejects_mismatched_entry_shapes(tmp_path, spec):
+    extractor_file = tmp_path / "extractor.json"
+    extractor_file.write_bytes(save_extractor(init_params(12, 8, 4, seed=0)))
+    data = _dataset(seed=1, length=100)
+    paths = []
+    for name, model_spec in (("good", ForecasterSpec("linear", 12, 4)), ("odd", spec)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_bytes(save_model(train(model_spec, data, TrainConfig(epochs=1))))
+    with pytest.raises(ValueError, match="entry 'odd'"):
+        build_zoo(paths, [data, data], extractor_file, tmp_path / "zoo")
+
+
 def test_zoo_loading_never_mutates_files(tmp_path):
     out = _build_test_zoo(tmp_path)
     digests_before = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
