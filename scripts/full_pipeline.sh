@@ -2,7 +2,17 @@
 # End-to-end CLI walkthrough: generate five synthetic datasets, train one
 # model per dataset, compute the transferability matrix, train the
 # representation extractor, assemble a zoo, and forecast a fresh series.
+# Ends by printing the sha256 of every artifact, so the artifacts of two
+# commits can be compared.
+#
+# Uses an installed `zoocast` when there is one, else this checkout's source.
 set -euo pipefail
+
+if ! command -v zoocast >/dev/null 2>&1; then
+    SRC="$(cd "$(dirname "${BASH_SOURCE[0]}")/../src" && pwd)"
+    export PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}"
+    zoocast() { python3 -m zoocast.cli "$@"; }
+fi
 
 WORK="${1:-$(mktemp -d)}"
 mkdir -p "$WORK"
@@ -35,3 +45,6 @@ zoocast embed --zoo zoo --input query.csv --pca 2 --out embed.csv
 
 echo "forecast written to $WORK/forecast/forecast.csv"
 head -5 forecast/forecast.csv
+
+echo "artifact digests:"
+sha256sum tm.json "${MODELS[@]}" extractor.json zoo/zoo.json

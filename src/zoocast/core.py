@@ -148,6 +148,41 @@ def canonical_json(payload) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def load_json_object(blob: bytes, kind: str) -> dict:
+    """The JSON object held in `blob`; ValueError naming `kind` otherwise."""
+    try:
+        payload = json.loads(blob)
+    except (ValueError, RecursionError) as exc:  # incl. JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"malformed {kind} file: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"malformed {kind} file: holds a {type(payload).__name__}, not an object")
+    return payload
+
+
+def as_float_array(raw, what: str) -> np.ndarray:
+    try:
+        return np.asarray(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} is not numeric: {exc}") from None
+
+
+def checked_tensors(raw, shapes: dict, kind: str) -> dict:
+    """float64 arrays for `raw`, which must hold exactly the tensors named
+    in `shapes`, each of its shape and finite."""
+    if not isinstance(raw, dict) or set(raw) != set(shapes):
+        got = sorted(raw) if isinstance(raw, dict) else type(raw).__name__
+        raise ValueError(f"{kind} tensors {got} do not match {sorted(shapes)}")
+    tensors = {}
+    for name, shape in shapes.items():
+        arr = as_float_array(raw[name], f"{kind} tensor {name}")
+        if arr.shape != shape:
+            raise ValueError(f"{kind} tensor {name} has shape {arr.shape}, expected {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{kind} tensor {name} contains non-finite values")
+        tensors[name] = arr
+    return tensors
+
+
 def trim_to_last(x, n: int) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.shape[0] < n:

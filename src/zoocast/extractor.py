@@ -9,12 +9,11 @@ used for model matching; cosine similarity is the metric throughout.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import canonical_json, init_uniform, sample_windows
+from .core import canonical_json, checked_tensors, init_uniform, load_json_object, sample_windows
 
 EXTRACTOR_FORMAT_VERSION = 1
 
@@ -31,14 +30,7 @@ class ExtractorParams:
 
     def __post_init__(self):
         shapes = param_shapes(self.input_len, self.hidden_dim, self.repr_dim)
-        if set(self.weights) != set(shapes):
-            raise ValueError(f"expected tensors {sorted(shapes)}, got {sorted(self.weights)}")
-        for name, shape in shapes.items():
-            arr = np.asarray(self.weights[name], dtype=np.float64)
-            if arr.shape != shape:
-                raise ValueError(f"tensor {name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"tensor {name} contains non-finite values")
+        object.__setattr__(self, "weights", checked_tensors(self.weights, shapes, "extractor"))
 
 
 @dataclass(frozen=True)
@@ -123,36 +115,48 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-def mask_series(window, spec: MaskSpec, rng: np.random.Generator) -> np.ndarray:
-    """(num_views, L): copies of the window, each with floor(ratio*L)
-    positions drawn from `rng` and zeroed (the mask token is 0 on
-    normalized input)."""
-    x = np.asarray(window, dtype=np.float64)
-    length = x.shape[0]
+def mask_series(windows, spec: MaskSpec, rng: np.random.Generator) -> np.ndarray:
+    """(..., num_views, L): copies of each length-L window, each with
+    floor(ratio*L) positions drawn from `rng` and zeroed (the mask token is
+    0 on normalized input). Draws run window by window, view by view."""
+    x = np.asarray(windows, dtype=np.float64)
+    length = x.shape[-1]
     count = int(spec.mask_ratio * length)
-    views = np.repeat(x[None, :], spec.num_views, axis=0)
-    for view in views:
+    views = np.repeat(x[..., None, :], spec.num_views, axis=-2)
+    for view in views.reshape(-1, length):
         view[rng.choice(length, size=count, replace=False)] = 0.0
     return views
 
 
 # ---------------------------------------------------------------------------
-# losses (reference-readable forms; training uses the vectorized versions)
+# losses (loss-only reference forms; training uses the fused step below)
+
+
+def _unit_rows(r: np.ndarray):
+    """(unit rows, norms). A row whose norm is below 1e-12 gets a zero unit
+    row and an infinite norm, so any gradient divided by its norm is 0."""
+    norms = np.sqrt((r * r).sum(axis=-1))
+    norms[norms < 1e-12] = np.inf
+    return r / norms[..., None], norms
 
 
 def constraint_loss(anchors: list, views_by_anchor: list) -> float:
     """Contrastive loss: each anchor pulls its own masked views close and
-    pushes every other representation in the batch away.
+    pushes every other representation in the batch away. The log-softmax
+    denominator runs over the anchor set itself (self pair included).
 
     Returns the total over (anchor, view) pairs divided by the pair count.
     """
-    stacked_anchors = np.stack([np.asarray(a, dtype=np.float64) for a in anchors])
-    d = stacked_anchors.shape[1]
-    stacked_views = [
-        np.asarray(v, dtype=np.float64).reshape(-1, d) for v in views_by_anchor
-    ]
-    loss, _, _ = _constraint_loss_grad(stacked_anchors, stacked_views)
-    return loss
+    unit_a, _ = _unit_rows(np.stack([np.asarray(a, dtype=np.float64) for a in anchors]))
+    if unit_a.shape[0] < 2:
+        raise ValueError("no negatives: need at least 2 anchor series")
+    log_denom = np.log(np.exp(unit_a @ unit_a.T).sum(axis=1))
+    total, pairs = 0.0, 0
+    for s, views in enumerate(views_by_anchor):
+        unit_v, _ = _unit_rows(np.asarray(views, dtype=np.float64).reshape(-1, unit_a.shape[1]))
+        total += float(np.sum(log_denom[s] - unit_v @ unit_a[s]))
+        pairs += unit_v.shape[0]
+    return total / pairs
 
 
 def transferability_loss(pairs: list) -> float:
@@ -165,90 +169,49 @@ def transferability_loss(pairs: list) -> float:
     return total / len(pairs)
 
 
-def _norms_and_unit(r: np.ndarray):
-    norms = np.linalg.norm(r, axis=1)
-    safe = np.where(norms < 1e-12, 1.0, norms)
-    unit = r / safe[:, None]
-    unit[norms < 1e-12] = 0.0
-    return norms, safe, unit
+def _similarity_loss_grad(reprs, b, dataset_index, g_matrix, constraint_weight):
+    """Transferability and constraint losses of one batch, and the gradient
+    of trans + constraint_weight * constraint w.r.t. `reprs`: b anchors,
+    then V views per anchor, grouped by anchor.
 
-
-def _cosine_pair_grads(unit_u, unit_v, safe_u, safe_v, sims, dsims):
-    """Gradients of sum(dsims * cos) w.r.t. the unnormalized u and v rows,
-    where sims[p] = unit_u[p] . unit_v[p]."""
-    du = dsims[:, None] * (unit_v - sims[:, None] * unit_u) / safe_u[:, None]
-    dv = dsims[:, None] * (unit_u - sims[:, None] * unit_v) / safe_v[:, None]
-    return du, dv
-
-
-def _constraint_loss_grad(anchors: np.ndarray, views_by_anchor: list):
-    """Loss plus gradients w.r.t. anchors (B, d) and each view stack.
-
-    Per anchor s, positives are its masked views; the log-softmax
-    denominator runs over the anchor set itself (self pair included, at
-    similarity 1 for a nonzero anchor).
+    Both terms are functions of cosines. The anchor-anchor ones share one
+    matrix S = U U^T of unit rows, and sum(D * S) has the row gradient
+    ((D + D^T) U - rowsum((D + D^T) * S) U) / |e|.
     """
-    b = anchors.shape[0]
     if b < 2:
         raise ValueError("no negatives: need at least 2 anchor series")
-    view_counts = [v.shape[0] for v in views_by_anchor]
-    norms_a, safe_a, unit_a = _norms_and_unit(anchors)
-    anchor_sims = unit_a @ unit_a.T  # (B, B), diagonal is the self pair
+    unit, norms = _unit_rows(reprs)
+    unit_a, unit_v = unit[:b], unit[b:]
+    num_views = unit_v.shape[0] // b
+    sims = unit_a @ unit_a.T
 
-    exp_sims = np.exp(anchor_sims)
-    denom = exp_sims.sum(axis=1)  # (B,)
-    num_pairs = sum(view_counts)
+    # transferability: mean squared error over cross-dataset pairs i < j
+    rows = np.arange(b)
+    cross = (rows[:, None] < rows) & (dataset_index[:, None] != dataset_index)
+    num_pairs = np.count_nonzero(cross)
+    resid = np.where(cross, g_matrix[dataset_index[:, None], dataset_index] - sims, 0.0)
+    trans_loss = float((resid * resid).sum() / num_pairs) if num_pairs else 0.0
+    d_sims = resid * (-2.0 / max(num_pairs, 1))
 
-    loss = 0.0
-    d_anchor = np.zeros_like(anchors)
-    d_views = []
-    log_denom = np.log(denom)
-    for s, views in enumerate(views_by_anchor):
-        norms_v, safe_v, unit_v = _norms_and_unit(views)
-        pos_sims = unit_v @ unit_a[s]
-        loss += float(np.sum(-pos_sims + log_denom[s]))
-        dpos = np.full(views.shape[0], -1.0 / num_pairs)
-        dv, da = _cosine_pair_grads(
-            unit_v, np.broadcast_to(unit_a[s], unit_v.shape), safe_v,
-            np.broadcast_to(safe_a[s], (views.shape[0],)), pos_sims, dpos,
-        )
-        dv[norms_v < 1e-12] = 0.0
-        d_views.append(dv)
-        if norms_a[s] >= 1e-12:
-            d_anchor[s] += da.sum(axis=0)
-    loss /= num_pairs
+    # constraint: each anchor's views are its positives; the log-softmax
+    # denominator runs over the anchors, self pair included
+    num = unit_v.shape[0]
+    unit_a_rep = np.repeat(unit_a, num_views, axis=0)
+    pos = (unit_v * unit_a_rep).sum(axis=1)
+    exp_sims = np.exp(sims)
+    denom = exp_sims.sum(axis=1)
+    con_loss = float((num_views * np.log(denom).sum() - pos.sum()) / num)
+    d_denom = exp_sims / (b * denom[:, None])
+    np.fill_diagonal(d_denom, 0.0)  # d cos(x, x)/dx = 0 for the self pair
+    d_sims += constraint_weight * d_denom
+    d_pos = -constraint_weight / num
 
-    # denominator term: each anchor s contributes P_s * log(denom[s])
-    weights = np.asarray(view_counts, dtype=float) / num_pairs
-    dsims = weights[:, None] * exp_sims / denom[:, None]  # (B, B)
-    np.fill_diagonal(dsims, 0.0)  # d cos(x, x)/dx = 0 for the self pair
-    row_dot = np.sum(dsims * anchor_sims, axis=1)
-    col_dot = np.sum(dsims * anchor_sims, axis=0)
-    denom_grad = (dsims @ unit_a - row_dot[:, None] * unit_a) / safe_a[:, None]
-    denom_grad += (dsims.T @ unit_a - col_dot[:, None] * unit_a) / safe_a[:, None]
-    denom_grad[norms_a < 1e-12] = 0.0
-    d_anchor += denom_grad
-    return loss, d_anchor, d_views
-
-
-def _transfer_loss_grad(anchors: np.ndarray, pair_idx: np.ndarray, g: np.ndarray):
-    """Loss and anchor gradients for mean (g - cos(e_i, e_j))^2 over the
-    index pairs (pair_idx[:, 0], pair_idx[:, 1])."""
-    if pair_idx.shape[0] == 0:
-        return 0.0, np.zeros_like(anchors)
-    norms, safe, unit = _norms_and_unit(anchors)
-    i, j = pair_idx[:, 0], pair_idx[:, 1]
-    sims = np.sum(unit[i] * unit[j], axis=1)
-    resid = g - sims
-    loss = float(np.mean(resid**2))
-    dsims = -2.0 * resid / pair_idx.shape[0]
-    grad = np.zeros_like(anchors)
-    contrib_i = dsims[:, None] * (unit[j] - sims[:, None] * unit[i]) / safe[i][:, None]
-    contrib_j = dsims[:, None] * (unit[i] - sims[:, None] * unit[j]) / safe[j][:, None]
-    np.add.at(grad, i, contrib_i)
-    np.add.at(grad, j, contrib_j)
-    grad[norms < 1e-12] = 0.0
-    return loss, grad
+    sym = d_sims + d_sims.T
+    view_sum = unit_v.reshape(b, num_views, -1).sum(axis=1)
+    pos_sum = pos.reshape(b, num_views).sum(axis=1)
+    d_anchors = sym @ unit_a - ((sym * sims).sum(axis=1) + d_pos * pos_sum)[:, None] * unit_a + d_pos * view_sum
+    d_views = d_pos * (unit_a_rep - pos[:, None] * unit_v)
+    return trans_loss, con_loss, np.concatenate([d_anchors, d_views]) / norms[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +224,11 @@ def _encoder_forward(params: ExtractorParams, x: np.ndarray):
     h = np.maximum(0.0, h_pre)
     return h @ w["W2"].T + w["b2"], (x, h_pre, h)
 
-def _encoder_backward(params: ExtractorParams, cache, d_out: np.ndarray, grads: dict):
+def _encoder_backward(params: ExtractorParams, cache, d_out: np.ndarray) -> dict:
     w = params.weights
     x, h_pre, h = cache
-    grads["W2"] += d_out.T @ h
-    grads["b2"] += d_out.sum(axis=0)
     dh = (d_out @ w["W2"]) * (h_pre > 0)
-    grads["W1"] += dh.T @ x
-    grads["b1"] += dh.sum(axis=0)
+    return {"W2": d_out.T @ h, "b2": d_out.sum(axis=0), "W1": dh.T @ x, "b1": dh.sum(axis=0)}
 
 def _decoder_forward(params: ExtractorParams, e: np.ndarray):
     w = params.weights
@@ -276,15 +236,13 @@ def _decoder_forward(params: ExtractorParams, e: np.ndarray):
     h = np.maximum(0.0, h_pre)
     return h @ w["V2"].T + w["c2"], (e, h_pre, h)
 
-def _decoder_backward(params: ExtractorParams, cache, d_out: np.ndarray, grads: dict):
+def _decoder_backward(params: ExtractorParams, cache, d_out: np.ndarray):
+    """(decoder gradients, gradient w.r.t. the decoder's input)."""
     w = params.weights
     e, h_pre, h = cache
-    grads["V2"] += d_out.T @ h
-    grads["c2"] += d_out.sum(axis=0)
     dh = (d_out @ w["V2"]) * (h_pre > 0)
-    grads["V1"] += dh.T @ e
-    grads["c1"] += dh.sum(axis=0)
-    return dh @ w["V1"]
+    grads = {"V2": d_out.T @ h, "c2": d_out.sum(axis=0), "V1": dh.T @ e, "c1": dh.sum(axis=0)}
+    return grads, dh @ w["V1"]
 
 
 def combined_loss_and_grad(
@@ -300,39 +258,21 @@ def combined_loss_and_grad(
 
     windows: (B, L) normalized anchors; masked_views: (B, V, L);
     dataset_index: (B,) index into g_matrix; g_matrix: (D, D).
+    One encoder pass covers the stacked [anchors; views] rows.
     """
     b, v, length = masked_views.shape
-    anchors, cache_a = _encoder_forward(params, windows)
-    views_flat = masked_views.reshape(b * v, length)
-    view_reprs, cache_v = _encoder_forward(params, views_flat)
-
-    grads = {name: np.zeros_like(w) for name, w in params.weights.items()}
+    reprs, cache_e = _encoder_forward(params, np.concatenate([windows, masked_views.reshape(b * v, length)]))
 
     # reconstruction: decode each masked view back to its original window
-    recon, cache_d = _decoder_forward(params, view_reprs)
-    target = np.repeat(windows, v, axis=0)
-    resid = recon - target
+    recon, cache_d = _decoder_forward(params, reprs[b:])
+    resid = recon - np.repeat(windows, v, axis=0)
     # squared reconstruction norm per masked view, averaged over views
-    recon_loss = float(np.sum(resid**2) / (b * v))
-    d_recon = 2.0 * resid / (b * v)
-    d_view_reprs = _decoder_backward(params, cache_d, d_recon, grads)
+    recon_loss = float((resid * resid).sum() / (b * v))
+    grads, d_recon = _decoder_backward(params, cache_d, 2.0 * resid / (b * v))
 
-    # transferability over all cross-dataset anchor pairs
-    ii, jj = np.triu_indices(b, k=1)
-    cross = dataset_index[ii] != dataset_index[jj]
-    pair_idx = np.stack([ii[cross], jj[cross]], axis=1)
-    g = g_matrix[dataset_index[pair_idx[:, 0]], dataset_index[pair_idx[:, 1]]]
-    trans_loss, d_anchor_trans = _transfer_loss_grad(anchors, pair_idx, g)
-
-    # series-wise contrastive constraint
-    views_list = [view_reprs[s * v : (s + 1) * v] for s in range(b)]
-    con_loss, d_anchor_con, d_views_con = _constraint_loss_grad(anchors, views_list)
-
-    d_anchors = d_anchor_trans + constraint_weight * d_anchor_con
-    d_view_reprs = d_view_reprs + constraint_weight * np.concatenate(d_views_con, axis=0)
-
-    _encoder_backward(params, cache_a, d_anchors, grads)
-    _encoder_backward(params, cache_v, d_view_reprs, grads)
+    trans_loss, con_loss, d_reprs = _similarity_loss_grad(reprs, b, dataset_index, g_matrix, constraint_weight)
+    d_reprs[b:] += d_recon
+    grads.update(_encoder_backward(params, cache_e, d_reprs))
 
     total = recon_loss + trans_loss + constraint_weight * con_loss
     components = {"recon": recon_loss, "trans": trans_loss, "constraint": con_loss, "total": total}
@@ -382,23 +322,22 @@ def train_extractor(
         )
 
         epoch_components = []
-        for start in range(0, windows.shape[0], batch_size):
-            idx = order[start : start + batch_size]
-            if idx.size < 2:
-                continue  # constraint needs negatives
-            batch = windows[idx]
-            views = np.stack([mask_series(window, mask_spec, rng) for window in batch])
-            with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, windows.shape[0], batch_size):
+                idx = order[start : start + batch_size]
+                if idx.size < 2:
+                    continue  # constraint needs negatives
+                batch = windows[idx]
                 loss, grads, components = combined_loss_and_grad(
-                    params, batch, views, dataset_index[idx], g, cfg.constraint_weight
+                    params, batch, mask_series(batch, mask_spec, rng), dataset_index[idx], g, cfg.constraint_weight
                 )
-            if not np.isfinite(loss):
-                raise ValueError("training diverged")
-            new_weights = {
-                name: params.weights[name] - cfg.learning_rate * grads[name] for name in params.weights
-            }
-            params = replace(params, weights=new_weights)
-            epoch_components.append(components)
+                if not np.isfinite(loss):
+                    raise ValueError(f"training diverged in epoch {epoch + 1}")
+                new_weights = {
+                    name: params.weights[name] - cfg.learning_rate * grads[name] for name in params.weights
+                }
+                params = replace(params, weights=new_weights)
+                epoch_components.append(components)
         log.append(
             {
                 "epoch": epoch + 1,
@@ -466,15 +405,13 @@ def save(params: ExtractorParams, training_log: list | None = None) -> bytes:
 
 
 def load(blob: bytes):
-    try:
-        payload = json.loads(blob)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"malformed extractor file: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("format_version") != EXTRACTOR_FORMAT_VERSION:
+    payload = load_json_object(blob, "extractor")
+    if payload.get("format_version") != EXTRACTOR_FORMAT_VERSION:
         raise ValueError("unsupported extractor format_version")
-    dims = payload["dims"]
-    weights = {name: np.asarray(w, dtype=np.float64) for name, w in payload["weights"].items()}
+    dims = payload.get("dims")
+    if not isinstance(dims, dict) or not all(isinstance(dims.get(k), int) for k in ("L", "hidden", "d")):
+        raise ValueError("extractor file field 'dims' must hold integers L, hidden and d")
     params = ExtractorParams(
-        weights=weights, input_len=dims["L"], hidden_dim=dims["hidden"], repr_dim=dims["d"]
+        weights=payload.get("weights"), input_len=dims["L"], hidden_dim=dims["hidden"], repr_dim=dims["d"]
     )
     return params, payload.get("training_log", [])

@@ -7,13 +7,12 @@ fit with plain SGD on instance-normalized (window, target) pairs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Dataset, canonical_json, init_uniform, normalize_rows
+from .core import Dataset, canonical_json, checked_tensors, init_uniform, load_json_object, normalize_rows
 
 TRAINABLE = ("linear", "patch_mlp")
 BASELINES = ("last", "mean", "seasonal_naive")
@@ -134,9 +133,8 @@ def loss_and_grad(spec: ForecasterSpec, weights: dict, windows: np.ndarray, targ
     """Batch-mean MSE and its exact gradient for every weight tensor."""
     b, h = targets.shape
     if spec.architecture == "linear":
-        pred = windows @ weights["W"].T + weights["b"]
-        resid = pred - targets
-        loss = float(np.mean(resid**2))
+        resid = windows @ weights["W"].T + weights["b"] - targets
+        loss = float((resid * resid).sum() / resid.size)  # the sum np.mean takes
         dpred = 2.0 * resid / (b * h)
         grads = {"W": dpred.T @ windows, "b": dpred.sum(axis=0)}
         return loss, grads
@@ -145,9 +143,8 @@ def loss_and_grad(spec: ForecasterSpec, weights: dict, windows: np.ndarray, targ
         z_pre = patches @ weights["P_embed"].T + weights["p_bias"]  # (B, P, hidden)
         z = np.maximum(0.0, z_pre)
         flat = z.reshape(b, -1)
-        pred = flat @ weights["W_out"].T + weights["b_out"]
-        resid = pred - targets
-        loss = float(np.mean(resid**2))
+        resid = flat @ weights["W_out"].T + weights["b_out"] - targets
+        loss = float((resid * resid).sum() / resid.size)
         dpred = 2.0 * resid / (b * h)
         dflat = dpred @ weights["W_out"]
         dz = dflat.reshape(z.shape) * (z_pre > 0)
@@ -181,18 +178,19 @@ def train(spec: ForecasterSpec, data: Dataset, cfg: TrainConfig) -> Forecaster:
     rng = np.random.default_rng(cfg.seed + 1)
     n = windows.shape[0]
     epoch_losses = []
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         order = rng.permutation(n)
+        epoch_windows, epoch_targets = windows[order], targets[order]
         batch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            with np.errstate(over="ignore", invalid="ignore"):
-                loss, grads = loss_and_grad(spec, weights, windows[idx], targets[idx])
-            if not np.isfinite(loss):
-                raise ValueError("training diverged")
-            for name, g in grads.items():
-                weights[name] = weights[name] - cfg.learning_rate * g
-            batch_losses.append(loss)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, cfg.batch_size):
+                stop = start + cfg.batch_size
+                loss, grads = loss_and_grad(spec, weights, epoch_windows[start:stop], epoch_targets[start:stop])
+                if not np.isfinite(loss):
+                    raise ValueError(f"training diverged in epoch {epoch + 1}")
+                for name, g in grads.items():
+                    weights[name] -= cfg.learning_rate * g
+                batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)))
     return Forecaster(spec=spec, weights=weights, source_dataset=data.name, epoch_losses=tuple(epoch_losses))
 
@@ -213,26 +211,12 @@ def save(model: Forecaster) -> bytes:
 
 
 def load(blob: bytes) -> Forecaster:
-    try:
-        payload = json.loads(blob)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"malformed model file: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format_version {payload.get('format_version') if isinstance(payload, dict) else None!r}")
+    payload = load_json_object(blob, "model")
+    if payload.get("format_version") != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model format_version {payload.get('format_version')!r}")
     try:
         spec = ForecasterSpec(**payload["spec"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"model file field 'spec' is invalid: {exc}") from None
-    expected = _weight_shapes(spec)
-    raw = payload.get("weights", {})
-    if set(raw) != set(expected):
-        raise ValueError(f"weight tensors {sorted(raw)} do not match {spec.architecture} ({sorted(expected)})")
-    weights = {}
-    for name, shape in expected.items():
-        arr = np.asarray(raw[name], dtype=np.float64)
-        if arr.shape != shape:
-            raise ValueError(f"tensor {name} has shape {arr.shape}, expected {shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"tensor {name} contains non-finite values")
-        weights[name] = arr
+    weights = checked_tensors(payload.get("weights", {}), _weight_shapes(spec), f"model file ({spec.architecture})")
     return Forecaster(spec=spec, weights=weights, source_dataset=payload.get("source_dataset", ""))

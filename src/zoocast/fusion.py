@@ -113,4 +113,15 @@ def forecast_multivariate(zoo, series: MultivariateSeries, cfg: FusionConfig):
         predictions[:, c] = denormalize(norm_pred, stats)
         selections.append(selection)
         stats_list.append(stats)
-    return MultivariateSeries(predictions, series.channel_names), selections, stats_list
+    try:
+        result = MultivariateSeries(predictions, series.channel_names)
+    except ValueError:
+        bad = ~np.isfinite(predictions)
+        if not bad.any():
+            raise
+        channel = int(np.argmax(bad.any(axis=0)))
+        row = int(np.argmax(bad[:, channel]))
+        raise ValueError(
+            f"forecast diverged: channel {channel} turns non-finite at step {row} (block {row // zoo.horizon})"
+        ) from None
+    return result, selections, stats_list

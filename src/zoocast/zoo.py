@@ -8,7 +8,6 @@ and extractor files, each guarded by a content digest.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from . import extractor as extractor_mod
 from . import forecasters
-from .core import Dataset, MultivariateSeries, canonical_json, mse, sample_windows
+from .core import Dataset, MultivariateSeries, as_float_array, canonical_json, load_json_object, mse, sample_windows
 
 ZOO_FORMAT_VERSION = 1
 
@@ -50,8 +49,11 @@ class TransferMatrix:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "TransferMatrix":
-        payload = json.loads(blob)
-        return cls(dataset_names=tuple(payload["datasets"]), g=np.asarray(payload["g"]))
+        payload = load_json_object(blob, "transfer matrix")
+        names = payload.get("datasets")
+        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+            raise ValueError("transfer matrix file field 'datasets' must be a list of names")
+        return cls(dataset_names=tuple(names), g=as_float_array(payload.get("g"), "transfer matrix file field 'g'"))
 
 
 @dataclass
@@ -223,30 +225,58 @@ def _check_entry_shapes(entries: list, extractor_input_len: int) -> None:
             )
 
 
+MANIFEST_FIELDS = {"extractor": str, "extractor_digest": str, "entries": list}
+ENTRY_FIELDS = {
+    "model_id": str, "file": str, "digest": str, "source_dataset": str,
+    "input_len": int, "horizon": int, "representation": list,
+}
+
+
+def _check_fields(record, fields: dict, where: str) -> None:
+    if not isinstance(record, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    for name, kind in fields.items():
+        if not isinstance(record.get(name), kind):
+            raise ValueError(f"{where}: field {name!r} must be a {kind.__name__}")
+
+
+def _is_file(path: Path) -> bool:
+    try:
+        return path.is_file()
+    except OSError:  # e.g. a name too long for the file system
+        return False
+
+
 def load_zoo(zoo_dir) -> Zoo:
     root = Path(zoo_dir)
     manifest_path = root / "zoo.json"
     if not manifest_path.exists():
         raise ValueError(f"no zoo.json in {root}")
-    manifest = json.loads(manifest_path.read_bytes())
+    manifest = load_json_object(manifest_path.read_bytes(), "zoo manifest")
     if manifest.get("format_version") != ZOO_FORMAT_VERSION:
         raise ValueError("unsupported zoo format_version")
+    _check_fields(manifest, MANIFEST_FIELDS, "zoo manifest")
+    if not _is_file(root / manifest["extractor"]):
+        raise ValueError(f"zoo manifest: missing extractor file {manifest['extractor']!r}")
     extractor_blob = (root / manifest["extractor"]).read_bytes()
     if _digest(extractor_blob) != manifest["extractor_digest"]:
         raise ValueError("extractor digest mismatch")
     params, _ = extractor_mod.load(extractor_blob)
     entries = []
     ids = set()
-    for raw in manifest["entries"]:
-        rep = np.asarray(raw["representation"], dtype=np.float64)
+    for i, raw in enumerate(manifest["entries"]):
+        _check_fields(raw, ENTRY_FIELDS, f"zoo manifest entry {i}")
+        rep = as_float_array(raw["representation"], f"entry {raw['model_id']!r}: representation")
         if rep.shape != (params.repr_dim,):
             raise ValueError(
-                f"entry {raw['model_id']!r}: representation dim {rep.shape[0]} != extractor d {params.repr_dim}"
+                f"entry {raw['model_id']!r}: representation shape {rep.shape} != extractor dim ({params.repr_dim},)"
             )
+        if not np.all(np.isfinite(rep)):
+            raise ValueError(f"entry {raw['model_id']!r}: non-finite representation")
         if raw["model_id"] in ids:
             raise ValueError(f"duplicate model_id {raw['model_id']!r}")
         ids.add(raw["model_id"])
-        if not (root / raw["file"]).exists():
+        if not _is_file(root / raw["file"]):
             raise ValueError(f"entry {raw['model_id']!r}: missing weights file {raw['file']}")
         entries.append(
             ModelEntry(

@@ -21,6 +21,13 @@ from zoocast.extractor import (
     train_extractor,
     transferability_loss,
 )
+from zoocast.extractor import (
+    _decoder_backward,
+    _decoder_forward,
+    _encoder_backward,
+    _encoder_forward,
+    _similarity_loss_grad,
+)
 from zoocast.zoo import TransferMatrix
 
 
@@ -104,6 +111,17 @@ def test_mask_series_draws_like_the_training_loop(seed, length, ratio, num_views
         expected[view] = masked
     assert np.array_equal(views, expected)
     assert rng.random() == ref_rng.random()  # generator left in the same state
+
+
+@pytest.mark.parametrize("seed, batch, num_views", [(0, 5, 3), (1, 1, 2), (2, 4, 1)])
+def test_mask_series_on_a_batch_draws_window_then_view(seed, batch, num_views):
+    spec = MaskSpec(mask_ratio=0.25, num_views=num_views)
+    windows = np.random.default_rng(seed).normal(size=(batch, 16))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    views = mask_series(windows, spec, rng)
+    expected = np.stack([mask_series(w, spec, ref_rng) for w in windows])
+    assert np.array_equal(views, expected)
+    assert rng.random() == ref_rng.random()
 
 
 # -- constraint loss ---------------------------------------------------------
@@ -242,6 +260,198 @@ def test_combined_gradient_matches_finite_differences():
             a, f = grads[name], fd[name]
             denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(f)))
             assert np.max(np.abs(a - f) / denom) < 1e-4, name
+
+
+# -- fused step against the per-anchor and pair-list reference forms ---------
+# Reference forms of the training step: one encoder pass per stack, a
+# per-anchor constraint loop, and a pair list scattered with np.add.at for
+# the transferability term.
+
+
+def _norms_and_unit(r):
+    norms = np.linalg.norm(r, axis=1)
+    safe = np.where(norms < 1e-12, 1.0, norms)
+    unit = r / safe[:, None]
+    unit[norms < 1e-12] = 0.0
+    return norms, safe, unit
+
+
+def _cosine_pair_grads(unit_u, unit_v, safe_u, safe_v, sims, dsims):
+    du = dsims[:, None] * (unit_v - sims[:, None] * unit_u) / safe_u[:, None]
+    dv = dsims[:, None] * (unit_u - sims[:, None] * unit_v) / safe_v[:, None]
+    return du, dv
+
+
+def _constraint_loss_grad(anchors, views_by_anchor):
+    b = anchors.shape[0]
+    view_counts = [v.shape[0] for v in views_by_anchor]
+    norms_a, safe_a, unit_a = _norms_and_unit(anchors)
+    anchor_sims = unit_a @ unit_a.T
+    exp_sims = np.exp(anchor_sims)
+    denom = exp_sims.sum(axis=1)
+    num_pairs = sum(view_counts)
+    loss = 0.0
+    d_anchor = np.zeros_like(anchors)
+    d_views = []
+    log_denom = np.log(denom)
+    for s, views in enumerate(views_by_anchor):
+        norms_v, safe_v, unit_v = _norms_and_unit(views)
+        pos_sims = unit_v @ unit_a[s]
+        loss += float(np.sum(-pos_sims + log_denom[s]))
+        dpos = np.full(views.shape[0], -1.0 / num_pairs)
+        dv, da = _cosine_pair_grads(
+            unit_v, np.broadcast_to(unit_a[s], unit_v.shape), safe_v,
+            np.broadcast_to(safe_a[s], (views.shape[0],)), pos_sims, dpos,
+        )
+        dv[norms_v < 1e-12] = 0.0
+        d_views.append(dv)
+        if norms_a[s] >= 1e-12:
+            d_anchor[s] += da.sum(axis=0)
+    loss /= num_pairs
+    weights = np.asarray(view_counts, dtype=float) / num_pairs
+    dsims = weights[:, None] * exp_sims / denom[:, None]
+    np.fill_diagonal(dsims, 0.0)
+    row_dot = np.sum(dsims * anchor_sims, axis=1)
+    col_dot = np.sum(dsims * anchor_sims, axis=0)
+    denom_grad = (dsims @ unit_a - row_dot[:, None] * unit_a) / safe_a[:, None]
+    denom_grad += (dsims.T @ unit_a - col_dot[:, None] * unit_a) / safe_a[:, None]
+    denom_grad[norms_a < 1e-12] = 0.0
+    return loss, d_anchor + denom_grad, d_views
+
+
+def _transfer_loss_grad(anchors, pair_idx, g):
+    if pair_idx.shape[0] == 0:
+        return 0.0, np.zeros_like(anchors)
+    norms, safe, unit = _norms_and_unit(anchors)
+    i, j = pair_idx[:, 0], pair_idx[:, 1]
+    sims = np.sum(unit[i] * unit[j], axis=1)
+    resid = g - sims
+    dsims = -2.0 * resid / pair_idx.shape[0]
+    grad = np.zeros_like(anchors)
+    np.add.at(grad, i, dsims[:, None] * (unit[j] - sims[:, None] * unit[i]) / safe[i][:, None])
+    np.add.at(grad, j, dsims[:, None] * (unit[i] - sims[:, None] * unit[j]) / safe[j][:, None])
+    grad[norms < 1e-12] = 0.0
+    return float(np.mean(resid**2)), grad
+
+
+def _cross_pairs(didx):
+    ii, jj = np.triu_indices(len(didx), k=1)
+    cross = didx[ii] != didx[jj]
+    return np.stack([ii[cross], jj[cross]], axis=1)
+
+
+def _similarity_reference(anchors, views, didx, g, lam):
+    b, v = anchors.shape[0], views.shape[0] // anchors.shape[0]
+    pair_idx = _cross_pairs(didx)
+    trans, d_trans = _transfer_loss_grad(anchors, pair_idx, g[didx[pair_idx[:, 0]], didx[pair_idx[:, 1]]])
+    con, d_con, d_views = _constraint_loss_grad(anchors, [views[s * v : (s + 1) * v] for s in range(b)])
+    return trans, con, np.concatenate([d_trans + lam * d_con, lam * np.concatenate(d_views)])
+
+
+def _combined_reference(params, windows, masked_views, didx, g, lam):
+    b, v, length = masked_views.shape
+    anchors, cache_a = _encoder_forward(params, windows)
+    view_reprs, cache_v = _encoder_forward(params, masked_views.reshape(b * v, length))
+    recon, cache_d = _decoder_forward(params, view_reprs)
+    resid = recon - np.repeat(windows, v, axis=0)
+    recon_loss = float(np.sum(resid**2) / (b * v))
+    grads, d_view_reprs = _decoder_backward(params, cache_d, 2.0 * resid / (b * v))
+    trans, con, d_reprs = _similarity_reference(anchors, view_reprs, didx, g, lam)
+    enc_a = _encoder_backward(params, cache_a, d_reprs[:b])
+    enc_v = _encoder_backward(params, cache_v, d_view_reprs + d_reprs[b:])
+    grads.update({name: enc_a[name] + enc_v[name] for name in enc_a})
+    return recon_loss + trans + lam * con, grads
+
+
+def _assert_close_rel(actual, expected, rel=1e-12):
+    assert np.max(np.abs(actual - expected)) <= rel * max(np.max(np.abs(expected)), 1e-300)
+
+
+SIMILARITY_CASES = {
+    "mixed": np.array([0, 1, 2, 0, 1]),
+    "same-dataset-pairs": np.array([0, 0, 1, 1]),
+    "no-cross-pair": np.array([2, 2, 2]),
+}
+
+
+@pytest.mark.parametrize("didx", SIMILARITY_CASES.values(), ids=SIMILARITY_CASES.keys())
+def test_fused_similarity_grad_matches_reference_forms(didx):
+    rng = np.random.default_rng(21)
+    b = len(didx)
+    for _ in range(10):
+        v, d = int(rng.integers(1, 4)), int(rng.integers(2, 7))
+        reprs = rng.standard_normal((b + b * v, d))
+        g = rng.uniform(-1.0, 1.0, (3, 3))
+        lam = float(rng.uniform(0.0, 1.0))
+        trans, con, grad = _similarity_loss_grad(reprs, b, didx, g, lam)
+        ref_trans, ref_con, ref_grad = _similarity_reference(reprs[:b], reprs[b:], didx, g, lam)
+        assert trans == pytest.approx(ref_trans, rel=1e-12, abs=1e-15)
+        assert con == pytest.approx(ref_con, rel=1e-12)
+        _assert_close_rel(grad, ref_grad)
+
+
+def test_fused_similarity_grad_is_zero_on_zero_norm_rows():
+    rng = np.random.default_rng(22)
+    didx = np.array([0, 1, 0, 2])
+    b, v, d = 4, 2, 5
+    reprs = rng.standard_normal((b + b * v, d))
+    reprs[1] = 0.0  # an anchor
+    reprs[b + 3] = 0.0  # a view of anchor 1
+    g = rng.uniform(-1.0, 1.0, (3, 3))
+    trans, con, grad = _similarity_loss_grad(reprs, b, didx, g, 0.5)
+    assert np.all(grad[1] == 0.0) and np.all(grad[b + 3] == 0.0)
+    ref_trans, ref_con, ref_grad = _similarity_reference(reprs[:b], reprs[b:], didx, g, 0.5)
+    assert (trans, con) == (pytest.approx(ref_trans, rel=1e-12), pytest.approx(ref_con, rel=1e-12))
+    _assert_close_rel(grad, ref_grad)
+
+
+def _zero_row_params(rng, length, hidden, d):
+    # b1 <= 0 and b2 = 0: an all-zero window encodes to the zero vector
+    params = _random_params(rng, length, hidden, d)
+    w = dict(params.weights, b1=-np.abs(params.weights["b1"]), b2=np.zeros(d))
+    return ExtractorParams(w, length, hidden, d)
+
+
+@pytest.mark.parametrize("case", [*SIMILARITY_CASES, "zero-norm-rows"])
+def test_combined_step_matches_two_pass_reference(case):
+    rng = np.random.default_rng(23)
+    length, hidden, d, v = 8, 6, 4, 3
+    didx = SIMILARITY_CASES.get(case, np.array([0, 1, 2, 1]))
+    b = len(didx)
+    for _ in range(10):
+        params = _random_params(rng, length, hidden, d)
+        windows = rng.standard_normal((b, length))
+        views = rng.standard_normal((b, v, length))
+        if case == "zero-norm-rows":
+            params = _zero_row_params(rng, length, hidden, d)
+            windows[2] = 0.0
+            views[0, 1] = 0.0
+        g = rng.uniform(-1.0, 1.0, (3, 3))
+        lam = float(rng.uniform(0.0, 1.0))
+        total, grads, _ = combined_loss_and_grad(params, windows, views, didx, g, lam)
+        ref_total, ref_grads = _combined_reference(params, windows, views, didx, g, lam)
+        assert total == pytest.approx(ref_total, rel=1e-12)
+        assert set(grads) == set(ref_grads)
+        for name in grads:
+            _assert_close_rel(grads[name], ref_grads[name])
+
+
+def test_combined_components_equal_the_loss_forms():
+    rng = np.random.default_rng(24)
+    length, hidden, d, v = 8, 6, 4, 2
+    didx = np.array([0, 1, 1, 2, 0])
+    b = len(didx)
+    for _ in range(10):
+        params = _random_params(rng, length, hidden, d)
+        windows = rng.standard_normal((b, length))
+        views = rng.standard_normal((b, v, length))
+        g = rng.uniform(-1.0, 1.0, (3, 3))
+        _, _, components = combined_loss_and_grad(params, windows, views, didx, g, 0.5)
+        anchors = encode_batch(params, windows)
+        view_reprs = encode_batch(params, views)
+        pairs = [(anchors[i], anchors[j], g[didx[i], didx[j]]) for i, j in _cross_pairs(didx)]
+        assert components["constraint"] == pytest.approx(constraint_loss(list(anchors), list(view_reprs)), rel=1e-12)
+        assert components["trans"] == pytest.approx(transferability_loss(pairs), rel=1e-12)
 
 
 # -- training ----------------------------------------------------------------

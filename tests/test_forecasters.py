@@ -260,6 +260,12 @@ def test_train_divergence_detected():
         train(ForecasterSpec("linear", 36, 12), data, TrainConfig(epochs=50, learning_rate=1e4, seed=0))
 
 
+def test_train_divergence_names_the_epoch():
+    data = _sine_dataset(length=100)
+    with pytest.raises(ValueError, match=r"diverged in epoch 1$"):
+        train(ForecasterSpec("linear", 36, 12), data, TrainConfig(epochs=50, learning_rate=1e4, seed=0))
+
+
 def test_linear_close_to_least_squares():
     # trained linear loss within 10% of the exact normal-equations optimum
     data = _sine_dataset(length=240, period=8)

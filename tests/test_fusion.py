@@ -227,3 +227,16 @@ def test_top_k_exceeding_zoo_size():
     zoo = _last_zoo()
     with pytest.raises(ValueError, match="top_k"):
         forecast_multivariate(zoo, MultivariateSeries(np.ones((6, 1)) * np.arange(6)[:, None]), FusionConfig(horizon=2, top_k=5))
+
+
+def test_diverging_recursion_names_the_channel_and_block():
+    spec = ForecasterSpec("linear", input_len=4, horizon=2)
+    w = np.zeros((2, 4))
+    w[:, -1] = 1e200  # block 0 stays finite, block 1 overflows
+    models = {"ok": _zero_model(4, 2), "boom": Forecaster(spec=spec, weights={"W": w, "b": np.zeros(2)})}
+    zoo = _make_zoo(models, {"ok": np.ones(3), "boom": -np.ones(3)})
+    series = MultivariateSeries(np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]]))
+    cfg = FusionConfig(horizon=6, forced_model_ids=("ok", "boom"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"channel 1 .*step 2 \(block 1\)"):
+            forecast_multivariate(zoo, series, cfg)

@@ -1,0 +1,161 @@
+"""Every artifact loader either loads its input or raises ValueError.
+
+Inputs are arbitrary bytes, arbitrary JSON, truncations of a valid file,
+and valid files with fields (one or two levels down) replaced by
+arbitrary JSON or dropped.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from zoocast import extractor, forecasters
+from zoocast.core import Dataset, MultivariateSeries
+from zoocast.zoo import TransferMatrix, build_zoo, load_zoo
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=16,
+)
+
+
+def _field_paths(payload: dict) -> list:
+    paths = []
+    for key, value in payload.items():
+        paths.append((key,))
+        if isinstance(value, dict):
+            paths.extend((key, sub) for sub in value)
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            paths.extend((key, 0, sub) for sub in value[0])
+    return paths
+
+
+def _blobs(valid: bytes):
+    """Strategy over byte strings derived from one valid file."""
+    payload = json.loads(valid)
+    paths = _field_paths(payload)
+
+    @st.composite
+    def mutated(draw):
+        out = json.loads(valid)
+        for path in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3)):
+            parent = out
+            for key in path[:-1]:
+                try:
+                    parent = parent[key]
+                except (KeyError, IndexError, TypeError):  # an earlier mutation replaced it
+                    parent = None
+            if isinstance(parent, dict):
+                if draw(st.booleans()):
+                    parent[path[-1]] = draw(JSON)
+                else:
+                    parent.pop(path[-1], None)
+        return json.dumps(out).encode()
+
+    return st.one_of(
+        st.binary(max_size=64),
+        JSON.map(lambda value: json.dumps(value).encode()),
+        st.integers(0, len(valid)).map(lambda n: valid[:n]),
+        mutated(),
+    )
+
+
+def _loads_or_value_error(load, blob: bytes) -> None:
+    try:
+        load(blob)
+    except ValueError:
+        pass
+
+
+SPEC = forecasters.ForecasterSpec("linear", input_len=4, horizon=2)
+MODEL = forecasters.save(forecasters.Forecaster(SPEC, forecasters.init_weights(SPEC, 0), "a"))
+EXTRACTOR = extractor.save(extractor.init_params(4, 3, 2, seed=0), [{"epoch": 1, "total": 1.0}])
+MATRIX = TransferMatrix(("a", "b"), np.array([[0.9, 0.1], [0.2, 0.8]])).to_bytes()
+FUZZ = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@given(blob=_blobs(MODEL))
+@FUZZ
+def test_model_loader_fuzz(blob):
+    _loads_or_value_error(forecasters.load, blob)
+
+
+@given(blob=_blobs(EXTRACTOR))
+@FUZZ
+def test_extractor_loader_fuzz(blob):
+    _loads_or_value_error(extractor.load, blob)
+
+
+@given(blob=_blobs(MATRIX))
+@FUZZ
+def test_transfer_matrix_loader_fuzz(blob):
+    _loads_or_value_error(TransferMatrix.from_bytes, blob)
+
+
+@pytest.fixture(scope="module")
+def zoo_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "a.json").write_bytes(MODEL)
+    (root / "extractor.json").write_bytes(EXTRACTOR)
+    data = Dataset(series=MultivariateSeries(np.sin(np.arange(40.0))), name="a")
+    return build_zoo([root / "a.json"], [data], root / "extractor.json", root / "zoo", per_model_source_samples=4)
+
+
+def test_zoo_fixture_loads(zoo_dir):
+    assert [e.model_id for e in load_zoo(zoo_dir).entries] == ["a"]
+
+
+@given(data=st.data())
+@FUZZ
+def test_zoo_manifest_loader_fuzz(zoo_dir, data):
+    valid = (zoo_dir / "zoo.json").read_bytes()
+    blob = data.draw(_blobs(valid))
+    manifest = zoo_dir / "zoo.json"
+    try:
+        manifest.write_bytes(blob)
+        _loads_or_value_error(load_zoo, zoo_dir)
+    finally:
+        manifest.write_bytes(valid)
+
+
+@pytest.mark.parametrize(
+    "load, blob",
+    [
+        (extractor.load, b'{"format_version":1}'),
+        (extractor.load, b'{"format_version":1,"dims":[]}'),
+        (extractor.load, b'{"format_version":1,"dims":{"L":4,"hidden":3,"d":2},"weights":[]}'),
+        (TransferMatrix.from_bytes, b"[]"),
+        (TransferMatrix.from_bytes, b"{}"),
+        (forecasters.load, b'{"format_version":1,"spec":{"architecture":"linear","input_len":4,"horizon":2},'
+                           b'"weights":{"W":{},"b":[0,0]}}'),
+    ],
+)
+def test_malformed_fields_raise_value_error_naming_the_file_kind(load, blob):
+    with pytest.raises(ValueError, match="extractor|transfer matrix|model"):
+        load(blob)
+
+
+def test_manifest_holding_a_list_raises_value_error(zoo_dir):
+    valid = (zoo_dir / "zoo.json").read_bytes()
+    try:
+        (zoo_dir / "zoo.json").write_bytes(b"[]")
+        with pytest.raises(ValueError, match="zoo manifest"):
+            load_zoo(zoo_dir)
+    finally:
+        (zoo_dir / "zoo.json").write_bytes(valid)
+
+
+def test_manifest_with_a_non_finite_representation_raises_value_error(zoo_dir):
+    valid = (zoo_dir / "zoo.json").read_bytes()
+    manifest = json.loads(valid)
+    manifest["entries"][0]["representation"] = [float("nan")] * len(manifest["entries"][0]["representation"])
+    try:
+        (zoo_dir / "zoo.json").write_bytes(json.dumps(manifest).encode())
+        with pytest.raises(ValueError, match="entry 'a': non-finite representation"):
+            load_zoo(zoo_dir)
+    finally:
+        (zoo_dir / "zoo.json").write_bytes(valid)
