@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end CLI walkthrough: generate five synthetic datasets, train one
 # model per dataset, compute the transferability matrix, train the
-# representation extractor, assemble a zoo, and forecast a fresh series.
-# Ends by printing the sha256 of every artifact, so the artifacts of two
-# commits can be compared.
+# representation extractor, assemble a zoo, forecast a fresh series, and
+# run the evaluation harness on the five datasets. Ends by printing the
+# sha256 of every artifact and of the harness report, so two commits can
+# be compared.
 #
 # Uses an installed `zoocast` when there is one, else this checkout's source.
 set -euo pipefail
@@ -43,8 +44,12 @@ zoocast synth --kind sine --period 12 --noise 0.05 --length 100 --seed 99 --out 
 zoocast forecast --zoo zoo --input query.csv --horizon 24 --top-k 1 --out forecast
 zoocast embed --zoo zoo --input query.csv --pca 2 --out embed.csv
 
+csv_list=$(printf '"%s",' "${DATA[@]}")
+echo "datasets = [${csv_list%,}]" > bench.cfg
+zoocast benchmark --zoo zoo --config bench.cfg --out report.json
+
 echo "forecast written to $WORK/forecast/forecast.csv"
 head -5 forecast/forecast.csv
 
 echo "artifact digests:"
-sha256sum tm.json "${MODELS[@]}" extractor.json zoo/zoo.json
+sha256sum tm.json "${MODELS[@]}" extractor.json zoo/zoo.json report.json

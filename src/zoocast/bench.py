@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import forecasters, fusion
 from .core import Dataset, MultivariateSeries, canonical_json, mape, mse, smape
@@ -94,23 +95,34 @@ def default_family_suite(seed: int = 0, noise_std: float = 0.05, length: int = 6
     ]
 
 
+def _tiles(values: np.ndarray, look_back: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """(W, T, C) windows and their (W, H, C) truths: non-overlapping views
+    tiled over the tail of a (length, C) array, stride T + H."""
+    total = look_back + horizon
+    if values.shape[0] < total:
+        return np.empty((0, look_back, values.shape[1])), np.empty((0, horizon, values.shape[1]))
+    tiles = sliding_window_view(values, total, axis=0)[values.shape[0] % total :: total].transpose(0, 2, 1)
+    return tiles[:, :look_back], tiles[:, look_back:]
+
+
 def evaluation_windows(data: Dataset, look_back: int, horizon: int):
     """Non-overlapping (window, truth) pairs tiled over the series tail,
     stride = look_back + horizon."""
-    out = []
-    series = data.series
-    total = look_back + horizon
-    start = series.length - (series.length // total) * total
-    for s in range(start, series.length - total + 1, total):
-        window = MultivariateSeries(series.values[s : s + look_back], series.channel_names)
-        truth = MultivariateSeries(series.values[s + look_back : s + total], series.channel_names)
-        out.append((window, truth))
-    return out
+    names = data.series.channel_names
+    x, truth = _tiles(data.series.values, look_back, horizon)
+    return [(MultivariateSeries(w, names), MultivariateSeries(t, names)) for w, t in zip(x, truth)]
 
 
-def _baseline_forecast(architecture: str, window: MultivariateSeries, horizon: int, season_period: int):
-    model = forecasters.make_baseline(architecture, window.length, horizon, season_period)
-    return MultivariateSeries(forecasters.forecast_batch(model, window.values.T).T, window.channel_names)
+def _stacked_forecast(zoo, x: np.ndarray, cfg: fusion.FusionConfig) -> np.ndarray:
+    """(W, H, C) forecasts of (W, T, C) windows from one request of W*C
+    channels, window-major. Channels are forecast independently, so each
+    window gets the bits a request of its own would."""
+    w, t, c = x.shape
+    try:
+        pred, _, _ = fusion.forecast_multivariate(zoo, MultivariateSeries(x.transpose(1, 0, 2).reshape(t, w * c)), cfg)
+    except ValueError as exc:  # its channel k is channel k % c of window k // c
+        raise ValueError(f"{w} windows of {c} channels, stacked window-major: {exc}") from None
+    return pred.values.reshape(cfg.horizon, w, c).transpose(1, 0, 2)
 
 
 def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
@@ -119,64 +131,44 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
 
     Returns a report dict with per-(dataset, method, horizon) rows, a
     per-window record list, the horizon-averaged summary, and the per-zoo-
-    model MSE distribution per dataset.
+    model MSE distribution per dataset. All windows of a (dataset, horizon)
+    go out as one request per method; metrics are taken window by window.
     """
-    methods = ["zoocast", "last", "mean", "seasonal_naive"]
     rows = []
     per_window = []
     zoo_distribution = []
     warnings = []
     for data in datasets:
         for horizon in cfg.horizons:
-            windows = evaluation_windows(data, cfg.look_back, horizon)
-            if not windows:
+            x, truth = _tiles(data.series.values, cfg.look_back, horizon)
+            if not len(x):
                 warnings.append(f"{data.name}: horizon {horizon} skipped (series too short)")
                 continue
-            fusion_cfg = fusion.FusionConfig(horizon=horizon, top_k=cfg.top_k)
-            for method in methods:
+            w, _, c = x.shape
+            preds = {"zoocast": _stacked_forecast(zoo, x, fusion.FusionConfig(horizon=horizon, top_k=cfg.top_k))}
+            channel_rows = x.transpose(0, 2, 1).reshape(w * c, cfg.look_back)
+            for method in forecasters.BASELINES:
+                model = forecasters.make_baseline(method, cfg.look_back, horizon, cfg.season_period)
+                preds[method] = forecasters.forecast_batch(model, channel_rows).reshape(w, c, -1).transpose(0, 2, 1)
+            for method, pred in preds.items():
+                key = {"dataset": data.name, "method": method, "horizon": horizon}
                 scores = {m: [] for m in cfg.metrics}
-                for wi, (window, truth) in enumerate(windows):
-                    if method == "zoocast":
-                        pred, _, _ = fusion.forecast_multivariate(zoo, window, fusion_cfg)
-                    else:
-                        pred = _baseline_forecast(method, window, horizon, cfg.season_period)
+                for wi in range(w):
                     for metric in cfg.metrics:
-                        value = METRIC_FNS[metric](truth, pred)
+                        value = METRIC_FNS[metric](truth[wi], pred[wi])
                         scores[metric].append(value)
-                        per_window.append(
-                            {
-                                "dataset": data.name,
-                                "method": method,
-                                "horizon": horizon,
-                                "window": wi,
-                                "metric": metric,
-                                "value": value,
-                            }
-                        )
-                rows.append(
-                    {
-                        "dataset": data.name,
-                        "method": method,
-                        "horizon": horizon,
-                        **{m: float(np.mean(scores[m])) for m in cfg.metrics},
-                    }
-                )
+                        per_window.append({**key, "window": wi, "metric": metric, "value": value})
+                rows.append({**key, **{m: float(np.mean(scores[m])) for m in cfg.metrics}})
         # per-model MSE distribution at the first horizon (violin-plot data)
         horizon = cfg.horizons[0]
-        windows = evaluation_windows(data, cfg.look_back, horizon)
+        x, truth = _tiles(data.series.values, cfg.look_back, horizon)
+        if not len(x):
+            continue
         for entry in zoo.entries:
-            model = zoo.forecaster(entry.model_id)
-            values = []
-            for window, truth in windows:
-                forced = fusion.FusionConfig(
-                    horizon=horizon, top_k=1, forced_model_ids=(entry.model_id,) * window.num_channels
-                )
-                pred, _, _ = fusion.forecast_multivariate(zoo, window, forced)
-                values.append(mse(truth, pred))
-            if values:
-                zoo_distribution.append(
-                    {"dataset": data.name, "model_id": entry.model_id, "mse": float(np.mean(values))}
-                )
+            forced_ids = (entry.model_id,) * (x.shape[0] * x.shape[2])
+            forced = fusion.FusionConfig(horizon=horizon, top_k=1, forced_model_ids=forced_ids)
+            values = [mse(truth_w, pred_w) for truth_w, pred_w in zip(truth, _stacked_forecast(zoo, x, forced))]
+            zoo_distribution.append({"dataset": data.name, "model_id": entry.model_id, "mse": float(np.mean(values))})
 
     summary = {}
     for row in rows:

@@ -210,6 +210,7 @@ def cmd_benchmark(args):
         horizons=tuple(raw.get("horizons", default.horizons)),
         metrics=tuple(raw.get("metrics", default.metrics)),
         top_k=int(raw.get("top_k", default.top_k)),
+        season_period=int(raw.get("season_period", default.season_period)),
     )
     z = zoo_mod.load_zoo(args.zoo)
     report = bench.run_benchmark(cfg, z, datasets)

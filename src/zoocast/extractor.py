@@ -9,6 +9,7 @@ used for model matching; cosine similarity is the metric throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -100,16 +101,11 @@ def encode_batch(params: ExtractorParams, windows: np.ndarray) -> np.ndarray:
     return h @ w["W2"].T + w["b2"]
 
 
-def decode_batch(params: ExtractorParams, reprs: np.ndarray) -> np.ndarray:
-    w = params.weights
-    h = np.maximum(0.0, reprs @ w["V1"].T + w["c1"])
-    return h @ w["V2"].T + w["c2"]
-
-
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity; 0 if either vector has (near-)zero norm."""
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
+    # np.linalg.norm's sum for a 1-D real vector, without its wrapper
+    ru, rv = u.ravel(order="K"), v.ravel(order="K")
+    nu, nv = math.sqrt(ru.dot(ru)), math.sqrt(rv.dot(rv))
     if nu < 1e-12 or nv < 1e-12:
         return 0.0
     return float(np.dot(u, v) / (nu * nv))

@@ -80,7 +80,9 @@ def sequential_forecast(models: list, window, horizon: int) -> np.ndarray:
     outputs = []
     for _ in range(num_blocks):
         block_input = trim_to_last(history, input_len)
-        block = np.mean([forecasters.forecast(m, block_input) for m in models], axis=0)
+        # from 0.0, model by model, then / k: np.mean(..., axis=0)'s order
+        # (except for h == 1 with k >= 8, where numpy sums the k values pairwise)
+        block = sum(forecasters.forecast(m, block_input) for m in models) / len(models)
         outputs.append(block)
         history = np.concatenate([history, block])
     return trim_to_first(np.concatenate(outputs), horizon)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from zoocast import bench, forecasters, fusion
 from zoocast.bench import (
+    METRIC_FNS,
     BenchConfig,
     SyntheticFamilySpec,
     default_family_suite,
@@ -10,9 +14,9 @@ from zoocast.bench import (
     report_to_bytes,
     run_benchmark,
 )
-from zoocast.core import mse
+from zoocast.core import Dataset, MultivariateSeries, mse
 from zoocast.extractor import init_params
-from zoocast.forecasters import make_baseline
+from zoocast.forecasters import Forecaster, ForecasterSpec, init_weights, make_baseline
 from zoocast.zoo import zoo_from_models
 
 
@@ -74,6 +78,181 @@ def test_evaluation_windows_tile_the_tail():
     # windows are non-overlapping and contiguous
     full = np.concatenate([np.concatenate([w.values, t.values]) for w, t in windows])
     np.testing.assert_array_equal(full[:, 0], data.series.channel(0)[100 - len(full) :])
+
+
+def _reference_windows(data, look_back, horizon):
+    """The tiling loop the harness used before it stacked windows."""
+    out = []
+    series = data.series
+    total = look_back + horizon
+    start = series.length - (series.length // total) * total
+    for s in range(start, series.length - total + 1, total):
+        window = MultivariateSeries(series.values[s : s + look_back], series.channel_names)
+        truth = MultivariateSeries(series.values[s + look_back : s + total], series.channel_names)
+        out.append((window, truth))
+    return out
+
+
+@given(st.integers(1, 80), st.integers(1, 3), st.integers(1, 12), st.integers(1, 12))
+def test_evaluation_windows_equal_the_tiler_and_the_loop(length, channels, look_back, horizon):
+    values = np.arange(length * channels, dtype=np.float64).reshape(length, channels)
+    data = Dataset(MultivariateSeries(values, tuple("abc"[:channels])), "d")
+    got = evaluation_windows(data, look_back, horizon)
+    x, truth = bench._tiles(values, look_back, horizon)
+    expected = _reference_windows(data, look_back, horizon)
+    assert len(got) == len(x) == len(truth) == len(expected)
+    assert x.shape[1:] == (look_back, channels) and truth.shape[1:] == (horizon, channels)
+    for (window, future), x_w, truth_w, (ref_window, ref_future) in zip(got, x, truth, expected):
+        assert np.array_equal(window.values, x_w) and np.array_equal(window.values, ref_window.values)
+        assert np.array_equal(future.values, truth_w) and np.array_equal(future.values, ref_future.values)
+        assert window.channel_names == future.channel_names == ref_window.channel_names
+
+
+def _reference_run_benchmark(cfg, zoo, datasets):
+    """run_benchmark as the per-window loop it was before windows were
+    stacked: one forecast per window, method and zoo model."""
+    methods = ["zoocast", "last", "mean", "seasonal_naive"]
+    rows = []
+    per_window = []
+    zoo_distribution = []
+    warnings = []
+    for data in datasets:
+        for horizon in cfg.horizons:
+            windows = _reference_windows(data, cfg.look_back, horizon)
+            if not windows:
+                warnings.append(f"{data.name}: horizon {horizon} skipped (series too short)")
+                continue
+            fusion_cfg = fusion.FusionConfig(horizon=horizon, top_k=cfg.top_k)
+            for method in methods:
+                scores = {m: [] for m in cfg.metrics}
+                for wi, (window, truth) in enumerate(windows):
+                    if method == "zoocast":
+                        pred, _, _ = fusion.forecast_multivariate(zoo, window, fusion_cfg)
+                    else:
+                        model = make_baseline(method, window.length, horizon, cfg.season_period)
+                        pred = MultivariateSeries(
+                            forecasters.forecast_batch(model, window.values.T).T, window.channel_names
+                        )
+                    for metric in cfg.metrics:
+                        value = METRIC_FNS[metric](truth, pred)
+                        scores[metric].append(value)
+                        per_window.append(
+                            {
+                                "dataset": data.name,
+                                "method": method,
+                                "horizon": horizon,
+                                "window": wi,
+                                "metric": metric,
+                                "value": value,
+                            }
+                        )
+                rows.append(
+                    {
+                        "dataset": data.name,
+                        "method": method,
+                        "horizon": horizon,
+                        **{m: float(np.mean(scores[m])) for m in cfg.metrics},
+                    }
+                )
+        horizon = cfg.horizons[0]
+        windows = _reference_windows(data, cfg.look_back, horizon)
+        for entry in zoo.entries:
+            values = []
+            for window, truth in windows:
+                forced = fusion.FusionConfig(
+                    horizon=horizon, top_k=1, forced_model_ids=(entry.model_id,) * window.num_channels
+                )
+                pred, _, _ = fusion.forecast_multivariate(zoo, window, forced)
+                values.append(mse(truth, pred))
+            if values:
+                zoo_distribution.append(
+                    {"dataset": data.name, "model_id": entry.model_id, "mse": float(np.mean(values))}
+                )
+
+    summary = {}
+    for row in rows:
+        key = (row["dataset"], row["method"])
+        summary.setdefault(key, {m: [] for m in cfg.metrics})
+        for m in cfg.metrics:
+            summary[key][m].append(row[m])
+    summary_rows = [
+        {"dataset": dataset, "method": method, **{m: float(np.mean(vals[m])) for m in cfg.metrics}}
+        for (dataset, method), vals in sorted(summary.items())
+    ]
+    return {
+        "config": {
+            "look_back": cfg.look_back,
+            "horizons": list(cfg.horizons),
+            "metrics": list(cfg.metrics),
+            "top_k": cfg.top_k,
+        },
+        "rows": rows,
+        "per_window": per_window,
+        "summary": summary_rows,
+        "zoo_distribution": zoo_distribution,
+        "warnings": warnings,
+    }
+
+
+def _mixed_zoo(input_len=12, horizon=4):
+    """The three baselines and a random linear model, at random places."""
+    models = {name: make_baseline(name, input_len, horizon, season_period=5) for name in forecasters.BASELINES}
+    spec = ForecasterSpec("linear", input_len, horizon)
+    models["linear"] = Forecaster(spec=spec, weights=init_weights(spec, seed=3))
+    rng = np.random.default_rng(11)
+    params = init_params(input_len, 8, 4, seed=0)
+    return zoo_from_models(models, params, {name: rng.normal(size=4) for name in models})
+
+
+def _named_dataset(length, name="named", channels=3):
+    rng = np.random.default_rng(length)
+    values = 5.0 + np.cumsum(rng.normal(size=(length, channels)), axis=0)
+    return Dataset(MultivariateSeries(values, tuple(f"ch{c}" for c in range(channels))), name)
+
+
+def _assert_reports_identical(cfg, zoo, datasets):
+    got = report_to_bytes(run_benchmark(cfg, zoo, datasets))
+    assert got == report_to_bytes(_reference_run_benchmark(cfg, zoo, datasets))
+    return got
+
+
+def test_stacked_harness_matches_reference_on_named_channels():
+    cfg = BenchConfig(look_back=12, horizons=(4, 9))
+    _assert_reports_identical(cfg, _mixed_zoo(), [_named_dataset(200)])
+
+
+def test_stacked_harness_matches_reference_with_three_metrics_and_top2():
+    cfg = BenchConfig(look_back=12, horizons=(4, 6, 17), metrics=("mse", "smape", "mape"), top_k=2, season_period=3)
+    datasets = [_named_dataset(150), _named_dataset(90, "one-channel", channels=1)]
+    _assert_reports_identical(cfg, _mixed_zoo(), datasets)
+
+
+def test_stacked_harness_matches_reference_when_one_horizon_is_too_long():
+    cfg = BenchConfig(look_back=12, horizons=(4, 30))
+    report = _assert_reports_identical(cfg, _mixed_zoo(), [_named_dataset(30)])
+    assert b"horizon 30 skipped" in report
+
+
+def test_stacked_harness_matches_reference_when_every_horizon_is_too_long():
+    cfg = BenchConfig(look_back=12, horizons=(4, 8), metrics=("mse", "smape"))
+    datasets = [_named_dataset(15, "tiny"), _named_dataset(60)]
+    report = run_benchmark(cfg, _mixed_zoo(), datasets)
+    assert {d["dataset"] for d in report["zoo_distribution"]} == {"named"}
+    assert len(report["warnings"]) == 2
+    _assert_reports_identical(cfg, _mixed_zoo(), datasets)
+
+
+def test_stacked_harness_error_says_how_windows_were_stacked():
+    spec = ForecasterSpec("linear", 12, 4)
+    weights = {"W": np.zeros((4, 12)), "b": np.zeros(4)}
+    weights["W"][:, -1] = 1e200  # finite for a flat window, overflows on any other
+    zoo = zoo_from_models({"boom": Forecaster(spec, weights)}, init_params(12, 4, 3, seed=0), {"boom": np.ones(3)})
+    values = np.random.default_rng(0).normal(size=(100, 2))
+    values[:60] = 1.0  # the first three windows are flat
+    # window 3, channel 0 is stacked channel 3 * 2 + 0
+    expected = r"^5 windows of 2 channels, stacked window-major: forecast diverged: channel 6 "
+    with pytest.raises(ValueError, match=expected), np.errstate(over="ignore", invalid="ignore"):
+        run_benchmark(BenchConfig(look_back=12, horizons=(8,)), zoo, [Dataset(MultivariateSeries(values), "d")])
 
 
 def _tiny_last_zoo(input_len=12, horizon=4):

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from zoocast import forecasters
+from zoocast.bench import BenchConfig, run_benchmark
 from zoocast.cli import main, parse_flat_config
 from zoocast.core import load_csv
+from zoocast.zoo import load_zoo
 
 
 def run_cli(*argv):
@@ -132,6 +134,20 @@ def test_benchmark_determinism_bytes(pipeline, tmp_path):
     assert run_cli("benchmark", "--config", str(config), "--zoo", str(zoo_dir), "--out", str(r1)) == 0
     assert run_cli("benchmark", "--config", str(config), "--zoo", str(zoo_dir), "--out", str(r2)) == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_benchmark_reads_season_period(pipeline, tmp_path):
+    root, datasets, zoo_dir = pipeline
+    config = tmp_path / "bench.toml"
+    config.write_text("datasets = [\"%s\"]\nhorizons = [6, 24]\nseason_period = 12\n" % datasets[0])
+    report = tmp_path / "report.json"
+    assert run_cli("benchmark", "--config", str(config), "--zoo", str(zoo_dir), "--out", str(report)) == 0
+    got = [r for r in json.loads(report.read_bytes())["rows"] if r["method"] == "seasonal_naive"]
+    cfg = BenchConfig(horizons=(6, 24), season_period=12)
+    expected = run_benchmark(cfg, load_zoo(zoo_dir), [load_csv(datasets[0])])
+    assert got == [r for r in expected["rows"] if r["method"] == "seasonal_naive"]
+    default = run_benchmark(BenchConfig(horizons=(6, 24)), load_zoo(zoo_dir), [load_csv(datasets[0])])
+    assert got != [r for r in default["rows"] if r["method"] == "seasonal_naive"]
 
 
 def test_train_ptm_determinism(pipeline, tmp_path):

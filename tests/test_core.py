@@ -227,6 +227,19 @@ def test_mse_random8x3_equals_oracle():
     assert mse(t, p) == pytest.approx(_mse_loop(t, p), abs=1e-12)
 
 
+@given(row_matrix_strategy, st.sampled_from(["vector", "matrix", "transposed", "mixed"]))
+def test_mse_matches_np_mean_form_bit_for_bit(shape_and_seed, layout):
+    t = _random_rows(shape_and_seed)
+    p = t + np.random.default_rng(shape_and_seed[2]).normal(size=t.shape)
+    if layout == "vector":
+        t, p = t[0], p[0]
+    elif layout == "transposed":  # (H, C) views whose H axis is strided
+        t, p = t.T, p.T
+    elif layout == "mixed":  # a C-ordered truth against a transposed forecast
+        t, p = np.ascontiguousarray(t.T), p.T
+    assert mse(t, p) == float(np.mean((t - p) ** 2))
+
+
 # -- containers and CSV ------------------------------------------------------
 
 

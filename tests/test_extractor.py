@@ -219,6 +219,25 @@ def test_cosine_properties():
         assert abs(cosine(u, v)) <= 1.0 + 1e-12
 
 
+def _cosine_with_linalg_norm(u, v):
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu < 1e-12 or nv < 1e-12:
+        return 0.0
+    return float(np.dot(u, v) / (nu * nv))
+
+
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from(["contiguous", "strided", "zero"]))
+def test_cosine_matches_linalg_norm_form_bit_for_bit(n, seed, layout):
+    rng = np.random.default_rng(seed)
+    # scales from 1e-15 to 1e3 put some norms on either side of the 1e-12 guard
+    pair = rng.standard_normal((n, 4)) * 10.0 ** rng.uniform(-15, 3, size=4)
+    u, v = (pair[:, 0], pair[:, 2]) if layout == "strided" else pair[:, :2].T.copy()
+    if layout == "zero":
+        u = np.zeros(n)
+    assert cosine(u, v) == _cosine_with_linalg_norm(u, v)
+    assert cosine(v, u) == _cosine_with_linalg_norm(v, u)
+
+
 # -- combined objective gradient ---------------------------------------------
 
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zoocast.core import MultivariateSeries, normalize
 from zoocast.extractor import init_params
-from zoocast.forecasters import Forecaster, ForecasterSpec, make_baseline
+from zoocast.forecasters import Forecaster, ForecasterSpec, forecast, init_weights, make_baseline
 from zoocast.fusion import FusionConfig, SelectionResult, forecast_multivariate, match, sequential_forecast
 from zoocast.zoo import zoo_from_models
 
@@ -61,6 +63,32 @@ def test_sequential_two_model_average():
     threes = _const_model(3, 2, 3.0)
     out = sequential_forecast([ones, threes], [0.0, 0.0, 0.0], 4)
     np.testing.assert_array_equal(out, [2.0, 2.0, 2.0, 2.0])
+
+
+def _reference_sequential_forecast(models, window, horizon):
+    """Recursive blocks whose top-k mean is np.mean over a list of forecasts."""
+    input_len, h = models[0].spec.input_len, models[0].spec.horizon
+    history, outputs = np.asarray(window, dtype=np.float64), []
+    for _ in range(-(-horizon // h)):
+        block = np.mean([forecast(m, history[-input_len:]) for m in models], axis=0)
+        outputs.append(block)
+        history = np.concatenate([history, block])
+    return np.concatenate(outputs)[:horizon]
+
+
+@given(st.sampled_from([1, 2, 3, 5]), st.integers(1, 13), st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_block_mean_matches_np_mean_bit_for_bit(k, h, horizon, seed):
+    rng = np.random.default_rng(seed)
+    models = []
+    for i in range(k):
+        arch = ("linear", "last", "mean", "seasonal_naive")[int(rng.integers(4))]
+        spec = ForecasterSpec(arch, 8, h, season_period=3)
+        weights = {name: w * 10.0 ** rng.uniform(-3, 1) for name, w in init_weights(spec, seed + i).items()}
+        models.append(Forecaster(spec=spec, weights=weights))
+    window = rng.normal(size=8) * 10.0 ** rng.uniform(-3, 3)
+    window[rng.random(8) < 0.25] = -0.0  # signed zeros must keep their sign too
+    got = sequential_forecast(models, window, horizon)
+    assert got.tobytes() == _reference_sequential_forecast(models, window, horizon).tobytes()
 
 
 @pytest.mark.parametrize("horizon", [6, 8, 14, 18, 24, 36, 48])
