@@ -125,6 +125,15 @@ def _stacked_forecast(zoo, x: np.ndarray, cfg: fusion.FusionConfig) -> np.ndarra
     return pred.values.reshape(cfg.horizon, w, c).transpose(1, 0, 2)
 
 
+def _window_scores(metric: str, truth: np.ndarray, pred: np.ndarray) -> list:
+    """One metric's value for each window of (W, H, C) stacks; `mse` takes
+    the whole stack in one reduction."""
+    fn = METRIC_FNS[metric]
+    if metric == "mse":
+        return fn(truth, pred).tolist()
+    return [fn(t, p) for t, p in zip(truth, pred)]
+
+
 def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
     """Evaluate the zoo pipeline and the naive baselines on every dataset
     and horizon; metrics computed on the raw (de-normalized) scale.
@@ -132,7 +141,7 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
     Returns a report dict with per-(dataset, method, horizon) rows, a
     per-window record list, the horizon-averaged summary, and the per-zoo-
     model MSE distribution per dataset. All windows of a (dataset, horizon)
-    go out as one request per method; metrics are taken window by window.
+    go out as one request per method; every window gets its own metric values.
     """
     rows = []
     per_window = []
@@ -152,12 +161,10 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
                 preds[method] = forecasters.forecast_batch(model, channel_rows).reshape(w, c, -1).transpose(0, 2, 1)
             for method, pred in preds.items():
                 key = {"dataset": data.name, "method": method, "horizon": horizon}
-                scores = {m: [] for m in cfg.metrics}
+                scores = {m: _window_scores(m, truth, pred) for m in cfg.metrics}
                 for wi in range(w):
                     for metric in cfg.metrics:
-                        value = METRIC_FNS[metric](truth[wi], pred[wi])
-                        scores[metric].append(value)
-                        per_window.append({**key, "window": wi, "metric": metric, "value": value})
+                        per_window.append({**key, "window": wi, "metric": metric, "value": scores[metric][wi]})
                 rows.append({**key, **{m: float(np.mean(scores[m])) for m in cfg.metrics}})
         # per-model MSE distribution at the first horizon (violin-plot data)
         horizon = cfg.horizons[0]
@@ -167,7 +174,7 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
         for entry in zoo.entries:
             forced_ids = (entry.model_id,) * (x.shape[0] * x.shape[2])
             forced = fusion.FusionConfig(horizon=horizon, top_k=1, forced_model_ids=forced_ids)
-            values = [mse(truth_w, pred_w) for truth_w, pred_w in zip(truth, _stacked_forecast(zoo, x, forced))]
+            values = mse(truth, _stacked_forecast(zoo, x, forced))
             zoo_distribution.append({"dataset": data.name, "model_id": entry.model_id, "mse": float(np.mean(values))})
 
     summary = {}

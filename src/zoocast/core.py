@@ -113,16 +113,14 @@ def normalize(x) -> tuple[np.ndarray, NormStats]:
 def sample_windows(rng: np.random.Generator, data: Dataset, length: int, count: int) -> np.ndarray:
     """(count, length) instance-normalized windows at random places.
 
-    Each window draws its channel, then its start, from `rng`; callers
-    that share a generator rely on that order.
+    Two draws from `rng`: every window's channel, then every window's
+    start; callers that share a generator rely on that order.
     """
     series = data.series
     if series.length < length:
         raise ValueError(f"dataset {data.name!r} has no window of length {length}")
-    picks = [
-        (int(rng.integers(series.num_channels)), int(rng.integers(series.length - length + 1))) for _ in range(count)
-    ]
-    channels, starts = np.array(picks, dtype=np.intp).reshape(count, 2).T
+    channels = rng.integers(series.num_channels, size=count)
+    starts = rng.integers(series.length - length + 1, size=count)
     windows = sliding_window_view(series.values, length, axis=0)  # (starts, C, length)
     return normalize_rows(windows[starts, channels])[0]
 
@@ -177,7 +175,7 @@ def checked_tensors(raw, shapes: dict, kind: str) -> dict:
         arr = as_float_array(raw[name], f"{kind} tensor {name}")
         if arr.shape != shape:
             raise ValueError(f"{kind} tensor {name} has shape {arr.shape}, expected {shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError(f"{kind} tensor {name} contains non-finite values")
         tensors[name] = arr
     return tensors
@@ -209,11 +207,20 @@ def _as_matrix_pair(truth, pred) -> tuple[np.ndarray, np.ndarray]:
     return t, p
 
 
-def mse(truth, pred) -> float:
-    """Mean squared error over all H*C entries."""
+def mse(truth, pred):
+    """Mean squared error over all H*C entries: a float for one (H,) or
+    (H, C) window, a (W,) array for a stack of (W, H, C) windows.
+
+    One window's squares are summed in memory order, the sum np.mean takes.
+    A stack sums each window in C order. That is one window's memory order
+    when its truth is C-ordered, as the harness's tiles are, so there each
+    stacked value equals the window's own mse bit for bit.
+    """
     t, p = _as_matrix_pair(truth, pred)
     d = t - p
-    return float((d * d).sum() / d.size)  # the sum np.mean takes
+    if d.ndim == 3:
+        return (d * d).reshape(d.shape[0], -1).sum(axis=1) / (d.shape[1] * d.shape[2])
+    return float((d * d).sum() / d.size)
 
 
 def smape(truth, pred) -> float:

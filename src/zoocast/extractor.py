@@ -113,19 +113,20 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 def mask_series(windows, spec: MaskSpec, rng: np.random.Generator) -> np.ndarray:
     """(..., num_views, L): copies of each length-L window, each with
-    floor(ratio*L) positions drawn from `rng` and zeroed (the mask token is
-    0 on normalized input). Draws run window by window, view by view."""
+    m = floor(ratio*L) positions zeroed (the mask token is 0 on normalized
+    input). One draw of uniform keys, shape (..., num_views, L), covers the
+    batch; a view's masked positions are its m smallest keys, so every view
+    gets a uniformly random m-subset of its own."""
     x = np.asarray(windows, dtype=np.float64)
-    length = x.shape[-1]
-    count = int(spec.mask_ratio * length)
+    count = int(spec.mask_ratio * x.shape[-1])
     views = np.repeat(x[..., None, :], spec.num_views, axis=-2)
-    for view in views.reshape(-1, length):
-        view[rng.choice(length, size=count, replace=False)] = 0.0
+    picks = np.argsort(rng.random(views.shape), axis=-1)[..., :count]
+    np.put_along_axis(views, picks, 0.0, axis=-1)
     return views
 
 
 # ---------------------------------------------------------------------------
-# losses (loss-only reference forms; training uses the fused step below)
+# losses
 
 
 def _unit_rows(r: np.ndarray):
@@ -134,35 +135,6 @@ def _unit_rows(r: np.ndarray):
     norms = np.sqrt((r * r).sum(axis=-1))
     norms[norms < 1e-12] = np.inf
     return r / norms[..., None], norms
-
-
-def constraint_loss(anchors: list, views_by_anchor: list) -> float:
-    """Contrastive loss: each anchor pulls its own masked views close and
-    pushes every other representation in the batch away. The log-softmax
-    denominator runs over the anchor set itself (self pair included).
-
-    Returns the total over (anchor, view) pairs divided by the pair count.
-    """
-    unit_a, _ = _unit_rows(np.stack([np.asarray(a, dtype=np.float64) for a in anchors]))
-    if unit_a.shape[0] < 2:
-        raise ValueError("no negatives: need at least 2 anchor series")
-    log_denom = np.log(np.exp(unit_a @ unit_a.T).sum(axis=1))
-    total, pairs = 0.0, 0
-    for s, views in enumerate(views_by_anchor):
-        unit_v, _ = _unit_rows(np.asarray(views, dtype=np.float64).reshape(-1, unit_a.shape[1]))
-        total += float(np.sum(log_denom[s] - unit_v @ unit_a[s]))
-        pairs += unit_v.shape[0]
-    return total / pairs
-
-
-def transferability_loss(pairs: list) -> float:
-    """Mean over (repr_i, repr_j, g_ij) of (g_ij - cos(repr_i, repr_j))^2."""
-    if not pairs:
-        return 0.0
-    total = 0.0
-    for ei, ej, g in pairs:
-        total += (g - cosine(np.asarray(ei), np.asarray(ej))) ** 2
-    return total / len(pairs)
 
 
 def _similarity_loss_grad(reprs, b, dataset_index, g_matrix, constraint_weight):
@@ -295,6 +267,9 @@ def train_extractor(
     batch_size (one window per dataset) every contrastive negative comes
     from a different dataset, so the constraint separates datasets instead
     of scattering windows of the same series.
+
+    Each epoch samples every dataset's windows (`sample_windows`), then
+    masks all of them in one `mask_series` call; batches are slices.
     """
     if len(datasets) < 1:
         raise ValueError("need at least one dataset")
@@ -308,26 +283,25 @@ def train_extractor(
     params = init_params(input_len, cfg.hidden_dim, cfg.repr_dim, cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
     batch_size = max(2, len(datasets)) if cfg.batch_size is None else cfg.batch_size
+    # interleave datasets so each batch draws evenly across them
+    order = np.arange(len(datasets) * cfg.windows_per_dataset).reshape(len(datasets), -1).T.ravel()
+    dataset_index = np.tile(np.arange(len(datasets)), cfg.windows_per_dataset)
     log = []
     for epoch in range(cfg.epochs):
         windows = np.concatenate([sample_windows(rng, data, input_len, cfg.windows_per_dataset) for data in datasets])
-        dataset_index = np.repeat(np.arange(len(datasets)), cfg.windows_per_dataset)
-        # interleave datasets so each batch draws evenly across them
-        order = (
-            np.arange(windows.shape[0]).reshape(len(datasets), cfg.windows_per_dataset).T.ravel()
-        )
+        windows = windows[order]
+        views = mask_series(windows, mask_spec, rng)
 
         epoch_components = []
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, windows.shape[0], batch_size):
-                idx = order[start : start + batch_size]
-                if idx.size < 2:
+                batch = slice(start, start + batch_size)
+                if dataset_index[batch].size < 2:
                     continue  # constraint needs negatives
-                batch = windows[idx]
                 loss, grads, components = combined_loss_and_grad(
-                    params, batch, mask_series(batch, mask_spec, rng), dataset_index[idx], g, cfg.constraint_weight
+                    params, windows[batch], views[batch], dataset_index[batch], g, cfg.constraint_weight
                 )
-                if not np.isfinite(loss):
+                if not math.isfinite(loss):
                     raise ValueError(f"training diverged in epoch {epoch + 1}")
                 new_weights = {
                     name: params.weights[name] - cfg.learning_rate * grads[name] for name in params.weights

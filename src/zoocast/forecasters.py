@@ -7,6 +7,7 @@ fit with plain SGD on instance-normalized (window, target) pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -186,7 +187,7 @@ def train(spec: ForecasterSpec, data: Dataset, cfg: TrainConfig) -> Forecaster:
             for start in range(0, n, cfg.batch_size):
                 stop = start + cfg.batch_size
                 loss, grads = loss_and_grad(spec, weights, epoch_windows[start:stop], epoch_targets[start:stop])
-                if not np.isfinite(loss):
+                if not math.isfinite(loss):
                     raise ValueError(f"training diverged in epoch {epoch + 1}")
                 for name, g in grads.items():
                     weights[name] -= cfg.learning_rate * g

@@ -116,9 +116,10 @@ def test_sample_windows_matches_per_window_loop(shape_and_seed, length, count):
     rng, ref_rng = np.random.default_rng(1), np.random.default_rng(1)
     got = sample_windows(rng, data, length, count)
     assert got.shape == (count, length)
-    for row in got:
-        c = int(ref_rng.integers(values.shape[1]))
-        start = int(ref_rng.integers(values.shape[0] - length + 1))
+    # every window's channel, then every window's start
+    channels = ref_rng.integers(values.shape[1], size=count)
+    starts = ref_rng.integers(values.shape[0] - length + 1, size=count)
+    for row, c, start in zip(got, channels, starts):
         assert np.array_equal(row, normalize(values[start : start + length, c])[0])
     assert rng.random() == ref_rng.random()  # same number of draws
 
@@ -238,6 +239,33 @@ def test_mse_matches_np_mean_form_bit_for_bit(shape_and_seed, layout):
     elif layout == "mixed":  # a C-ordered truth against a transposed forecast
         t, p = np.ascontiguousarray(t.T), p.T
     assert mse(t, p) == float(np.mean((t - p) ** 2))
+
+
+@given(
+    st.integers(1, 4),
+    st.sampled_from([1, 2, 7, 48, 3000]),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["window-major", "channel-rows", "contiguous"]),
+)
+def test_stacked_mse_equals_each_windows_mse_bit_for_bit(windows, horizon, channels, seed, layout):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    # truths tiled out of one (length, C) series, as the harness does
+    series = rng.normal(size=(windows * (horizon + 3), channels)) * scale
+    truth = series.reshape(windows, horizon + 3, channels)[:, 3:]
+    noise = rng.normal(size=windows * horizon * channels) * scale
+    if layout == "window-major":  # a stacked (H, W*C) forecast, unstacked
+        pred = noise.reshape(horizon, windows, channels).transpose(1, 0, 2)
+    elif layout == "channel-rows":  # a (W*C, H) batch of per-channel rows
+        pred = noise.reshape(windows, channels, horizon).transpose(0, 2, 1)
+    else:
+        pred = noise.reshape(windows, horizon, channels)
+    pred += truth  # in place, so the forecast keeps its layout
+    stacked = mse(truth, pred)
+    assert stacked.shape == (windows,)
+    for i in range(windows):
+        assert stacked[i] == mse(truth[i], pred[i]) == float(np.mean((truth[i] - pred[i]) ** 2))
 
 
 # -- containers and CSV ------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zoocast.bench import SyntheticFamilySpec, generate_synthetic
@@ -9,7 +9,6 @@ from zoocast.extractor import (
     ExtractorTrainConfig,
     MaskSpec,
     combined_loss_and_grad,
-    constraint_loss,
     cosine,
     encode,
     encode_batch,
@@ -19,7 +18,6 @@ from zoocast.extractor import (
     pca_project,
     save,
     train_extractor,
-    transferability_loss,
 )
 from zoocast.extractor import (
     _decoder_backward,
@@ -27,6 +25,7 @@ from zoocast.extractor import (
     _encoder_backward,
     _encoder_forward,
     _similarity_loss_grad,
+    _unit_rows,
 )
 from zoocast.zoo import TransferMatrix
 
@@ -103,14 +102,52 @@ def test_mask_series_draws_like_the_training_loop(seed, length, ratio, num_views
     window = np.random.default_rng(seed).normal(size=length)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     views = mask_series(window, spec, rng)
-    # the per-(sample, view) loop train_extractor used to inline
+    # replay: one (num_views, length) draw of uniform keys; each view zeroes
+    # the positions of its int(ratio * length) smallest keys
+    keys = ref_rng.random((num_views, length))
     expected = np.empty((num_views, length))
     for view in range(num_views):
         masked = window.copy()
-        masked[ref_rng.choice(length, size=int(ratio * length), replace=False)] = 0.0
+        masked[sorted(range(length), key=keys[view].__getitem__)[: int(ratio * length)]] = 0.0
         expected[view] = masked
     assert np.array_equal(views, expected)
     assert rng.random() == ref_rng.random()  # generator left in the same state
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    batch=st.integers(1, 4),
+    length=st.integers(1, 40),
+    ratio=st.floats(0.01, 0.99),
+    num_views=st.integers(1, 4),
+)
+@example(seed=0, batch=2, length=36, ratio=0.01, num_views=3)  # m = 0
+@example(seed=1, batch=3, length=36, ratio=0.25, num_views=1)
+@settings(max_examples=100, deadline=None)
+def test_every_view_zeroes_exactly_m_distinct_positions(seed, batch, length, ratio, num_views):
+    windows = np.random.default_rng(seed).uniform(1.0, 2.0, size=(batch, length))  # no zeros of their own
+    views = mask_series(windows, MaskSpec(mask_ratio=ratio, num_views=num_views), np.random.default_rng(seed))
+    assert views.shape == (batch, num_views, length)
+    zeroed = views == 0.0
+    assert np.all(zeroed.sum(axis=-1) == int(ratio * length))
+    kept = np.broadcast_to(windows[:, None, :], views.shape)
+    assert np.array_equal(views[~zeroed], kept[~zeroed])
+
+
+@pytest.mark.parametrize("length, ratio", [(12, 0.25), (7, 0.5)])
+def test_mask_positions_are_uniform_and_views_independent(length, ratio):
+    # each position is masked at rate m/L, and in both of two views of the
+    # same window at rate (m/L)^2; bounds are 5 binomial standard deviations
+    draws = 4000
+    m = int(ratio * length)
+    views = mask_series(np.ones((draws, length)), MaskSpec(mask_ratio=ratio, num_views=2), np.random.default_rng(0))
+    zeroed = views == 0.0
+
+    def assert_rate(hits, n, p):
+        assert np.all(np.abs(hits - n * p) <= 5.0 * np.sqrt(n * p * (1.0 - p)))
+
+    assert_rate(zeroed.sum(axis=(0, 1)), 2 * draws, m / length)
+    assert_rate((zeroed[:, 0] & zeroed[:, 1]).sum(axis=0), draws, (m / length) ** 2)
 
 
 @pytest.mark.parametrize("seed, batch, num_views", [(0, 5, 3), (1, 1, 2), (2, 4, 1)])
@@ -125,6 +162,38 @@ def test_mask_series_on_a_batch_draws_window_then_view(seed, batch, num_views):
 
 
 # -- constraint loss ---------------------------------------------------------
+# Loss-only reference forms of the two similarity terms; training uses the
+# fused `_similarity_loss_grad`.
+
+
+def constraint_loss(anchors: list, views_by_anchor: list) -> float:
+    """Contrastive loss: each anchor pulls its own masked views close and
+    pushes every other representation in the batch away. The log-softmax
+    denominator runs over the anchor set itself (self pair included).
+
+    Returns the total over (anchor, view) pairs divided by the pair count.
+    """
+    unit_a, _ = _unit_rows(np.stack([np.asarray(a, dtype=np.float64) for a in anchors]))
+    if unit_a.shape[0] < 2:
+        raise ValueError("no negatives: need at least 2 anchor series")
+    log_denom = np.log(np.exp(unit_a @ unit_a.T).sum(axis=1))
+    total, pairs = 0.0, 0
+    for s, views in enumerate(views_by_anchor):
+        unit_v, _ = _unit_rows(np.asarray(views, dtype=np.float64).reshape(-1, unit_a.shape[1]))
+        total += float(np.sum(log_denom[s] - unit_v @ unit_a[s]))
+        pairs += unit_v.shape[0]
+    return total / pairs
+
+
+def transferability_loss(pairs: list) -> float:
+    """Mean over (repr_i, repr_j, g_ij) of (g_ij - cos(repr_i, repr_j))^2."""
+    if not pairs:
+        return 0.0
+    total = 0.0
+    for ei, ej, g in pairs:
+        total += (g - cosine(np.asarray(ei), np.asarray(ej))) ** 2
+    return total / len(pairs)
+
 
 
 def test_constraint_loss_all_identical_is_log_b():

@@ -50,16 +50,17 @@ def test_representation_of_identical_windows(params):
 
 
 def test_representation_two_point_mean(params):
-    rng = np.random.default_rng(4)
-    data = _dataset(seed=4)
+    # three channels, so the channel draw takes values from the generator
+    data = generate_synthetic(SyntheticFamilySpec(kind="sine", period=12, length=200, channels=3, seed=4))
     rep = compute_model_representation(params, data, sample_count=2, seed=7)
-    # replay the sampling to find the two windows, then average by hand
+    # replay the sampling to find the two windows, then average by hand:
+    # both windows' channels, then both windows' starts
     series = data.series
     rng2 = np.random.default_rng(7)
+    channels = rng2.integers(series.num_channels, size=2)
+    starts = rng2.integers(series.length - 12 + 1, size=2)
     encodings = []
-    for _ in range(2):
-        c = int(rng2.integers(series.num_channels))
-        start = int(rng2.integers(series.length - 12 + 1))
+    for c, start in zip(channels, starts):
         norm, _ = normalize(series.channel(c)[start : start + 12])
         encodings.append(encode(params, norm))
     np.testing.assert_allclose(rep, np.mean(encodings, axis=0), atol=1e-12)
