@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end CLI walkthrough: generate five synthetic datasets, train one
 # model per dataset, compute the transferability matrix, train the
-# representation extractor, assemble a zoo, forecast a fresh series, and
-# run the evaluation harness on the five datasets. Ends by printing the
-# sha256 of every artifact and of the harness report, so two commits can
-# be compared.
+# representation extractor, assemble a zoo, then run every command that
+# reads the zoo: forecast a fresh series, embed it (raw and PCA-projected)
+# and run the evaluation harness on the five datasets. Ends by printing
+# the sha256 of every artifact and of every output, so two commits can be
+# compared.
 #
 # Uses an installed `zoocast` when there is one, else this checkout's source.
 set -euo pipefail
@@ -42,7 +43,8 @@ zoocast build-zoo --models "$models" --data "$datasets" --extractor extractor.js
 
 zoocast synth --kind sine --period 12 --noise 0.05 --length 100 --seed 99 --out query.csv
 zoocast forecast --zoo zoo --input query.csv --horizon 24 --top-k 1 --out forecast
-zoocast embed --zoo zoo --input query.csv --pca 2 --out embed.csv
+zoocast embed --zoo zoo --input query.csv --out embed.csv
+zoocast embed --zoo zoo --input query.csv --pca 2 --out embed-pca2.csv
 
 csv_list=$(printf '"%s",' "${DATA[@]}")
 echo "datasets = [${csv_list%,}]" > bench.cfg
@@ -52,4 +54,5 @@ echo "forecast written to $WORK/forecast/forecast.csv"
 head -5 forecast/forecast.csv
 
 echo "artifact digests:"
-sha256sum tm.json "${MODELS[@]}" extractor.json zoo/zoo.json report.json
+sha256sum tm.json "${MODELS[@]}" extractor.json zoo/extractor.json zoo/zoo.json \
+    forecast/forecast.csv forecast/provenance.json embed.csv embed-pca2.csv report.json

@@ -34,6 +34,13 @@ class SyntheticFamilySpec:
             raise ValueError("noise_std must be >= 0")
 
 
+def check_metrics(names) -> None:
+    """Raise a ValueError naming every name not in METRIC_FNS."""
+    unknown = set(names) - set(METRIC_FNS)
+    if unknown:
+        raise ValueError(f"unknown metrics {sorted(unknown, key=str)}; known metrics: {sorted(METRIC_FNS)}")
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     look_back: int = 36
@@ -45,9 +52,7 @@ class BenchConfig:
     def __post_init__(self):
         if not self.horizons:
             raise ValueError("horizons must be nonempty")
-        unknown = set(self.metrics) - set(METRIC_FNS)
-        if unknown:
-            raise ValueError(f"unknown metrics {sorted(unknown)}")
+        check_metrics(self.metrics)
 
 
 def generate_synthetic(spec: SyntheticFamilySpec) -> Dataset:

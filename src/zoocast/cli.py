@@ -159,10 +159,9 @@ def cmd_forecast(args):
 def cmd_evaluate(args):
     truth = load_csv(args.truth)
     pred = load_csv(args.pred)
-    metrics = {}
-    for name in args.metrics.split(","):
-        metrics[name] = bench.METRIC_FNS[name](truth.series, pred.series)
-    _emit(args, metrics)
+    names = args.metrics.split(",")
+    bench.check_metrics(names)
+    _emit(args, {name: bench.METRIC_FNS[name](truth.series, pred.series) for name in names})
 
 
 def cmd_synth(args):
@@ -201,16 +200,42 @@ def parse_flat_config(text: str) -> dict:
     return out
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+# the JSON type each `zoocast benchmark` config key must have
+BENCH_CONFIG_TYPES = {
+    "datasets": ("a list of strings", _list_of(_is_str)),
+    "horizons": ("a list of integers", _list_of(_is_int)),
+    "metrics": ("a list of strings", _list_of(_is_str)),
+    "look_back": ("an integer", _is_int),
+    "top_k": ("an integer", _is_int),
+    "season_period": ("an integer", _is_int),
+}
+
+
 def cmd_benchmark(args):
     raw = parse_flat_config(Path(args.config).read_text(encoding="utf-8"))
+    for key, (kind, valid) in BENCH_CONFIG_TYPES.items():
+        if key in raw and not valid(raw[key]):
+            raise ValueError(f"config key {key!r} must be {kind}, got {raw[key]!r}")
     datasets = [load_csv(p) for p in raw.get("datasets", [])]
     default = bench.BenchConfig
     cfg = bench.BenchConfig(
-        look_back=int(raw.get("look_back", default.look_back)),
+        look_back=raw.get("look_back", default.look_back),
         horizons=tuple(raw.get("horizons", default.horizons)),
         metrics=tuple(raw.get("metrics", default.metrics)),
-        top_k=int(raw.get("top_k", default.top_k)),
-        season_period=int(raw.get("season_period", default.season_period)),
+        top_k=raw.get("top_k", default.top_k),
+        season_period=raw.get("season_period", default.season_period),
     )
     z = zoo_mod.load_zoo(args.zoo)
     report = bench.run_benchmark(cfg, z, datasets)
@@ -237,24 +262,20 @@ def _add_model_flags(p):
     p.add_argument("--stride", type=int, default=train.stride)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="zoocast", description="Zero-shot forecasting with a zoo of lightweight pre-trained models")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train-ptm", help="train a one-variate forecaster on a CSV dataset")
+def _train_ptm_args(p):
     p.add_argument("--data", required=True)
     _add_model_flags(p)
     _add_common(p)
-    p.set_defaults(func=cmd_train_ptm)
 
-    p = sub.add_parser("transfer-matrix", help="cross-dataset 1-MSE transfer scores")
+
+def _transfer_matrix_args(p):
     p.add_argument("--datasets", required=True, help="comma-separated CSV paths")
     _add_model_flags(p)
     _add_common(p)
-    p.set_defaults(func=cmd_transfer_matrix)
 
+
+def _train_extractor_args(p):
     ext, mask = extractor.ExtractorTrainConfig, extractor.MaskSpec
-    p = sub.add_parser("train-extractor", help="train the representation extractor")
     p.add_argument("--datasets", required=True)
     p.add_argument("--transfer-matrix", required=True)
     p.add_argument("--lambda", dest="constraint_weight", type=float, default=ext.constraint_weight)
@@ -268,41 +289,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=ext.batch_size, help="default: one window per dataset")
     p.add_argument("--windows-per-dataset", type=int, default=ext.windows_per_dataset)
     _add_common(p)
-    p.set_defaults(func=cmd_train_extractor)
 
-    p = sub.add_parser("build-zoo", help="assemble a zoo directory from trained models")
+
+def _build_zoo_args(p):
     p.add_argument("--models", required=True, help="comma-separated model files")
     p.add_argument("--data", required=True, help="comma-separated source CSVs, one per model")
     p.add_argument("--extractor", required=True)
     p.add_argument("--samples", type=int, default=256)
     _add_common(p)
-    p.set_defaults(func=cmd_build_zoo)
 
-    p = sub.add_parser("embed", help="dump PTM / variate representations, optionally PCA-projected")
+
+def _embed_args(p):
     p.add_argument("--zoo", required=True)
     p.add_argument("--input", default=None, help="optional CSV whose channels are embedded too")
     p.add_argument("--pca", type=int, default=None, choices=(1, 2, 3))
     _add_common(p)
-    p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("forecast", help="zero-shot forecast from a zoo")
+
+def _forecast_args(p):
     p.add_argument("--zoo", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--top-k", type=int, default=fusion.FusionConfig.top_k)
     _add_common(p)
-    p.set_defaults(func=cmd_forecast)
 
-    p = sub.add_parser("evaluate", help="metrics between truth and prediction CSVs")
+
+def _evaluate_args(p):
     p.add_argument("--truth", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--metrics", default="mse")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_evaluate)
 
+
+def _synth_args(p):
     synth = bench.SyntheticFamilySpec
-    p = sub.add_parser("synth", help="generate a synthetic dataset CSV")
     p.add_argument("--kind", choices=bench.SYNTH_KINDS, required=True)
     p.add_argument("--period", type=int, default=synth.period)
     p.add_argument("--amplitude", type=float, default=synth.amplitude)
@@ -310,20 +331,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=synth.length)
     p.add_argument("--channels", type=int, default=synth.channels)
     _add_common(p)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("benchmark", help="run the evaluation harness from a config file")
+
+def _benchmark_args(p):
     p.add_argument("--config", required=True)
     p.add_argument("--zoo", required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_benchmark)
 
+
+# (name, help, handler, argument-adding function), in `zoocast -h` order
+COMMANDS = (
+    ("train-ptm", "train a one-variate forecaster on a CSV dataset", cmd_train_ptm, _train_ptm_args),
+    ("transfer-matrix", "cross-dataset 1-MSE transfer scores", cmd_transfer_matrix, _transfer_matrix_args),
+    ("train-extractor", "train the representation extractor", cmd_train_extractor, _train_extractor_args),
+    ("build-zoo", "assemble a zoo directory from trained models", cmd_build_zoo, _build_zoo_args),
+    ("embed", "dump PTM / variate representations, optionally PCA-projected", cmd_embed, _embed_args),
+    ("forecast", "zero-shot forecast from a zoo", cmd_forecast, _forecast_args),
+    ("evaluate", "metrics between truth and prediction CSVs", cmd_evaluate, _evaluate_args),
+    ("synth", "generate a synthetic dataset CSV", cmd_synth, _synth_args),
+    ("benchmark", "run the evaluation harness from a config file", cmd_benchmark, _benchmark_args),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The zoocast parser with every subcommand, or with only `command`'s
+    sub-parser, which parses that command's arguments the same way."""
+    parser = argparse.ArgumentParser(prog="zoocast", description="Zero-shot forecasting with a zoo of lightweight pre-trained models")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, func, add_arguments in COMMANDS:
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a known command needs only its own sub-parser; anything else (no
+    # arguments, -h, an unknown command) gets the full one
+    command = argv[0] if argv and argv[0] in {c[0] for c in COMMANDS} else None
+    args, extras = build_parser(command).parse_known_args(argv)
+    if extras:  # the full parser reports them, with its own usage line
+        args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except (ValueError, KeyError, OSError) as exc:

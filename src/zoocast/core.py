@@ -167,9 +167,11 @@ def as_float_array(raw, what: str) -> np.ndarray:
 def checked_tensors(raw, shapes: dict, kind: str) -> dict:
     """float64 arrays for `raw`, which must hold exactly the tensors named
     in `shapes`, each of its shape and finite."""
-    if not isinstance(raw, dict) or set(raw) != set(shapes):
-        got = sorted(raw) if isinstance(raw, dict) else type(raw).__name__
-        raise ValueError(f"{kind} tensors {got} do not match {sorted(shapes)}")
+    if not isinstance(raw, dict):
+        raise ValueError(f"{kind} tensors {type(raw).__name__} do not match {sorted(shapes)}")
+    missing, extra = sorted(set(shapes) - set(raw)), sorted(set(raw) - set(shapes))
+    if missing or extra:
+        raise ValueError(f"{kind} tensors do not match {sorted(shapes)}: missing {missing}, unexpected {extra}")
     tensors = {}
     for name, shape in shapes.items():
         arr = as_float_array(raw[name], f"{kind} tensor {name}")

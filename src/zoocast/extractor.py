@@ -24,13 +24,18 @@ DECODER_TENSORS = ("V1", "c1", "V2", "c2")
 
 @dataclass(frozen=True)
 class ExtractorParams:
-    weights: dict  # W1,b1,W2,b2 (encoder); V1,c1,V2,c2 (decoder)
+    """Extractor weights: the encoder W1,b1,W2,b2 alone (what a zoo keeps,
+    enough to encode) or with the decoder V1,c1,V2,c2 (what training needs)."""
+
+    weights: dict
     input_len: int
     hidden_dim: int
     repr_dim: int
 
     def __post_init__(self):
         shapes = param_shapes(self.input_len, self.hidden_dim, self.repr_dim)
+        if isinstance(self.weights, dict) and not set(self.weights) & set(DECODER_TENSORS):
+            shapes = {name: shapes[name] for name in ENCODER_TENSORS}
         object.__setattr__(self, "weights", checked_tensors(self.weights, shapes, "extractor"))
 
 

@@ -1,14 +1,17 @@
 """Model zoo: per-model representations, the cross-dataset transfer
 matrix that supervises the extractor, and manifest persistence.
 
-A zoo directory is self-contained: `zoo.json` plus the referenced model
-and extractor files, each guarded by a content digest.
+A zoo directory is self-contained: `zoo.json`, the referenced model files
+and an encoder-only `extractor.json`, each guarded by a content digest.
+Forecasting only encodes, so the zoo keeps the encoder tensors and drops
+the decoder and the training log; those stay in the trained extractor
+file that `build_zoo` reads.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -161,13 +164,14 @@ def build_zoo(
     seed: int = 0,
 ) -> Path:
     """Assemble a self-contained zoo directory from trained model files
-    and their source datasets; idempotent for identical inputs."""
+    and their source datasets; idempotent for identical inputs. The zoo's
+    `extractor.json` holds only the encoder of `extractor_file`."""
     if not model_files:
         raise ValueError("need at least one model")
     if len(model_files) != len(source_datasets):
         raise ValueError("one source dataset required per model file")
-    extractor_blob = Path(extractor_file).read_bytes()
-    params, _ = extractor_mod.load(extractor_blob)
+    params, _ = extractor_mod.load(Path(extractor_file).read_bytes())
+    params = replace(params, weights={name: params.weights[name] for name in extractor_mod.ENCODER_TENSORS})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -198,6 +202,7 @@ def build_zoo(
     if dims != {params.repr_dim}:
         raise ValueError(f"mixed representation dimensions {sorted(dims)}")
     _check_entry_shapes(entries, params.input_len)
+    extractor_blob = extractor_mod.save(params)
     (out / "extractor.json").write_bytes(extractor_blob)
     manifest = {
         "format_version": ZOO_FORMAT_VERSION,

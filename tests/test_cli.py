@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zoocast import forecasters
+from zoocast import cli, forecasters
 from zoocast.bench import BenchConfig, run_benchmark
-from zoocast.cli import main, parse_flat_config
+from zoocast.cli import COMMANDS, build_parser, main, parse_flat_config
 from zoocast.core import load_csv
 from zoocast.zoo import load_zoo
 
@@ -194,3 +194,95 @@ def test_parse_flat_config():
     assert cfg == {"a": 1, "b": [1, 2], "name": "x"}
     with pytest.raises(ValueError, match="line 1"):
         parse_flat_config("not an assignment")
+
+
+COMMAND_NAMES = [name for name, *_ in COMMANDS]
+
+
+def _outcome(run, argv, capsys):
+    """(exit code, stdout, stderr) of `run(argv)`, argparse exits included."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _full_parser(argv):
+    build_parser().parse_args(argv)
+    return 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[name, "-h"] for name in COMMAND_NAMES]
+    + [["-h"], [], ["bogus"], ["forecast", "--input", "x.csv", "--horizon", "3", "--out", "o"],
+       ["evaluate", "--truth", "a.csv", "--pred", "b.csv", "--out", "c"]],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_main_parses_like_the_full_parser(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    expected = _outcome(_full_parser, argv, capsys)
+    assert _outcome(main, argv, capsys) == expected
+    assert expected[0] == (0 if "-h" in argv else 2)
+
+
+def test_top_level_help_lists_every_command(capsys):
+    code, out, _ = _outcome(main, ["-h"], capsys)
+    assert code == 0
+    listed = out.split("{", 1)[1].split("}", 1)[0].split(",")
+    assert listed == COMMAND_NAMES == [
+        "train-ptm", "transfer-matrix", "train-extractor", "build-zoo", "embed",
+        "forecast", "evaluate", "synth", "benchmark",
+    ]
+    help_rows = {line.split()[0] for line in out.splitlines() if line.startswith("    ") and line.strip()}
+    assert set(COMMAND_NAMES) <= help_rows
+
+
+def test_known_command_builds_only_its_own_sub_parser(monkeypatch):
+    built = []
+    real = build_parser
+
+    def spy(command=None):
+        built.append(command)
+        return real(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    with pytest.raises(SystemExit):
+        main(["forecast", "--zoo", "z"])
+    assert built == ["forecast"]
+    assert real("forecast").format_usage() == "usage: zoocast [-h] {forecast} ...\n"
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("horizons = 12", "horizons"),
+        ("horizons = [\"6\"]", "horizons"),
+        ("top_k = [1]", "top_k"),
+        ("top_k = 2.7", "top_k"),
+        ("datasets = [1]", "datasets"),
+        ("datasets = \"a.csv\"", "datasets"),
+        ("metrics = \"foo\"", "metrics"),
+        ("look_back = true", "look_back"),
+        ("season_period = \"7\"", "season_period"),
+    ],
+)
+def test_benchmark_config_key_of_the_wrong_type_exits_with_error_line(pipeline, tmp_path, capsys, line, key):
+    root, datasets, zoo_dir = pipeline
+    config = tmp_path / "bench.cfg"
+    config.write_text("datasets = [\"%s\"]\nhorizons = [6]\n%s\n" % (datasets[0], line))
+    rc = run_cli("benchmark", "--config", str(config), "--zoo", str(zoo_dir), "--out", str(tmp_path / "r.json"))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: config key {key!r} must be ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_evaluate_names_an_unknown_metric(pipeline, capsys):
+    root, datasets, _ = pipeline
+    rc = run_cli("evaluate", "--truth", str(datasets[0]), "--pred", str(datasets[0]), "--metrics", "mse,foo")
+    assert rc == 1
+    assert capsys.readouterr().err == "error: unknown metrics ['foo']; known metrics: ['mape', 'mse', 'smape']\n"

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from zoocast.bench import SyntheticFamilySpec, generate_synthetic
 from zoocast.extractor import (
+    DECODER_TENSORS,
+    ENCODER_TENSORS,
     ExtractorParams,
     ExtractorTrainConfig,
     MaskSpec,
@@ -680,3 +682,32 @@ def test_extractor_save_load_round_trip():
 def test_extractor_load_rejects_garbage():
     with pytest.raises(ValueError, match="malformed"):
         load(b"{not json")
+
+
+def test_encoder_only_params_save_load_and_encode_like_the_full_ones():
+    params = init_params(12, 6, 4, seed=3)
+    encoder = ExtractorParams(
+        {name: params.weights[name] for name in ENCODER_TENSORS}, params.input_len, params.hidden_dim, params.repr_dim
+    )
+    restored, log = load(save(encoder))
+    assert sorted(restored.weights) == sorted(ENCODER_TENSORS)
+    assert log == []
+    x = np.random.default_rng(0).standard_normal((5, 12))
+    assert encode_batch(restored, x).tobytes() == encode_batch(params, x).tobytes()
+
+
+@pytest.mark.parametrize(
+    "drop, add, message",
+    [
+        (("V2",), {}, r"missing \['V2'\], unexpected \[\]"),
+        (("V1", "c1", "c2"), {}, r"missing \['V1', 'c1', 'c2'\]"),
+        (("W1",), {}, r"missing \['W1'\]"),
+        (DECODER_TENSORS, {"X": [0.0]}, r"missing \[\], unexpected \['X'\]"),
+        (DECODER_TENSORS + ("b2",), {}, r"missing \['b2'\]"),
+    ],
+    ids=["one-decoder-tensor-missing", "three-missing", "encoder-tensor-missing", "extra", "encoder-only-short"],
+)
+def test_extractor_params_name_the_missing_or_extra_tensor(drop, add, message):
+    weights = {name: w for name, w in init_params(4, 3, 2, seed=0).weights.items() if name not in drop}
+    with pytest.raises(ValueError, match=r"extractor tensors do not match .*" + message):
+        ExtractorParams({**weights, **add}, input_len=4, hidden_dim=3, repr_dim=2)

@@ -5,7 +5,9 @@ and valid files with fields (one or two levels down) replaced by
 arbitrary JSON or dropped.
 """
 
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,7 +75,9 @@ def _loads_or_value_error(load, blob: bytes) -> None:
 
 SPEC = forecasters.ForecasterSpec("linear", input_len=4, horizon=2)
 MODEL = forecasters.save(forecasters.Forecaster(SPEC, forecasters.init_weights(SPEC, 0), "a"))
-EXTRACTOR = extractor.save(extractor.init_params(4, 3, 2, seed=0), [{"epoch": 1, "total": 1.0}])
+PARAMS = extractor.init_params(4, 3, 2, seed=0)
+EXTRACTOR = extractor.save(PARAMS, [{"epoch": 1, "total": 1.0}])
+ENCODER_ONLY = extractor.save(replace(PARAMS, weights={name: PARAMS.weights[name] for name in extractor.ENCODER_TENSORS}))
 MATRIX = TransferMatrix(("a", "b"), np.array([[0.9, 0.1], [0.2, 0.8]])).to_bytes()
 FUZZ = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -87,6 +91,12 @@ def test_model_loader_fuzz(blob):
 @given(blob=_blobs(EXTRACTOR))
 @FUZZ
 def test_extractor_loader_fuzz(blob):
+    _loads_or_value_error(extractor.load, blob)
+
+
+@given(blob=_blobs(ENCODER_ONLY))
+@FUZZ
+def test_encoder_only_extractor_loader_fuzz(blob):
     _loads_or_value_error(extractor.load, blob)
 
 
@@ -120,6 +130,28 @@ def test_zoo_manifest_loader_fuzz(zoo_dir, data):
         _loads_or_value_error(load_zoo, zoo_dir)
     finally:
         manifest.write_bytes(valid)
+
+
+def test_zoo_fixture_holds_the_encoder_only_extractor(zoo_dir):
+    assert (zoo_dir / "extractor.json").read_bytes() == ENCODER_ONLY
+
+
+@given(data=st.data())
+@FUZZ
+def test_zoo_extractor_loader_fuzz(zoo_dir, data):
+    """Mutations of the zoo's encoder-only extractor file, with the
+    manifest digest updated so that each reaches the extractor loader."""
+    valid_manifest = (zoo_dir / "zoo.json").read_bytes()
+    blob = data.draw(_blobs(ENCODER_ONLY))
+    manifest = json.loads(valid_manifest)
+    manifest["extractor_digest"] = hashlib.sha256(blob).hexdigest()
+    try:
+        (zoo_dir / "extractor.json").write_bytes(blob)
+        (zoo_dir / "zoo.json").write_bytes(json.dumps(manifest).encode())
+        _loads_or_value_error(load_zoo, zoo_dir)
+    finally:
+        (zoo_dir / "extractor.json").write_bytes(ENCODER_ONLY)
+        (zoo_dir / "zoo.json").write_bytes(valid_manifest)
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,16 @@
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from zoocast.bench import SyntheticFamilySpec, generate_synthetic
 from zoocast.core import Dataset, MultivariateSeries, normalize
-from zoocast.extractor import encode, encode_batch, init_params, save as save_extractor
+from zoocast.extractor import DECODER_TENSORS, ENCODER_TENSORS, encode, encode_batch, init_params
+from zoocast.extractor import load as load_extractor, save as save_extractor
 from zoocast.forecasters import Forecaster, ForecasterSpec, TrainConfig, save as save_model, train
+from zoocast.fusion import FusionConfig, forecast_multivariate
 from zoocast.zoo import (
     TransferMatrix,
     build_zoo,
@@ -264,3 +267,37 @@ def test_representation_exhaustive_mean_on_tiny_dataset(params):
     rep = compute_model_representation(params, data, sample_count=5, seed=0)
     window, _ = normalize(values[:, 0])
     np.testing.assert_allclose(rep, encode(params, window), atol=1e-12)
+
+
+def test_zoo_keeps_an_encoder_only_extractor(tmp_path):
+    out = _build_test_zoo(tmp_path)
+    blob = (out / "extractor.json").read_bytes()
+    payload = json.loads(blob)
+    assert sorted(payload["weights"]) == sorted(ENCODER_TENSORS)
+    assert payload["training_log"] == []
+    assert json.loads((out / "zoo.json").read_bytes())["extractor_digest"] == hashlib.sha256(blob).hexdigest()
+    trained = load_extractor((tmp_path / "extractor.json").read_bytes())[0]
+    assert sorted(trained.weights) == sorted(ENCODER_TENSORS + DECODER_TENSORS)
+    for name in ENCODER_TENSORS:
+        assert load_zoo(out).extractor_params.weights[name].tobytes() == trained.weights[name].tobytes()
+
+
+def test_zoo_with_a_full_extractor_forecasts_like_the_encoder_only_one(tmp_path):
+    """A zoo built before the zoo kept only the encoder holds all eight
+    tensors in its extractor.json; it loads and forecasts the same bytes."""
+    out = _build_test_zoo(tmp_path)
+    full = tmp_path / "full"
+    shutil.copytree(out, full)
+    blob = (tmp_path / "extractor.json").read_bytes()
+    (full / "extractor.json").write_bytes(blob)
+    manifest = json.loads((full / "zoo.json").read_bytes())
+    manifest["extractor_digest"] = hashlib.sha256(blob).hexdigest()
+    (full / "zoo.json").write_bytes(json.dumps(manifest).encode())
+
+    values = np.stack([_dataset(seed=s, length=40).series.values[:, 0] for s in (20, 21, 22)], axis=1)
+    cfg = FusionConfig(horizon=9, top_k=2)
+    results = [forecast_multivariate(load_zoo(d), MultivariateSeries(values[-12:]), cfg) for d in (out, full)]
+    (pred_a, sel_a, _), (pred_b, sel_b, _) = results
+    assert len(load_zoo(full).extractor_params.weights) == 8
+    assert pred_a.values.tobytes() == pred_b.values.tobytes()
+    assert [s.ranking for s in sel_a] == [s.ranking for s in sel_b]
