@@ -6,12 +6,19 @@ and an encoder-only `extractor.json`, each guarded by a content digest.
 Forecasting only encodes, so the zoo keeps the encoder tensors and drops
 the decoder and the training log; those stay in the trained extractor
 file that `build_zoo` reads.
+
+Matching compares representations in one space, so `Zoo` checks on
+construction that it has at least one entry, unique model ids, and for
+each entry a finite representation of the extractor's dimension, the
+extractor's input_len and the first entry's horizon. The check runs for
+built, loaded and in-memory zoos alike, and `build_zoo` writes no file
+for a zoo that fails it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,10 +79,44 @@ class ModelEntry:
 
 @dataclass
 class Zoo:
+    """Model entries matched in the extractor's representation space.
+
+    Construction raises a `ValueError` naming the entry at fault unless
+    the zoo is non-empty, its model ids are unique, and every entry has a
+    finite representation of shape (repr_dim,), reads windows of the
+    extractor's input_len and forecasts the first entry's horizon.
+    """
+
     entries: list
     extractor_params: extractor_mod.ExtractorParams
     root: Path | None = None
     _cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        if not self.entries:
+            raise ValueError("need at least one model")
+        first, params = self.entries[0], self.extractor_params
+        seen_ids = set()
+        for e in self.entries:
+            if e.model_id in seen_ids:
+                raise ValueError(f"duplicate model_id {e.model_id!r}")
+            seen_ids.add(e.model_id)
+            shape = np.shape(e.representation)
+            if shape != (params.repr_dim,):
+                raise ValueError(
+                    f"entry {e.model_id!r}: representation shape {shape} != extractor dim ({params.repr_dim},)"
+                )
+            if not np.all(np.isfinite(e.representation)):
+                raise ValueError(f"entry {e.model_id!r}: non-finite representation")
+            if e.input_len != params.input_len:
+                raise ValueError(
+                    f"entry {e.model_id!r}: input_len {e.input_len} != extractor input_len {params.input_len}"
+                )
+            if e.horizon != first.horizon:
+                raise ValueError(
+                    f"entry {e.model_id!r}: horizon {e.horizon} != horizon {first.horizon} "
+                    f"of entry {first.model_id!r}"
+                )
 
     @property
     def repr_dim(self) -> int:
@@ -110,6 +151,8 @@ def compute_model_representation(
     params: extractor_mod.ExtractorParams, source_data: Dataset, sample_count: int = 256, seed: int = 0
 ) -> np.ndarray:
     """Mean encoding of sampled, instance-normalized source windows."""
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     windows = sample_windows(np.random.default_rng(seed), source_data, params.input_len, sample_count)
     return extractor_mod.encode_batch(params, windows).mean(axis=0)
 
@@ -165,69 +208,45 @@ def build_zoo(
 ) -> Path:
     """Assemble a self-contained zoo directory from trained model files
     and their source datasets; idempotent for identical inputs. The zoo's
-    `extractor.json` holds only the encoder of `extractor_file`."""
-    if not model_files:
-        raise ValueError("need at least one model")
+    `extractor.json` holds only the encoder of `extractor_file`. Nothing
+    is written unless the entries pass `Zoo`'s checks."""
     if len(model_files) != len(source_datasets):
         raise ValueError("one source dataset required per model file")
     params, _ = extractor_mod.load(Path(extractor_file).read_bytes())
     params = replace(params, weights={name: params.weights[name] for name in extractor_mod.ENCODER_TENSORS})
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    entries = []
-    seen_ids = set()
+    blobs, entries = [], []
     for model_path, source in zip(model_files, source_datasets):
         blob = Path(model_path).read_bytes()
         model = forecasters.load(blob)
         model_id = Path(model_path).stem
-        if model_id in seen_ids:
-            raise ValueError(f"duplicate model_id {model_id!r}")
-        seen_ids.add(model_id)
-        rep = compute_model_representation(params, source, per_model_source_samples, seed)
-        file_name = f"{model_id}.model.json"
-        (out / file_name).write_bytes(blob)
+        blobs.append(blob)
         entries.append(
-            {
-                "model_id": model_id,
-                "file": file_name,
-                "digest": _digest(blob),
-                "source_dataset": model.source_dataset or source.name,
-                "input_len": model.spec.input_len,
-                "horizon": model.spec.horizon,
-                "representation": rep.tolist(),
-            }
+            ModelEntry(
+                model_id=model_id,
+                file=f"{model_id}.model.json",
+                digest=_digest(blob),
+                source_dataset=model.source_dataset or source.name,
+                input_len=model.spec.input_len,
+                horizon=model.spec.horizon,
+                representation=compute_model_representation(params, source, per_model_source_samples, seed),
+            )
         )
-    dims = {len(e["representation"]) for e in entries}
-    if dims != {params.repr_dim}:
-        raise ValueError(f"mixed representation dimensions {sorted(dims)}")
-    _check_entry_shapes(entries, params.input_len)
+    Zoo(entries, params)
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for entry, blob in zip(entries, blobs):
+        (out / entry.file).write_bytes(blob)
     extractor_blob = extractor_mod.save(params)
     (out / "extractor.json").write_bytes(extractor_blob)
     manifest = {
         "format_version": ZOO_FORMAT_VERSION,
         "extractor": "extractor.json",
         "extractor_digest": _digest(extractor_blob),
-        "entries": entries,
+        "entries": [{**asdict(e), "representation": e.representation.tolist()} for e in entries],
     }
     (out / "zoo.json").write_bytes(canonical_json(manifest))
     return out
-
-
-def _check_entry_shapes(entries: list, extractor_input_len: int) -> None:
-    """Every manifest entry reads windows of the extractor's length and
-    forecasts the same horizon as the first entry."""
-    first = entries[0]
-    for e in entries:
-        if e["input_len"] != extractor_input_len:
-            raise ValueError(
-                f"entry {e['model_id']!r}: input_len {e['input_len']} != extractor input_len {extractor_input_len}"
-            )
-        if e["horizon"] != first["horizon"]:
-            raise ValueError(
-                f"entry {e['model_id']!r}: horizon {e['horizon']} != horizon {first['horizon']} "
-                f"of entry {first['model_id']!r}"
-            )
 
 
 MANIFEST_FIELDS = {"extractor": str, "extractor_digest": str, "entries": list}
@@ -268,54 +287,28 @@ def load_zoo(zoo_dir) -> Zoo:
         raise ValueError("extractor digest mismatch")
     params, _ = extractor_mod.load(extractor_blob)
     entries = []
-    ids = set()
     for i, raw in enumerate(manifest["entries"]):
         _check_fields(raw, ENTRY_FIELDS, f"zoo manifest entry {i}")
-        rep = as_float_array(raw["representation"], f"entry {raw['model_id']!r}: representation")
-        if rep.shape != (params.repr_dim,):
-            raise ValueError(
-                f"entry {raw['model_id']!r}: representation shape {rep.shape} != extractor dim ({params.repr_dim},)"
-            )
-        if not np.all(np.isfinite(rep)):
-            raise ValueError(f"entry {raw['model_id']!r}: non-finite representation")
-        if raw["model_id"] in ids:
-            raise ValueError(f"duplicate model_id {raw['model_id']!r}")
-        ids.add(raw["model_id"])
+        record = {name: raw[name] for name in ENTRY_FIELDS}
+        record["representation"] = as_float_array(raw["representation"], f"entry {raw['model_id']!r}: representation")
         if not _is_file(root / raw["file"]):
             raise ValueError(f"entry {raw['model_id']!r}: missing weights file {raw['file']}")
-        entries.append(
-            ModelEntry(
-                model_id=raw["model_id"],
-                file=raw["file"],
-                digest=raw["digest"],
-                source_dataset=raw["source_dataset"],
-                input_len=raw["input_len"],
-                horizon=raw["horizon"],
-                representation=rep,
-            )
-        )
-    if not entries:
-        raise ValueError("zoo manifest has no entries")
-    _check_entry_shapes(manifest["entries"], params.input_len)
+        entries.append(ModelEntry(**record))
     return Zoo(entries=entries, extractor_params=params, root=root)
 
 
 def zoo_from_models(models: dict, params: extractor_mod.ExtractorParams, representations: dict) -> Zoo:
     """In-memory zoo (no files) from trained forecasters keyed by id."""
-    entries = []
-    zoo = Zoo(entries=entries, extractor_params=params)
-    for model_id, model in models.items():
-        rep = np.asarray(representations[model_id], dtype=np.float64)
-        entries.append(
-            ModelEntry(
-                model_id=model_id,
-                file="",
-                digest="",
-                source_dataset=model.source_dataset,
-                input_len=model.spec.input_len,
-                horizon=model.spec.horizon,
-                representation=rep,
-            )
+    entries = [
+        ModelEntry(
+            model_id=model_id,
+            file="",
+            digest="",
+            source_dataset=model.source_dataset,
+            input_len=model.spec.input_len,
+            horizon=model.spec.horizon,
+            representation=np.asarray(representations[model_id], dtype=np.float64),
         )
-        zoo._cache[model_id] = model
-    return zoo
+        for model_id, model in models.items()
+    ]
+    return Zoo(entries, params, _cache=dict(models))

@@ -183,6 +183,19 @@ def test_malformed_model_spec_exits_with_error_line(pipeline, tmp_path, capsys):
     assert "error: model file field 'spec'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_build_zoo_without_samples_exits_with_error_line(pipeline, tmp_path, capsys, recwarn, samples):
+    root, datasets, _ = pipeline
+    rc = run_cli(
+        "build-zoo", "--models", str(root / "sine.model.json"), "--data", str(datasets[0]),
+        "--extractor", str(root / "extractor.json"), "--samples", samples, "--out", str(tmp_path / "zoo"),
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: sample_count must be >= 1, got {samples}\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "zoo").exists()
+
+
 def test_missing_file_exits_nonzero(tmp_path, capsys):
     rc = run_cli("train-ptm", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m.json"))
     assert rc != 0

@@ -9,14 +9,17 @@ from zoocast.bench import SyntheticFamilySpec, generate_synthetic
 from zoocast.core import Dataset, MultivariateSeries, normalize
 from zoocast.extractor import DECODER_TENSORS, ENCODER_TENSORS, encode, encode_batch, init_params
 from zoocast.extractor import load as load_extractor, save as save_extractor
-from zoocast.forecasters import Forecaster, ForecasterSpec, TrainConfig, save as save_model, train
+from zoocast.forecasters import Forecaster, ForecasterSpec, TrainConfig, make_baseline, save as save_model, train
 from zoocast.fusion import FusionConfig, forecast_multivariate
 from zoocast.zoo import (
+    ModelEntry,
     TransferMatrix,
+    Zoo,
     build_zoo,
     compute_model_representation,
     compute_transfer_matrix,
     load_zoo,
+    zoo_from_models,
 )
 
 
@@ -178,6 +181,7 @@ def test_build_zoo_rejects_empty_and_duplicates(tmp_path):
     path.write_bytes(save_model(model))
     with pytest.raises(ValueError, match="duplicate"):
         build_zoo([path, path], [data, data], extractor_file, tmp_path / "zoo")
+    assert not (tmp_path / "zoo").exists()
 
 
 def test_build_zoo_is_deterministic(tmp_path):
@@ -233,6 +237,37 @@ def test_load_zoo_rejects_mismatched_entry_shapes(tmp_path, field, value, messag
         load_zoo(out)
 
 
+def test_load_zoo_rejects_duplicate_model_ids(tmp_path):
+    out = _build_test_zoo(tmp_path)
+    manifest = json.loads((out / "zoo.json").read_bytes())
+    manifest["entries"][1]["model_id"] = manifest["entries"][0]["model_id"]
+    (out / "zoo.json").write_bytes(json.dumps(manifest).encode())
+    with pytest.raises(ValueError, match="duplicate model_id 'model0'"):
+        load_zoo(out)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([("a", 36, 12, [1.0, 1.0, 1.0])], r"entry 'a': representation shape \(3,\) != extractor dim \(4,\)"),
+        ([("a", 36, 12, [1.0] * 4), ("b", 36, 12, [1.0, np.nan, 0.0, 0.0])], "entry 'b': non-finite representation"),
+        ([("a", 36, 12, [1.0] * 4), ("b", 12, 12, [1.0] * 4)], "entry 'b': input_len 12 != extractor input_len 36"),
+        ([("a", 36, 12, [1.0] * 4), ("b", 36, 6, [1.0] * 4)], "entry 'b': horizon 6 != horizon 12 of entry 'a'"),
+        ([], "need at least one model"),
+        ([("a", 36, 12, [1.0] * 4), ("a", 36, 12, [0.0] * 4)], "duplicate model_id 'a'"),
+    ],
+    ids=["dim", "nan", "input_len", "horizon", "empty", "duplicate"],
+)
+def test_in_memory_zoo_is_checked_at_construction(entries, message):
+    params = init_params(36, 8, 4, seed=0)
+    with pytest.raises(ValueError, match=message):
+        Zoo([ModelEntry(m, "", "", "d", n, h, np.asarray(rep)) for m, n, h, rep in entries], params)
+    if len({m for m, *_ in entries}) == len(entries):  # zoo_from_models takes ids as dict keys
+        models = {m: make_baseline("last", n, h) for m, n, h, _ in entries}
+        with pytest.raises(ValueError, match=message):
+            zoo_from_models(models, params, {m: rep for m, _, _, rep in entries})
+
+
 @pytest.mark.parametrize(
     "spec", [ForecasterSpec("linear", 12, 6), ForecasterSpec("linear", 10, 4)], ids=["horizon", "input_len"]
 )
@@ -246,6 +281,7 @@ def test_build_zoo_rejects_mismatched_entry_shapes(tmp_path, spec):
         paths[-1].write_bytes(save_model(train(model_spec, data, TrainConfig(epochs=1))))
     with pytest.raises(ValueError, match="entry 'odd'"):
         build_zoo(paths, [data, data], extractor_file, tmp_path / "zoo")
+    assert not (tmp_path / "zoo").exists()
 
 
 def test_zoo_loading_never_mutates_files(tmp_path):
