@@ -10,6 +10,7 @@ wrapped in MultivariateSeries together with optional channel names.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -260,11 +261,17 @@ def mape(truth, pred) -> float:
 def load_csv(path, has_header: bool = True) -> Dataset:
     """Load a benchmark-style CSV: first column is an index, rest numeric.
 
-    Errors name the 1-based row (and column where known).
+    Errors start with the file name and name the 1-based row (and column
+    where known); text that is not UTF-8 is named by its line.
     """
     p = Path(path)
-    with open(p, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+    blob = p.read_bytes()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{p.name}: line {line}: not UTF-8 text (byte 0x{blob[exc.start]:02x})") from None
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise ValueError(f"{p.name}: empty file")
     start = 0

@@ -275,6 +275,10 @@ def train_extractor(
 
     Each epoch samples every dataset's windows (`sample_windows`), then
     masks all of them in one `mask_series` call; batches are slices.
+
+    Every step checks that the loss is finite and updates the one weights
+    dict in place; the weights are validated once, when training ends,
+    so a non-finite tensor still raises there.
     """
     if len(datasets) < 1:
         raise ValueError("need at least one dataset")
@@ -308,10 +312,8 @@ def train_extractor(
                 )
                 if not math.isfinite(loss):
                     raise ValueError(f"training diverged in epoch {epoch + 1}")
-                new_weights = {
-                    name: params.weights[name] - cfg.learning_rate * grads[name] for name in params.weights
-                }
-                params = replace(params, weights=new_weights)
+                for name, grad in grads.items():
+                    params.weights[name] -= cfg.learning_rate * grad
                 epoch_components.append(components)
         log.append(
             {
@@ -322,7 +324,7 @@ def train_extractor(
                 },
             }
         )
-    return params, log
+    return replace(params), log  # the one check of the trained tensors
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,17 @@ naive baselines, trained from scratch with hand-derived gradients.
 
 Trainable models map a length-T window to a length-h prediction and are
 fit with plain SGD on instance-normalized (window, target) pairs.
+
+`train_many` is the one SGD loop. Every model starts from the same seeded
+weights and shuffles with the same seeded generator, so datasets with the
+same number of training windows draw the same batches; they train in
+lockstep, one stacked `loss_and_grad` step for all of them. Each stacked
+slice takes the same arithmetic as a model trained alone, so the saved
+bytes and `epoch_losses` equal per-model training's.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -131,32 +137,37 @@ def forecast_batch(model: Forecaster, windows: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grad(spec: ForecasterSpec, weights: dict, windows: np.ndarray, targets: np.ndarray):
-    """Batch-mean MSE and its exact gradient for every weight tensor."""
-    b, h = targets.shape
+    """Batch-mean MSE and its exact gradient for every weight tensor.
+
+    windows are (..., B, T), targets (..., B, h), and every weight tensor
+    has the same leading axes: a stack of models, one batch each. The loss
+    is a float for one model, an array of the leading shape for a stack.
+    """
+    b, h = targets.shape[-2:]
     if spec.architecture == "linear":
-        resid = windows @ weights["W"].T + weights["b"] - targets
-        loss = float((resid * resid).sum() / resid.size)  # the sum np.mean takes
+        resid = windows @ weights["W"].swapaxes(-1, -2) + weights["b"][..., None, :] - targets
         dpred = 2.0 * resid / (b * h)
-        grads = {"W": dpred.T @ windows, "b": dpred.sum(axis=0)}
-        return loss, grads
-    if spec.architecture == "patch_mlp":
-        patches = _patchify(windows, spec)  # (B, P, p)
-        z_pre = patches @ weights["P_embed"].T + weights["p_bias"]  # (B, P, hidden)
+        grads = {"W": dpred.swapaxes(-1, -2) @ windows, "b": dpred.sum(axis=-2)}
+    elif spec.architecture == "patch_mlp":
+        patches = _patchify(windows, spec)  # (..., B, P, p)
+        embed = weights["P_embed"][..., None, :, :].swapaxes(-1, -2)
+        z_pre = patches @ embed + weights["p_bias"][..., None, None, :]  # (..., B, P, hidden)
         z = np.maximum(0.0, z_pre)
-        flat = z.reshape(b, -1)
-        resid = flat @ weights["W_out"].T + weights["b_out"] - targets
-        loss = float((resid * resid).sum() / resid.size)
+        flat = z.reshape(z.shape[:-2] + (-1,))
+        resid = flat @ weights["W_out"].swapaxes(-1, -2) + weights["b_out"][..., None, :] - targets
         dpred = 2.0 * resid / (b * h)
         dflat = dpred @ weights["W_out"]
         dz = dflat.reshape(z.shape) * (z_pre > 0)
         grads = {
-            "W_out": dpred.T @ flat,
-            "b_out": dpred.sum(axis=0),
-            "P_embed": np.einsum("bph,bpl->hl", dz, patches),
-            "p_bias": dz.sum(axis=(0, 1)),
+            "W_out": dpred.swapaxes(-1, -2) @ flat,
+            "b_out": dpred.sum(axis=-2),
+            "P_embed": np.einsum("...bph,...bpl->...hl", dz, patches),
+            "p_bias": dz.sum(axis=(-3, -2)),
         }
-        return loss, grads
-    raise ValueError(f"{spec.architecture} has no trainable weights")
+    else:
+        raise ValueError(f"{spec.architecture} has no trainable weights")
+    loss = (resid * resid).sum(axis=(-2, -1)) / (b * h)  # the sum np.mean takes
+    return (float(loss) if loss.ndim == 0 else loss), grads
 
 
 def extract_windows(data: Dataset, input_len: int, horizon: int, stride: int = 1):
@@ -170,30 +181,91 @@ def extract_windows(data: Dataset, input_len: int, horizon: int, stride: int = 1
     return windows, (pairs[:, input_len:] - mu[:, None]) / sigma[:, None]
 
 
-def train(spec: ForecasterSpec, data: Dataset, cfg: TrainConfig) -> Forecaster:
-    """Mini-batch SGD on MSE; deterministic for a given seed."""
-    if spec.architecture not in TRAINABLE:
-        raise ValueError(f"architecture {spec.architecture!r} is not trainable")
-    windows, targets = extract_windows(data, spec.input_len, spec.horizon, cfg.stride)
-    weights = init_weights(spec, cfg.seed)
+class TrainingError(ValueError):
+    """A failed `train_many`: `index` is the position of the failing
+    dataset in the list it was given."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
+def _lockstep_sgd(spec: ForecasterSpec, windows: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -> tuple:
+    """SGD for M models at once on (M, n, T) windows and (M, n, h) targets,
+    every model from the seed's weights and shuffles. Returns the stacked
+    weights, the (epochs, M, steps) batch losses and each model's first
+    non-finite epoch (0 if none). A diverged model trains on with the rest;
+    the run stops early only once every model has diverged."""
+    m, n = windows.shape[:2]
+    weights = {name: np.repeat(w[None], m, axis=0) for name, w in init_weights(spec, cfg.seed).items()}
     rng = np.random.default_rng(cfg.seed + 1)
-    n = windows.shape[0]
-    epoch_losses = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        epoch_windows, epoch_targets = windows[order], targets[order]
-        batch_losses = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, n, cfg.batch_size):
-                stop = start + cfg.batch_size
-                loss, grads = loss_and_grad(spec, weights, epoch_windows[start:stop], epoch_targets[start:stop])
-                if not math.isfinite(loss):
-                    raise ValueError(f"training diverged in epoch {epoch + 1}")
+    losses = np.empty((cfg.epochs, m, -(-n // cfg.batch_size)))
+    diverged = np.zeros(m, dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            for step, start in enumerate(range(0, n, cfg.batch_size)):
+                batch = order[start : start + cfg.batch_size]  # take() keeps each slice C-ordered
+                loss, grads = loss_and_grad(spec, weights, windows.take(batch, axis=1), targets.take(batch, axis=1))
+                finite = np.isfinite(loss)
+                if not finite.all():
+                    diverged[(diverged == 0) & ~finite] = epoch + 1
+                    if diverged.all():
+                        return weights, losses, diverged
                 for name, g in grads.items():
                     weights[name] -= cfg.learning_rate * g
-                batch_losses.append(loss)
-        epoch_losses.append(float(np.mean(batch_losses)))
-    return Forecaster(spec=spec, weights=weights, source_dataset=data.name, epoch_losses=tuple(epoch_losses))
+                losses[epoch, :, step] = loss
+    return weights, losses, diverged
+
+
+def train_many(spec: ForecasterSpec, datasets: list, cfg: TrainConfig) -> list:
+    """One model per dataset by mini-batch SGD on MSE, in dataset order;
+    deterministic for a given seed.
+
+    Datasets with the same number of training windows train in lockstep:
+    one stacked step per batch for all of them. Every byte of each model,
+    `epoch_losses` included, equals training it alone. On failure raises a
+    `TrainingError` for the first dataset, in list order, whose windows
+    cannot be cut or whose loss turns non-finite ("training diverged in
+    epoch N"): the error that training each model in turn would raise.
+    """
+    if spec.architecture not in TRAINABLE:
+        raise TrainingError(f"architecture {spec.architecture!r} is not trainable", 0)
+    pairs, failed, error = [], len(datasets), ""
+    for i, data in enumerate(datasets):
+        try:
+            pairs.append(extract_windows(data, spec.input_len, spec.horizon, cfg.stride))
+        except ValueError as exc:
+            failed, error = i, str(exc)
+            break
+    groups = {}
+    for i, (windows, _) in enumerate(pairs):
+        groups.setdefault(windows.shape[0], []).append(i)
+    models = [None] * len(pairs)
+    for members in groups.values():
+        windows = np.stack([pairs[i][0] for i in members])
+        targets = np.stack([pairs[i][1] for i in members])
+        weights, losses, diverged = _lockstep_sgd(spec, windows, targets, cfg)
+        for k, i in enumerate(members):
+            if diverged[k]:
+                if i < failed:
+                    failed, error = i, f"training diverged in epoch {diverged[k]}"
+                continue
+            models[i] = Forecaster(
+                spec=spec,
+                weights={name: w[k] for name, w in weights.items()},
+                source_dataset=datasets[i].name,
+                # each model's losses are a contiguous row, summed as np.mean sums a list
+                epoch_losses=tuple(float(np.mean(row)) for row in losses[:, k]),
+            )
+    if failed < len(datasets):
+        raise TrainingError(error, failed)
+    return models
+
+
+def train(spec: ForecasterSpec, data: Dataset, cfg: TrainConfig) -> Forecaster:
+    """One model by mini-batch SGD on MSE; see `train_many`."""
+    return train_many(spec, [data], cfg)[0]
 
 
 def make_baseline(architecture: str, input_len: int, horizon: int, season_period: int = 7) -> Forecaster:

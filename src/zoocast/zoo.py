@@ -12,7 +12,8 @@ construction that it has at least one entry, unique model ids, and for
 each entry a finite representation of the extractor's dimension, the
 extractor's input_len and the first entry's horizon. The check runs for
 built, loaded and in-memory zoos alike, and `build_zoo` writes no file
-for a zoo that fails it.
+for a zoo that fails it. Model files load lazily, so `Zoo.forecaster`
+checks each model's input_len and horizon against its entry on first load.
 """
 
 from __future__ import annotations
@@ -139,7 +140,14 @@ class Zoo:
             blob = path.read_bytes()
             if _digest(blob) != entry.digest:
                 raise ValueError(f"digest mismatch for entry {model_id!r} ({entry.file})")
-            self._cache[model_id] = forecasters.load(blob)
+            model = forecasters.load(blob)
+            for name, value in (("input_len", model.spec.input_len), ("horizon", model.spec.horizon)):
+                if value != getattr(entry, name):
+                    raise ValueError(
+                        f"entry {model_id!r}: {name} {getattr(entry, name)} != {name} {value} "
+                        f"of its model file {entry.file}"
+                    )
+            self._cache[model_id] = model
         return self._cache[model_id]
 
 
@@ -177,17 +185,29 @@ def compute_transfer_matrix(
     """
     if len(datasets) < 2:
         raise ValueError("need at least 2 datasets")
-    models, eval_sets = {}, {}
-    for data in datasets:
+    # One lockstep training run; errors are raised as training each model
+    # in turn would: for the first dataset whose split, training or tail fails.
+    parts, failed, error = [], len(datasets), None
+    for i, data in enumerate(datasets):
         try:
-            train_part, tail = _split(data)
-            models[data.name] = forecasters.train(spec, train_part, cfg)
+            parts.append(_split(data))
         except ValueError as exc:
-            raise ValueError(f"training failed on dataset {data.name!r}: {exc}") from exc
+            failed, error = i, exc
+            break
+    try:
+        trained = forecasters.train_many(spec, [train_part for train_part, _ in parts], cfg)
+    except forecasters.TrainingError as exc:
+        if exc.index < failed:  # not the architecture check of an empty list
+            failed, error = exc.index, exc
+    eval_sets = {}
+    for data, (_, tail) in zip(datasets[:failed], parts):
         try:
             eval_sets[data.name] = forecasters.extract_windows(tail, spec.input_len, spec.horizon)
         except ValueError:
             raise ValueError(f"dataset {data.name!r} tail too short for evaluation windows") from None
+    if error is not None:
+        raise ValueError(f"training failed on dataset {datasets[failed].name!r}: {error}") from error
+    models = {data.name: model for data, model in zip(datasets, trained)}
     names = [d.name for d in datasets]
     g = np.empty((len(names), len(names)))
     for i, src in enumerate(names):

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,35 @@ def test_build_zoo_without_samples_exits_with_error_line(pipeline, tmp_path, cap
     assert capsys.readouterr().err == f"error: sample_count must be >= 1, got {samples}\n"
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "zoo").exists()
+
+
+def test_forecast_with_a_manifest_that_disagrees_with_its_models_exits_with_error_line(pipeline, tmp_path, capsys):
+    root, datasets, zoo_dir = pipeline
+    bad_zoo = tmp_path / "zoo"
+    shutil.copytree(zoo_dir, bad_zoo)
+    manifest = json.loads((bad_zoo / "zoo.json").read_bytes())
+    for entry in manifest["entries"]:
+        entry["horizon"] = 5
+    (bad_zoo / "zoo.json").write_bytes(json.dumps(manifest).encode())
+    rc = run_cli("forecast", "--zoo", str(bad_zoo), "--input", str(datasets[0]), "--horizon", "6", "--out", str(tmp_path / "fc"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: entry '") and "horizon 5 != horizon 12 of its model file" in err
+    assert not (tmp_path / "fc").exists()
+
+
+@pytest.mark.parametrize("command", ["forecast", "train-ptm"])
+def test_non_utf8_csv_exits_with_error_line(pipeline, tmp_path, capsys, command):
+    root, _, zoo_dir = pipeline
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"t,a\n0,\xff\n")
+    if command == "forecast":
+        argv = ["forecast", "--zoo", str(zoo_dir), "--input", str(bad), "--horizon", "6", "--out", str(tmp_path / "fc")]
+    else:
+        argv = ["train-ptm", "--data", str(bad), "--out", str(tmp_path / "m.json")]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == "error: bad.csv: line 2: not UTF-8 text (byte 0xff)\n"
 
 
 def test_missing_file_exits_nonzero(tmp_path, capsys):

@@ -318,6 +318,16 @@ def test_load_csv_errors(tmp_path):
         load_csv(text)
 
 
+def test_load_csv_names_the_file_and_line_of_non_utf8_text(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"date,a\n1,1.0\n2,caf\xe9\n")
+    with pytest.raises(ValueError, match=r"^latin\.csv: line 3: not UTF-8 text \(byte 0xe9\)$"):
+        load_csv(path)
+    path.write_bytes(b"\xffdate,a\n1,1.0\n")
+    with pytest.raises(ValueError, match=r"^latin\.csv: line 1: not UTF-8 text \(byte 0xff\)$"):
+        load_csv(path)
+
+
 def test_load_csv_etth_format(tmp_path):
     # benchmark layout: date column plus 7 numeric channels
     path = tmp_path / "etth_like.csv"

@@ -587,6 +587,44 @@ def test_train_extractor_missing_pair():
         train_extractor(datasets, tm, cfg, MaskSpec(), input_len=36)
 
 
+def _three_families():
+    from zoocast.bench import default_family_suite
+
+    datasets = default_family_suite(seed=0)[:3]
+    return datasets, TransferMatrix(tuple(d.name for d in datasets), np.eye(3))
+
+
+@pytest.mark.parametrize("learning_rate, epoch", [(1e4, 1), (0.1, 2), (0.05, 7)])
+def test_train_extractor_divergence_names_the_epoch(learning_rate, epoch):
+    datasets, tm = _three_families()
+    cfg = ExtractorTrainConfig(epochs=40, learning_rate=learning_rate, windows_per_dataset=8)
+    with pytest.raises(ValueError, match=rf"^training diverged in epoch {epoch}$"):
+        train_extractor(datasets, tm, cfg, MaskSpec())
+
+
+def test_train_extractor_validates_the_final_weights(monkeypatch):
+    # a finite loss with a non-finite gradient on the last step passes the
+    # per-step loss check; the one check of the trained tensors catches it
+    import zoocast.extractor as extractor_mod
+
+    datasets, tm = _three_families()
+    cfg = ExtractorTrainConfig(epochs=2, windows_per_dataset=4, hidden_dim=8, repr_dim=4)
+    steps = cfg.epochs * cfg.windows_per_dataset  # one window per dataset per batch
+    calls = []
+
+    def last_step_blows_up(*args):
+        loss, grads, components = combined_loss_and_grad(*args)
+        calls.append(loss)
+        if len(calls) == steps:
+            grads["W2"][0, 0] = np.inf
+        return loss, grads, components
+
+    monkeypatch.setattr(extractor_mod, "combined_loss_and_grad", last_step_blows_up)
+    with pytest.raises(ValueError, match="^extractor tensor W2 contains non-finite values$"):
+        train_extractor(datasets, tm, cfg, MaskSpec(), input_len=36)
+    assert len(calls) == steps and all(np.isfinite(calls))
+
+
 def test_within_family_similarity_exceeds_cross_family():
     # after training on distinct families, same-family windows embed closer
     from zoocast.bench import default_family_suite

@@ -9,6 +9,7 @@ from zoocast.forecasters import (
     Forecaster,
     ForecasterSpec,
     TrainConfig,
+    TrainingError,
     extract_windows,
     forecast,
     forecast_batch,
@@ -18,6 +19,7 @@ from zoocast.forecasters import (
     make_baseline,
     save,
     train,
+    train_many,
 )
 
 
@@ -264,6 +266,66 @@ def test_train_divergence_names_the_epoch():
     data = _sine_dataset(length=100)
     with pytest.raises(ValueError, match=r"diverged in epoch 1$"):
         train(ForecasterSpec("linear", 36, 12), data, TrainConfig(epochs=50, learning_rate=1e4, seed=0))
+
+
+def _per_model_train(spec, data, cfg):
+    """The per-model SGD loop that lockstep training replaced."""
+    windows, targets = extract_windows(data, spec.input_len, spec.horizon, cfg.stride)
+    weights = init_weights(spec, cfg.seed)
+    rng = np.random.default_rng(cfg.seed + 1)
+    n = windows.shape[0]
+    epoch_losses = []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_windows, epoch_targets = windows[order], targets[order]
+        batch_losses = []
+        for start in range(0, n, cfg.batch_size):
+            stop = start + cfg.batch_size
+            loss, grads = loss_and_grad(spec, weights, epoch_windows[start:stop], epoch_targets[start:stop])
+            if not np.isfinite(loss):
+                raise ValueError(f"training diverged in epoch {epoch + 1}")
+            for name, g in grads.items():
+                weights[name] -= cfg.learning_rate * g
+            batch_losses.append(loss)
+        epoch_losses.append(float(np.mean(batch_losses)))
+    return Forecaster(spec=spec, weights=weights, source_dataset=data.name, epoch_losses=tuple(epoch_losses))
+
+
+def _ragged_suite():
+    """Five series in three window-count groups, two of them shared."""
+    kinds = (("sine", 12, 160), ("sawtooth", 9, 120), ("random_walk", 12, 160), ("trend_sine", 18, 97), ("sine", 5, 120))
+    return [
+        generate_synthetic(SyntheticFamilySpec(kind=kind, period=period, length=length, seed=seed))
+        for seed, (kind, period, length) in enumerate(kinds)
+    ]
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+@pytest.mark.parametrize("spec", [_linear_spec(12, 4), _patch_spec(t=12, h=4, patch=5, hidden=6)], ids=["linear", "patch_mlp"])
+def test_train_many_is_bit_identical_to_per_model_training(spec, batch_size):
+    suite = _ragged_suite()
+    assert len({extract_windows(d, spec.input_len, spec.horizon)[0].shape[0] for d in suite}) == 3
+    for seed in (0, 1):
+        cfg = TrainConfig(epochs=3, learning_rate=0.01, batch_size=batch_size, seed=seed)
+        models = train_many(spec, suite, cfg)
+        assert [m.source_dataset for m in models] == [d.name for d in suite]
+        for data, model in zip(suite, models):
+            reference = _per_model_train(spec, data, cfg)
+            assert save(model) == save(reference)
+            assert model.epoch_losses == reference.epoch_losses
+            assert save(train(spec, data, cfg)) == save(reference)
+
+
+def test_train_many_names_the_first_dataset_that_cannot_be_cut():
+    suite = _ragged_suite()
+    short = Dataset(series=MultivariateSeries(np.ones((10, 1))), name="short")
+    with pytest.raises(TrainingError, match="no training windows of length 16 in dataset 'short'") as err:
+        train_many(_linear_spec(12, 4), [suite[0], short, suite[1], short], TrainConfig(epochs=1))
+    assert err.value.index == 1
+    with pytest.raises(TrainingError, match="not trainable") as err:
+        train_many(ForecasterSpec("last", 12, 4), suite, TrainConfig(epochs=1))
+    assert err.value.index == 0
+    assert train_many(_linear_spec(12, 4), [], TrainConfig()) == []
 
 
 def test_linear_close_to_least_squares():

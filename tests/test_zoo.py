@@ -137,6 +137,44 @@ def test_transfer_matrix_propagates_training_error():
         compute_transfer_matrix([tiny, other], spec, TrainConfig())
 
 
+def _divergence_suite(*lengths):
+    """noise, sawtooth, sine: at learning rate 0.5 only the sine series
+    diverges; at 0.6 the sawtooth one does too, in a later epoch."""
+    noise = Dataset(series=MultivariateSeries(np.random.default_rng(0).standard_normal((lengths[0], 1))), name="noise")
+    saw = _dataset(kind="sawtooth", seed=1, length=lengths[1], period=9)
+    sine = _dataset(kind="sine", seed=0, length=lengths[2])
+    return [noise, saw, sine]
+
+
+@pytest.mark.parametrize(
+    "learning_rate, lengths, culprit, epoch",
+    [
+        (0.5, (200, 200, 200), 2, 6),
+        (0.6, (200, 200, 200), 1, 9),
+        (0.6, (200, 260, 230), 1, 7),
+    ],
+    ids=["later-only", "two-lockstep", "two-ragged"],
+)
+def test_transfer_matrix_names_the_first_dataset_that_diverges(learning_rate, lengths, culprit, epoch):
+    # per-model training stops at the first dataset in suite order that
+    # diverges, even when a later one diverges in an earlier epoch
+    suite = _divergence_suite(*lengths)
+    spec = ForecasterSpec("linear", input_len=12, horizon=4)
+    cfg = TrainConfig(epochs=10, learning_rate=learning_rate, seed=0)
+    name = suite[culprit].name
+    expected = f"^training failed on dataset '{name}': training diverged in epoch {epoch}$"
+    with pytest.raises(ValueError, match=expected):
+        compute_transfer_matrix(suite, spec, cfg)
+
+
+def test_transfer_matrix_raises_an_earlier_tail_error_before_a_later_divergence():
+    suite = _divergence_suite(200, 200, 200)
+    spec = ForecasterSpec("linear", input_len=12, horizon=4)
+    short_tail = Dataset(series=MultivariateSeries(suite[0].series.values[:70]), name="short_tail")
+    with pytest.raises(ValueError, match="^dataset 'short_tail' tail too short"):
+        compute_transfer_matrix([short_tail] + suite, spec, TrainConfig(epochs=10, learning_rate=0.6, seed=0))
+
+
 # -- zoo build / load --------------------------------------------------------
 
 
@@ -282,6 +320,32 @@ def test_build_zoo_rejects_mismatched_entry_shapes(tmp_path, spec):
     with pytest.raises(ValueError, match="entry 'odd'"):
         build_zoo(paths, [data, data], extractor_file, tmp_path / "zoo")
     assert not (tmp_path / "zoo").exists()
+
+
+def test_forecaster_rejects_a_manifest_horizon_its_model_does_not_have(tmp_path):
+    out = _build_test_zoo(tmp_path)
+    manifest = json.loads((out / "zoo.json").read_bytes())
+    for entry in manifest["entries"]:
+        entry["horizon"] = 5
+    (out / "zoo.json").write_bytes(json.dumps(manifest).encode())
+    zoo = load_zoo(out)  # consistent on its own: every entry says 5
+    assert zoo.horizon == 5
+    with pytest.raises(ValueError, match=r"^entry 'model1': horizon 5 != horizon 4 of its model file model1\.model\.json$"):
+        zoo.forecaster("model1")
+    assert "model1" not in zoo._cache
+
+
+def test_forecaster_rejects_a_model_file_of_another_input_len(tmp_path):
+    out = _build_test_zoo(tmp_path)
+    blob = save_model(train(ForecasterSpec("linear", 10, 4), _dataset(seed=1, length=100), TrainConfig(epochs=1)))
+    (out / "model0.model.json").write_bytes(blob)
+    manifest = json.loads((out / "zoo.json").read_bytes())
+    manifest["entries"][0]["digest"] = hashlib.sha256(blob).hexdigest()
+    (out / "zoo.json").write_bytes(json.dumps(manifest).encode())
+    zoo = load_zoo(out)
+    with pytest.raises(ValueError, match=r"^entry 'model0': input_len 12 != input_len 10 of its model file"):
+        zoo.forecaster("model0")
+    zoo.forecaster("model1")
 
 
 def test_zoo_loading_never_mutates_files(tmp_path):
