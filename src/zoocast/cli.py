@@ -243,8 +243,9 @@ def cmd_benchmark(args):
     _emit(args, {"out": args.out, "rows": len(report["rows"]), "warnings": report["warnings"]})
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
+def _add_common(p, seed=True):
+    if seed:  # only where the handler reads args.seed
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--json", action="store_true")
 
@@ -303,7 +304,7 @@ def _embed_args(p):
     p.add_argument("--zoo", required=True)
     p.add_argument("--input", default=None, help="optional CSV whose channels are embedded too")
     p.add_argument("--pca", type=int, default=None, choices=(1, 2, 3))
-    _add_common(p)
+    _add_common(p, seed=False)
 
 
 def _forecast_args(p):
@@ -311,14 +312,13 @@ def _forecast_args(p):
     p.add_argument("--input", required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--top-k", type=int, default=fusion.FusionConfig.top_k)
-    _add_common(p)
+    _add_common(p, seed=False)
 
 
 def _evaluate_args(p):
     p.add_argument("--truth", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--metrics", default="mse")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
 
 
@@ -336,7 +336,7 @@ def _synth_args(p):
 def _benchmark_args(p):
     p.add_argument("--config", required=True)
     p.add_argument("--zoo", required=True)
-    _add_common(p)
+    _add_common(p)  # run_benchmark draws nothing; --seed stays accepted for command lines that pass it
 
 
 # (name, help, handler, argument-adding function), in `zoocast -h` order

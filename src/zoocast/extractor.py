@@ -101,9 +101,24 @@ def encode(params: ExtractorParams, window) -> np.ndarray:
 
 
 def encode_batch(params: ExtractorParams, windows: np.ndarray) -> np.ndarray:
-    w = params.weights
-    h = np.maximum(0.0, windows @ w["W1"].T + w["b1"])
-    return h @ w["W2"].T + w["b2"]
+    return _mlp_forward(params.weights, ENCODER_TENSORS, windows)[0]
+
+
+def _mlp_forward(w: dict, names: tuple, x: np.ndarray):
+    """(relu(x @ A.T + a) @ B.T + b, cache) for `names` = (A, a, B, b):
+    ENCODER_TENSORS or DECODER_TENSORS."""
+    a, a_bias, b, b_bias = names
+    h_pre = x @ w[a].T + w[a_bias]
+    h = np.maximum(0.0, h_pre)
+    return h @ w[b].T + w[b_bias], (x, h_pre, h)
+
+
+def _mlp_backward(w: dict, names: tuple, cache, d_out: np.ndarray):
+    """(gradients of the tensors `names`, gradient w.r.t. the hidden
+    pre-activation); the input's gradient is the latter @ w[names[0]]."""
+    x, h_pre, h = cache
+    dh = (d_out @ w[names[2]]) * (h_pre > 0)
+    return dict(zip(names, (dh.T @ x, dh.sum(axis=0), d_out.T @ h, d_out.sum(axis=0)))), dh
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -191,33 +206,6 @@ def _similarity_loss_grad(reprs, b, dataset_index, g_matrix, constraint_weight):
 # combined objective
 
 
-def _encoder_forward(params: ExtractorParams, x: np.ndarray):
-    w = params.weights
-    h_pre = x @ w["W1"].T + w["b1"]
-    h = np.maximum(0.0, h_pre)
-    return h @ w["W2"].T + w["b2"], (x, h_pre, h)
-
-def _encoder_backward(params: ExtractorParams, cache, d_out: np.ndarray) -> dict:
-    w = params.weights
-    x, h_pre, h = cache
-    dh = (d_out @ w["W2"]) * (h_pre > 0)
-    return {"W2": d_out.T @ h, "b2": d_out.sum(axis=0), "W1": dh.T @ x, "b1": dh.sum(axis=0)}
-
-def _decoder_forward(params: ExtractorParams, e: np.ndarray):
-    w = params.weights
-    h_pre = e @ w["V1"].T + w["c1"]
-    h = np.maximum(0.0, h_pre)
-    return h @ w["V2"].T + w["c2"], (e, h_pre, h)
-
-def _decoder_backward(params: ExtractorParams, cache, d_out: np.ndarray):
-    """(decoder gradients, gradient w.r.t. the decoder's input)."""
-    w = params.weights
-    e, h_pre, h = cache
-    dh = (d_out @ w["V2"]) * (h_pre > 0)
-    grads = {"V2": d_out.T @ h, "c2": d_out.sum(axis=0), "V1": dh.T @ e, "c1": dh.sum(axis=0)}
-    return grads, dh @ w["V1"]
-
-
 def combined_loss_and_grad(
     params: ExtractorParams,
     windows: np.ndarray,
@@ -233,19 +221,20 @@ def combined_loss_and_grad(
     dataset_index: (B,) index into g_matrix; g_matrix: (D, D).
     One encoder pass covers the stacked [anchors; views] rows.
     """
+    w = params.weights
     b, v, length = masked_views.shape
-    reprs, cache_e = _encoder_forward(params, np.concatenate([windows, masked_views.reshape(b * v, length)]))
+    reprs, cache_e = _mlp_forward(w, ENCODER_TENSORS, np.concatenate([windows, masked_views.reshape(b * v, length)]))
 
     # reconstruction: decode each masked view back to its original window
-    recon, cache_d = _decoder_forward(params, reprs[b:])
+    recon, cache_d = _mlp_forward(w, DECODER_TENSORS, reprs[b:])
     resid = recon - np.repeat(windows, v, axis=0)
     # squared reconstruction norm per masked view, averaged over views
     recon_loss = float((resid * resid).sum() / (b * v))
-    grads, d_recon = _decoder_backward(params, cache_d, 2.0 * resid / (b * v))
+    grads, dh = _mlp_backward(w, DECODER_TENSORS, cache_d, 2.0 * resid / (b * v))
 
     trans_loss, con_loss, d_reprs = _similarity_loss_grad(reprs, b, dataset_index, g_matrix, constraint_weight)
-    d_reprs[b:] += d_recon
-    grads.update(_encoder_backward(params, cache_e, d_reprs))
+    d_reprs[b:] += dh @ w["V1"]
+    grads.update(_mlp_backward(w, ENCODER_TENSORS, cache_e, d_reprs)[0])
 
     total = recon_loss + trans_loss + constraint_weight * con_loss
     components = {"recon": recon_loss, "trans": trans_loss, "constraint": con_loss, "total": total}

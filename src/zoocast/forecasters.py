@@ -4,12 +4,13 @@ naive baselines, trained from scratch with hand-derived gradients.
 Trainable models map a length-T window to a length-h prediction and are
 fit with plain SGD on instance-normalized (window, target) pairs.
 
-`train_many` is the one SGD loop. Every model starts from the same seeded
-weights and shuffles with the same seeded generator, so datasets with the
-same number of training windows draw the same batches; they train in
-lockstep, one stacked `loss_and_grad` step for all of them. Each stacked
-slice takes the same arithmetic as a model trained alone, so the saved
-bytes and `epoch_losses` equal per-model training's.
+`train_many` is the one SGD loop. It checks every input before training.
+Every model starts from the same seeded weights and shuffles with the same
+seeded generator, so datasets with the same number of training windows
+draw the same batches; they train in lockstep, one stacked `loss_and_grad`
+step for all of them. Each stacked slice takes the same arithmetic as a
+model trained alone, so the saved bytes and `epoch_losses` equal
+per-model training's.
 """
 
 from __future__ import annotations
@@ -181,15 +182,6 @@ def extract_windows(data: Dataset, input_len: int, horizon: int, stride: int = 1
     return windows, (pairs[:, input_len:] - mu[:, None]) / sigma[:, None]
 
 
-class TrainingError(ValueError):
-    """A failed `train_many`: `index` is the position of the failing
-    dataset in the list it was given."""
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
-
-
 def _lockstep_sgd(spec: ForecasterSpec, windows: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -> tuple:
     """SGD for M models at once on (M, n, T) windows and (M, n, h) targets,
     every model from the seed's weights and shuffles. Returns the stacked
@@ -222,44 +214,37 @@ def train_many(spec: ForecasterSpec, datasets: list, cfg: TrainConfig) -> list:
     """One model per dataset by mini-batch SGD on MSE, in dataset order;
     deterministic for a given seed.
 
-    Datasets with the same number of training windows train in lockstep:
-    one stacked step per batch for all of them. Every byte of each model,
-    `epoch_losses` included, equals training it alone. On failure raises a
-    `TrainingError` for the first dataset, in list order, whose windows
-    cannot be cut or whose loss turns non-finite ("training diverged in
-    epoch N"): the error that training each model in turn would raise.
+    The architecture and then every dataset's windows are checked before
+    any training. Datasets with the same number of training windows train
+    in lockstep: one stacked step per batch for all of them. Every byte of
+    each model, `epoch_losses` included, equals training it alone. Once all
+    have run, the first diverged dataset in list order raises "training
+    failed on dataset 'X': training diverged in epoch N".
     """
     if spec.architecture not in TRAINABLE:
-        raise TrainingError(f"architecture {spec.architecture!r} is not trainable", 0)
-    pairs, failed, error = [], len(datasets), ""
-    for i, data in enumerate(datasets):
-        try:
-            pairs.append(extract_windows(data, spec.input_len, spec.horizon, cfg.stride))
-        except ValueError as exc:
-            failed, error = i, str(exc)
-            break
+        raise ValueError(f"architecture {spec.architecture!r} is not trainable")
+    pairs = [extract_windows(data, spec.input_len, spec.horizon, cfg.stride) for data in datasets]
     groups = {}
     for i, (windows, _) in enumerate(pairs):
         groups.setdefault(windows.shape[0], []).append(i)
-    models = [None] * len(pairs)
+    models, diverged = [None] * len(pairs), [0] * len(pairs)
     for members in groups.values():
         windows = np.stack([pairs[i][0] for i in members])
         targets = np.stack([pairs[i][1] for i in members])
-        weights, losses, diverged = _lockstep_sgd(spec, windows, targets, cfg)
+        weights, losses, epochs = _lockstep_sgd(spec, windows, targets, cfg)
         for k, i in enumerate(members):
-            if diverged[k]:
-                if i < failed:
-                    failed, error = i, f"training diverged in epoch {diverged[k]}"
-                continue
-            models[i] = Forecaster(
-                spec=spec,
-                weights={name: w[k] for name, w in weights.items()},
-                source_dataset=datasets[i].name,
-                # each model's losses are a contiguous row, summed as np.mean sums a list
-                epoch_losses=tuple(float(np.mean(row)) for row in losses[:, k]),
-            )
-    if failed < len(datasets):
-        raise TrainingError(error, failed)
+            diverged[i] = epochs[k]
+            if not diverged[i]:
+                models[i] = Forecaster(
+                    spec=spec,
+                    weights={name: w[k] for name, w in weights.items()},
+                    source_dataset=datasets[i].name,
+                    # each model's losses are a contiguous row, summed as np.mean sums a list
+                    epoch_losses=tuple(float(np.mean(row)) for row in losses[:, k]),
+                )
+    for data, epoch in zip(datasets, diverged):
+        if epoch:
+            raise ValueError(f"training failed on dataset {data.name!r}: training diverged in epoch {epoch}")
     return models
 
 

@@ -9,6 +9,7 @@ models inside each block, then de-normalize with the window's stats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,19 +103,22 @@ def forecast_multivariate(zoo, series: MultivariateSeries, cfg: FusionConfig):
     predictions = np.empty((cfg.horizon, series.num_channels))
     selections = []
     stats_list = []
-    for c in range(series.num_channels):
-        window = series.channel(c)
-        norm_win, stats = normalize(window)
-        if cfg.forced_model_ids:
-            forced = cfg.forced_model_ids[c]
-            selection = SelectionResult(ranking=((forced, 1.0),), top_k=1)
-        else:
-            selection = match(zoo, window, cfg.top_k)
-        models = [zoo.forecaster(model_id) for model_id in selection.chosen]
-        norm_pred = sequential_forecast(models, norm_win, cfg.horizon)
-        predictions[:, c] = denormalize(norm_pred, stats)
-        selections.append(selection)
-        stats_list.append(stats)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked, not warned about
+        for c in range(series.num_channels):
+            window = series.channel(c)
+            norm_win, stats = normalize(window)
+            if not (math.isfinite(stats.mean) and math.isfinite(stats.std)):
+                raise ValueError(f"channel {c}: values overflow instance normalization")
+            if cfg.forced_model_ids:
+                forced = cfg.forced_model_ids[c]
+                selection = SelectionResult(ranking=((forced, 1.0),), top_k=1)
+            else:
+                selection = match(zoo, window, cfg.top_k)
+            models = [zoo.forecaster(model_id) for model_id in selection.chosen]
+            norm_pred = sequential_forecast(models, norm_win, cfg.horizon)
+            predictions[:, c] = denormalize(norm_pred, stats)
+            selections.append(selection)
+            stats_list.append(stats)
     try:
         result = MultivariateSeries(predictions, series.channel_names)
     except ValueError:

@@ -181,34 +181,25 @@ def compute_transfer_matrix(
     """Train one forecaster per dataset (on the first 80%), evaluate each
     on every dataset's held-out tail at normalized scale, g = 1 - MSE.
 
+    Inputs are checked before any training, in suite order: each tail's
+    evaluation windows, then `train_many`'s checks. So a later dataset's
+    bad input wins over an earlier dataset's divergence.
+
     Returns (TransferMatrix, trained models by dataset name).
     """
     if len(datasets) < 2:
         raise ValueError("need at least 2 datasets")
-    # One lockstep training run; errors are raised as training each model
-    # in turn would: for the first dataset whose split, training or tail fails.
-    parts, failed, error = [], len(datasets), None
-    for i, data in enumerate(datasets):
-        try:
-            parts.append(_split(data))
-        except ValueError as exc:
-            failed, error = i, exc
-            break
-    try:
-        trained = forecasters.train_many(spec, [train_part for train_part, _ in parts], cfg)
-    except forecasters.TrainingError as exc:
-        if exc.index < failed:  # not the architecture check of an empty list
-            failed, error = exc.index, exc
-    eval_sets = {}
-    for data, (_, tail) in zip(datasets[:failed], parts):
-        try:
+    train_parts, eval_sets = [], {}
+    for data in datasets:
+        try:  # a one-row dataset cannot even be split
+            train_part, tail = _split(data)
             eval_sets[data.name] = forecasters.extract_windows(tail, spec.input_len, spec.horizon)
         except ValueError:
-            raise ValueError(f"dataset {data.name!r} tail too short for evaluation windows") from None
-    if error is not None:
-        raise ValueError(f"training failed on dataset {datasets[failed].name!r}: {error}") from error
-    models = {data.name: model for data, model in zip(datasets, trained)}
+            needed = spec.input_len + spec.horizon
+            raise ValueError(f"dataset {data.name!r} tail too short for evaluation windows of length {needed}") from None
+        train_parts.append(train_part)
     names = [d.name for d in datasets]
+    models = dict(zip(names, forecasters.train_many(spec, train_parts, cfg)))
     g = np.empty((len(names), len(names)))
     for i, src in enumerate(names):
         for j, dst in enumerate(names):

@@ -213,6 +213,18 @@ def test_forecast_with_a_manifest_that_disagrees_with_its_models_exits_with_erro
     assert not (tmp_path / "fc").exists()
 
 
+@pytest.mark.parametrize("values", [[1e308] * 36, [1e308] * 18 + [-1e308] * 18], ids=["all-huge", "huge-then-minus-huge"])
+def test_forecast_of_an_overflowing_channel_exits_with_error_line(pipeline, tmp_path, capsys, recwarn, values):
+    _, _, zoo_dir = pipeline
+    huge = tmp_path / "huge.csv"
+    huge.write_text("t,a\n" + "".join(f"{t},{v!r}\n" for t, v in enumerate(values)))
+    rc = run_cli("forecast", "--zoo", str(zoo_dir), "--input", str(huge), "--horizon", "6", "--out", str(tmp_path / "fc"))
+    assert rc == 1
+    assert capsys.readouterr().err == "error: channel 0: values overflow instance normalization\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "fc").exists()
+
+
 @pytest.mark.parametrize("command", ["forecast", "train-ptm"])
 def test_non_utf8_csv_exits_with_error_line(pipeline, tmp_path, capsys, command):
     root, _, zoo_dir = pipeline

@@ -22,10 +22,10 @@ from zoocast.extractor import (
     train_extractor,
 )
 from zoocast.extractor import (
-    _decoder_backward,
-    _decoder_forward,
-    _encoder_backward,
-    _encoder_forward,
+    DECODER_TENSORS,
+    ENCODER_TENSORS,
+    _mlp_backward,
+    _mlp_forward,
     _similarity_loss_grad,
     _unit_rows,
 )
@@ -440,15 +440,16 @@ def _similarity_reference(anchors, views, didx, g, lam):
 
 def _combined_reference(params, windows, masked_views, didx, g, lam):
     b, v, length = masked_views.shape
-    anchors, cache_a = _encoder_forward(params, windows)
-    view_reprs, cache_v = _encoder_forward(params, masked_views.reshape(b * v, length))
-    recon, cache_d = _decoder_forward(params, view_reprs)
+    w = params.weights
+    anchors, cache_a = _mlp_forward(w, ENCODER_TENSORS, windows)
+    view_reprs, cache_v = _mlp_forward(w, ENCODER_TENSORS, masked_views.reshape(b * v, length))
+    recon, cache_d = _mlp_forward(w, DECODER_TENSORS, view_reprs)
     resid = recon - np.repeat(windows, v, axis=0)
     recon_loss = float(np.sum(resid**2) / (b * v))
-    grads, d_view_reprs = _decoder_backward(params, cache_d, 2.0 * resid / (b * v))
+    grads, dh = _mlp_backward(w, DECODER_TENSORS, cache_d, 2.0 * resid / (b * v))
     trans, con, d_reprs = _similarity_reference(anchors, view_reprs, didx, g, lam)
-    enc_a = _encoder_backward(params, cache_a, d_reprs[:b])
-    enc_v = _encoder_backward(params, cache_v, d_view_reprs + d_reprs[b:])
+    enc_a, _ = _mlp_backward(w, ENCODER_TENSORS, cache_a, d_reprs[:b])
+    enc_v, _ = _mlp_backward(w, ENCODER_TENSORS, cache_v, dh @ w["V1"] + d_reprs[b:])
     grads.update({name: enc_a[name] + enc_v[name] for name in enc_a})
     return recon_loss + trans + lam * con, grads
 

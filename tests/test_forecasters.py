@@ -9,7 +9,6 @@ from zoocast.forecasters import (
     Forecaster,
     ForecasterSpec,
     TrainConfig,
-    TrainingError,
     extract_windows,
     forecast,
     forecast_batch,
@@ -318,14 +317,22 @@ def test_train_many_is_bit_identical_to_per_model_training(spec, batch_size):
 
 def test_train_many_names_the_first_dataset_that_cannot_be_cut():
     suite = _ragged_suite()
-    short = Dataset(series=MultivariateSeries(np.ones((10, 1))), name="short")
-    with pytest.raises(TrainingError, match="no training windows of length 16 in dataset 'short'") as err:
-        train_many(_linear_spec(12, 4), [suite[0], short, suite[1], short], TrainConfig(epochs=1))
-    assert err.value.index == 1
-    with pytest.raises(TrainingError, match="not trainable") as err:
+    short1, short2 = (Dataset(series=MultivariateSeries(np.ones((10, 1))), name=f"short{i}") for i in (1, 2))
+    with pytest.raises(ValueError, match="^no training windows of length 16 in dataset 'short1'$"):
+        train_many(_linear_spec(12, 4), [suite[0], short1, suite[1], short2], TrainConfig(epochs=1))
+    with pytest.raises(ValueError, match="not trainable"):
         train_many(ForecasterSpec("last", 12, 4), suite, TrainConfig(epochs=1))
-    assert err.value.index == 0
     assert train_many(_linear_spec(12, 4), [], TrainConfig()) == []
+
+
+def test_train_many_names_a_later_uncuttable_dataset_before_an_earlier_divergence():
+    diverging = _sine_dataset(length=100)
+    short = Dataset(series=MultivariateSeries(np.ones((10, 1))), name="short")
+    spec, cfg = ForecasterSpec("linear", 36, 12), TrainConfig(epochs=50, learning_rate=1e4, seed=0)
+    with pytest.raises(ValueError, match=r"^training failed on dataset 'sine': training diverged in epoch 1$"):
+        train_many(spec, [diverging], cfg)
+    with pytest.raises(ValueError, match="^no training windows of length 48 in dataset 'short'$"):
+        train_many(spec, [diverging, short], cfg)
 
 
 def test_linear_close_to_least_squares():

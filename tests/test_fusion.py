@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -268,3 +270,18 @@ def test_diverging_recursion_names_the_channel_and_block():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=r"channel 1 .*step 2 \(block 1\)"):
             forecast_multivariate(zoo, series, cfg)
+
+
+OVERFLOWING_CHANNELS = {
+    "all-huge": np.full(6, 1e308),
+    "huge-then-minus-huge": np.repeat([1e308, -1e308], 3),  # sum is inf - inf = nan
+}
+
+
+@pytest.mark.parametrize("channel", OVERFLOWING_CHANNELS.values(), ids=OVERFLOWING_CHANNELS.keys())
+def test_overflowing_channel_is_named_without_a_warning(channel):
+    series = MultivariateSeries(np.stack([np.arange(6.0), channel], axis=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^channel 1: values overflow instance normalization$"):
+            forecast_multivariate(_last_zoo(), series, FusionConfig(horizon=2))

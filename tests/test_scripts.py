@@ -1,0 +1,50 @@
+"""Smoke tests for the experiment scripts under scripts/: each runs end to
+end in a fresh interpreter and writes a well-formed report. Values are
+checked for shape and finiteness only; their bits depend on the BLAS build."""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_script(name, out):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"report written to {out}" in proc.stdout
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_run_zoo_benchmark_writes_a_finite_report(tmp_path):
+    report = _run_script("run_zoo_benchmark.py", tmp_path / "report.json")
+    assert set(report) == {"config", "per_window", "rows", "summary", "warnings", "zoo_distribution"}
+    assert report["warnings"] == []
+    methods = {"zoocast", "last", "mean", "seasonal_naive"}
+    datasets = {row["dataset"] for row in report["summary"]}
+    assert len(datasets) == 5
+    assert {(row["dataset"], row["method"]) for row in report["summary"]} == {(d, m) for d in datasets for m in methods}
+    values = [row["mse"] for key in ("rows", "summary", "zoo_distribution") for row in report[key]]
+    values += [row["value"] for row in report["per_window"]]
+    assert values and all(math.isfinite(v) and v >= 0 for v in values)
+
+
+def test_run_selection_study_writes_a_finite_report(tmp_path):
+    report = _run_script("run_selection_study.py", tmp_path / "study.json")
+    assert set(report) == {"accuracy", "beats_median", "confusion", "families", "seed", "eval_seed"}
+    assert (report["seed"], report["eval_seed"]) == (0, 100)
+    assert len(report["families"]) == 5
+    assert [len(row) for row in report["confusion"]] == [5] * 5
+    assert [sum(row) for row in report["confusion"]] == [100] * 5  # --windows-per-family default
+    for key in ("accuracy", "beats_median"):
+        assert math.isfinite(report[key]) and 0.0 <= report[key] <= 1.0
+    diagonal = sum(report["confusion"][i][i] for i in range(5))
+    assert report["accuracy"] == diagonal / 500

@@ -175,6 +175,17 @@ def test_transfer_matrix_raises_an_earlier_tail_error_before_a_later_divergence(
         compute_transfer_matrix([short_tail] + suite, spec, TrainConfig(epochs=10, learning_rate=0.6, seed=0))
 
 
+def test_transfer_matrix_raises_a_later_tail_error_before_an_earlier_divergence():
+    # inputs are checked before any training, so the sine series (which
+    # diverges at learning rate 0.5) is never trained
+    suite = _divergence_suite(200, 200, 200)
+    spec = ForecasterSpec("linear", input_len=12, horizon=4)
+    short_tail = Dataset(series=MultivariateSeries(suite[0].series.values[:70]), name="short_tail")
+    expected = "^dataset 'short_tail' tail too short for evaluation windows of length 16$"
+    with pytest.raises(ValueError, match=expected):
+        compute_transfer_matrix(suite + [short_tail], spec, TrainConfig(epochs=10, learning_rate=0.5, seed=0))
+
+
 # -- zoo build / load --------------------------------------------------------
 
 
