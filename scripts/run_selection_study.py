@@ -37,7 +37,7 @@ def main():
     params, log = train_extractor(
         suite, tm, ExtractorTrainConfig(seed=args.seed), MaskSpec(), input_len=args.look_back
     )
-    reprs = {n: compute_model_representation(params, d, 256, seed=args.seed) for n, d in zip(names, suite)}
+    reprs = {n: compute_model_representation(params, d, seed=args.seed) for n, d in zip(names, suite)}
     zoo = zoo_from_models(models, params, reprs)
     print(f"pipeline trained in {time.monotonic() - start:.0f}s (final recon {log[-1]['recon']:.3f})")
 

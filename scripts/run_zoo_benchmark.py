@@ -31,7 +31,7 @@ def main():
     params, _ = train_extractor(
         suite, tm, ExtractorTrainConfig(seed=args.seed), MaskSpec(), input_len=args.look_back
     )
-    reprs = {d.name: compute_model_representation(params, d, 256, seed=args.seed) for d in suite}
+    reprs = {d.name: compute_model_representation(params, d, seed=args.seed) for d in suite}
     zoo = zoo_from_models(models, params, reprs)
     print(f"zoo of {len(models)} models built in {time.monotonic() - start:.0f}s")
 

@@ -34,6 +34,16 @@ class SyntheticFamilySpec:
             raise ValueError("noise_std must be >= 0")
 
 
+def score(metric: str, truth, pred):
+    """`METRIC_FNS[metric]` of truth and pred; a ValueError names the metric
+    when any step overflows float64, even one that leaves a finite result."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return METRIC_FNS[metric](truth, pred)
+    except FloatingPointError:
+        raise ValueError(f"metric {metric!r} overflows float64 on these values") from None
+
+
 def check_metrics(names) -> None:
     """Raise a ValueError naming every name not in METRIC_FNS."""
     unknown = set(names) - set(METRIC_FNS)
@@ -50,8 +60,12 @@ class BenchConfig:
     season_period: int = 7
 
     def __post_init__(self):
+        if self.look_back < 1:
+            raise ValueError(f"look_back must be >= 1, got {self.look_back}")
         if not self.horizons:
             raise ValueError("horizons must be nonempty")
+        if min(self.horizons) < 1:
+            raise ValueError(f"horizons must be >= 1, got {list(self.horizons)}")
         check_metrics(self.metrics)
 
 
@@ -133,10 +147,9 @@ def _stacked_forecast(zoo, x: np.ndarray, cfg: fusion.FusionConfig) -> np.ndarra
 def _window_scores(metric: str, truth: np.ndarray, pred: np.ndarray) -> list:
     """One metric's value for each window of (W, H, C) stacks; `mse` takes
     the whole stack in one reduction."""
-    fn = METRIC_FNS[metric]
     if metric == "mse":
-        return fn(truth, pred).tolist()
-    return [fn(t, p) for t, p in zip(truth, pred)]
+        return score(metric, truth, pred).tolist()
+    return [score(metric, t, p) for t, p in zip(truth, pred)]
 
 
 def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:

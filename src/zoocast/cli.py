@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, extractor, forecasters, fusion, zoo as zoo_mod
-from .core import MultivariateSeries, canonical_json, load_csv, normalize, trim_to_last
+from .core import MultivariateSeries, canonical_json, checked_normalize_rows, load_csv, trim_to_last
 
 ARCH_FLAGS = {"linear": "linear", "patch-mlp": "patch_mlp"}
 
@@ -32,36 +33,31 @@ def _load_datasets(paths: str) -> list:
     return [load_csv(p) for p in paths.split(",")]
 
 
-def _spec_from_args(args) -> forecasters.ForecasterSpec:
-    return forecasters.ForecasterSpec(
-        architecture=ARCH_FLAGS[args.arch],
-        input_len=args.input_len,
-        horizon=args.horizon,
-        patch_len=args.patch_len,
-        hidden_dim=args.hidden_dim,
-    )
+def _config(cls, values: dict, **given):
+    """A `cls` dataclass from the entries of `values` named like its fields
+    (`vars(args)`, or a config file's keys) and from `given`; every field
+    with no entry keeps its default."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{**{key: value for key, value in values.items() if key in names}, **given})
 
 
-def _train_cfg_from_args(args) -> forecasters.TrainConfig:
-    return forecasters.TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        stride=args.stride,
-    )
+def _model_configs(args) -> tuple:
+    """(ForecasterSpec, TrainConfig) from train-ptm's and transfer-matrix's flags."""
+    spec = _config(forecasters.ForecasterSpec, vars(args), architecture=ARCH_FLAGS[args.arch])
+    return spec, _config(forecasters.TrainConfig, vars(args))
 
 
 def cmd_train_ptm(args):
     data = load_csv(args.data)
-    model = forecasters.train(_spec_from_args(args), data, _train_cfg_from_args(args))
+    spec, train_cfg = _model_configs(args)
+    model = forecasters.train(spec, data, train_cfg)
     Path(args.out).write_bytes(forecasters.save(model))
     _emit(args, {"out": args.out, "final_loss": model.epoch_losses[-1], "source_dataset": model.source_dataset})
 
 
 def cmd_transfer_matrix(args):
     datasets = _load_datasets(args.datasets)
-    tm, _ = zoo_mod.compute_transfer_matrix(datasets, _spec_from_args(args), _train_cfg_from_args(args))
+    tm, _ = zoo_mod.compute_transfer_matrix(datasets, *_model_configs(args))
     Path(args.out).write_bytes(tm.to_bytes())
     _emit(args, {"out": args.out, "datasets": list(tm.dataset_names)})
 
@@ -69,20 +65,11 @@ def cmd_transfer_matrix(args):
 def cmd_train_extractor(args):
     datasets = _load_datasets(args.datasets)
     tm = zoo_mod.TransferMatrix.from_bytes(Path(args.transfer_matrix).read_bytes())
-    cfg = extractor.ExtractorTrainConfig(
-        constraint_weight=args.constraint_weight,
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        windows_per_dataset=args.windows_per_dataset,
-        hidden_dim=args.hidden_dim,
-        repr_dim=args.dim,
-    )
-    mask_spec = extractor.MaskSpec(mask_ratio=args.mask_ratio, num_views=args.views)
+    cfg = _config(extractor.ExtractorTrainConfig, vars(args))
+    mask_spec = _config(extractor.MaskSpec, vars(args))
     params, log = extractor.train_extractor(datasets, tm, cfg, mask_spec, input_len=args.input_len)
     Path(args.out).write_bytes(extractor.save(params, log))
-    _emit(args, {"out": args.out, "final_loss": log[-1]["total"] if log else None})
+    _emit(args, {"out": args.out, "final_loss": log[-1]["total"]})
 
 
 def cmd_build_zoo(args):
@@ -105,7 +92,7 @@ def cmd_embed(args):
         data = load_csv(args.input)
         for c in range(data.series.num_channels):
             window = trim_to_last(data.series.channel(c), z.extractor_params.input_len)
-            norm_win, _ = normalize(window)
+            norm_win = checked_normalize_rows(window, f"channel {c}")[0]
             labels.append(data.series.channel_names[c] if data.series.channel_names else f"{data.name}:{c}")
             kinds.append("variate")
             reprs.append(extractor.encode(z.extractor_params, norm_win))
@@ -161,20 +148,11 @@ def cmd_evaluate(args):
     pred = load_csv(args.pred)
     names = args.metrics.split(",")
     bench.check_metrics(names)
-    _emit(args, {name: bench.METRIC_FNS[name](truth.series, pred.series) for name in names})
+    _emit(args, {name: bench.score(name, truth.series, pred.series) for name in names})
 
 
 def cmd_synth(args):
-    spec = bench.SyntheticFamilySpec(
-        kind=args.kind,
-        period=args.period,
-        amplitude=args.amplitude,
-        noise_std=args.noise,
-        length=args.length,
-        channels=args.channels,
-        seed=args.seed,
-    )
-    data = bench.generate_synthetic(spec)
+    data = bench.generate_synthetic(_config(bench.SyntheticFamilySpec, vars(args)))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"c{i}" for i in range(data.series.num_channels)])
@@ -228,19 +206,14 @@ def cmd_benchmark(args):
     for key, (kind, valid) in BENCH_CONFIG_TYPES.items():
         if key in raw and not valid(raw[key]):
             raise ValueError(f"config key {key!r} must be {kind}, got {raw[key]!r}")
-    datasets = [load_csv(p) for p in raw.get("datasets", [])]
-    default = bench.BenchConfig
-    cfg = bench.BenchConfig(
-        look_back=raw.get("look_back", default.look_back),
-        horizons=tuple(raw.get("horizons", default.horizons)),
-        metrics=tuple(raw.get("metrics", default.metrics)),
-        top_k=raw.get("top_k", default.top_k),
-        season_period=raw.get("season_period", default.season_period),
-    )
+    known = sorted(BENCH_CONFIG_TYPES)
+    unread = [f"config key {key!r} is not read; known keys: {known}" for key in raw if key not in BENCH_CONFIG_TYPES]
+    datasets = [load_csv(p) for p in raw.pop("datasets", [])]
+    cfg = _config(bench.BenchConfig, {key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()})
     z = zoo_mod.load_zoo(args.zoo)
     report = bench.run_benchmark(cfg, z, datasets)
     Path(args.out).write_bytes(bench.report_to_bytes(report))
-    _emit(args, {"out": args.out, "rows": len(report["rows"]), "warnings": report["warnings"]})
+    _emit(args, {"out": args.out, "rows": len(report["rows"]), "warnings": unread + report["warnings"]})
 
 
 def _add_common(p, seed=True):
@@ -258,7 +231,7 @@ def _add_model_flags(p):
     p.add_argument("--patch-len", type=int, default=spec.patch_len)
     p.add_argument("--hidden-dim", type=int, default=spec.hidden_dim)
     p.add_argument("--epochs", type=int, default=train.epochs)
-    p.add_argument("--lr", type=float, default=train.learning_rate)
+    p.add_argument("--lr", dest="learning_rate", type=float, default=train.learning_rate)
     p.add_argument("--batch-size", type=int, default=train.batch_size)
     p.add_argument("--stride", type=int, default=train.stride)
 
@@ -281,12 +254,12 @@ def _train_extractor_args(p):
     p.add_argument("--transfer-matrix", required=True)
     p.add_argument("--lambda", dest="constraint_weight", type=float, default=ext.constraint_weight)
     p.add_argument("--mask-ratio", type=float, default=mask.mask_ratio)
-    p.add_argument("--views", type=int, default=mask.num_views)
-    p.add_argument("--dim", type=int, default=ext.repr_dim)
+    p.add_argument("--views", dest="num_views", type=int, default=mask.num_views)
+    p.add_argument("--dim", dest="repr_dim", type=int, default=ext.repr_dim)
     p.add_argument("--hidden-dim", type=int, default=ext.hidden_dim)
     p.add_argument("--input-len", type=int, default=36)
     p.add_argument("--epochs", type=int, default=ext.epochs)
-    p.add_argument("--lr", type=float, default=ext.learning_rate)
+    p.add_argument("--lr", dest="learning_rate", type=float, default=ext.learning_rate)
     p.add_argument("--batch-size", type=int, default=ext.batch_size, help="default: one window per dataset")
     p.add_argument("--windows-per-dataset", type=int, default=ext.windows_per_dataset)
     _add_common(p)
@@ -296,7 +269,7 @@ def _build_zoo_args(p):
     p.add_argument("--models", required=True, help="comma-separated model files")
     p.add_argument("--data", required=True, help="comma-separated source CSVs, one per model")
     p.add_argument("--extractor", required=True)
-    p.add_argument("--samples", type=int, default=256)
+    p.add_argument("--samples", type=int, default=zoo_mod.REPRESENTATION_SAMPLES)
     _add_common(p)
 
 
@@ -327,7 +300,7 @@ def _synth_args(p):
     p.add_argument("--kind", choices=bench.SYNTH_KINDS, required=True)
     p.add_argument("--period", type=int, default=synth.period)
     p.add_argument("--amplitude", type=float, default=synth.amplitude)
-    p.add_argument("--noise", type=float, default=synth.noise_std)
+    p.add_argument("--noise", dest="noise_std", type=float, default=synth.noise_std)
     p.add_argument("--length", type=int, default=synth.length)
     p.add_argument("--channels", type=int, default=synth.channels)
     _add_common(p)
@@ -377,7 +350,8 @@ def main(argv=None) -> int:
     try:
         args.func(args)
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc).replace("\r", "\\r").replace("\n", "\\n")  # one line, whatever file name it quotes
+        print(f"error: {message}", file=sys.stderr)
         return 1
     return 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,9 +106,22 @@ def normalize_rows(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return centered / sigma, mu[..., 0], sigma[..., 0]
 
 
+def checked_normalize_rows(x, where: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`normalize_rows` without numpy warnings; a ValueError names `where`
+    when a row's values overflow its mean or std."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        normalized, mu, sigma = normalize_rows(x)
+    if not np.isfinite(sigma).all():  # an overflowed mean leaves a non-finite std too
+        raise ValueError(f"{where}: values overflow instance normalization")
+    return normalized, mu, sigma
+
+
 def normalize(x) -> tuple[np.ndarray, NormStats]:
-    """Instance-normalize one series; see `normalize_rows`."""
+    """Instance-normalize one series; see `normalize_rows`. Values whose
+    mean or std overflow float64 raise a ValueError."""
     norm, mu, sigma = normalize_rows(as_series(x))
+    if not math.isfinite(sigma):  # an overflowed mean leaves a non-finite std too
+        raise ValueError("values overflow instance normalization")
     return norm, NormStats(mean=float(mu), std=float(sigma))
 
 
@@ -123,7 +137,7 @@ def sample_windows(rng: np.random.Generator, data: Dataset, length: int, count: 
     channels = rng.integers(series.num_channels, size=count)
     starts = rng.integers(series.length - length + 1, size=count)
     windows = sliding_window_view(series.values, length, axis=0)  # (starts, C, length)
-    return normalize_rows(windows[starts, channels])[0]
+    return checked_normalize_rows(windows[starts, channels], f"dataset {data.name!r}")[0]
 
 
 def denormalize(x_norm, stats: NormStats) -> np.ndarray:
@@ -258,8 +272,9 @@ def mape(truth, pred) -> float:
     return float(np.mean(per_channel))
 
 
-def load_csv(path, has_header: bool = True) -> Dataset:
-    """Load a benchmark-style CSV: first column is an index, rest numeric.
+def load_csv(path) -> Dataset:
+    """Load a benchmark-style CSV: a header row, then rows whose first
+    column is an index and the rest numeric.
 
     Errors start with the file name and name the 1-based row (and column
     where known); text that is not UTF-8 is named by its line.
@@ -274,23 +289,15 @@ def load_csv(path, has_header: bool = True) -> Dataset:
     rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise ValueError(f"{p.name}: empty file")
-    start = 0
-    names: tuple = ()
-    if has_header:
-        header = rows[0]
-        if len(header) < 2:
-            raise ValueError(f"{p.name}: row 1: need at least 2 columns, got {len(header)}")
-        names = tuple(h.strip() for h in header[1:])
-        start = 1
-    data_rows = rows[start:]
+    width = len(rows[0])
+    if width < 2:
+        raise ValueError(f"{p.name}: row 1: need at least 2 columns, got {width}")
+    data_rows = rows[1:]
     if not data_rows:
         raise ValueError(f"{p.name}: no data rows")
-    width = len(data_rows[0])
-    if width < 2:
-        raise ValueError(f"{p.name}: row {start + 1}: need at least 2 columns, got {width}")
     out = np.empty((len(data_rows), width - 1), dtype=np.float64)
     for i, row in enumerate(data_rows):
-        rownum = start + i + 1
+        rownum = i + 2
         if len(row) != width:
             raise ValueError(f"{p.name}: row {rownum}: expected {width} columns, got {len(row)}")
         for j, cell in enumerate(row[1:], start=2):
@@ -301,4 +308,5 @@ def load_csv(path, has_header: bool = True) -> Dataset:
             if not np.isfinite(v):
                 raise ValueError(f"{p.name}: row {rownum}, column {j}: non-finite cell {cell!r}")
             out[i, j - 2] = v
+    names = tuple(h.strip() for h in rows[0][1:])
     return Dataset(series=MultivariateSeries(out, channel_names=names), name=p.stem)

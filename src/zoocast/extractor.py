@@ -63,6 +63,8 @@ class ExtractorTrainConfig:
     repr_dim: int = 32
 
     def __post_init__(self):
+        if min(self.epochs, self.windows_per_dataset, self.hidden_dim, self.repr_dim) < 1:
+            raise ValueError("epochs, windows_per_dataset, hidden_dim and repr_dim must be >= 1")
         if self.constraint_weight < 0:
             raise ValueError("constraint_weight must be >= 0")
         if not (self.learning_rate > 0):
@@ -271,6 +273,10 @@ def train_extractor(
     """
     if len(datasets) < 1:
         raise ValueError("need at least one dataset")
+    if input_len < 1:
+        raise ValueError(f"input_len must be >= 1, got {input_len}")
+    if len(datasets) * cfg.windows_per_dataset < 2:
+        raise ValueError("an epoch needs at least 2 windows (constraint needs negatives)")
     names = [d.name for d in datasets]
     g = np.empty((len(names), len(names)))
     for i, a in enumerate(names):
@@ -333,27 +339,31 @@ def pca_project(reprs: list, k: int) -> np.ndarray:
         raise ValueError("k must be in {1, 2, 3}")
     if n < k + 1:
         raise ValueError(f"need at least {k + 1} points for k={k}, got {n}")
-    centered = points - points.mean(axis=0)
-    cov = centered.T @ centered / n
-    rng = np.random.default_rng(0)
-    components = []
-    for _ in range(k):
-        vec = rng.standard_normal(d)
-        vec /= np.linalg.norm(vec)
-        for _ in range(200):
-            nxt = cov @ vec
-            norm = np.linalg.norm(nxt)
-            if norm < 1e-15:
-                break  # remaining variance is zero
-            vec = nxt / norm
-        pivot = np.argmax(np.abs(vec))
-        if vec[pivot] < 0:
-            vec = -vec
-        components.append(vec)
-        eigval = float(vec @ cov @ vec)
-        cov = cov - eigval * np.outer(vec, vec)
-    basis = np.stack(components, axis=1)  # (d, k)
-    return centered @ basis
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # a finite result can hide an overflowed norm
+            centered = points - points.mean(axis=0)
+            cov = centered.T @ centered / n
+            rng = np.random.default_rng(0)
+            components = []
+            for _ in range(k):
+                vec = rng.standard_normal(d)
+                vec /= np.linalg.norm(vec)
+                for _ in range(200):
+                    nxt = cov @ vec
+                    norm = np.linalg.norm(nxt)
+                    if norm < 1e-15:
+                        break  # remaining variance is zero
+                    vec = nxt / norm
+                pivot = np.argmax(np.abs(vec))
+                if vec[pivot] < 0:
+                    vec = -vec
+                components.append(vec)
+                eigval = float(vec @ cov @ vec)
+                cov = cov - eigval * np.outer(vec, vec)
+            basis = np.stack(components, axis=1)  # (d, k)
+            return centered @ basis
+    except FloatingPointError:
+        raise ValueError(f"PCA of {n} representations overflows float64") from None
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Dataset, canonical_json, checked_tensors, init_uniform, load_json_object, normalize_rows
+from .core import Dataset, canonical_json, checked_normalize_rows, checked_tensors, init_uniform, load_json_object
 
 TRAINABLE = ("linear", "patch_mlp")
 BASELINES = ("last", "mean", "seasonal_naive")
@@ -73,14 +73,6 @@ class Forecaster:
     weights: dict = field(default_factory=dict)
     source_dataset: str = ""
     epoch_losses: tuple = ()
-
-    @property
-    def input_len(self) -> int:
-        return self.spec.input_len
-
-    @property
-    def horizon(self) -> int:
-        return self.spec.horizon
 
 
 def _weight_shapes(spec: ForecasterSpec) -> dict:
@@ -178,8 +170,12 @@ def extract_windows(data: Dataset, input_len: int, horizon: int, stride: int = 1
     if data.series.length < total:
         raise ValueError(f"no training windows of length {total} in dataset {data.name!r}")
     pairs = sliding_window_view(data.series.values.T, total, axis=-1)[:, ::stride].reshape(-1, total)
-    windows, mu, sigma = normalize_rows(pairs[:, :input_len])
-    return windows, (pairs[:, input_len:] - mu[:, None]) / sigma[:, None]
+    windows, mu, sigma = checked_normalize_rows(pairs[:, :input_len], f"dataset {data.name!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        targets = (pairs[:, input_len:] - mu[:, None]) / sigma[:, None]
+    if not np.isfinite(targets).all():  # a target far outside its window's scale
+        raise ValueError(f"dataset {data.name!r}: values overflow instance normalization")
+    return windows, targets
 
 
 def _lockstep_sgd(spec: ForecasterSpec, windows: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -> tuple:

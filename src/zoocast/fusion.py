@@ -9,7 +9,6 @@ models inside each block, then de-normalize with the window's stats.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +105,10 @@ def forecast_multivariate(zoo, series: MultivariateSeries, cfg: FusionConfig):
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked, not warned about
         for c in range(series.num_channels):
             window = series.channel(c)
-            norm_win, stats = normalize(window)
-            if not (math.isfinite(stats.mean) and math.isfinite(stats.std)):
-                raise ValueError(f"channel {c}: values overflow instance normalization")
+            try:  # the window passed its series' checks, so only an overflow raises here
+                norm_win, stats = normalize(window)
+            except ValueError as exc:
+                raise ValueError(f"channel {c}: {exc}") from None
             if cfg.forced_model_ids:
                 forced = cfg.forced_model_ids[c]
                 selection = SelectionResult(ranking=((forced, 1.0),), top_k=1)

@@ -29,6 +29,7 @@ from . import forecasters
 from .core import Dataset, MultivariateSeries, as_float_array, canonical_json, load_json_object, mse, sample_windows
 
 ZOO_FORMAT_VERSION = 1
+REPRESENTATION_SAMPLES = 256  # source windows averaged into each model's representation
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def _digest(blob: bytes) -> str:
 
 
 def compute_model_representation(
-    params: extractor_mod.ExtractorParams, source_data: Dataset, sample_count: int = 256, seed: int = 0
+    params: extractor_mod.ExtractorParams, source_data: Dataset, sample_count: int = REPRESENTATION_SAMPLES, seed: int = 0
 ) -> np.ndarray:
     """Mean encoding of sampled, instance-normalized source windows."""
     if sample_count < 1:
@@ -165,9 +166,12 @@ def compute_model_representation(
     return extractor_mod.encode_batch(params, windows).mean(axis=0)
 
 
-def _split(data: Dataset) -> tuple:
-    """(first 80%, last 20%) of every channel, as two datasets."""
+def _split(data: Dataset, tail_len: int) -> tuple:
+    """(first 80%, last 20%) of every channel, as two datasets; the tail
+    must have at least `tail_len` rows."""
     cut = int(data.series.length * 0.8)
+    if data.series.length - cut < tail_len:
+        raise ValueError(f"dataset {data.name!r} tail too short for evaluation windows of length {tail_len}")
     values, names = data.series.values, data.series.channel_names
     return tuple(
         Dataset(series=MultivariateSeries(part, names), name=data.name, granularity=data.granularity)
@@ -191,12 +195,8 @@ def compute_transfer_matrix(
         raise ValueError("need at least 2 datasets")
     train_parts, eval_sets = [], {}
     for data in datasets:
-        try:  # a one-row dataset cannot even be split
-            train_part, tail = _split(data)
-            eval_sets[data.name] = forecasters.extract_windows(tail, spec.input_len, spec.horizon)
-        except ValueError:
-            needed = spec.input_len + spec.horizon
-            raise ValueError(f"dataset {data.name!r} tail too short for evaluation windows of length {needed}") from None
+        train_part, tail = _split(data, spec.input_len + spec.horizon)
+        eval_sets[data.name] = forecasters.extract_windows(tail, spec.input_len, spec.horizon)
         train_parts.append(train_part)
     names = [d.name for d in datasets]
     models = dict(zip(names, forecasters.train_many(spec, train_parts, cfg)))
@@ -214,7 +214,7 @@ def build_zoo(
     source_datasets: list,
     extractor_file,
     out_dir,
-    per_model_source_samples: int = 256,
+    per_model_source_samples: int = REPRESENTATION_SAMPLES,
     seed: int = 0,
 ) -> Path:
     """Assemble a self-contained zoo directory from trained model files

@@ -68,6 +68,34 @@ def test_invalid_specs():
         BenchConfig(metrics=("rmse",))
 
 
+@pytest.mark.parametrize("metric", sorted(METRIC_FNS))
+def test_score_names_the_metric_that_overflows(metric, recwarn):
+    truth, pred = np.array([[1e308], [-1e308]]), np.array([[-1e308], [1e308]])
+    with pytest.raises(ValueError, match=rf"^metric '{metric}' overflows float64"):
+        bench.score(metric, truth, pred)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert bench.score(metric, truth * 1e-300, pred * 1e-300) == METRIC_FNS[metric](truth * 1e-300, pred * 1e-300)
+
+
+def test_score_rejects_an_smape_term_whose_denominator_overflows():
+    # |Y| + |Yhat| = inf would turn the term 0.1 / 1.9 into a silent 0
+    with pytest.raises(ValueError, match=r"^metric 'smape' overflows float64"):
+        bench.score("smape", np.array([[1e308]]), np.array([[0.9e308]]))
+
+
+@pytest.mark.parametrize("look_back", [0, -5])
+def test_bench_config_rejects_a_look_back_below_one(look_back):
+    with pytest.raises(ValueError, match=rf"^look_back must be >= 1, got {look_back}$"):
+        BenchConfig(look_back=look_back)
+
+
+@pytest.mark.parametrize("horizons", [(0,), (6, -8), (-36,)])
+def test_bench_config_rejects_a_horizon_below_one(horizons):
+    # (-36,) with the default look_back 36 once tiled with stride 0: ZeroDivisionError
+    with pytest.raises(ValueError, match=r"^horizons must be >= 1, got \["):
+        BenchConfig(horizons=horizons)
+
+
 def test_evaluation_windows_tile_the_tail():
     data = generate_synthetic(SyntheticFamilySpec(kind="sine", length=100, seed=0))
     windows = evaluation_windows(data, look_back=10, horizon=5)

@@ -213,7 +213,11 @@ def test_forecast_with_a_manifest_that_disagrees_with_its_models_exits_with_erro
     assert not (tmp_path / "fc").exists()
 
 
-@pytest.mark.parametrize("values", [[1e308] * 36, [1e308] * 18 + [-1e308] * 18], ids=["all-huge", "huge-then-minus-huge"])
+@pytest.mark.parametrize(
+    "values",
+    [[1e308] * 36, [1e308] * 18 + [-1e308] * 18, [1.7e308, -1.7e308] * 18],
+    ids=["all-huge", "huge-then-minus-huge", "alternating-huge"],  # the last sums to inf - inf = nan
+)
 def test_forecast_of_an_overflowing_channel_exits_with_error_line(pipeline, tmp_path, capsys, recwarn, values):
     _, _, zoo_dir = pipeline
     huge = tmp_path / "huge.csv"
@@ -341,3 +345,257 @@ def test_evaluate_names_an_unknown_metric(pipeline, capsys):
     rc = run_cli("evaluate", "--truth", str(datasets[0]), "--pred", str(datasets[0]), "--metrics", "mse,foo")
     assert rc == 1
     assert capsys.readouterr().err == "error: unknown metrics ['foo']; known metrics: ['mape', 'mse', 'smape']\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--dim", "0"], "epochs, windows_per_dataset, hidden_dim and repr_dim must be >= 1"),
+        (["--hidden-dim", "0"], "epochs, windows_per_dataset, hidden_dim and repr_dim must be >= 1"),
+        (["--windows-per-dataset", "0"], "epochs, windows_per_dataset, hidden_dim and repr_dim must be >= 1"),
+        (["--epochs", "0"], "epochs, windows_per_dataset, hidden_dim and repr_dim must be >= 1"),
+        (["--input-len", "0"], "input_len must be >= 1, got 0"),
+    ],
+)
+def test_train_extractor_zero_size_exits_with_error_line(pipeline, tmp_path, capsys, recwarn, flags, message):
+    root, datasets, _ = pipeline
+    out = tmp_path / "ext.json"
+    rc = run_cli(
+        "train-extractor", "--datasets", ",".join(map(str, datasets)), "--transfer-matrix", str(root / "tm.json"),
+        "--epochs", "1", "--windows-per-dataset", "2", *flags, "--out", str(out),
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+def test_train_extractor_on_one_window_per_epoch_exits_with_error_line(pipeline, tmp_path, capsys, recwarn):
+    root, datasets, _ = pipeline
+    tm = tmp_path / "tm.json"
+    tm.write_bytes(cli.zoo_mod.TransferMatrix(("sine",), np.eye(1)).to_bytes())
+    out = tmp_path / "ext.json"
+    rc = run_cli(
+        "train-extractor", "--datasets", str(datasets[0]), "--transfer-matrix", str(tm),
+        "--windows-per-dataset", "1", "--out", str(out),
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "error: an epoch needs at least 2 windows (constraint needs negatives)\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("metric", ["mse", "smape", "mape"])
+def test_evaluate_of_overflowing_values_exits_with_error_line(tmp_path, capsys, recwarn, metric):
+    truth, pred = tmp_path / "truth.csv", tmp_path / "pred.csv"
+    truth.write_text("t,a\n0,1e308\n1,-1e308\n")
+    pred.write_text("t,a\n0,-1e308\n1,1e308\n")
+    rc = run_cli("evaluate", "--truth", str(truth), "--pred", str(pred), "--metrics", metric)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: metric '{metric}' overflows float64 on these values\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("command", ["train-ptm", "transfer-matrix", "build-zoo", "embed"])
+def test_overflowing_values_exit_with_error_line(pipeline, tmp_path, capsys, recwarn, command):
+    # squares of +-1e200 overflow the windows' population std
+    root, datasets, zoo_dir = pipeline
+    huge = tmp_path / "huge.csv"
+    huge.write_text("t,a\n" + "".join(f"{t},{(-1) ** t * 1e200!r}\n" for t in range(300)))
+    argv = {
+        "train-ptm": ["--data", str(huge)],
+        "transfer-matrix": ["--datasets", f"{datasets[0]},{huge}", "--epochs", "1"],
+        "build-zoo": ["--models", str(root / "sine.model.json"), "--data", str(huge), "--extractor", str(root / "extractor.json")],
+        "embed": ["--zoo", str(zoo_dir), "--input", str(huge)],
+    }[command]
+    out = tmp_path / "out"
+    assert run_cli(command, *argv, "--out", str(out)) == 1
+    where = "channel 0" if command == "embed" else "dataset 'huge'"
+    assert capsys.readouterr().err == f"error: {where}: values overflow instance normalization\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+def test_embed_pca_of_huge_representations_exits_with_error_line(pipeline, tmp_path, capsys, recwarn):
+    # representations of 1e99 load (they are finite) but overflow the PCA's products
+    root, datasets, zoo_dir = pipeline
+    huge_zoo = tmp_path / "zoo"
+    shutil.copytree(zoo_dir, huge_zoo)
+    manifest = json.loads((huge_zoo / "zoo.json").read_bytes())
+    entry = manifest["entries"][0]
+    entry["representation"] = [1e99 * v for v in entry["representation"]]
+    (huge_zoo / "zoo.json").write_bytes(json.dumps(manifest).encode())
+    out = tmp_path / "embed.csv"
+    assert run_cli("embed", "--zoo", str(huge_zoo), "--input", str(datasets[0]), "--pca", "1", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: PCA of 3 representations overflows float64\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+def test_an_error_quoting_a_line_break_stays_on_one_line(pipeline, tmp_path, capsys):
+    root, datasets, _ = pipeline
+    payload = json.loads((root / "sine.model.json").read_bytes())
+    payload["spec"]["\n"] = None
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    rc = run_cli(
+        "build-zoo", "--models", str(bad), "--data", str(datasets[0]),
+        "--extractor", str(root / "extractor.json"), "--out", str(tmp_path / "zoo"),
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: model file field 'spec' is invalid: ") and err.endswith("argument '\\n'\n")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("look_back = 0", "look_back must be >= 1, got 0"),
+        ("horizons = [-36]", "horizons must be >= 1, got [-36]"),  # was a ZeroDivisionError traceback
+        ("top_k = 0", "top_k must be >= 1"),
+        ("season_period = 0", "season_period must be >= 1"),
+    ],
+)
+def test_benchmark_config_value_out_of_range_exits_with_error_line(pipeline, tmp_path, capsys, line, message):
+    root, datasets, zoo_dir = pipeline
+    config = tmp_path / "bench.cfg"
+    config.write_text("datasets = [\"%s\"]\nhorizons = [6]\n%s\n" % (datasets[0], line))
+    rc = run_cli("benchmark", "--config", str(config), "--zoo", str(zoo_dir), "--out", str(tmp_path / "r.json"))
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_benchmark_names_every_config_key_it_does_not_read(pipeline, tmp_path, capsys):
+    root, datasets, zoo_dir = pipeline
+    config = tmp_path / "bench.cfg"
+    config.write_text("datasets = [\"%s\"]\nhorizon = [12]\nhorizons = [6]\ntrials = 1\n" % datasets[0])
+    report = tmp_path / "report.json"
+    assert run_cli("benchmark", "--config", str(config), "--zoo", str(zoo_dir), "--out", str(report), "--json") == 0
+    known = "['datasets', 'horizons', 'look_back', 'metrics', 'season_period', 'top_k']"
+    warnings = json.loads(capsys.readouterr().out)["warnings"]
+    assert warnings == [
+        f"config key 'horizon' is not read; known keys: {known}",
+        f"config key 'trials' is not read; known keys: {known}",
+    ]
+    expected = run_benchmark(BenchConfig(horizons=(6,)), load_zoo(zoo_dir), [load_csv(datasets[0])])
+    assert report.read_bytes() == cli.bench.report_to_bytes(expected)
+
+
+# -- every optional flag (or config key) reaches its config field --------------
+
+
+class _Called(Exception):
+    """Stops a command at the API call whose arguments a test captured."""
+
+
+def _handed_to(monkeypatch, module, name, argv) -> tuple:
+    """The (args, kwargs) that `zoocast argv` hands to `module.name`,
+    which is not run."""
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append((args, kwargs))
+        raise _Called
+
+    monkeypatch.setattr(module, name, spy)
+    with pytest.raises(_Called):
+        main(argv)
+    return seen[0]
+
+
+MODEL_FLAGS = [
+    "--arch", "patch-mlp", "--input-len", "24", "--horizon", "6", "--patch-len", "8", "--hidden-dim", "16",
+    "--epochs", "3", "--lr", "0.01", "--batch-size", "4", "--stride", "2", "--seed", "5",
+]
+MODEL_CONFIGS = (
+    forecasters.ForecasterSpec("patch_mlp", 24, 6, patch_len=8, hidden_dim=16),
+    forecasters.TrainConfig(epochs=3, learning_rate=0.01, batch_size=4, seed=5, stride=2),
+)
+DEFAULT_MODEL_CONFIGS = (forecasters.ForecasterSpec("linear", 36, 12), forecasters.TrainConfig())
+FULL_BENCH_CONFIG = (
+    'datasets = ["a.csv"]\nlook_back = 24\nhorizons = [6, 12]\nmetrics = ["mse", "smape"]\ntop_k = 2\nseason_period = 12\n'
+)
+
+# command: (required argv, optional argv, API module, API function, picks
+# the configs from its (args, kwargs), configs for the optional argv, defaults)
+FLAG_CASES = {
+    "train-ptm": (
+        ["--data", "a.csv"], MODEL_FLAGS, forecasters, "train",
+        lambda a, k: (a[0], a[2]), MODEL_CONFIGS, DEFAULT_MODEL_CONFIGS,
+    ),
+    "transfer-matrix": (
+        ["--datasets", "a.csv,b.csv"], MODEL_FLAGS, cli.zoo_mod, "compute_transfer_matrix",
+        lambda a, k: a[1:], MODEL_CONFIGS, DEFAULT_MODEL_CONFIGS,
+    ),
+    "train-extractor": (
+        ["--datasets", "a.csv,b.csv", "--transfer-matrix", "tm.json"],
+        ["--lambda", "0.25", "--mask-ratio", "0.5", "--views", "2", "--dim", "8", "--hidden-dim", "16",
+         "--input-len", "24", "--epochs", "7", "--lr", "0.05", "--batch-size", "4",
+         "--windows-per-dataset", "6", "--seed", "3"],
+        cli.extractor, "train_extractor", lambda a, k: (a[2], a[3], k["input_len"]),
+        (
+            cli.extractor.ExtractorTrainConfig(
+                constraint_weight=0.25, epochs=7, learning_rate=0.05, batch_size=4, seed=3,
+                windows_per_dataset=6, hidden_dim=16, repr_dim=8,
+            ),
+            cli.extractor.MaskSpec(mask_ratio=0.5, num_views=2),
+            24,
+        ),
+        (cli.extractor.ExtractorTrainConfig(), cli.extractor.MaskSpec(), 36),
+    ),
+    "synth": (
+        ["--kind", "ar1"],
+        ["--period", "9", "--amplitude", "2.5", "--noise", "0.1", "--length", "50", "--channels", "2", "--seed", "4"],
+        cli.bench, "generate_synthetic", lambda a, k: a[0],
+        cli.bench.SyntheticFamilySpec("ar1", period=9, amplitude=2.5, noise_std=0.1, length=50, channels=2, seed=4),
+        cli.bench.SyntheticFamilySpec("ar1"),
+    ),
+    "benchmark": (
+        ["--zoo", "zoo"], ["--config", "full.cfg"], cli.bench, "run_benchmark", lambda a, k: a[0],
+        BenchConfig(look_back=24, horizons=(6, 12), metrics=("mse", "smape"), top_k=2, season_period=12),
+        BenchConfig(),
+    ),
+}
+
+
+@pytest.fixture
+def flag_inputs(tmp_path, monkeypatch):
+    """A directory holding the files every FLAG_CASES command reads."""
+    monkeypatch.chdir(tmp_path)
+    for name in ("a", "b"):
+        Path(f"{name}.csv").write_text("t,x\n" + "".join(f"{t},{float(np.sin(t))!r}\n" for t in range(60)))
+    Path("tm.json").write_bytes(cli.zoo_mod.TransferMatrix(("a", "b"), np.eye(2)).to_bytes())
+    Path("full.cfg").write_text(FULL_BENCH_CONFIG)
+    Path("empty.cfg").write_text("")
+    monkeypatch.setattr(cli.zoo_mod, "load_zoo", lambda path: None)
+
+
+@pytest.mark.parametrize("command", FLAG_CASES)
+def test_every_optional_flag_reaches_its_config_field(flag_inputs, monkeypatch, command):
+    required, optional, module, name, pick, expected, default = FLAG_CASES[command]
+    if command == "benchmark":
+        plain = [*required, "--config", "empty.cfg"]
+    else:
+        plain = required
+    full = [command, *required, *optional, "--out", "out"]
+    assert pick(*_handed_to(monkeypatch, module, name, full)) == expected
+    assert pick(*_handed_to(monkeypatch, module, name, [command, *plain, "--out", "out"])) == default
+
+
+@pytest.mark.parametrize("command", [c for c in FLAG_CASES if c != "benchmark"])
+def test_flag_cases_set_every_optional_flag(command):
+    # each optional flag of the command is set, to a value other than its default
+    required, optional, *_ = FLAG_CASES[command]
+    full = vars(build_parser().parse_args([command, *required, *optional, "--out", "out"]))
+    plain = vars(build_parser().parse_args([command, *required, "--out", "out"]))
+    unchanged = {key for key in full if full[key] == plain[key]}
+    assert unchanged == {"command", "func", "out", "json"} | {flag.lstrip("-").replace("-", "_") for flag in required[::2]}
+
+
+def test_full_bench_config_sets_every_key():
+    raw = parse_flat_config(FULL_BENCH_CONFIG)
+    assert set(raw) == set(cli.BENCH_CONFIG_TYPES)
+    raw.pop("datasets")
+    assert all((tuple(v) if isinstance(v, list) else v) != getattr(BenchConfig(), k) for k, v in raw.items())

@@ -45,6 +45,17 @@ def test_normalize_long_zero_series():
     assert stats.std == 1.0
 
 
+@pytest.mark.parametrize("x", [np.full(16, 1e308), np.tile([1.7e308, -1.7e308], 8)], ids=["inf-std", "nan-std"])
+def test_normalize_and_sample_windows_name_values_that_overflow(x):
+    # the nan-std case once failed inside NormStats: "std must be positive"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^values overflow instance normalization$"):
+            normalize(x)
+    data = Dataset(MultivariateSeries(x), "huge")
+    with pytest.raises(ValueError, match="^dataset 'huge': values overflow instance normalization$"):
+        sample_windows(np.random.default_rng(0), data, 16, 4)
+
+
 def test_normalize_rejects_empty_and_nonfinite():
     with pytest.raises(ValueError, match="empty series"):
         normalize([])
@@ -316,6 +327,16 @@ def test_load_csv_errors(tmp_path):
     text.write_text("date,a\n1,hello\n")
     with pytest.raises(ValueError, match="non-numeric"):
         load_csv(text)
+
+
+@pytest.mark.parametrize("text", ["date,a\n1,1.0,2.0\n2,1.0,2.0\n", "date,a,b\n1,1.0\n2,1.0\n"])
+def test_load_csv_names_the_first_row_whose_width_differs_from_the_header(tmp_path, text):
+    # rows that agree with each other but not with the header once failed unnamed
+    path = tmp_path / "wide.csv"
+    path.write_text(text)
+    width, got = len(text.split("\n")[0].split(",")), len(text.split("\n")[1].split(","))
+    with pytest.raises(ValueError, match=rf"^wide\.csv: row 2: expected {width} columns, got {got}$"):
+        load_csv(path)
 
 
 def test_load_csv_names_the_file_and_line_of_non_utf8_text(tmp_path):

@@ -588,6 +588,29 @@ def test_train_extractor_missing_pair():
         train_extractor(datasets, tm, cfg, MaskSpec(), input_len=36)
 
 
+@pytest.mark.parametrize("field", ["epochs", "windows_per_dataset", "hidden_dim", "repr_dim"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_extractor_train_config_rejects_sizes_below_one(field, value):
+    with pytest.raises(ValueError, match=r"^epochs, windows_per_dataset, hidden_dim and repr_dim must be >= 1$"):
+        ExtractorTrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("input_len", [0, -3])
+def test_train_extractor_rejects_an_input_len_below_one(input_len):
+    datasets = _tiny_suite()
+    cfg = ExtractorTrainConfig(epochs=1, windows_per_dataset=4, hidden_dim=8, repr_dim=4)
+    with pytest.raises(ValueError, match=rf"^input_len must be >= 1, got {input_len}$"):
+        train_extractor(datasets, _uniform_tm([d.name for d in datasets]), cfg, MaskSpec(), input_len=input_len)
+
+
+def test_train_extractor_rejects_an_epoch_of_one_window():
+    # one dataset, one window: every batch would be skipped for want of negatives
+    datasets = _tiny_suite()[:1]
+    cfg = ExtractorTrainConfig(epochs=1, windows_per_dataset=1, hidden_dim=8, repr_dim=4)
+    with pytest.raises(ValueError, match=r"^an epoch needs at least 2 windows"):
+        train_extractor(datasets, _uniform_tm([datasets[0].name]), cfg, MaskSpec(), input_len=36)
+
+
 def _three_families():
     from zoocast.bench import default_family_suite
 
@@ -703,6 +726,15 @@ def test_pca_determinism_and_sign_convention():
 def test_pca_too_few_points():
     with pytest.raises(ValueError, match="at least"):
         pca_project([np.ones(3), np.zeros(3)], 2)
+
+
+@pytest.mark.parametrize("scale", [1e99, 1e200])
+def test_pca_of_representations_too_large_for_float64_raises(scale, recwarn):
+    # 1e99 passes the centering but overflows the covariance's products
+    points = [np.array([-2.78, 2.63, -0.05]) * scale, np.array([-0.18, 0.37, -0.16]), np.array([0.1, 0.2, 0.3])]
+    with pytest.raises(ValueError, match=r"^PCA of 3 representations overflows float64$"):
+        pca_project(points, 1)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 # -- persistence -------------------------------------------------------------
