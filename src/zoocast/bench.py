@@ -192,7 +192,7 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
         for entry in zoo.entries:
             forced_ids = (entry.model_id,) * (x.shape[0] * x.shape[2])
             forced = fusion.FusionConfig(horizon=horizon, top_k=1, forced_model_ids=forced_ids)
-            values = mse(truth, _stacked_forecast(zoo, x, forced))
+            values = score("mse", truth, _stacked_forecast(zoo, x, forced))
             zoo_distribution.append({"dataset": data.name, "model_id": entry.model_id, "mse": float(np.mean(values))})
 
     summary = {}

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, extractor, forecasters, fusion, zoo as zoo_mod
-from .core import MultivariateSeries, canonical_json, checked_normalize_rows, load_csv, trim_to_last
+from .core import MultivariateSeries, canonical_json, checked_normalize_rows, load_csv, read_text, trim_to_last
 
 ARCH_FLAGS = {"linear": "linear", "patch-mlp": "patch_mlp"}
 
@@ -202,7 +202,7 @@ BENCH_CONFIG_TYPES = {
 
 
 def cmd_benchmark(args):
-    raw = parse_flat_config(Path(args.config).read_text(encoding="utf-8"))
+    raw = parse_flat_config(read_text(args.config))
     for key, (kind, valid) in BENCH_CONFIG_TYPES.items():
         if key in raw and not valid(raw[key]):
             raise ValueError(f"config key {key!r} must be {kind}, got {raw[key]!r}")

@@ -205,13 +205,6 @@ def trim_to_last(x, n: int) -> np.ndarray:
     return arr[arr.shape[0] - n:]
 
 
-def trim_to_first(x, n: int) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape[0] < n:
-        raise ValueError(f"insufficient history: have {arr.shape[0]}, need {n}")
-    return arr[:n]
-
-
 def _as_matrix_pair(truth, pred) -> tuple[np.ndarray, np.ndarray]:
     t = truth.values if isinstance(truth, MultivariateSeries) else np.asarray(truth, dtype=np.float64)
     p = pred.values if isinstance(pred, MultivariateSeries) else np.asarray(pred, dtype=np.float64)
@@ -272,6 +265,18 @@ def mape(truth, pred) -> float:
     return float(np.mean(per_channel))
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of a file; text that is not UTF-8 raises a ValueError
+    naming the file and the line."""
+    p = Path(path)
+    blob = p.read_bytes()
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{p.name}: line {line}: not UTF-8 text (byte 0x{blob[exc.start]:02x})") from None
+
+
 def load_csv(path) -> Dataset:
     """Load a benchmark-style CSV: a header row, then rows whose first
     column is an index and the rest numeric.
@@ -280,13 +285,7 @@ def load_csv(path) -> Dataset:
     where known); text that is not UTF-8 is named by its line.
     """
     p = Path(path)
-    blob = p.read_bytes()
-    try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = blob.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{p.name}: line {line}: not UTF-8 text (byte 0x{blob[exc.start]:02x})") from None
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    rows = list(csv.reader(io.StringIO(read_text(p), newline="")))
     if not rows:
         raise ValueError(f"{p.name}: empty file")
     width = len(rows[0])

@@ -18,6 +18,9 @@ from .core import canonical_json, checked_tensors, init_uniform, load_json_objec
 
 EXTRACTOR_FORMAT_VERSION = 1
 
+# OpenBLAS runs a product on one thread up to m*n*k = 65,536 * 4
+BLAS_SINGLE_THREAD_MNK = 262_144
+
 ENCODER_TENSORS = ("W1", "b1", "W2", "b2")
 DECODER_TENSORS = ("V1", "c1", "V2", "c2")
 
@@ -103,7 +106,20 @@ def encode(params: ExtractorParams, window) -> np.ndarray:
 
 
 def encode_batch(params: ExtractorParams, windows: np.ndarray) -> np.ndarray:
-    return _mlp_forward(params.weights, ENCODER_TENSORS, windows)[0]
+    """(M, L) windows -> (M, repr_dim) encodings, in near-equal row chunks
+    whose products each stay at or under OpenBLAS's single-thread bound.
+
+    Above m*n*k = 262,144 OpenBLAS splits a product across threads, and
+    waking them can cost milliseconds for a product that takes
+    microseconds alone. Near-equal chunks, each over half the row limit,
+    keep every output bit of the whole product (OpenBLAS 0.3.31, 2
+    threads); 40-row chunks of a 256-row encode change last bits.
+    """
+    rows = max(1, BLAS_SINGLE_THREAD_MNK // (params.hidden_dim * max(params.input_len, params.repr_dim)))
+    if len(windows) <= rows:
+        return _mlp_forward(params.weights, ENCODER_TENSORS, windows)[0]
+    chunks = np.array_split(windows, -(-len(windows) // rows))
+    return np.concatenate([_mlp_forward(params.weights, ENCODER_TENSORS, chunk)[0] for chunk in chunks])
 
 
 def _mlp_forward(w: dict, names: tuple, x: np.ndarray):

@@ -102,12 +102,20 @@ def _patchify(x: np.ndarray, spec: ForecasterSpec) -> np.ndarray:
 
 
 def forecast(model: Forecaster, window) -> np.ndarray:
-    """Predict h steps from a length-T window (already normalized by the
-    caller for trainable models; baselines are scale-agnostic anyway)."""
+    """Predict h steps from a length-T window, or (..., h) from (..., T)
+    windows (already normalized by the caller for trainable models;
+    baselines are scale-agnostic anyway).
+
+    Every window of a stack gets the bits it would get alone: each goes
+    through its own (1, T) product, the row-times-matrix product a 1-D
+    window takes, where one (G, T) @ (T, h) product would round differently.
+    """
     x = np.asarray(window, dtype=np.float64)
-    if x.shape != (model.spec.input_len,):
+    if x.shape == (model.spec.input_len,):
+        return forecast_batch(model, x)
+    if x.ndim < 2 or x.shape[-1] != model.spec.input_len:
         raise ValueError(f"window length {x.shape[0] if x.ndim == 1 else x.shape} != input_len {model.spec.input_len}")
-    return forecast_batch(model, x)
+    return forecast_batch(model, x[..., None, :])[..., 0, :]
 
 
 def forecast_batch(model: Forecaster, windows: np.ndarray) -> np.ndarray:
@@ -219,15 +227,24 @@ def train_many(spec: ForecasterSpec, datasets: list, cfg: TrainConfig) -> list:
     """
     if spec.architecture not in TRAINABLE:
         raise ValueError(f"architecture {spec.architecture!r} is not trainable")
-    pairs = [extract_windows(data, spec.input_len, spec.horizon, cfg.stride) for data in datasets]
+    # extract_windows' pair count, known before cutting: each dataset is cut
+    # straight into its group's stack, so no dataset's windows are held twice
+    span = spec.input_len + spec.horizon
+    counts = [data.series.num_channels * len(range(0, data.series.length - span + 1, cfg.stride)) for data in datasets]
     groups = {}
-    for i, (windows, _) in enumerate(pairs):
-        groups.setdefault(windows.shape[0], []).append(i)
-    models, diverged = [None] * len(pairs), [0] * len(pairs)
-    for members in groups.values():
-        windows = np.stack([pairs[i][0] for i in members])
-        targets = np.stack([pairs[i][1] for i in members])
-        weights, losses, epochs = _lockstep_sgd(spec, windows, targets, cfg)
+    for i, n in enumerate(counts):
+        groups.setdefault(n, []).append(i)
+    stacks = {
+        n: (np.empty((len(members), n, spec.input_len)), np.empty((len(members), n, spec.horizon)))
+        for n, members in groups.items()
+    }
+    for i, data in enumerate(datasets):  # in list order, so the first dataset that cannot be cut raises
+        windows, targets = stacks[counts[i]]
+        k = groups[counts[i]].index(i)
+        windows[k], targets[k] = extract_windows(data, spec.input_len, spec.horizon, cfg.stride)
+    models, diverged = [None] * len(datasets), [0] * len(datasets)
+    for n, members in groups.items():
+        weights, losses, epochs = _lockstep_sgd(spec, *stacks.pop(n), cfg)
         for k, i in enumerate(members):
             diverged[i] = epochs[k]
             if not diverged[i]:

@@ -5,6 +5,10 @@ The pipeline per channel: instance-normalize the look-back window, rank
 zoo models against the window's encoding, run ceil(H/h) forecasting
 blocks (feeding each block's output back as history), average the top-k
 models inside each block, then de-normalize with the window's stats.
+
+A forced-model request skips the ranking and runs on all channels at once:
+one normalization of the (C, T) matrix, one stacked recursion per distinct
+model, one de-normalization. Each channel gets the bits it would get alone.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from . import extractor as extractor_mod
 from . import forecasters
-from .core import MultivariateSeries, NormStats, denormalize, normalize, trim_to_first, trim_to_last
+from .core import MultivariateSeries, NormStats, denormalize, normalize, normalize_rows
 
 
 @dataclass(frozen=True)
@@ -56,11 +60,13 @@ def match(zoo, variate_window, top_k: int = 1) -> SelectionResult:
 
 
 def sequential_forecast(models: list, window, horizon: int) -> np.ndarray:
-    """Cover `horizon` steps with ceil(H/h) recursive blocks.
+    """Cover `horizon` steps with ceil(H/h) recursive blocks: a length-T
+    window gives H values, (..., T) windows give (..., H).
 
     Each block's input is the last T values of history ++ prior outputs;
     the block prediction is the mean over the supplied models. The window
-    is assumed already normalized by the caller.
+    is assumed already normalized by the caller. A stacked window's
+    forecast equals its forecast alone, bit for bit (see `forecasters.forecast`).
     """
     if not models:
         raise ValueError("need at least one model")
@@ -72,20 +78,44 @@ def sequential_forecast(models: list, window, horizon: int) -> np.ndarray:
         if m.spec.input_len != input_len:
             raise ValueError(f"incompatible input lengths: {input_len} vs {m.spec.input_len}")
     x = np.asarray(window, dtype=np.float64)
-    if x.shape != (input_len,):
+    if x.shape[-1:] != (input_len,):
         raise ValueError(f"window length {x.shape} != input_len {input_len}")
 
     num_blocks = -(-horizon // h)
-    history = x
-    outputs = []
-    for _ in range(num_blocks):
-        block_input = trim_to_last(history, input_len)
+    # the window, then each block's output: block b reads the T values before it
+    history = np.empty(x.shape[:-1] + (input_len + num_blocks * h,))
+    history[..., :input_len] = x
+    for start in range(0, num_blocks * h, h):
+        block_input = history[..., start : start + input_len]
         # from 0.0, model by model, then / k: np.mean(..., axis=0)'s order
         # (except for h == 1 with k >= 8, where numpy sums the k values pairwise)
         block = sum(forecasters.forecast(m, block_input) for m in models) / len(models)
-        outputs.append(block)
-        history = np.concatenate([history, block])
-    return trim_to_first(np.concatenate(outputs), horizon)
+        history[..., input_len + start : input_len + start + h] = block
+    return history[..., input_len : input_len + horizon]
+
+
+def _forecast_forced(zoo, series: MultivariateSeries, cfg: FusionConfig):
+    """(predictions as an (H, C) array, selections, stats) of a forced-model
+    request: one `sequential_forecast` on the (G, T) stack of each model's
+    channels. A channel whose values overflow normalization, or whose model
+    fails to load, raises as it would in a channel-by-channel loop: the
+    first such channel wins."""
+    normalized, mu, sigma = normalize_rows(series.values.T)
+    overflow = ~np.isfinite(sigma)  # an overflowed mean leaves a non-finite std too
+    first_bad = int(np.argmax(overflow)) if overflow.any() else series.num_channels
+    groups = {}
+    for c, model_id in enumerate(cfg.forced_model_ids[:first_bad]):
+        if model_id not in groups:
+            groups[model_id] = (zoo.forecaster(model_id), [])
+        groups[model_id][1].append(c)
+    if first_bad < series.num_channels:
+        raise ValueError(f"channel {first_bad}: values overflow instance normalization")
+    norm_pred = np.empty((cfg.horizon, series.num_channels))
+    for model, channels in groups.values():
+        norm_pred[:, channels] = sequential_forecast([model], normalized[channels], cfg.horizon).T
+    selections = [SelectionResult(ranking=((model_id, 1.0),), top_k=1) for model_id in cfg.forced_model_ids]
+    stats = [NormStats(mean=m, std=s) for m, s in zip(mu.tolist(), sigma.tolist())]
+    return norm_pred * sigma + mu, selections, stats
 
 
 def forecast_multivariate(zoo, series: MultivariateSeries, cfg: FusionConfig):
@@ -99,26 +129,25 @@ def forecast_multivariate(zoo, series: MultivariateSeries, cfg: FusionConfig):
     if cfg.forced_model_ids and len(cfg.forced_model_ids) != series.num_channels:
         raise ValueError("forced_model_ids must name one model per channel")
 
-    predictions = np.empty((cfg.horizon, series.num_channels))
-    selections = []
-    stats_list = []
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked, not warned about
-        for c in range(series.num_channels):
-            window = series.channel(c)
-            try:  # the window passed its series' checks, so only an overflow raises here
-                norm_win, stats = normalize(window)
-            except ValueError as exc:
-                raise ValueError(f"channel {c}: {exc}") from None
-            if cfg.forced_model_ids:
-                forced = cfg.forced_model_ids[c]
-                selection = SelectionResult(ranking=((forced, 1.0),), top_k=1)
-            else:
+        if cfg.forced_model_ids:
+            predictions, selections, stats_list = _forecast_forced(zoo, series, cfg)
+        else:
+            predictions = np.empty((cfg.horizon, series.num_channels))
+            selections = []
+            stats_list = []
+            for c in range(series.num_channels):
+                window = series.channel(c)
+                try:  # the window passed its series' checks, so only an overflow raises here
+                    norm_win, stats = normalize(window)
+                except ValueError as exc:
+                    raise ValueError(f"channel {c}: {exc}") from None
                 selection = match(zoo, window, cfg.top_k)
-            models = [zoo.forecaster(model_id) for model_id in selection.chosen]
-            norm_pred = sequential_forecast(models, norm_win, cfg.horizon)
-            predictions[:, c] = denormalize(norm_pred, stats)
-            selections.append(selection)
-            stats_list.append(stats)
+                models = [zoo.forecaster(model_id) for model_id in selection.chosen]
+                norm_pred = sequential_forecast(models, norm_win, cfg.horizon)
+                predictions[:, c] = denormalize(norm_pred, stats)
+                selections.append(selection)
+                stats_list.append(stats)
     try:
         result = MultivariateSeries(predictions, series.channel_names)
     except ValueError:

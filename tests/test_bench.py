@@ -352,6 +352,21 @@ def test_zoo_distribution_present():
     assert {d["model_id"] for d in report["zoo_distribution"]} == {"m0"}
 
 
+def test_zoo_distribution_names_an_mse_that_overflows():
+    # matching picks "small"; forcing "huge" forecasts ~1e200, whose squared error overflows
+    spec = ForecasterSpec("linear", 8, 4)
+    rng = np.random.default_rng(0)
+    huge = Forecaster(spec=spec, weights={"W": rng.uniform(-3.5e199, 3.5e199, size=(4, 8)), "b": np.zeros(4)})
+    small = Forecaster(spec=spec, weights={"W": rng.uniform(-0.3, 0.3, size=(4, 8)), "b": np.zeros(4)})
+    reprs = {"huge": np.array([1.0, 0.0, 0.0]), "small": np.array([0.0, 1.0, 0.0])}
+    zoo = zoo_from_models({"huge": huge, "small": small}, init_params(8, 4, 3, seed=0), reprs)
+    data = generate_synthetic(SyntheticFamilySpec(kind="sine", period=5, length=60))
+    first_window = MultivariateSeries(data.series.values[:8])
+    assert fusion.forecast_multivariate(zoo, first_window, fusion.FusionConfig(4))[1][0].chosen == ("small",)
+    with pytest.raises(ValueError, match="^metric 'mse' overflows float64 on these values$"):
+        run_benchmark(BenchConfig(look_back=8, horizons=(4,)), zoo, [data])
+
+
 def test_default_family_suite_has_five_distinct_families():
     suite = default_family_suite(seed=0)
     assert len(suite) == 5

@@ -242,6 +242,16 @@ def test_non_utf8_csv_exits_with_error_line(pipeline, tmp_path, capsys, command)
     assert capsys.readouterr().err == "error: bad.csv: line 2: not UTF-8 text (byte 0xff)\n"
 
 
+def test_non_utf8_benchmark_config_exits_with_error_line(pipeline, tmp_path, capsys):
+    _, _, zoo_dir = pipeline
+    config = tmp_path / "bench.cfg"
+    config.write_bytes("horizons = [6]\ndatasets = [\"café.csv\"]\n".encode("latin-1"))
+    rc = run_cli("benchmark", "--config", str(config), "--zoo", str(zoo_dir), "--out", str(tmp_path / "r.json"))
+    assert rc == 1
+    assert capsys.readouterr().err == "error: bench.cfg: line 2: not UTF-8 text (byte 0xe9)\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_missing_file_exits_nonzero(tmp_path, capsys):
     rc = run_cli("train-ptm", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m.json"))
     assert rc != 0

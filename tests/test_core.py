@@ -15,7 +15,6 @@ from zoocast.core import (
     normalize_rows,
     sample_windows,
     smape,
-    trim_to_first,
     trim_to_last,
 )
 
@@ -140,13 +139,6 @@ def test_trim_to_last():
     np.testing.assert_array_equal(trim_to_last([1, 2], 2), [1, 2])
     with pytest.raises(ValueError, match="insufficient history"):
         trim_to_last([1, 2, 3], 4)
-
-
-def test_trim_to_first():
-    np.testing.assert_array_equal(trim_to_first([9, 8, 7], 2), [9, 8])
-    np.testing.assert_array_equal(trim_to_first([1], 1), [1])
-    with pytest.raises(ValueError):
-        trim_to_first(np.empty(0), 1)
 
 
 @given(series_strategy, st.integers(min_value=0, max_value=50))

@@ -22,6 +22,7 @@ from zoocast.extractor import (
     train_extractor,
 )
 from zoocast.extractor import (
+    BLAS_SINGLE_THREAD_MNK,
     DECODER_TENSORS,
     ENCODER_TENSORS,
     _mlp_backward,
@@ -67,6 +68,27 @@ def test_encode_length_mismatch():
     params = init_params(8, 4, 3, seed=0)
     with pytest.raises(ValueError, match="input_len"):
         encode(params, np.ones(5))
+
+
+@pytest.mark.parametrize("dims", [(36, 64, 32), (48, 64, 64), (20, 128, 40)], ids=str)
+def test_encode_batch_keeps_every_product_single_threaded_and_every_bit(dims, monkeypatch):
+    from zoocast import extractor as extractor_mod
+
+    input_len, hidden, d = dims
+    params = init_params(input_len, hidden, d, seed=3)
+    windows = np.random.default_rng(3).normal(size=(1000, input_len))
+    whole = _mlp_forward(params.weights, ENCODER_TENSORS, windows)[0]
+    rows = []
+
+    def recording(w, names, x):
+        rows.append(len(x))
+        return _mlp_forward(w, names, x)
+
+    monkeypatch.setattr(extractor_mod, "_mlp_forward", recording)
+    assert encode_batch(params, windows).tobytes() == whole.tobytes()
+    assert sum(rows) == 1000 and len(rows) > 1
+    assert max(rows) * hidden * max(input_len, d) <= BLAS_SINGLE_THREAD_MNK
+    assert max(rows) - min(rows) <= 1  # near-equal chunks: short ones would round differently
 
 
 # -- masking -----------------------------------------------------------------

@@ -52,6 +52,10 @@ def test_seasonal_naive_hand_trace():
 def test_forecast_length_mismatch():
     with pytest.raises(ValueError, match="input_len"):
         forecast(make_baseline("last", 3, 2), [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"window length \(2, 4\) != input_len 3"):
+        forecast(make_baseline("last", 3, 2), np.ones((2, 4)))
+    with pytest.raises(ValueError, match="input_len"):
+        forecast(make_baseline("last", 3, 2), 1.0)
 
 
 @given(
@@ -106,6 +110,10 @@ def test_forecast_is_a_row_of_forecast_batch(spec, seed, batch):
     for view in (windows, np.asfortranarray(windows)):
         rows = forecast_batch(model, view)
         assert rows.shape == (batch, spec.horizon)
+        # a stack of windows, of any rank, gets each window's own bits
+        stacked = forecast(model, view)
+        assert stacked.tobytes() == np.stack([forecast(model, x) for x in view]).tobytes()
+        assert forecast(model, view.reshape(1, batch, -1)).tobytes() == stacked.tobytes()
         for i, x in enumerate(view):
             single = forecast(model, x)
             assert np.array_equal(single, _reference_forecast(model, x))
@@ -291,10 +299,11 @@ def _per_model_train(spec, data, cfg):
 
 
 def _ragged_suite():
-    """Five series in three window-count groups, two of them shared."""
+    """Five series in three window-count groups, two of them shared; one
+    series has two channels."""
     kinds = (("sine", 12, 160), ("sawtooth", 9, 120), ("random_walk", 12, 160), ("trend_sine", 18, 97), ("sine", 5, 120))
     return [
-        generate_synthetic(SyntheticFamilySpec(kind=kind, period=period, length=length, seed=seed))
+        generate_synthetic(SyntheticFamilySpec(kind=kind, period=period, length=length, seed=seed, channels=1 + (seed == 3)))
         for seed, (kind, period, length) in enumerate(kinds)
     ]
 
@@ -304,8 +313,8 @@ def _ragged_suite():
 def test_train_many_is_bit_identical_to_per_model_training(spec, batch_size):
     suite = _ragged_suite()
     assert len({extract_windows(d, spec.input_len, spec.horizon)[0].shape[0] for d in suite}) == 3
-    for seed in (0, 1):
-        cfg = TrainConfig(epochs=3, learning_rate=0.01, batch_size=batch_size, seed=seed)
+    for seed, stride in ((0, 1), (1, 3)):
+        cfg = TrainConfig(epochs=3, learning_rate=0.01, batch_size=batch_size, seed=seed, stride=stride)
         models = train_many(spec, suite, cfg)
         assert [m.source_dataset for m in models] == [d.name for d in suite]
         for data, model in zip(suite, models):

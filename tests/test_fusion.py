@@ -2,10 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zoocast.core import MultivariateSeries, normalize
+from zoocast.core import MultivariateSeries, denormalize, normalize
 from zoocast.extractor import init_params
 from zoocast.forecasters import Forecaster, ForecasterSpec, forecast, init_weights, make_baseline
 from zoocast.fusion import FusionConfig, SelectionResult, forecast_multivariate, match, sequential_forecast
@@ -285,3 +285,89 @@ def test_overflowing_channel_is_named_without_a_warning(channel):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^channel 1: values overflow instance normalization$"):
             forecast_multivariate(_last_zoo(), series, FusionConfig(horizon=2))
+
+
+# -- forced-model requests ---------------------------------------------------
+
+ARCHITECTURES = ("linear", "patch_mlp", "last", "mean", "seasonal_naive")
+
+
+def _every_architecture_zoo(h, seed, input_len=8):
+    """One model per architecture, random weights at random scales."""
+    rng = np.random.default_rng(seed)
+    models = {}
+    for i, arch in enumerate(ARCHITECTURES):
+        spec = ForecasterSpec(arch, input_len, h, patch_len=3, hidden_dim=4, season_period=3)
+        weights = {name: w * 10.0 ** rng.uniform(-2, 0) for name, w in init_weights(spec, seed + i).items()}
+        models[arch] = Forecaster(spec=spec, weights=weights)
+    return _make_zoo(models, {arch: rng.normal(size=3) for arch in ARCHITECTURES})
+
+
+def _per_channel_forced(zoo, values, forced_ids, horizon):
+    """The channel-by-channel form: 1-D normalize, sequential_forecast and
+    denormalize for each channel."""
+    columns, stats = [], []
+    for c, model_id in enumerate(forced_ids):
+        norm_win, st_c = normalize(values[:, c])
+        columns.append(denormalize(sequential_forecast([zoo.forecaster(model_id)], norm_win, horizon), st_c))
+        stats.append(st_c)
+    return np.stack(columns, axis=1), stats
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    h=st.integers(1, 7),
+    horizon=st.integers(1, 30),
+    forced_ids=st.lists(st.sampled_from(ARCHITECTURES), min_size=1, max_size=9),
+)
+@settings(max_examples=60, deadline=None)
+def test_forced_request_equals_the_per_channel_form_bit_for_bit(seed, h, horizon, forced_ids):
+    zoo = _every_architecture_zoo(h, seed % 1000)
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(8, len(forced_ids))) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-50, 50)
+    values[:, rng.random(len(forced_ids)) < 0.2] = 4.0  # constant channels take the std fallback
+    pred, selections, stats = forecast_multivariate(
+        zoo, MultivariateSeries(values), FusionConfig(horizon=horizon, forced_model_ids=tuple(forced_ids))
+    )
+    expected, expected_stats = _per_channel_forced(zoo, values, forced_ids, horizon)
+    assert pred.values.tobytes() == expected.tobytes()
+    assert pred.values.flags.c_contiguous
+    assert stats == expected_stats
+    assert [s.ranking for s in selections] == [((model_id, 1.0),) for model_id in forced_ids]
+
+
+def test_forced_request_runs_one_recursion_per_distinct_model(monkeypatch):
+    zoo = _every_architecture_zoo(3, 0)
+    forced_ids = ("mean", "linear", "mean", "patch_mlp", "linear", "mean")
+    calls = []
+    real = sequential_forecast
+
+    def recording(models, window, horizon):
+        calls.append((models[0].spec.architecture, np.shape(window)))
+        return real(models, window, horizon)
+
+    from zoocast import fusion as fusion_mod
+
+    monkeypatch.setattr(fusion_mod, "sequential_forecast", recording)
+    values = np.random.default_rng(0).normal(size=(8, len(forced_ids)))
+    forecast_multivariate(zoo, MultivariateSeries(values), FusionConfig(horizon=7, forced_model_ids=forced_ids))
+    assert calls == [("mean", (3, 8)), ("linear", (2, 8)), ("patch_mlp", (1, 8))]
+
+
+FORCED_FAULTS = {
+    # (overflowing channels, forced ids, the error a channel-by-channel loop raises first)
+    "overflow before an unknown model": ([1], ("m0", "m0", "nope"), "^channel 1: values overflow instance normalization$"),
+    "unknown model before an overflow": ([2], ("m0", "nope", "m0"), "^\"no model 'nope' in zoo\"$"),
+    "overflow and unknown model on one channel": ([1], ("m0", "nope", "m0"), "^channel 1: values overflow"),
+}
+
+
+@pytest.mark.parametrize("overflowing, forced_ids, message", FORCED_FAULTS.values(), ids=FORCED_FAULTS.keys())
+def test_forced_request_raises_the_first_channels_fault(overflowing, forced_ids, message):
+    values = np.tile(np.arange(6.0)[:, None], (1, 3))
+    values[:, overflowing] = 1e308
+    cfg = FusionConfig(horizon=2, forced_model_ids=forced_ids)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((ValueError, KeyError), match=message):
+            forecast_multivariate(_last_zoo(), MultivariateSeries(values), cfg)
