@@ -114,22 +114,15 @@ def default_family_suite(seed: int = 0, noise_std: float = 0.05, length: int = 6
     ]
 
 
-def _tiles(values: np.ndarray, look_back: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+def evaluation_windows(data: Dataset, look_back: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """(W, T, C) windows and their (W, H, C) truths: non-overlapping views
-    tiled over the tail of a (length, C) array, stride T + H."""
+    tiled over the tail of the series, stride T + H."""
+    values = data.series.values
     total = look_back + horizon
     if values.shape[0] < total:
         return np.empty((0, look_back, values.shape[1])), np.empty((0, horizon, values.shape[1]))
     tiles = sliding_window_view(values, total, axis=0)[values.shape[0] % total :: total].transpose(0, 2, 1)
     return tiles[:, :look_back], tiles[:, look_back:]
-
-
-def evaluation_windows(data: Dataset, look_back: int, horizon: int):
-    """Non-overlapping (window, truth) pairs tiled over the series tail,
-    stride = look_back + horizon."""
-    names = data.series.channel_names
-    x, truth = _tiles(data.series.values, look_back, horizon)
-    return [(MultivariateSeries(w, names), MultivariateSeries(t, names)) for w, t in zip(x, truth)]
 
 
 def _stacked_forecast(zoo, x: np.ndarray, cfg: fusion.FusionConfig) -> np.ndarray:
@@ -142,14 +135,6 @@ def _stacked_forecast(zoo, x: np.ndarray, cfg: fusion.FusionConfig) -> np.ndarra
     except ValueError as exc:  # its channel k is channel k % c of window k // c
         raise ValueError(f"{w} windows of {c} channels, stacked window-major: {exc}") from None
     return pred.values.reshape(cfg.horizon, w, c).transpose(1, 0, 2)
-
-
-def _window_scores(metric: str, truth: np.ndarray, pred: np.ndarray) -> list:
-    """One metric's value for each window of (W, H, C) stacks; `mse` takes
-    the whole stack in one reduction."""
-    if metric == "mse":
-        return score(metric, truth, pred).tolist()
-    return [score(metric, t, p) for t, p in zip(truth, pred)]
 
 
 def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
@@ -167,7 +152,7 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
     warnings = []
     for data in datasets:
         for horizon in cfg.horizons:
-            x, truth = _tiles(data.series.values, cfg.look_back, horizon)
+            x, truth = evaluation_windows(data, cfg.look_back, horizon)
             if not len(x):
                 warnings.append(f"{data.name}: horizon {horizon} skipped (series too short)")
                 continue
@@ -179,14 +164,14 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
                 preds[method] = forecasters.forecast_batch(model, channel_rows).reshape(w, c, -1).transpose(0, 2, 1)
             for method, pred in preds.items():
                 key = {"dataset": data.name, "method": method, "horizon": horizon}
-                scores = {m: _window_scores(m, truth, pred) for m in cfg.metrics}
+                scores = {m: score(m, truth, pred).tolist() for m in cfg.metrics}
                 for wi in range(w):
                     for metric in cfg.metrics:
                         per_window.append({**key, "window": wi, "metric": metric, "value": scores[metric][wi]})
                 rows.append({**key, **{m: float(np.mean(scores[m])) for m in cfg.metrics}})
         # per-model MSE distribution at the first horizon (violin-plot data)
         horizon = cfg.horizons[0]
-        x, truth = _tiles(data.series.values, cfg.look_back, horizon)
+        x, truth = evaluation_windows(data, cfg.look_back, horizon)
         if not len(x):
             continue
         for entry in zoo.entries:

@@ -162,7 +162,8 @@ def cmd_synth(args):
 
 
 def parse_flat_config(text: str) -> dict:
-    """Flat key = value config; values are JSON-ish scalars or lists."""
+    """Flat key = value config; values are JSON-ish scalars or lists. A `#`
+    starts a comment, except inside a value's leading JSON value."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -170,11 +171,15 @@ def parse_flat_config(text: str) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, value = (part.strip() for part in raw.split("=", 1))
         try:
-            out[key] = json.loads(value)
+            parsed, end = json.JSONDecoder().raw_decode(value)
         except json.JSONDecodeError:
-            out[key] = value.strip("\"'")
+            end = 0
+        if end and value[end:].lstrip()[:1] in ("", "#"):
+            out[key] = parsed
+        else:  # not JSON: the value ends at the first #
+            out[key] = value.split("#", 1)[0].strip().strip("\"'")
     return out
 
 

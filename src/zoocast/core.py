@@ -205,7 +205,9 @@ def trim_to_last(x, n: int) -> np.ndarray:
     return arr[arr.shape[0] - n:]
 
 
-def _as_matrix_pair(truth, pred) -> tuple[np.ndarray, np.ndarray]:
+def _as_window_pair(truth, pred) -> tuple[np.ndarray, np.ndarray]:
+    """(H, C) or (W, H, C) float64 arrays of truth and pred; an (H,) window
+    is one channel."""
     t = truth.values if isinstance(truth, MultivariateSeries) else np.asarray(truth, dtype=np.float64)
     p = pred.values if isinstance(pred, MultivariateSeries) else np.asarray(pred, dtype=np.float64)
     if t.ndim == 1:
@@ -217,52 +219,49 @@ def _as_matrix_pair(truth, pred) -> tuple[np.ndarray, np.ndarray]:
     return t, p
 
 
+def _per_window(value):
+    """A metric's value: a float for one (H,) or (H, C) window, the (W,)
+    array for a (W, H, C) stack. Metrics reduce over the last two axes
+    only, so each stacked value equals its window's own call bit for bit."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 def mse(truth, pred):
-    """Mean squared error over all H*C entries: a float for one (H,) or
-    (H, C) window, a (W,) array for a stack of (W, H, C) windows.
+    """Mean squared error over all H*C entries of a window.
 
-    One window's squares are summed in memory order, the sum np.mean takes.
-    A stack sums each window in C order. That is one window's memory order
-    when its truth is C-ordered, as the harness's tiles are, so there each
-    stacked value equals the window's own mse bit for bit.
+    A window's squares are summed in memory order, the sum np.mean takes,
+    also when the window is a transposed (F-ordered) view.
     """
-    t, p = _as_matrix_pair(truth, pred)
+    t, p = _as_window_pair(truth, pred)
     d = t - p
-    if d.ndim == 3:
-        return (d * d).reshape(d.shape[0], -1).sum(axis=1) / (d.shape[1] * d.shape[2])
-    return float((d * d).sum() / d.size)
+    return _per_window((d * d).sum(axis=(-2, -1)) / (d.shape[-2] * d.shape[-1]))
 
 
-def smape(truth, pred) -> float:
+def smape(truth, pred):
     """(200/H) * sum |Y - Yhat| / (|Y| + |Yhat|), averaged over channels.
 
     Terms with a near-zero denominator contribute 0.
     """
-    t, p = _as_matrix_pair(truth, pred)
+    t, p = _as_window_pair(truth, pred)
     denom = np.abs(t) + np.abs(p)
     terms = np.where(denom < ZERO_STD_THRESHOLD, 0.0, np.abs(t - p) / np.where(denom < ZERO_STD_THRESHOLD, 1.0, denom))
-    h = t.shape[0]
-    return float(np.mean(np.sum(terms, axis=0)) * 200.0 / h)
+    return _per_window(np.mean(np.sum(terms, axis=-2), axis=-1) * 200.0 / t.shape[-2])
 
 
-def mape(truth, pred) -> float:
+def mape(truth, pred):
     """(100/H) * sum |Y - Yhat| / |Y| averaged over channels.
 
-    Entries with |Y| below 1e-8 are skipped and the per-channel count
-    shrinks accordingly; an all-zero truth is undefined.
+    Entries with |Y| below 1e-8 are skipped, and so is a channel left with
+    none; a window whose truth is all zero is undefined.
     """
-    t, p = _as_matrix_pair(truth, pred)
+    t, p = _as_window_pair(truth, pred)
     keep = np.abs(t) >= ZERO_STD_THRESHOLD
-    if not keep.any():
+    if not keep.any(axis=(-2, -1)).all():
         raise ValueError("undefined MAPE: all truth entries are zero")
-    per_channel = []
-    for c in range(t.shape[1]):
-        k = keep[:, c]
-        if not k.any():
-            continue
-        ratio = np.abs(t[k, c] - p[k, c]) / np.abs(t[k, c])
-        per_channel.append(100.0 * np.sum(ratio) / k.sum())
-    return float(np.mean(per_channel))
+    ratio = np.where(keep, np.abs(t - p) / np.where(keep, np.abs(t), 1.0), 0.0)
+    count = keep.sum(axis=-2)
+    per_channel = 100.0 * ratio.sum(axis=-2) / np.maximum(count, 1)
+    return _per_window(per_channel.sum(axis=-1) / (count > 0).sum(axis=-1))
 
 
 def read_text(path) -> str:

@@ -53,7 +53,7 @@ class TransferMatrix:
             j = self.dataset_names.index(dst)
         except ValueError:
             missing = src if src not in self.dataset_names else dst
-            raise KeyError(f"transfer matrix has no entry for dataset {missing!r}") from None
+            raise ValueError(f"transfer matrix has no entry for dataset {missing!r}") from None
         return float(self.g[i, j])
 
     def to_bytes(self) -> bytes:
@@ -136,7 +136,7 @@ class Zoo:
         if model_id not in self._cache:
             entry = next((e for e in self.entries if e.model_id == model_id), None)
             if entry is None:
-                raise KeyError(f"no model {model_id!r} in zoo")
+                raise ValueError(f"no model {model_id!r} in zoo")
             path = (self.root or Path(".")) / entry.file
             blob = path.read_bytes()
             if _digest(blob) != entry.digest:

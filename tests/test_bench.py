@@ -98,13 +98,11 @@ def test_bench_config_rejects_a_horizon_below_one(horizons):
 
 def test_evaluation_windows_tile_the_tail():
     data = generate_synthetic(SyntheticFamilySpec(kind="sine", length=100, seed=0))
-    windows = evaluation_windows(data, look_back=10, horizon=5)
-    assert len(windows) == 100 // 15
-    for window, truth in windows:
-        assert window.length == 10
-        assert truth.length == 5
+    x, truth = evaluation_windows(data, look_back=10, horizon=5)
+    assert x.shape == (100 // 15, 10, 1)
+    assert truth.shape == (100 // 15, 5, 1)
     # windows are non-overlapping and contiguous
-    full = np.concatenate([np.concatenate([w.values, t.values]) for w, t in windows])
+    full = np.concatenate([np.concatenate([w, t]) for w, t in zip(x, truth)])
     np.testing.assert_array_equal(full[:, 0], data.series.channel(0)[100 - len(full) :])
 
 
@@ -122,18 +120,16 @@ def _reference_windows(data, look_back, horizon):
 
 
 @given(st.integers(1, 80), st.integers(1, 3), st.integers(1, 12), st.integers(1, 12))
-def test_evaluation_windows_equal_the_tiler_and_the_loop(length, channels, look_back, horizon):
+def test_evaluation_windows_equal_the_loop(length, channels, look_back, horizon):
     values = np.arange(length * channels, dtype=np.float64).reshape(length, channels)
     data = Dataset(MultivariateSeries(values, tuple("abc"[:channels])), "d")
-    got = evaluation_windows(data, look_back, horizon)
-    x, truth = bench._tiles(values, look_back, horizon)
+    x, truth = evaluation_windows(data, look_back, horizon)
     expected = _reference_windows(data, look_back, horizon)
-    assert len(got) == len(x) == len(truth) == len(expected)
+    assert len(x) == len(truth) == len(expected)
     assert x.shape[1:] == (look_back, channels) and truth.shape[1:] == (horizon, channels)
-    for (window, future), x_w, truth_w, (ref_window, ref_future) in zip(got, x, truth, expected):
-        assert np.array_equal(window.values, x_w) and np.array_equal(window.values, ref_window.values)
-        assert np.array_equal(future.values, truth_w) and np.array_equal(future.values, ref_future.values)
-        assert window.channel_names == future.channel_names == ref_window.channel_names
+    for x_w, truth_w, (ref_window, ref_future) in zip(x, truth, expected):
+        assert np.array_equal(x_w, ref_window.values)
+        assert np.array_equal(truth_w, ref_future.values)
 
 
 def _reference_run_benchmark(cfg, zoo, datasets):

@@ -265,6 +265,23 @@ def test_parse_flat_config():
         parse_flat_config("not an assignment")
 
 
+@pytest.mark.parametrize(
+    "line, value",
+    [
+        ('datasets = ["a#1.csv"]  # c', ["a#1.csv"]),
+        ('name = "x#y"', "x#y"),
+        ("name = x#y", "x"),
+        ("name = 'x' # c", "x"),
+        ("pair = 1 2 # c", "1 2"),
+        ("n = 12#c", 12),
+        ('open = "x#y', "x"),
+    ],
+)
+def test_parse_flat_config_reads_a_hash_inside_a_json_value(line, value):
+    # a dataset path holding "#" was once cut at it
+    assert parse_flat_config(line) == {line.split("=")[0].strip(): value}
+
+
 COMMAND_NAMES = [name for name, *_ in COMMANDS]
 
 
@@ -392,6 +409,21 @@ def test_train_extractor_on_one_window_per_epoch_exits_with_error_line(pipeline,
     assert rc == 1
     assert capsys.readouterr().err == "error: an epoch needs at least 2 windows (constraint needs negatives)\n"
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+def test_train_extractor_on_a_dataset_the_transfer_matrix_lacks_exits_with_error_line(pipeline, tmp_path, capsys):
+    # a KeyError once printed this message in quotes
+    root, datasets, _ = pipeline
+    missing = tmp_path / "c.csv"
+    shutil.copy(datasets[0], missing)
+    out = tmp_path / "ext.json"
+    rc = run_cli(
+        "train-extractor", "--datasets", f"{datasets[0]},{missing}", "--transfer-matrix", str(root / "tm.json"),
+        "--epochs", "1", "--windows-per-dataset", "2", "--out", str(out),
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "error: transfer matrix has no entry for dataset 'c'\n"
     assert not out.exists()
 
 

@@ -1,10 +1,12 @@
 """`zoocast` on mutated inputs exits 0, or exits 1 with one `error:` line.
 
-Runs `cli.main` for forecast, embed, evaluate, benchmark and build-zoo on
-truncated, non-UTF-8, non-finite and huge-finite CSVs; on field, scale and
-digest mutations of a zoo's `zoo.json`, its `extractor.json` and a model
-file; and on benchmark config values. No run may raise (a traceback) or
-emit a numpy `RuntimeWarning`.
+Runs `cli.main` for every command that reads a file: train-ptm,
+transfer-matrix, train-extractor, build-zoo, forecast, embed, evaluate and
+benchmark. Inputs are truncated, non-UTF-8, non-finite and huge-finite
+CSVs; field, scale and digest mutations of a zoo's `zoo.json`, its
+`extractor.json`, a model file and a transfer matrix; a transfer matrix
+that lacks a dataset; and benchmark config values. No run may raise (a
+traceback) or emit a numpy `RuntimeWarning`.
 """
 
 import hashlib
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 
 from zoocast import cli, extractor, forecasters
 from zoocast.core import Dataset, MultivariateSeries
-from zoocast.zoo import build_zoo
+from zoocast.zoo import TransferMatrix, build_zoo
 
 INPUT_LEN, HORIZON, LENGTH = 8, 4, 40
 MODELS = ("a", "b")
@@ -43,7 +45,8 @@ def _series(seed: int, channels: int = 1) -> np.ndarray:
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory) -> Path:
     """Two source CSVs, a query CSV of two channels, one model file per
-    source, a full extractor file and the zoo built from them."""
+    source, a transfer matrix over the sources, a full extractor file and
+    the zoo built from them."""
     root = tmp_path_factory.mktemp("cli-fuzz")
     spec = forecasters.ForecasterSpec("linear", INPUT_LEN, HORIZON)
     sources = []
@@ -54,6 +57,7 @@ def workspace(tmp_path_factory) -> Path:
         (root / f"{name}.model.json").write_bytes(forecasters.save(model))
         sources.append(Dataset(MultivariateSeries(values), name))
     (root / "query.csv").write_text(_csv_text(_series(2, channels=2)))
+    (root / "tm.json").write_bytes(TransferMatrix(MODELS, np.array([[0.9, 0.2], [0.3, 0.8]])).to_bytes())
     (root / "extractor.json").write_bytes(extractor.save(extractor.init_params(INPUT_LEN, 6, 3, seed=0)))
     model_files = [root / f"{name}.model.json" for name in MODELS]
     build_zoo(model_files, sources, root / "extractor.json", root / "zoo", per_model_source_samples=4)
@@ -278,6 +282,37 @@ def test_build_zoo_on_mutated_inputs(workspace, data):
                 "--out", f"{root}/zoo2"])
 
 
+def _offline_argv(root: str, command: str) -> list:
+    """The argv of one offline command on `root`'s sources, sized to train
+    in a few milliseconds."""
+    sources = f"{root}/a.csv,{root}/b.csv"
+    if command == "train-extractor":
+        return ["train-extractor", "--datasets", sources, "--transfer-matrix", f"{root}/tm.json", "--epochs", "2",
+                "--windows-per-dataset", "4", "--dim", "3", "--hidden-dim", "4", "--input-len", str(INPUT_LEN),
+                "--out", f"{root}/ext.json"]
+    data = ["--data", f"{root}/a.csv"] if command == "train-ptm" else ["--datasets", sources]
+    # transfer-matrix holds out a tail of 8 rows, so its windows are short
+    return [command, *data, "--input-len", "4", "--horizon", "2", "--epochs", "2", "--out", f"{root}/out.json"]
+
+
+@given(data=st.data())
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_offline_commands_on_mutated_inputs(workspace, data):
+    command = data.draw(st.sampled_from(["train-ptm", "transfer-matrix", "train-extractor"]))
+    files = {"a.csv": data.draw(csv_mutation((workspace / "a.csv").read_text()))}
+    flags = ["--lr", data.draw(st.sampled_from(["0.01", "1e3", "1e300"]))]
+    if command == "train-extractor":
+        tm = data.draw(st.sampled_from(["same", "mutated", "lacks b"]))
+        if tm == "mutated":
+            files["tm.json"] = data.draw(json_mutation((workspace / "tm.json").read_bytes()))
+        elif tm == "lacks b":
+            files["tm.json"] = TransferMatrix(("a", "c"), np.eye(2)).to_bytes()
+    else:
+        flags += ["--arch", data.draw(st.sampled_from(["linear", "patch-mlp"]))]
+    with _scratch(workspace, files) as root:
+        _check(_offline_argv(root, command) + flags)
+
+
 def test_the_unmutated_workspace_runs_every_command(workspace):
     with _scratch(workspace, {}) as root:
         for argv in (
@@ -288,5 +323,6 @@ def test_the_unmutated_workspace_runs_every_command(workspace):
             ["build-zoo", "--models", f"{root}/a.model.json,{root}/b.model.json", "--data", f"{root}/a.csv,{root}/b.csv",
              "--extractor", f"{root}/extractor.json", "--samples", "4", "--out", f"{root}/zoo2"],
             _benchmark_argv(root, []),
+            *(_offline_argv(root, command) for command in ("train-ptm", "transfer-matrix", "train-extractor")),
         ):
             assert _run(argv) == (0, "", [])

@@ -245,18 +245,26 @@ def test_mse_matches_np_mean_form_bit_for_bit(shape_and_seed, layout):
 
 
 @given(
-    st.integers(1, 4),
-    st.sampled_from([1, 2, 7, 48, 3000]),
-    st.integers(1, 4),
+    st.sampled_from([mse, smape, mape]),
+    st.integers(1, 5),
+    st.integers(1, 48) | st.just(3000),
+    st.integers(1, 12),
     st.integers(0, 2**32 - 1),
     st.sampled_from(["window-major", "channel-rows", "contiguous"]),
+    st.booleans(),
+    st.sampled_from([0.0, 0.3, 0.9]),
 )
-def test_stacked_mse_equals_each_windows_mse_bit_for_bit(windows, horizon, channels, seed, layout):
+def test_stacked_metrics_equal_each_windows_call_bit_for_bit(
+    metric, windows, horizon, channels, seed, layout, f_ordered_truth, zero_share
+):
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-3, 3)
-    # truths tiled out of one (length, C) series, as the harness does
-    series = rng.normal(size=(windows * (horizon + 3), channels)) * scale
-    truth = series.reshape(windows, horizon + 3, channels)[:, 3:]
+    if f_ordered_truth:  # (H, C) windows whose H axis is contiguous
+        truth = rng.normal(size=(windows, channels, horizon)).transpose(0, 2, 1) * scale
+    else:  # truths tiled out of one (length, C) series, as the harness does
+        series = rng.normal(size=(windows * (horizon + 3), channels)) * scale
+        truth = series.reshape(windows, horizon + 3, channels)[:, 3:]
+    truth[rng.random(truth.shape) < zero_share] = 0.0  # in place, so the truth keeps its layout
     noise = rng.normal(size=windows * horizon * channels) * scale
     if layout == "window-major":  # a stacked (H, W*C) forecast, unstacked
         pred = noise.reshape(horizon, windows, channels).transpose(1, 0, 2)
@@ -265,10 +273,16 @@ def test_stacked_mse_equals_each_windows_mse_bit_for_bit(windows, horizon, chann
     else:
         pred = noise.reshape(windows, horizon, channels)
     pred += truth  # in place, so the forecast keeps its layout
-    stacked = mse(truth, pred)
+    if metric is mape and not (np.abs(truth) >= 1e-8).any(axis=(1, 2)).all():
+        with pytest.raises(ValueError, match="^undefined MAPE: all truth entries are zero$"):
+            metric(truth, pred)
+        return
+    stacked = metric(truth, pred)
     assert stacked.shape == (windows,)
     for i in range(windows):
-        assert stacked[i] == mse(truth[i], pred[i]) == float(np.mean((truth[i] - pred[i]) ** 2))
+        assert stacked[i] == metric(truth[i], pred[i])
+        if metric is mse:
+            assert stacked[i] == float(np.mean((truth[i] - pred[i]) ** 2))
 
 
 # -- containers and CSV ------------------------------------------------------

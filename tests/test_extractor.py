@@ -606,7 +606,7 @@ def test_train_extractor_missing_pair():
     datasets = _tiny_suite()
     tm = _uniform_tm([datasets[0].name, "other"])
     cfg = ExtractorTrainConfig(epochs=1, windows_per_dataset=4, hidden_dim=8, repr_dim=4)
-    with pytest.raises(KeyError, match="no entry"):
+    with pytest.raises(ValueError, match="no entry"):
         train_extractor(datasets, tm, cfg, MaskSpec(), input_len=36)
 
 

@@ -125,7 +125,7 @@ def test_transfer_matrix_round_trip_and_missing_pair():
     restored = TransferMatrix.from_bytes(tm.to_bytes())
     np.testing.assert_array_equal(restored.g, tm.g)
     assert restored.dataset_names == ("a", "b")
-    with pytest.raises(KeyError, match="'c'"):
+    with pytest.raises(ValueError, match="'c'"):
         tm.score("a", "c")
 
 
