@@ -8,7 +8,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import forecasters, fusion
-from .core import Dataset, MultivariateSeries, canonical_json, mape, mse, smape
+from .core import Dataset, MultivariateSeries, canonical_json, checked_normalize_rows, mape, mse, smape
 
 SYNTH_KINDS = ("sine", "sawtooth", "trend_sine", "random_walk", "ar1")
 
@@ -94,7 +94,7 @@ def generate_synthetic(spec: SyntheticFamilySpec) -> Dataset:
         cols.append(x)
     values = np.stack(cols, axis=1)
     name = f"{spec.kind}-p{spec.period}-s{spec.seed}"
-    return Dataset(series=MultivariateSeries(values), name=name, granularity="synthetic")
+    return Dataset(series=MultivariateSeries(values), name=name)
 
 
 def default_family_suite(seed: int = 0, noise_std: float = 0.05, length: int = 600) -> list:
@@ -144,7 +144,9 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
     Returns a report dict with per-(dataset, method, horizon) rows, a
     per-window record list, the horizon-averaged summary, and the per-zoo-
     model MSE distribution per dataset. All windows of a (dataset, horizon)
-    go out as one request per method; every window gets its own metric values.
+    go out as one request per method, and each zoo model forecasts the first
+    horizon's windows in one stacked recursion; every window gets its own
+    metric values.
     """
     rows = []
     per_window = []
@@ -174,10 +176,15 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
         x, truth = evaluation_windows(data, cfg.look_back, horizon)
         if not len(x):
             continue
+        w, t, c = x.shape
+        # each model alone on every channel: one normalization of the (W*C, T) stack, one recursion per model
+        stack, mu, sigma = checked_normalize_rows(x.transpose(0, 2, 1).reshape(w * c, t), f"dataset {data.name!r}")
         for entry in zoo.entries:
-            forced_ids = (entry.model_id,) * (x.shape[0] * x.shape[2])
-            forced = fusion.FusionConfig(horizon=horizon, top_k=1, forced_model_ids=forced_ids)
-            values = score("mse", truth, _stacked_forecast(zoo, x, forced))
+            with np.errstate(over="ignore", invalid="ignore"):  # a diverged forecast is checked below
+                pred = fusion.sequential_forecast([zoo.forecaster(entry.model_id)], stack, horizon).T * sigma + mu
+            if not np.isfinite(pred).all():
+                raise ValueError(f"dataset {data.name!r}, horizon {horizon}: model {entry.model_id!r} forecast diverged")
+            values = score("mse", truth, pred.reshape(horizon, w, c).transpose(1, 0, 2))
             zoo_distribution.append({"dataset": data.name, "model_id": entry.model_id, "mse": float(np.mean(values))})
 
     summary = {}

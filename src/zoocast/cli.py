@@ -314,7 +314,7 @@ def _synth_args(p):
 def _benchmark_args(p):
     p.add_argument("--config", required=True)
     p.add_argument("--zoo", required=True)
-    _add_common(p)  # run_benchmark draws nothing; --seed stays accepted for command lines that pass it
+    _add_common(p, seed=False)
 
 
 # (name, help, handler, argument-adding function), in `zoocast -h` order

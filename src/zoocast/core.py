@@ -70,7 +70,6 @@ class MultivariateSeries:
 class Dataset:
     series: MultivariateSeries
     name: str
-    granularity: str = ""
 
 
 def as_series(x) -> np.ndarray:

@@ -5,10 +5,8 @@ The pipeline per channel: instance-normalize the look-back window, rank
 zoo models against the window's encoding, run ceil(H/h) forecasting
 blocks (feeding each block's output back as history), average the top-k
 models inside each block, then de-normalize with the window's stats.
-
-A forced-model request skips the ranking and runs on all channels at once:
-one normalization of the (C, T) matrix, one stacked recursion per distinct
-model, one de-normalization. Each channel gets the bits it would get alone.
+A forced-model request takes each channel's named model in place of the
+ranking; every other step is the same.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import numpy as np
 
 from . import extractor as extractor_mod
 from . import forecasters
-from .core import MultivariateSeries, NormStats, denormalize, normalize, normalize_rows
+from .core import MultivariateSeries, denormalize, normalize
 
 
 @dataclass(frozen=True)
@@ -94,33 +92,10 @@ def sequential_forecast(models: list, window, horizon: int) -> np.ndarray:
     return history[..., input_len : input_len + horizon]
 
 
-def _forecast_forced(zoo, series: MultivariateSeries, cfg: FusionConfig):
-    """(predictions as an (H, C) array, selections, stats) of a forced-model
-    request: one `sequential_forecast` on the (G, T) stack of each model's
-    channels. A channel whose values overflow normalization, or whose model
-    fails to load, raises as it would in a channel-by-channel loop: the
-    first such channel wins."""
-    normalized, mu, sigma = normalize_rows(series.values.T)
-    overflow = ~np.isfinite(sigma)  # an overflowed mean leaves a non-finite std too
-    first_bad = int(np.argmax(overflow)) if overflow.any() else series.num_channels
-    groups = {}
-    for c, model_id in enumerate(cfg.forced_model_ids[:first_bad]):
-        if model_id not in groups:
-            groups[model_id] = (zoo.forecaster(model_id), [])
-        groups[model_id][1].append(c)
-    if first_bad < series.num_channels:
-        raise ValueError(f"channel {first_bad}: values overflow instance normalization")
-    norm_pred = np.empty((cfg.horizon, series.num_channels))
-    for model, channels in groups.values():
-        norm_pred[:, channels] = sequential_forecast([model], normalized[channels], cfg.horizon).T
-    selections = [SelectionResult(ranking=((model_id, 1.0),), top_k=1) for model_id in cfg.forced_model_ids]
-    stats = [NormStats(mean=m, std=s) for m, s in zip(mu.tolist(), sigma.tolist())]
-    return norm_pred * sigma + mu, selections, stats
-
-
 def forecast_multivariate(zoo, series: MultivariateSeries, cfg: FusionConfig):
-    """Full pipeline over all channels; returns (predictions, selections,
-    per-channel NormStats)."""
+    """Full pipeline over all channels, one channel at a time, so the first
+    channel at fault raises; returns (predictions, selections, per-channel
+    NormStats)."""
     input_len = zoo.input_len
     if series.length != input_len:
         raise ValueError(f"history length {series.length} != zoo input_len {input_len}")
@@ -129,25 +104,25 @@ def forecast_multivariate(zoo, series: MultivariateSeries, cfg: FusionConfig):
     if cfg.forced_model_ids and len(cfg.forced_model_ids) != series.num_channels:
         raise ValueError("forced_model_ids must name one model per channel")
 
+    predictions = np.empty((cfg.horizon, series.num_channels))
+    selections = []
+    stats_list = []
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked, not warned about
-        if cfg.forced_model_ids:
-            predictions, selections, stats_list = _forecast_forced(zoo, series, cfg)
-        else:
-            predictions = np.empty((cfg.horizon, series.num_channels))
-            selections = []
-            stats_list = []
-            for c in range(series.num_channels):
-                window = series.channel(c)
-                try:  # the window passed its series' checks, so only an overflow raises here
-                    norm_win, stats = normalize(window)
-                except ValueError as exc:
-                    raise ValueError(f"channel {c}: {exc}") from None
+        for c in range(series.num_channels):
+            window = series.channel(c)
+            try:  # the window passed its series' checks, so only an overflow raises here
+                norm_win, stats = normalize(window)
+            except ValueError as exc:
+                raise ValueError(f"channel {c}: {exc}") from None
+            if cfg.forced_model_ids:
+                selection = SelectionResult(ranking=((cfg.forced_model_ids[c], 1.0),), top_k=1)
+            else:
                 selection = match(zoo, window, cfg.top_k)
-                models = [zoo.forecaster(model_id) for model_id in selection.chosen]
-                norm_pred = sequential_forecast(models, norm_win, cfg.horizon)
-                predictions[:, c] = denormalize(norm_pred, stats)
-                selections.append(selection)
-                stats_list.append(stats)
+            models = [zoo.forecaster(model_id) for model_id in selection.chosen]
+            norm_pred = sequential_forecast(models, norm_win, cfg.horizon)
+            predictions[:, c] = denormalize(norm_pred, stats)
+            selections.append(selection)
+            stats_list.append(stats)
     try:
         result = MultivariateSeries(predictions, series.channel_names)
     except ValueError:

@@ -65,7 +65,11 @@ class TransferMatrix:
         names = payload.get("datasets")
         if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
             raise ValueError("transfer matrix file field 'datasets' must be a list of names")
-        return cls(dataset_names=tuple(names), g=as_float_array(payload.get("g"), "transfer matrix file field 'g'"))
+        g = as_float_array(payload.get("g"), "transfer matrix file field 'g'")
+        try:
+            return cls(dataset_names=tuple(names), g=g)
+        except ValueError as exc:  # every check in __post_init__ is on g
+            raise ValueError(f"transfer matrix file field 'g': {exc}") from None
 
 
 @dataclass
@@ -174,7 +178,7 @@ def _split(data: Dataset, tail_len: int) -> tuple:
         raise ValueError(f"dataset {data.name!r} tail too short for evaluation windows of length {tail_len}")
     values, names = data.series.values, data.series.channel_names
     return tuple(
-        Dataset(series=MultivariateSeries(part, names), name=data.name, granularity=data.granularity)
+        Dataset(series=MultivariateSeries(part, names), name=data.name)
         for part in (values[:cut], values[cut:])
     )
 

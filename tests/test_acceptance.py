@@ -216,7 +216,7 @@ def test_artifacts_are_byte_deterministic(tmp_path):
     config = tmp_path / "bench.cfg"
     config.write_text(f'datasets = ["{data}"]\nlook_back = 36\nhorizons = [6]\ntrials = 1\n')
     run_twice("report.json", lambda o: [
-        "benchmark", "--config", str(config), "--zoo", str(zoo_dir), "--seed", "3", "--out", o])
+        "benchmark", "--config", str(config), "--zoo", str(zoo_dir), "--out", o])
     _check("determinism", not mismatches,
            f"rerun with same seed: {'all artifacts byte-identical' if not mismatches else 'mismatch in ' + ', '.join(mismatches)}")
 

@@ -363,6 +363,53 @@ def test_zoo_distribution_names_an_mse_that_overflows():
         run_benchmark(BenchConfig(look_back=8, horizons=(4,)), zoo, [data])
 
 
+def test_zoo_distribution_runs_one_stacked_recursion_per_model(monkeypatch):
+    zoo = _mixed_zoo()
+    datasets = [_named_dataset(200), _named_dataset(90, "one-channel", channels=1)]
+    cfg = BenchConfig(look_back=12, horizons=(4, 9))
+    model_ids = {id(zoo.forecaster(entry.model_id)): entry.model_id for entry in zoo.entries}
+    requests, recursions, inside = [], [], []
+    real_forecast, real_sequential = fusion.forecast_multivariate, fusion.sequential_forecast
+
+    def forecast_spy(zoo, series, fusion_cfg):
+        requests.append(fusion_cfg.forced_model_ids)
+        inside.append(True)
+        try:
+            return real_forecast(zoo, series, fusion_cfg)
+        finally:
+            inside.pop()
+
+    def sequential_spy(models, window, horizon):
+        if not inside:
+            recursions.append(([model_ids[id(m)] for m in models], np.shape(window), horizon))
+        return real_sequential(models, window, horizon)
+
+    monkeypatch.setattr(fusion, "forecast_multivariate", forecast_spy)
+    monkeypatch.setattr(fusion, "sequential_forecast", sequential_spy)
+    run_benchmark(cfg, zoo, datasets)
+    expected = []
+    for data in datasets:
+        w, t, c = evaluation_windows(data, cfg.look_back, 4)[0].shape
+        expected += [([entry.model_id], (w * c, t), 4) for entry in zoo.entries]
+    assert recursions == expected
+    assert requests == [()] * 4  # one matched request per (dataset, horizon), none forced
+
+
+def test_zoo_distribution_names_the_model_whose_forecast_diverges():
+    spec = ForecasterSpec("linear", 8, 4)
+    weights = {"W": np.zeros((4, 8)), "b": np.zeros(4)}
+    weights["W"][:, -1] = 1e200  # finite after one block, overflows in the next
+    models = {"boom": Forecaster(spec, weights), "up": make_baseline("last", 8, 4), "down": make_baseline("mean", 8, 4)}
+    e = np.array([1.0, 0.0, 0.0])
+    zoo = zoo_from_models(models, init_params(8, 4, 3, seed=0), {"boom": np.zeros(3), "up": e, "down": -e})
+    data = generate_synthetic(SyntheticFamilySpec(kind="sine", period=5, length=60))
+    for window in evaluation_windows(data, 8, 8)[0]:
+        selection = fusion.forecast_multivariate(zoo, MultivariateSeries(window), fusion.FusionConfig(8))[1][0]
+        assert selection.chosen != ("boom",)
+    with pytest.raises(ValueError, match=r"^dataset 'sine-p5-s0', horizon 8: model 'boom' forecast diverged$"):
+        run_benchmark(BenchConfig(look_back=8, horizons=(8,)), zoo, [data])
+
+
 def test_default_family_suite_has_five_distinct_families():
     suite = default_family_suite(seed=0)
     assert len(suite) == 5

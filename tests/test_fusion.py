@@ -336,24 +336,6 @@ def test_forced_request_equals_the_per_channel_form_bit_for_bit(seed, h, horizon
     assert [s.ranking for s in selections] == [((model_id, 1.0),) for model_id in forced_ids]
 
 
-def test_forced_request_runs_one_recursion_per_distinct_model(monkeypatch):
-    zoo = _every_architecture_zoo(3, 0)
-    forced_ids = ("mean", "linear", "mean", "patch_mlp", "linear", "mean")
-    calls = []
-    real = sequential_forecast
-
-    def recording(models, window, horizon):
-        calls.append((models[0].spec.architecture, np.shape(window)))
-        return real(models, window, horizon)
-
-    from zoocast import fusion as fusion_mod
-
-    monkeypatch.setattr(fusion_mod, "sequential_forecast", recording)
-    values = np.random.default_rng(0).normal(size=(8, len(forced_ids)))
-    forecast_multivariate(zoo, MultivariateSeries(values), FusionConfig(horizon=7, forced_model_ids=forced_ids))
-    assert calls == [("mean", (3, 8)), ("linear", (2, 8)), ("patch_mlp", (1, 8))]
-
-
 FORCED_FAULTS = {
     # (overflowing channels, forced ids, the error a channel-by-channel loop raises first)
     "overflow before an unknown model": ([1], ("m0", "m0", "nope"), "^channel 1: values overflow instance normalization$"),

@@ -129,6 +129,18 @@ def test_transfer_matrix_round_trip_and_missing_pair():
         tm.score("a", "c")
 
 
+TRANSFER_MATRIX_FILE_FAULTS = {
+    "g larger than its datasets": (b'{"datasets": [], "g": [[1, 2], [3, 4]]}', r"g has shape \(2, 2\), expected \(0, 0\)"),
+    "non-finite g": (b'{"datasets": ["a"], "g": [[NaN]]}', "non-finite transfer scores"),
+}
+
+
+@pytest.mark.parametrize("blob, fault", TRANSFER_MATRIX_FILE_FAULTS.values(), ids=TRANSFER_MATRIX_FILE_FAULTS.keys())
+def test_transfer_matrix_file_errors_name_the_field(blob, fault):
+    with pytest.raises(ValueError, match=f"^transfer matrix file field 'g': {fault}$"):
+        TransferMatrix.from_bytes(blob)
+
+
 def test_transfer_matrix_propagates_training_error():
     spec = ForecasterSpec("linear", input_len=50, horizon=20)
     tiny = Dataset(series=MultivariateSeries(np.ones((30, 1))), name="tiny")
