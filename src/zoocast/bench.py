@@ -132,7 +132,9 @@ def _stacked_forecast(zoo, x: np.ndarray, cfg: fusion.FusionConfig) -> np.ndarra
     w, t, c = x.shape
     try:
         pred, _, _ = fusion.forecast_multivariate(zoo, MultivariateSeries(x.transpose(1, 0, 2).reshape(t, w * c)), cfg)
-    except ValueError as exc:  # its channel k is channel k % c of window k // c
+    except ValueError as exc:  # stacked channel k is channel k % c of window k // c; zoo faults pass as they are
+        if not str(exc).startswith(("channel ", "forecast diverged: channel ")):
+            raise
         raise ValueError(f"{w} windows of {c} channels, stacked window-major: {exc}") from None
     return pred.values.reshape(cfg.horizon, w, c).transpose(1, 0, 2)
 

@@ -302,7 +302,7 @@ def load_csv(path) -> Dataset:
                 v = float(cell)
             except ValueError:
                 raise ValueError(f"{p.name}: row {rownum}, column {j}: non-numeric cell {cell!r}") from None
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ValueError(f"{p.name}: row {rownum}, column {j}: non-finite cell {cell!r}")
             out[i, j - 2] = v
     names = tuple(h.strip() for h in rows[0][1:])

@@ -339,47 +339,29 @@ def train_extractor(
 
 
 # ---------------------------------------------------------------------------
-# PCA projection (deterministic power iteration with deflation)
+# PCA projection
 
 
 def pca_project(reprs: list, k: int) -> np.ndarray:
-    """Project centered representations onto the top-k principal axes.
-
-    Power iteration (200 iterations, seeded start) with deflation; each
-    component's largest-magnitude loading is flipped positive so plots are
-    stable across runs.
-    """
+    """Project centered representations onto the covariance's top-k eigenvectors (numpy's
+    symmetric eigensolver, by descending eigenvalue), each flipped so that its largest-magnitude
+    loading (the first on ties) is positive. A direction the points do not span projects to 0."""
     points = np.stack([np.asarray(r, dtype=np.float64) for r in reprs])
     n, d = points.shape
     if k < 1 or k > 3:
         raise ValueError("k must be in {1, 2, 3}")
     if n < k + 1:
         raise ValueError(f"need at least {k + 1} points for k={k}, got {n}")
+    if k > d:
+        raise ValueError(f"k={k} exceeds the representation dimension {d}")
     try:
-        with np.errstate(over="raise", invalid="raise"):  # a finite result can hide an overflowed norm
+        with np.errstate(over="raise", invalid="raise"):  # an overflow raises rather than warns
             centered = points - points.mean(axis=0)
             cov = centered.T @ centered / n
-            rng = np.random.default_rng(0)
-            components = []
-            for _ in range(k):
-                vec = rng.standard_normal(d)
-                vec /= np.linalg.norm(vec)
-                for _ in range(200):
-                    nxt = cov @ vec
-                    norm = np.linalg.norm(nxt)
-                    if norm < 1e-15:
-                        break  # remaining variance is zero
-                    vec = nxt / norm
-                pivot = np.argmax(np.abs(vec))
-                if vec[pivot] < 0:
-                    vec = -vec
-                components.append(vec)
-                eigval = float(vec @ cov @ vec)
-                cov = cov - eigval * np.outer(vec, vec)
-            basis = np.stack(components, axis=1)  # (d, k)
-            return centered @ basis
     except FloatingPointError:
         raise ValueError(f"PCA of {n} representations overflows float64") from None
+    axes = np.linalg.eigh(cov)[1][:, ::-1][:, :k]  # eigh's eigenvalues ascend
+    return centered @ (axes * np.sign(axes[np.argmax(np.abs(axes), axis=0), np.arange(k)]))
 
 
 # ---------------------------------------------------------------------------

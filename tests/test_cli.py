@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -459,17 +460,80 @@ def test_overflowing_values_exit_with_error_line(pipeline, tmp_path, capsys, rec
 
 
 def test_embed_pca_of_huge_representations_exits_with_error_line(pipeline, tmp_path, capsys, recwarn):
-    # representations of 1e99 load (they are finite) but overflow the PCA's products
+    # representations of 1e200 load (they are finite) but overflow the PCA's covariance
     root, datasets, zoo_dir = pipeline
     huge_zoo = tmp_path / "zoo"
     shutil.copytree(zoo_dir, huge_zoo)
     manifest = json.loads((huge_zoo / "zoo.json").read_bytes())
     entry = manifest["entries"][0]
-    entry["representation"] = [1e99 * v for v in entry["representation"]]
+    entry["representation"] = [1e200 * v for v in entry["representation"]]
     (huge_zoo / "zoo.json").write_bytes(json.dumps(manifest).encode())
     out = tmp_path / "embed.csv"
     assert run_cli("embed", "--zoo", str(huge_zoo), "--input", str(datasets[0]), "--pca", "1", "--out", str(out)) == 1
     assert capsys.readouterr().err == "error: PCA of 3 representations overflows float64\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+def _benchmark_with_model_files(pipeline, tmp_path, horizons, edits, update_digest=True):
+    """Run `zoocast benchmark` on the first dataset with a copy of the zoo in
+    which `edits[model_id]` maps that model file's bytes to new ones. The
+    second entry takes the first one's representation, so every window
+    matches the first entry (ties keep manifest order) and never the second."""
+    root, datasets, zoo_dir = pipeline
+    zoo = tmp_path / "zoo"
+    shutil.copytree(zoo_dir, zoo)
+    manifest = json.loads((zoo / "zoo.json").read_bytes())
+    manifest["entries"][1]["representation"] = manifest["entries"][0]["representation"]
+    for entry in manifest["entries"]:
+        if entry["model_id"] in edits:
+            blob = edits[entry["model_id"]]((zoo / entry["file"]).read_bytes())
+            (zoo / entry["file"]).write_bytes(blob)
+            if update_digest:
+                entry["digest"] = hashlib.sha256(blob).hexdigest()
+    (zoo / "zoo.json").write_bytes(json.dumps(manifest).encode())
+    config = tmp_path / "bench.cfg"
+    config.write_text(f"datasets = {json.dumps([str(datasets[0])])}\nhorizons = {json.dumps(list(horizons))}\n")
+    out = tmp_path / "report.json"
+    return run_cli("benchmark", "--config", str(config), "--zoo", str(zoo), "--out", str(out)), out
+
+
+def _scaled_weights(blob, scale=1e300):
+    payload = json.loads(blob)
+    payload["weights"]["W"] = (scale * np.asarray(payload["weights"]["W"])).tolist()
+    return json.dumps(payload).encode()
+
+
+@pytest.mark.parametrize(
+    "edit, update_digest, message",
+    [
+        (lambda blob: blob + b" ", False, "digest mismatch for entry 'sine.model' (sine.model.model.json)"),
+        (lambda blob: b"[1]", True, "malformed model file: holds a list, not an object"),
+    ],
+    ids=["digest", "parse"],
+)
+def test_benchmark_zoo_fault_comes_out_in_the_zoo_own_words(pipeline, tmp_path, capsys, edit, update_digest, message):
+    # the matched model's file is first read inside the stacked request, which prefixes only channel faults
+    rc, out = _benchmark_with_model_files(pipeline, tmp_path, [6], {"sine.model": edit}, update_digest)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "model_id, horizons, message",
+    [
+        # one block: every forecast of the matched model is finite, but its squared error is not
+        ("sine.model", [6], "metric 'mse' overflows float64 on these values"),
+        # two blocks: the model matching never picks turns infinite in its own run
+        ("sawtooth.model", [24], "dataset 'sine', horizon 24: model 'sawtooth.model' forecast diverged"),
+    ],
+    ids=["metric-overflow", "unmatched-model-diverges"],
+)
+def test_benchmark_numeric_fault_exits_with_error_line(pipeline, tmp_path, capsys, recwarn, model_id, horizons, message):
+    rc, out = _benchmark_with_model_files(pipeline, tmp_path, horizons, {model_id: _scaled_weights})
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 

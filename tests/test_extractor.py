@@ -743,6 +743,10 @@ def test_pca_determinism_and_sign_convention():
     p1 = pca_project(points, 2)
     p2 = pca_project(points, 2)
     np.testing.assert_array_equal(p1, p2)
+    # the 15 points span all 4 dimensions, so the projection determines the axes
+    axes = np.linalg.lstsq(np.stack(points) - np.mean(points, axis=0), p1, rcond=None)[0]
+    np.testing.assert_allclose(axes.T @ axes, np.eye(2), atol=1e-12)
+    assert (axes[np.argmax(np.abs(axes), axis=0), [0, 1]] > 0).all()
 
 
 def test_pca_too_few_points():
@@ -750,9 +754,33 @@ def test_pca_too_few_points():
         pca_project([np.ones(3), np.zeros(3)], 2)
 
 
-@pytest.mark.parametrize("scale", [1e99, 1e200])
+def test_pca_rank_one_points_project_to_zero_on_the_second_axis():
+    rng = np.random.default_rng(2)
+    direction = rng.standard_normal(6)
+    points = [c * direction for c in rng.standard_normal(12)]
+    proj = pca_project(points, 2)
+    np.testing.assert_allclose(proj[:, 1], 0.0, atol=1e-12)
+    assert np.abs(proj[:, 0]).max() > 0.1
+
+
+def test_pca_of_more_axes_than_dimensions_raises():
+    points = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0]), np.array([2.0, 0.5])]
+    with pytest.raises(ValueError, match=r"^k=3 exceeds the representation dimension 2$"):
+        pca_project(points, 3)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pca_of_representations_at_1e99_is_the_scaled_projection(k, recwarn):
+    # the covariance (1e198) and the projection stay finite; only a norm of the covariance would not
+    rng = np.random.default_rng(12)
+    points = [rng.standard_normal(5) for _ in range(8)]
+    np.testing.assert_allclose(pca_project([p * 1e99 for p in points], k), 1e99 * pca_project(points, k), rtol=1e-12)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("scale", [1e200])
 def test_pca_of_representations_too_large_for_float64_raises(scale, recwarn):
-    # 1e99 passes the centering but overflows the covariance's products
+    # 1e200 passes the centering but overflows the covariance's products
     points = [np.array([-2.78, 2.63, -0.05]) * scale, np.array([-0.18, 0.37, -0.16]), np.array([0.1, 0.2, 0.3])]
     with pytest.raises(ValueError, match=r"^PCA of 3 representations overflows float64$"):
         pca_project(points, 1)
