@@ -155,6 +155,7 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
     zoo_distribution = []
     warnings = []
     for data in datasets:
+        first = None  # the first horizon's (channel rows, truths), for the per-model distribution
         for horizon in cfg.horizons:
             x, truth = evaluation_windows(data, cfg.look_back, horizon)
             if not len(x):
@@ -166,6 +167,8 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
             for method in forecasters.BASELINES:
                 model = forecasters.make_baseline(method, cfg.look_back, horizon, cfg.season_period)
                 preds[method] = forecasters.forecast_batch(model, channel_rows).reshape(w, c, -1).transpose(0, 2, 1)
+            if horizon == cfg.horizons[0]:
+                first = channel_rows, truth
             for method, pred in preds.items():
                 key = {"dataset": data.name, "method": method, "horizon": horizon}
                 scores = {m: score(m, truth, pred).tolist() for m in cfg.metrics}
@@ -174,13 +177,12 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
                         per_window.append({**key, "window": wi, "metric": metric, "value": scores[metric][wi]})
                 rows.append({**key, **{m: float(np.mean(scores[m])) for m in cfg.metrics}})
         # per-model MSE distribution at the first horizon (violin-plot data)
-        horizon = cfg.horizons[0]
-        x, truth = evaluation_windows(data, cfg.look_back, horizon)
-        if not len(x):
+        if first is None:
             continue
-        w, t, c = x.shape
+        channel_rows, truth = first
+        horizon, (w, _, c) = cfg.horizons[0], truth.shape
         # each model alone on every channel: one normalization of the (W*C, T) stack, one recursion per model
-        stack, mu, sigma = checked_normalize_rows(x.transpose(0, 2, 1).reshape(w * c, t), f"dataset {data.name!r}")
+        stack, mu, sigma = checked_normalize_rows(channel_rows, f"dataset {data.name!r}")
         for entry in zoo.entries:
             with np.errstate(over="ignore", invalid="ignore"):  # a diverged forecast is checked below
                 pred = fusion.sequential_forecast([zoo.forecaster(entry.model_id)], stack, horizon).T * sigma + mu

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, extractor, forecasters, fusion, zoo as zoo_mod
-from .core import MultivariateSeries, canonical_json, checked_normalize_rows, load_csv, read_text, trim_to_last
+from .core import MultivariateSeries, canonical_json, check_fields, checked_normalize_rows, load_csv, read_text, trim_to_last
 
 ARCH_FLAGS = {"linear": "linear", "patch-mlp": "patch_mlp"}
 
@@ -113,10 +113,7 @@ def cmd_embed(args):
 def cmd_forecast(args):
     z = zoo_mod.load_zoo(args.zoo)
     data = load_csv(args.input)
-    values = data.series.values
-    if values.shape[0] < z.input_len:
-        raise ValueError(f"history length {values.shape[0]} shorter than zoo input_len {z.input_len}")
-    window = MultivariateSeries(values[-z.input_len :], data.series.channel_names)
+    window = MultivariateSeries(trim_to_last(data.series.values, z.input_len), data.series.channel_names)
     cfg = fusion.FusionConfig(horizon=args.horizon, top_k=args.top_k)
     pred, selections, stats = fusion.forecast_multivariate(z, window, cfg)
     out_dir = Path(args.out)
@@ -183,34 +180,16 @@ def parse_flat_config(text: str) -> dict:
     return out
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
-def _list_of(check):
-    return lambda value: isinstance(value, list) and all(map(check, value))
-
-
-# the JSON type each `zoocast benchmark` config key must have
+# the JSON kind of each `zoocast benchmark` config key
 BENCH_CONFIG_TYPES = {
-    "datasets": ("a list of strings", _list_of(_is_str)),
-    "horizons": ("a list of integers", _list_of(_is_int)),
-    "metrics": ("a list of strings", _list_of(_is_str)),
-    "look_back": ("an integer", _is_int),
-    "top_k": ("an integer", _is_int),
-    "season_period": ("an integer", _is_int),
+    "datasets": list[str], "horizons": list[int], "metrics": list[str],
+    "look_back": int, "top_k": int, "season_period": int,
 }
 
 
 def cmd_benchmark(args):
     raw = parse_flat_config(read_text(args.config))
-    for key, (kind, valid) in BENCH_CONFIG_TYPES.items():
-        if key in raw and not valid(raw[key]):
-            raise ValueError(f"config key {key!r} must be {kind}, got {raw[key]!r}")
+    check_fields(raw, {key: kind for key, kind in BENCH_CONFIG_TYPES.items() if key in raw}, "config key")
     known = sorted(BENCH_CONFIG_TYPES)
     unread = [f"config key {key!r} is not read; known keys: {known}" for key in raw if key not in BENCH_CONFIG_TYPES]
     datasets = [load_csv(p) for p in raw.pop("datasets", [])]

@@ -1,6 +1,6 @@
 """Series containers, instance normalization, window sampling, trimming,
-metrics, CSV ingestion, and the weight initializer and JSON encoding that
-every artifact shares.
+metrics, CSV ingestion, and the weight initializer, JSON writer and
+checked JSON reader that every artifact shares.
 
 Everything here is a pure function over numpy arrays. A univariate series
 is a 1-D float64 array; a multivariate series is a (T, C) float64 array
@@ -13,6 +13,8 @@ import csv
 import io
 import json
 import math
+import reprlib
+import types
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -156,18 +158,47 @@ def init_uniform(shapes: dict, seed: int) -> dict:
 
 
 def canonical_json(payload) -> bytes:
-    """Byte-stable JSON: sorted keys, no whitespace, UTF-8."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """Byte-stable JSON: sorted keys, no whitespace, UTF-8; a numpy array
+    is written as its nested lists."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist).encode("utf-8")
 
 
-def load_json_object(blob: bytes, kind: str) -> dict:
-    """The JSON object held in `blob`; ValueError naming `kind` otherwise."""
+# the JSON kinds `check_fields` knows, as its messages name them
+JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object",
+              list[int]: "a list of integers", list[str]: "a list of strings", list[dict]: "a list of objects"}
+
+
+def _has_kind(value, kind) -> bool:
+    if isinstance(kind, types.GenericAlias):  # list[int], list[str] or list[dict]
+        return isinstance(value, list) and all(_has_kind(item, kind.__args__[0]) for item in value)
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def check_fields(record: dict, fields: dict, where: str) -> None:
+    """Raise a ValueError "{where} 'name' ..." for the first field of
+    `fields` ({name: kind in JSON_KINDS}) that `record` lacks or holds with
+    another JSON kind. A bool is not an integer."""
+    for name, kind in fields.items():
+        if name not in record:
+            raise ValueError(f"{where} {name!r} is missing")
+        if not _has_kind(record[name], kind):
+            raise ValueError(f"{where} {name!r} must be {JSON_KINDS[kind]}, got {reprlib.repr(record[name])}")
+
+
+def read_artifact(blob: bytes, kind: str, version: int | None, fields: dict) -> dict:
+    """The JSON object held in `blob`, a `kind` file: its `format_version`
+    must be `version` (unless that is None) and its `fields` pass
+    `check_fields`. A ValueError names `kind` otherwise."""
     try:
         payload = json.loads(blob)
     except (ValueError, RecursionError) as exc:  # incl. JSONDecodeError, UnicodeDecodeError
         raise ValueError(f"malformed {kind} file: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"malformed {kind} file: holds a {type(payload).__name__}, not an object")
+    found = payload.get("format_version")
+    if version is not None and not (type(found) is int and found == version):
+        raise ValueError(f"unsupported {kind} format_version {found!r}")
+    check_fields(payload, fields, f"{kind} file field")
     return payload
 
 

@@ -14,9 +14,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import canonical_json, checked_tensors, init_uniform, load_json_object, sample_windows
+from .core import canonical_json, check_fields, checked_tensors, init_uniform, read_artifact, sample_windows
 
 EXTRACTOR_FORMAT_VERSION = 1
+EXTRACTOR_FIELDS = {"dims": dict, "weights": dict, "training_log": list}
+DIMS_FIELDS = {"L": int, "hidden": int, "d": int}
 
 # OpenBLAS runs a product on one thread up to m*n*k = 65,536 * 4
 BLAS_SINGLE_THREAD_MNK = 262_144
@@ -372,20 +374,14 @@ def save(params: ExtractorParams, training_log: list | None = None) -> bytes:
     payload = {
         "format_version": EXTRACTOR_FORMAT_VERSION,
         "dims": {"L": params.input_len, "hidden": params.hidden_dim, "d": params.repr_dim},
-        "weights": {name: w.tolist() for name, w in sorted(params.weights.items())},
+        "weights": params.weights,
         "training_log": training_log or [],
     }
     return canonical_json(payload)
 
 
 def load(blob: bytes):
-    payload = load_json_object(blob, "extractor")
-    if payload.get("format_version") != EXTRACTOR_FORMAT_VERSION:
-        raise ValueError("unsupported extractor format_version")
-    dims = payload.get("dims")
-    if not isinstance(dims, dict) or not all(isinstance(dims.get(k), int) for k in ("L", "hidden", "d")):
-        raise ValueError("extractor file field 'dims' must hold integers L, hidden and d")
-    params = ExtractorParams(
-        weights=payload.get("weights"), input_len=dims["L"], hidden_dim=dims["hidden"], repr_dim=dims["d"]
-    )
-    return params, payload.get("training_log", [])
+    payload = read_artifact(blob, "extractor", EXTRACTOR_FORMAT_VERSION, EXTRACTOR_FIELDS)
+    dims = payload["dims"]
+    check_fields(dims, DIMS_FIELDS, "extractor file field 'dims' key")
+    return ExtractorParams(payload["weights"], dims["L"], dims["hidden"], dims["d"]), payload["training_log"]

@@ -20,12 +20,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Dataset, canonical_json, checked_normalize_rows, checked_tensors, init_uniform, load_json_object
+from .core import Dataset, canonical_json, check_fields, checked_normalize_rows, checked_tensors, init_uniform, read_artifact
 
 TRAINABLE = ("linear", "patch_mlp")
 BASELINES = ("last", "mean", "seasonal_naive")
 
 MODEL_FORMAT_VERSION = 1
+MODEL_FIELDS = {"spec": dict, "source_dataset": str, "weights": dict}
+SPEC_SIZES = dict.fromkeys(("input_len", "horizon", "patch_len", "hidden_dim", "season_period"), int)
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,7 @@ class ForecasterSpec:
     def __post_init__(self):
         if self.architecture not in TRAINABLE + BASELINES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
+        check_fields(vars(self), SPEC_SIZES, "field")
         if self.input_len < 1 or self.horizon < 1:
             raise ValueError("input_len and horizon must be >= 1")
         if self.architecture == "patch_mlp" and (self.patch_len < 1 or self.hidden_dim < 1):
@@ -276,18 +279,16 @@ def save(model: Forecaster) -> bytes:
         "format_version": MODEL_FORMAT_VERSION,
         "spec": asdict(model.spec),
         "source_dataset": model.source_dataset,
-        "weights": {name: w.tolist() for name, w in sorted(model.weights.items())},
+        "weights": model.weights,
     }
     return canonical_json(payload)
 
 
 def load(blob: bytes) -> Forecaster:
-    payload = load_json_object(blob, "model")
-    if payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format_version {payload.get('format_version')!r}")
+    payload = read_artifact(blob, "model", MODEL_FORMAT_VERSION, MODEL_FIELDS)
     try:
         spec = ForecasterSpec(**payload["spec"])
-    except (KeyError, TypeError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"model file field 'spec' is invalid: {exc}") from None
-    weights = checked_tensors(payload.get("weights", {}), _weight_shapes(spec), f"model file ({spec.architecture})")
-    return Forecaster(spec=spec, weights=weights, source_dataset=payload.get("source_dataset", ""))
+    weights = checked_tensors(payload["weights"], _weight_shapes(spec), f"model file ({spec.architecture})")
+    return Forecaster(spec=spec, weights=weights, source_dataset=payload["source_dataset"])

@@ -26,9 +26,15 @@ import numpy as np
 
 from . import extractor as extractor_mod
 from . import forecasters
-from .core import Dataset, MultivariateSeries, as_float_array, canonical_json, load_json_object, mse, sample_windows
+from .core import Dataset, MultivariateSeries, as_float_array, canonical_json, check_fields, mse, read_artifact, sample_windows
 
 ZOO_FORMAT_VERSION = 1
+MANIFEST_FIELDS = {"extractor": str, "extractor_digest": str, "entries": list[dict]}
+ENTRY_FIELDS = {
+    "model_id": str, "file": str, "digest": str, "source_dataset": str,
+    "input_len": int, "horizon": int, "representation": list,
+}
+TRANSFER_MATRIX_FIELDS = {"datasets": list[str], "g": list}
 REPRESENTATION_SAMPLES = 256  # source windows averaged into each model's representation
 
 
@@ -57,17 +63,14 @@ class TransferMatrix:
         return float(self.g[i, j])
 
     def to_bytes(self) -> bytes:
-        return canonical_json({"datasets": list(self.dataset_names), "g": self.g.tolist()})
+        return canonical_json({"datasets": self.dataset_names, "g": self.g})
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "TransferMatrix":
-        payload = load_json_object(blob, "transfer matrix")
-        names = payload.get("datasets")
-        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
-            raise ValueError("transfer matrix file field 'datasets' must be a list of names")
-        g = as_float_array(payload.get("g"), "transfer matrix file field 'g'")
+        payload = read_artifact(blob, "transfer matrix", None, TRANSFER_MATRIX_FIELDS)
+        g = as_float_array(payload["g"], "transfer matrix file field 'g'")
         try:
-            return cls(dataset_names=tuple(names), g=g)
+            return cls(dataset_names=payload["datasets"], g=g)
         except ValueError as exc:  # every check in __post_init__ is on g
             raise ValueError(f"transfer matrix file field 'g': {exc}") from None
 
@@ -258,25 +261,10 @@ def build_zoo(
         "format_version": ZOO_FORMAT_VERSION,
         "extractor": "extractor.json",
         "extractor_digest": _digest(extractor_blob),
-        "entries": [{**asdict(e), "representation": e.representation.tolist()} for e in entries],
+        "entries": [asdict(e) for e in entries],
     }
     (out / "zoo.json").write_bytes(canonical_json(manifest))
     return out
-
-
-MANIFEST_FIELDS = {"extractor": str, "extractor_digest": str, "entries": list}
-ENTRY_FIELDS = {
-    "model_id": str, "file": str, "digest": str, "source_dataset": str,
-    "input_len": int, "horizon": int, "representation": list,
-}
-
-
-def _check_fields(record, fields: dict, where: str) -> None:
-    if not isinstance(record, dict):
-        raise ValueError(f"{where} is not a JSON object")
-    for name, kind in fields.items():
-        if not isinstance(record.get(name), kind):
-            raise ValueError(f"{where}: field {name!r} must be a {kind.__name__}")
 
 
 def _is_file(path: Path) -> bool:
@@ -291,10 +279,7 @@ def load_zoo(zoo_dir) -> Zoo:
     manifest_path = root / "zoo.json"
     if not manifest_path.exists():
         raise ValueError(f"no zoo.json in {root}")
-    manifest = load_json_object(manifest_path.read_bytes(), "zoo manifest")
-    if manifest.get("format_version") != ZOO_FORMAT_VERSION:
-        raise ValueError("unsupported zoo format_version")
-    _check_fields(manifest, MANIFEST_FIELDS, "zoo manifest")
+    manifest = read_artifact(manifest_path.read_bytes(), "zoo manifest", ZOO_FORMAT_VERSION, MANIFEST_FIELDS)
     if not _is_file(root / manifest["extractor"]):
         raise ValueError(f"zoo manifest: missing extractor file {manifest['extractor']!r}")
     extractor_blob = (root / manifest["extractor"]).read_bytes()
@@ -303,7 +288,7 @@ def load_zoo(zoo_dir) -> Zoo:
     params, _ = extractor_mod.load(extractor_blob)
     entries = []
     for i, raw in enumerate(manifest["entries"]):
-        _check_fields(raw, ENTRY_FIELDS, f"zoo manifest entry {i}")
+        check_fields(raw, ENTRY_FIELDS, f"zoo manifest entry {i} field")
         record = {name: raw[name] for name in ENTRY_FIELDS}
         record["representation"] = as_float_array(raw["representation"], f"entry {raw['model_id']!r}: representation")
         if not _is_file(root / raw["file"]):

@@ -185,6 +185,51 @@ def test_malformed_model_spec_exits_with_error_line(pipeline, tmp_path, capsys):
     assert "error: model file field 'spec'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda payload: payload["spec"].update(input_len=36.0),
+         "model file field 'spec' is invalid: field 'input_len' must be an integer, got 36.0"),
+        (lambda payload: payload.update(source_dataset=5), "model file field 'source_dataset' must be a string, got 5"),
+    ],
+    ids=["float-input-len", "numeric-source-dataset"],
+)
+def test_build_zoo_rejects_a_model_field_of_the_wrong_type(pipeline, tmp_path, capsys, edit, message):
+    # each used to build a zoo that load_zoo then rejected
+    root, datasets, _ = pipeline
+    payload = json.loads((root / "sine.model.json").read_bytes())
+    edit(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    rc = run_cli(
+        "build-zoo", "--models", str(bad), "--data", str(datasets[0]),
+        "--extractor", str(root / "extractor.json"), "--out", str(tmp_path / "zoo"),
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "zoo").exists()
+
+
+def test_forecast_rejects_a_zoo_model_with_a_float_horizon(pipeline, tmp_path, capsys):
+    # used to end in a TypeError traceback from fusion.sequential_forecast
+    root, datasets, zoo_dir = pipeline
+    zoo = tmp_path / "zoo"
+    shutil.copytree(zoo_dir, zoo)
+    manifest = json.loads((zoo / "zoo.json").read_bytes())
+    for entry in manifest["entries"]:
+        payload = json.loads((zoo / entry["file"]).read_bytes())
+        payload["spec"]["horizon"] = 12.0
+        blob = json.dumps(payload).encode()
+        (zoo / entry["file"]).write_bytes(blob)
+        entry["digest"] = hashlib.sha256(blob).hexdigest()
+    (zoo / "zoo.json").write_bytes(json.dumps(manifest).encode())
+    rc = run_cli("forecast", "--zoo", str(zoo), "--input", str(datasets[0]), "--horizon", "24", "--out", str(tmp_path / "fc"))
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: model file field 'spec' is invalid: field 'horizon' must be an integer, got 12.0\n"
+    )
+
+
 @pytest.mark.parametrize("samples", ["0", "-1"])
 def test_build_zoo_without_samples_exits_with_error_line(pipeline, tmp_path, capsys, recwarn, samples):
     root, datasets, _ = pipeline

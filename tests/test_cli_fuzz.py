@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from zoocast import cli, extractor, forecasters
 from zoocast.core import Dataset, MultivariateSeries
-from zoocast.zoo import TransferMatrix, build_zoo
+from zoocast.zoo import TransferMatrix, build_zoo, load_zoo
 
 INPUT_LEN, HORIZON, LENGTH = 8, 4, 40
 MODELS = ("a", "b")
@@ -126,7 +126,8 @@ def _scaled(value, factor: float):
 @st.composite
 def json_mutation(draw, blob: bytes) -> bytes:
     """A JSON artifact: truncated, or with one to three fields replaced by
-    arbitrary JSON, scaled by a huge factor, or dropped."""
+    arbitrary JSON, scaled by a huge factor or by 1.0 (an integer becomes
+    its float), or dropped."""
     if draw(st.integers(0, 5)) == 0:
         return blob[: draw(st.integers(0, len(blob)))]
     payload = json.loads(blob)
@@ -143,7 +144,7 @@ def json_mutation(draw, blob: bytes) -> bytes:
         if how == "replace":
             parent[path[-1]] = draw(JSON)
         elif how == "scale":
-            parent[path[-1]] = _scaled(parent[path[-1]], draw(st.sampled_from([1e10, 1e100, 1e200, -1e300])))
+            parent[path[-1]] = _scaled(parent[path[-1]], draw(st.sampled_from([1.0, 1e10, 1e100, 1e200, -1e300])))
         else:
             del parent[path[-1]]
     return json.dumps(payload).encode()
@@ -203,7 +204,7 @@ def _run(argv: list) -> tuple:
     return code, err.getvalue(), [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-def _check(argv: list) -> None:
+def _check(argv: list) -> int:
     code, err, runtime_warnings = _run(argv)
     assert not runtime_warnings
     if code == 0:
@@ -211,6 +212,7 @@ def _check(argv: list) -> None:
     else:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    return code
 
 
 def _scratch(workspace: Path, files: dict) -> tempfile.TemporaryDirectory:
@@ -277,9 +279,11 @@ def test_build_zoo_on_mutated_inputs(workspace, data):
     files[target] = data.draw(json_mutation((workspace / target).read_bytes()))
     samples = data.draw(st.sampled_from(["4", "1", "0"]))
     with _scratch(workspace, files) as root:
-        _check(["build-zoo", "--models", f"{root}/a.model.json,{root}/b.model.json", "--data",
-                f"{root}/a.csv,{root}/b.csv", "--extractor", f"{root}/extractor.json", "--samples", samples,
-                "--out", f"{root}/zoo2"])
+        code = _check(["build-zoo", "--models", f"{root}/a.model.json,{root}/b.model.json", "--data",
+                       f"{root}/a.csv,{root}/b.csv", "--extractor", f"{root}/extractor.json", "--samples", samples,
+                       "--out", f"{root}/zoo2"])
+        if code == 0:  # a zoo that builds also loads
+            load_zoo(f"{root}/zoo2")
 
 
 def _offline_argv(root: str, command: str) -> list:

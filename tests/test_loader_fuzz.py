@@ -7,7 +7,10 @@ arbitrary JSON or dropped.
 
 import hashlib
 import json
+import re
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,20 +157,46 @@ def test_zoo_extractor_loader_fuzz(zoo_dir, data):
         (zoo_dir / "zoo.json").write_bytes(valid_manifest)
 
 
+def _load_manifest_entry(blob: bytes):
+    """load_zoo on a zoo.json, next to the encoder-only extractor file,
+    whose one entry is a well-formed entry updated with `blob`'s fields."""
+    entry = {"model_id": "a", "file": "a.json", "digest": "", "source_dataset": "a", "input_len": 4, "horizon": 2,
+             "representation": [0.0, 0.0], **json.loads(blob)}
+    manifest = {"format_version": 1, "extractor": "extractor.json",
+                "extractor_digest": hashlib.sha256(ENCODER_ONLY).hexdigest(), "entries": [entry]}
+    with tempfile.TemporaryDirectory() as root:
+        (Path(root) / "zoo.json").write_text(json.dumps(manifest))
+        (Path(root) / "extractor.json").write_bytes(ENCODER_ONLY)
+        return load_zoo(root)
+
+
+FIELD_FAULTS = [
+    (extractor.load, b'{"format_version":1}', "extractor file field 'dims' is missing"),
+    (extractor.load, b'{"format_version":1,"dims":[]}', "extractor file field 'dims' must be an object"),
+    (extractor.load, b'{"format_version":1,"dims":{"L":4,"hidden":3,"d":2},"weights":[]}',
+     "extractor file field 'weights' must be an object"),
+    (extractor.load, b'{"format_version":1,"dims":{"L":true,"hidden":3,"d":2},"weights":{},"training_log":[]}',
+     "extractor file field 'dims' key 'L' must be an integer, got True"),
+    (TransferMatrix.from_bytes, b"[]", "malformed transfer matrix file: holds a list, not an object"),
+    (TransferMatrix.from_bytes, b"{}", "transfer matrix file field 'datasets' is missing"),
+    (forecasters.load, b'{"format_version":1,"spec":{"architecture":"linear","input_len":4,"horizon":2},'
+                       b'"weights":{"W":{},"b":[0,0]}}', "model file field 'source_dataset' is missing"),
+    (forecasters.load, b'{"format_version":1,"spec":{"architecture":"linear","input_len":4,"horizon":2},'
+                       b'"source_dataset":"a","weights":{"W":{},"b":[0,0]}}', "model file (linear) tensor W is not numeric"),
+    (forecasters.load, b'{"format_version":1,"spec":{"architecture":"last","input_len":4,"horizon":2.0},'
+                       b'"source_dataset":"a","weights":{}}',
+     "model file field 'spec' is invalid: field 'horizon' must be an integer, got 2.0"),
+    (forecasters.load, b'{"format_version":1,"spec":{"architecture":"last","input_len":4,"horizon":2},'
+                       b'"source_dataset":5,"weights":{}}', "model file field 'source_dataset' must be a string, got 5"),
+    (_load_manifest_entry, b'{"input_len":true}', "zoo manifest entry 0 field 'input_len' must be an integer, got True"),
+]
+
+
 @pytest.mark.parametrize(
-    "load, blob",
-    [
-        (extractor.load, b'{"format_version":1}'),
-        (extractor.load, b'{"format_version":1,"dims":[]}'),
-        (extractor.load, b'{"format_version":1,"dims":{"L":4,"hidden":3,"d":2},"weights":[]}'),
-        (TransferMatrix.from_bytes, b"[]"),
-        (TransferMatrix.from_bytes, b"{}"),
-        (forecasters.load, b'{"format_version":1,"spec":{"architecture":"linear","input_len":4,"horizon":2},'
-                           b'"weights":{"W":{},"b":[0,0]}}'),
-    ],
+    "load, blob, message", FIELD_FAULTS, ids=[f"{load.__name__}-{blob.decode()}" for load, blob, _ in FIELD_FAULTS]
 )
-def test_malformed_fields_raise_value_error_naming_the_file_kind(load, blob):
-    with pytest.raises(ValueError, match="extractor|transfer matrix|model"):
+def test_malformed_fields_raise_value_error_naming_the_file_kind(load, blob, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         load(blob)
 
 
