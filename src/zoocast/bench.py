@@ -8,7 +8,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import forecasters, fusion
-from .core import Dataset, MultivariateSeries, canonical_json, checked_normalize_rows, mape, mse, smape
+from .core import Dataset, MultivariateSeries, canonical_json, check_fields, checked_normalize_rows, mape, mse, smape
 
 SYNTH_KINDS = ("sine", "sawtooth", "trend_sine", "random_walk", "ar1")
 
@@ -28,6 +28,7 @@ class SyntheticFamilySpec:
     def __post_init__(self):
         if self.kind not in SYNTH_KINDS:
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
+        check_fields(vars(self), dict.fromkeys(("period", "length", "channels", "seed"), int), "field")
         if self.length < 1 or self.channels < 1 or self.period < 1:
             raise ValueError("length, channels and period must be >= 1")
         if self.noise_std < 0:
@@ -60,6 +61,7 @@ class BenchConfig:
     season_period: int = 7
 
     def __post_init__(self):
+        check_fields(vars(self), {"look_back": int, "horizons": list[int], "top_k": int, "season_period": int}, "field")
         if self.look_back < 1:
             raise ValueError(f"look_back must be >= 1, got {self.look_back}")
         if not self.horizons:
@@ -125,18 +127,16 @@ def evaluation_windows(data: Dataset, look_back: int, horizon: int) -> tuple[np.
     return tiles[:, :look_back], tiles[:, look_back:]
 
 
-def _stacked_forecast(zoo, x: np.ndarray, cfg: fusion.FusionConfig) -> np.ndarray:
-    """(W, H, C) forecasts of (W, T, C) windows from one request of W*C
-    channels, window-major. Channels are forecast independently, so each
-    window gets the bits a request of its own would."""
-    w, t, c = x.shape
+def _stacked_forecast(zoo, rows: np.ndarray, c: int, cfg: fusion.FusionConfig) -> np.ndarray:
+    """(W*C, H) matched forecasts of the (W*C, T) channel rows of W windows
+    of C channels, window-major, from one batched pass. Rows are forecast
+    independently, so each window gets the bits a request of its own would."""
     try:
-        pred, _, _ = fusion.forecast_multivariate(zoo, MultivariateSeries(x.transpose(1, 0, 2).reshape(t, w * c)), cfg)
-    except ValueError as exc:  # stacked channel k is channel k % c of window k // c; zoo faults pass as they are
+        return fusion.forecast_rows(zoo, rows, cfg)[0]
+    except ValueError as exc:  # row k is channel k % c of window k // c; zoo faults pass as they are
         if not str(exc).startswith(("channel ", "forecast diverged: channel ")):
             raise
-        raise ValueError(f"{w} windows of {c} channels, stacked window-major: {exc}") from None
-    return pred.values.reshape(cfg.horizon, w, c).transpose(1, 0, 2)
+        raise ValueError(f"{len(rows) // c} windows of {c} channels, stacked window-major: {exc}") from None
 
 
 def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
@@ -146,9 +146,11 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
     Returns a report dict with per-(dataset, method, horizon) rows, a
     per-window record list, the horizon-averaged summary, and the per-zoo-
     model MSE distribution per dataset. All windows of a (dataset, horizon)
-    go out as one request per method, and each zoo model forecasts the first
-    horizon's windows in one stacked recursion; every window gets its own
-    metric values.
+    go out as one stack per method: the zoo method matches and forecasts
+    its channel rows in one `fusion.forecast_rows` pass, not through
+    `forecast_multivariate`'s per-channel loop. Each zoo model forecasts
+    the first horizon's windows in one stacked recursion; every window
+    gets its own metric values.
     """
     rows = []
     per_window = []
@@ -162,14 +164,15 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
                 warnings.append(f"{data.name}: horizon {horizon} skipped (series too short)")
                 continue
             w, _, c = x.shape
-            preds = {"zoocast": _stacked_forecast(zoo, x, fusion.FusionConfig(horizon=horizon, top_k=cfg.top_k))}
             channel_rows = x.transpose(0, 2, 1).reshape(w * c, cfg.look_back)
+            preds = {"zoocast": _stacked_forecast(zoo, channel_rows, c, fusion.FusionConfig(horizon, cfg.top_k))}
             for method in forecasters.BASELINES:
                 model = forecasters.make_baseline(method, cfg.look_back, horizon, cfg.season_period)
-                preds[method] = forecasters.forecast_batch(model, channel_rows).reshape(w, c, -1).transpose(0, 2, 1)
+                preds[method] = forecasters.forecast_batch(model, channel_rows)
             if horizon == cfg.horizons[0]:
                 first = channel_rows, truth
-            for method, pred in preds.items():
+            for method, rows_pred in preds.items():
+                pred = rows_pred.reshape(w, c, horizon).transpose(0, 2, 1)
                 key = {"dataset": data.name, "method": method, "horizon": horizon}
                 scores = {m: score(m, truth, pred).tolist() for m in cfg.metrics}
                 for wi in range(w):

@@ -90,12 +90,12 @@ def cmd_embed(args):
         reprs.append(entry.representation)
     if args.input:
         data = load_csv(args.input)
-        for c in range(data.series.num_channels):
-            window = trim_to_last(data.series.channel(c), z.extractor_params.input_len)
-            norm_win = checked_normalize_rows(window, f"channel {c}")[0]
-            labels.append(data.series.channel_names[c] if data.series.channel_names else f"{data.name}:{c}")
-            kinds.append("variate")
-            reprs.append(extractor.encode(z.extractor_params, norm_win))
+        windows = trim_to_last(data.series.values, z.extractor_params.input_len).T
+        norm = checked_normalize_rows(windows, lambda c: f"channel {c}")[0]
+        # (C, 1, L): one vector-matrix product per channel, the bits of the 1-D `encode`
+        reprs.extend(extractor.encode_batch(z.extractor_params, norm[:, None, :])[:, 0])
+        labels.extend(data.series.channel_names or [f"{data.name}:{c}" for c in range(len(windows))])
+        kinds.extend(["variate"] * len(windows))
     if args.pca:
         points = extractor.pca_project(reprs, args.pca)
         columns = [f"pc{i + 1}" for i in range(args.pca)]

@@ -107,13 +107,16 @@ def normalize_rows(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return centered / sigma, mu[..., 0], sigma[..., 0]
 
 
-def checked_normalize_rows(x, where: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def checked_normalize_rows(x, where) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`normalize_rows` without numpy warnings; a ValueError names `where`
-    when a row's values overflow its mean or std."""
+    when a row's values overflow its mean or std. `where` is a string, or
+    a function that names the first such row from its (flat) index."""
     with np.errstate(over="ignore", invalid="ignore"):
         normalized, mu, sigma = normalize_rows(x)
-    if not np.isfinite(sigma).all():  # an overflowed mean leaves a non-finite std too
-        raise ValueError(f"{where}: values overflow instance normalization")
+    overflowed = ~np.isfinite(sigma)  # an overflowed mean leaves a non-finite std too
+    if overflowed.any():
+        name = where(int(np.argmax(overflowed))) if callable(where) else where
+        raise ValueError(f"{name}: values overflow instance normalization")
     return normalized, mu, sigma
 
 
@@ -170,14 +173,15 @@ JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an obje
 
 def _has_kind(value, kind) -> bool:
     if isinstance(kind, types.GenericAlias):  # list[int], list[str] or list[dict]
-        return isinstance(value, list) and all(_has_kind(item, kind.__args__[0]) for item in value)
+        return isinstance(value, (list, tuple)) and all(_has_kind(item, kind.__args__[0]) for item in value)
     return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
 def check_fields(record: dict, fields: dict, where: str) -> None:
     """Raise a ValueError "{where} 'name' ..." for the first field of
     `fields` ({name: kind in JSON_KINDS}) that `record` lacks or holds with
-    another JSON kind. A bool is not an integer."""
+    another JSON kind. A bool is not an integer; a list kind also takes a
+    tuple, the form a config dataclass holds."""
     for name, kind in fields.items():
         if name not in record:
             raise ValueError(f"{where} {name!r} is missing")

@@ -38,6 +38,7 @@ class ExtractorParams:
     repr_dim: int
 
     def __post_init__(self):
+        check_fields(vars(self), dict.fromkeys(("input_len", "hidden_dim", "repr_dim"), int), "field")
         shapes = param_shapes(self.input_len, self.hidden_dim, self.repr_dim)
         if isinstance(self.weights, dict) and not set(self.weights) & set(DECODER_TENSORS):
             shapes = {name: shapes[name] for name in ENCODER_TENSORS}
@@ -50,6 +51,7 @@ class MaskSpec:
     num_views: int = 3
 
     def __post_init__(self):
+        check_fields(vars(self), {"num_views": int}, "field")
         if not (0.0 < self.mask_ratio < 1.0):
             raise ValueError("mask_ratio must be in (0, 1)")
         if self.num_views < 1:
@@ -68,6 +70,10 @@ class ExtractorTrainConfig:
     repr_dim: int = 32
 
     def __post_init__(self):
+        ints = ("epochs", "seed", "windows_per_dataset", "hidden_dim", "repr_dim")
+        if self.batch_size is not None:
+            ints += ("batch_size",)
+        check_fields(vars(self), dict.fromkeys(ints, int), "field")
         if min(self.epochs, self.windows_per_dataset, self.hidden_dim, self.repr_dim) < 1:
             raise ValueError("epochs, windows_per_dataset, hidden_dim and repr_dim must be >= 1")
         if self.constraint_weight < 0:
@@ -149,6 +155,24 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     if nu < 1e-12 or nv < 1e-12:
         return 0.0
     return float(np.dot(u, v) / (nu * nv))
+
+
+def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(M, N) cosines between the rows of a (M, d) and b (N, d); entry
+    (i, j) equals `cosine(a[i], b[j])` bit for bit, 0 where either row has
+    (near-)zero norm.
+
+    Every dot and norm is a stacked (1, d) @ (d, 1) product, which numpy
+    runs as the same vector dot that `cosine` calls; a plain a @ b.T, or
+    einsum norms, sum in another order and change last bits.
+    """
+    a, b = np.ascontiguousarray(a, dtype=np.float64), np.ascontiguousarray(b, dtype=np.float64)
+    norm_a = np.sqrt(a[:, None, :] @ a[:, :, None])[:, 0, 0]
+    norm_b = np.sqrt(b[:, None, :] @ b[:, :, None])[:, 0, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero-norm entries are set below
+        scores = (a[:, None, None, :] @ b[:, :, None])[..., 0, 0] / (norm_a[:, None] * norm_b)
+    scores[(norm_a < 1e-12)[:, None] | (norm_b < 1e-12)] = 0.0
+    return scores
 
 
 def mask_series(windows, spec: MaskSpec, rng: np.random.Generator) -> np.ndarray:

@@ -7,6 +7,12 @@ blocks (feeding each block's output back as history), average the top-k
 models inside each block, then de-normalize with the window's stats.
 A forced-model request takes each channel's named model in place of the
 ranking; every other step is the same.
+
+`forecast_multivariate` runs that pipeline one channel at a time; it
+keeps that loop while the benchmark's tracer tests pin its per-channel
+call counts (ROADMAP item 1). `forecast_rows` runs the matched pipeline
+on a stack of channel rows in one batched pass, with the same bits per
+row; the evaluation harness uses it.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from . import extractor as extractor_mod
 from . import forecasters
-from .core import MultivariateSeries, denormalize, normalize
+from .core import MultivariateSeries, check_fields, checked_normalize_rows, denormalize, normalize
 
 
 @dataclass(frozen=True)
@@ -27,6 +33,7 @@ class FusionConfig:
     forced_model_ids: tuple = ()  # per-variate override; empty = use matching
 
     def __post_init__(self):
+        check_fields(vars(self), {"horizon": int, "top_k": int}, "field")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.top_k < 1:
@@ -135,3 +142,52 @@ def forecast_multivariate(zoo, series: MultivariateSeries, cfg: FusionConfig):
             f"forecast diverged: channel {channel} turns non-finite at step {row} (block {row // zoo.horizon})"
         ) from None
     return result, selections, stats_list
+
+
+def forecast_rows(zoo, rows, cfg: FusionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Matched forecasts of an (R, T) stack of channel rows in one batched
+    pass; returns the (R, H) predictions and the (R, k) indices into
+    `zoo.entries` that each row chose, best first.
+
+    One normalization, one encode and one (R, N) cosine matrix serve every
+    row, and the rows that chose the same models in the same order share
+    one `sequential_forecast`. Row r gets the bits and the choice that
+    `forecast_multivariate` gives channel r, and its faults raise that
+    function's messages with r as the channel; an overflowing row raises
+    before any model is loaded.
+    """
+    x = np.asarray(rows, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"expected (R, T) rows, got shape {x.shape}")
+    if x.shape[1] != zoo.input_len:
+        raise ValueError(f"history length {x.shape[1]} != zoo input_len {zoo.input_len}")
+    if cfg.forced_model_ids:
+        raise ValueError("forced_model_ids go through forecast_multivariate")
+    if cfg.top_k > len(zoo.entries):
+        raise ValueError(f"top_k {cfg.top_k} exceeds zoo size {len(zoo.entries)}")
+    norm, mu, sigma = checked_normalize_rows(x, lambda r: f"channel {r}")
+    # (R, 1, L): one vector-matrix product per row, the bits of the 1-D `encode`
+    encodings = extractor_mod.encode_batch(zoo.extractor_params, norm[:, None, :])[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = extractor_mod.cosine_matrix(encodings, np.stack([e.representation for e in zoo.entries]))
+    # a stable sort keeps manifest order among equal scores, as `match` does
+    choice = np.argsort(-scores, axis=1, kind="stable")[:, : cfg.top_k]
+    # group id of each row's choice prefix, column by column: ids stay below R, so id * N cannot overflow
+    group = np.zeros(len(x), dtype=np.int64)
+    for column in choice.T:
+        _, first, group = np.unique(group * len(zoo.entries) + column, return_index=True, return_inverse=True)
+    norm_pred = np.empty((len(x), cfg.horizon))
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged forecast is checked below
+        for g in np.argsort(first):  # groups in order of first use load models as the per-channel loop does
+            members = np.flatnonzero(group == g)
+            models = [zoo.forecaster(zoo.entries[i].model_id) for i in choice[members[0]]]
+            norm_pred[members] = sequential_forecast(models, norm[members], cfg.horizon)
+        pred = sigma[:, None] * norm_pred + mu[:, None]
+    bad = ~np.isfinite(pred)
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=1)))
+        step = int(np.argmax(bad[row]))
+        raise ValueError(
+            f"forecast diverged: channel {row} turns non-finite at step {step} (block {step // zoo.horizon})"
+        )
+    return pred, choice

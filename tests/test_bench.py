@@ -14,7 +14,7 @@ from zoocast.bench import (
     report_to_bytes,
     run_benchmark,
 )
-from zoocast.core import Dataset, MultivariateSeries, mse
+from zoocast.core import Dataset, MultivariateSeries, mse, normalize_rows
 from zoocast.extractor import init_params
 from zoocast.forecasters import Forecaster, ForecasterSpec, init_weights, make_baseline
 from zoocast.zoo import zoo_from_models
@@ -94,6 +94,17 @@ def test_bench_config_rejects_a_horizon_below_one(horizons):
     # (-36,) with the default look_back 36 once tiled with stride 0: ZeroDivisionError
     with pytest.raises(ValueError, match=r"^horizons must be >= 1, got \["):
         BenchConfig(horizons=horizons)
+
+
+def test_bench_config_rejects_a_float_horizon():
+    # run_benchmark once ended in a TypeError from the window tiler
+    with pytest.raises(ValueError, match=r"^field 'horizons' must be a list of integers, got \(12\.0,\)$"):
+        BenchConfig(horizons=(12.0,))
+
+
+def test_synthetic_family_spec_rejects_a_float_length():
+    with pytest.raises(ValueError, match=r"^field 'length' must be an integer, got 100\.0$"):
+        SyntheticFamilySpec(kind="sine", length=100.0)
 
 
 def test_evaluation_windows_tile_the_tail():
@@ -366,33 +377,52 @@ def test_zoo_distribution_names_an_mse_that_overflows():
 def test_zoo_distribution_runs_one_stacked_recursion_per_model(monkeypatch):
     zoo = _mixed_zoo()
     datasets = [_named_dataset(200), _named_dataset(90, "one-channel", channels=1)]
-    cfg = BenchConfig(look_back=12, horizons=(4, 9))
+    cfg = BenchConfig(look_back=12, horizons=(4, 9), top_k=2)
     model_ids = {id(zoo.forecaster(entry.model_id)): entry.model_id for entry in zoo.entries}
-    requests, recursions, inside = [], [], []
-    real_forecast, real_sequential = fusion.forecast_multivariate, fusion.sequential_forecast
+    requests, batched, recursions, inside = [], [], [], []
+    real_forecast, real_rows, real_sequential = fusion.forecast_multivariate, fusion.forecast_rows, fusion.sequential_forecast
 
     def forecast_spy(zoo, series, fusion_cfg):
-        requests.append(fusion_cfg.forced_model_ids)
-        inside.append(True)
+        requests.append(fusion_cfg)
+        return real_forecast(zoo, series, fusion_cfg)
+
+    def rows_spy(zoo, rows, fusion_cfg):
+        inside.append([])
         try:
-            return real_forecast(zoo, series, fusion_cfg)
+            pred, choice = real_rows(zoo, rows, fusion_cfg)
         finally:
-            inside.pop()
+            groups = inside.pop()
+        batched.append((np.shape(rows), fusion_cfg.horizon, fusion_cfg.top_k))
+        norm = normalize_rows(rows)[0]
+        chosen = [tuple(zoo.entries[i].model_id for i in row) for row in choice]
+        # one recursion per distinct choice tuple, over exactly the rows that chose it, in row order
+        assert sorted(ids for ids, _ in groups) == sorted(set(chosen))
+        for ids, window in groups:
+            assert np.array_equal(window, norm[[c == ids for c in chosen]])
+        return pred, choice
 
     def sequential_spy(models, window, horizon):
-        if not inside:
-            recursions.append(([model_ids[id(m)] for m in models], np.shape(window), horizon))
+        ids = tuple(model_ids[id(m)] for m in models)
+        if inside:
+            inside[-1].append((ids, np.asarray(window)))
+        else:
+            recursions.append((list(ids), np.shape(window), horizon))
         return real_sequential(models, window, horizon)
 
     monkeypatch.setattr(fusion, "forecast_multivariate", forecast_spy)
+    monkeypatch.setattr(fusion, "forecast_rows", rows_spy)
     monkeypatch.setattr(fusion, "sequential_forecast", sequential_spy)
     run_benchmark(cfg, zoo, datasets)
-    expected = []
+    expected, expected_batched = [], []
     for data in datasets:
+        for horizon in cfg.horizons:
+            w, t, c = evaluation_windows(data, cfg.look_back, horizon)[0].shape
+            expected_batched.append(((w * c, t), horizon, 2))
         w, t, c = evaluation_windows(data, cfg.look_back, 4)[0].shape
         expected += [([entry.model_id], (w * c, t), 4) for entry in zoo.entries]
     assert recursions == expected
-    assert requests == [()] * 4  # one matched request per (dataset, horizon), none forced
+    assert requests == []  # the harness sends no per-channel request
+    assert batched == expected_batched  # one batched pass per (dataset, horizon)
 
 
 def test_zoo_distribution_names_the_model_whose_forecast_diverges():

@@ -9,7 +9,8 @@ import pytest
 from zoocast import cli, forecasters
 from zoocast.bench import BenchConfig, run_benchmark
 from zoocast.cli import COMMANDS, build_parser, main, parse_flat_config
-from zoocast.core import load_csv
+from zoocast.core import load_csv, normalize
+from zoocast.extractor import encode
 from zoocast.zoo import load_zoo
 
 
@@ -100,6 +101,30 @@ def test_embed_with_pca(pipeline, tmp_path):
     assert lines[0] == "label,kind,pc1,pc2"
     kinds = [line.split(",")[1] for line in lines[1:]]
     assert "ptm" in kinds and "variate" in kinds
+
+
+def test_embed_of_every_channel_equals_each_channels_encoding(pipeline, tmp_path):
+    root, datasets, zoo_dir = pipeline
+    values = np.random.default_rng(4).normal(size=(50, 3)) * [1.0, 1e-3, 1e3]
+    values[:, 1] = 7.0  # a constant channel takes the std fallback
+    multi = tmp_path / "multi.csv"
+    multi.write_text("t,a,b,c\n" + "".join(f"{t},{','.join(map(repr, row.tolist()))}\n" for t, row in enumerate(values)))
+    out = tmp_path / "embed.csv"
+    assert run_cli("embed", "--zoo", str(zoo_dir), "--input", str(multi), "--out", str(out)) == 0
+    params = load_zoo(zoo_dir).extractor_params
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[-3:]]
+    assert [row[:2] for row in rows] == [["a", "variate"], ["b", "variate"], ["c", "variate"]]
+    for row, column in zip(rows, values[-params.input_len :].T):
+        assert [float(v) for v in row[2:]] == encode(params, normalize(column)[0]).tolist()
+
+
+def test_embed_names_the_first_overflowing_channel(pipeline, tmp_path, capsys, recwarn):
+    root, datasets, zoo_dir = pipeline
+    multi = tmp_path / "multi.csv"
+    multi.write_text("t,a,b,c\n" + "".join(f"{t},{t},{(-1) ** t * 1e200!r},1e308\n" for t in range(60)))
+    assert run_cli("embed", "--zoo", str(zoo_dir), "--input", str(multi), "--out", str(tmp_path / "e.csv")) == 1
+    assert capsys.readouterr().err == "error: channel 1: values overflow instance normalization\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_evaluate_identical_files(pipeline, capsys):

@@ -617,6 +617,17 @@ def test_extractor_train_config_rejects_sizes_below_one(field, value):
         ExtractorTrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [("epochs", 2.0), ("batch_size", True)])
+def test_extractor_train_config_rejects_a_non_integer_size(field, value):
+    with pytest.raises(ValueError, match=rf"^field '{field}' must be an integer, got {value}$"):
+        ExtractorTrainConfig(**{field: value})
+
+
+def test_mask_spec_rejects_a_float_view_count():
+    with pytest.raises(ValueError, match=r"^field 'num_views' must be an integer, got 2\.0$"):
+        MaskSpec(num_views=2.0)
+
+
 @pytest.mark.parametrize("input_len", [0, -3])
 def test_train_extractor_rejects_an_input_len_below_one(input_len):
     datasets = _tiny_suite()
@@ -832,3 +843,10 @@ def test_extractor_params_name_the_missing_or_extra_tensor(drop, add, message):
     weights = {name: w for name, w in init_params(4, 3, 2, seed=0).weights.items() if name not in drop}
     with pytest.raises(ValueError, match=r"extractor tensors do not match .*" + message):
         ExtractorParams({**weights, **add}, input_len=4, hidden_dim=3, repr_dim=2)
+
+
+def test_extractor_params_reject_a_float_dim():
+    # once accepted, and saved as "L":4.0, a file that `load` rejects
+    weights = init_params(4, 3, 2, seed=0).weights
+    with pytest.raises(ValueError, match=r"^field 'input_len' must be an integer, got 4\.0$"):
+        ExtractorParams(weights, 4.0, 3, 2)

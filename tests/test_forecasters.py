@@ -263,6 +263,12 @@ def test_train_insufficient_data():
         train(_linear_spec(t=8, h=4), data, TrainConfig())
 
 
+def test_train_config_rejects_a_float_epoch_count():
+    # train once ended in a TypeError from the SGD loop
+    with pytest.raises(ValueError, match=r"^field 'epochs' must be an integer, got 2\.0$"):
+        TrainConfig(epochs=2.0)
+
+
 def test_train_divergence_detected():
     data = _sine_dataset(length=100)
     with pytest.raises(ValueError, match="diverged"):

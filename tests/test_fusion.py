@@ -5,10 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zoocast import extractor as extractor_mod
 from zoocast.core import MultivariateSeries, denormalize, normalize
-from zoocast.extractor import init_params
+from zoocast.extractor import cosine, cosine_matrix, encode, init_params
 from zoocast.forecasters import Forecaster, ForecasterSpec, forecast, init_weights, make_baseline
-from zoocast.fusion import FusionConfig, SelectionResult, forecast_multivariate, match, sequential_forecast
+from zoocast.fusion import (
+    FusionConfig,
+    SelectionResult,
+    forecast_multivariate,
+    forecast_rows,
+    match,
+    sequential_forecast,
+)
 from zoocast.zoo import zoo_from_models
 
 
@@ -353,3 +361,132 @@ def test_forced_request_raises_the_first_channels_fault(overflowing, forced_ids,
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
             forecast_multivariate(_last_zoo(), MultivariateSeries(values), cfg)
+
+
+# -- the batched matched path ------------------------------------------------
+
+
+def _tied_zoo(h, seed, input_len=8):
+    """`_every_architecture_zoo` where "mean" shares "linear"'s representation
+    (a tie in every row's ranking) and "last" has a zero representation."""
+    zoo = _every_architecture_zoo(h, seed, input_len)
+    reprs = {e.model_id: e.representation for e in zoo.entries}
+    reprs["mean"], reprs["last"] = reprs["linear"].copy(), np.zeros(3)
+    return _make_zoo({e.model_id: zoo.forecaster(e.model_id) for e in zoo.entries}, reprs)
+
+
+def _first_uses(zoo, call):
+    """(call's result, the model ids in the order `zoo.forecaster` first sees them)."""
+    seen, real = [], zoo.forecaster
+    zoo.forecaster = lambda model_id: seen.append(model_id) or real(model_id)
+    try:
+        return call(), list(dict.fromkeys(seen))
+    finally:
+        del zoo.forecaster
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    h=st.integers(1, 7),
+    horizon=st.integers(1, 30),
+    top_k=st.integers(1, 3),
+    rows=st.integers(1, 12),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_path_equals_the_per_channel_form_bit_for_bit(seed, h, horizon, top_k, rows):
+    zoo = _tied_zoo(h, seed % 1000)
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(rows, 8)) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-50, 50)
+    values[rng.random(rows) < 0.2] = 4.0  # constant rows take the std fallback
+    cfg = FusionConfig(horizon=horizon, top_k=top_k)
+    (pred, choice), batched_loads = _first_uses(zoo, lambda: forecast_rows(zoo, values, cfg))
+    (expected, selections, _), loop_loads = _first_uses(
+        zoo, lambda: forecast_multivariate(zoo, MultivariateSeries(values.T), cfg)
+    )
+    assert pred.tobytes() == expected.values.T.tobytes()
+    assert [tuple(zoo.entries[i].model_id for i in row) for row in choice] == [s.chosen for s in selections]
+    assert batched_loads == loop_loads  # a zoo fault names the model the loop would load first
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 32),
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    repeats=st.lists(st.tuples(st.booleans(), st.integers(0, 8), st.integers(0, 8)), max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_cosine_matrix_equals_cosine_bit_for_bit(seed, d, shape, repeats):
+    rng = np.random.default_rng(seed)
+    a, b = (rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-4, 4) for n in shape)
+    for in_b, i, j in repeats:  # duplicated rows (ties) and zero rows
+        m = b if in_b else a
+        m[i % len(m)] = m[j % len(m)] if i != j else 0.0
+    expected = np.array([[cosine(u, v) for v in b] for u in a])
+    assert cosine_matrix(a, b).tobytes() == expected.tobytes()
+
+
+def test_batched_scores_are_the_cosines_of_each_rows_encoding(monkeypatch):
+    zoo = _tied_zoo(3, 5)
+    values = np.random.default_rng(5).normal(size=(6, 8))
+    values[2] = 1.5
+    scored, real = [], extractor_mod.cosine_matrix
+    monkeypatch.setattr(extractor_mod, "cosine_matrix", lambda a, b: scored.append(real(a, b)) or scored[-1])
+    forecast_rows(zoo, values, FusionConfig(horizon=3, top_k=2))
+    encodings = [encode(zoo.extractor_params, normalize(row)[0]) for row in values]
+    expected = np.array([[cosine(entry.representation, e) for entry in zoo.entries] for e in encodings])
+    assert len(scored) == 1 and scored[0].tobytes() == expected.tobytes()
+    assert (expected[:, 0] == expected[:, 3]).all() and (expected[:, 2] == 0.0).all()  # the tie and the zero
+
+
+def _fault(call) -> str:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("overflowing", [[1], [2, 4], [0, 3]], ids=str)
+def test_batched_path_names_the_first_overflowing_row(overflowing):
+    values = np.tile(np.arange(6.0), (5, 1))
+    values[overflowing] = np.repeat([1e308, -1e308], 3)
+    cfg = FusionConfig(horizon=2)
+    message = _fault(lambda: forecast_rows(_last_zoo(), values, cfg))
+    assert message == f"channel {overflowing[0]}: values overflow instance normalization"
+    assert message == _fault(lambda: forecast_multivariate(_last_zoo(), MultivariateSeries(values.T), cfg))
+
+
+@pytest.mark.parametrize("flat", [[0, 1], [1, 3], [0, 2, 3]], ids=str)
+def test_batched_path_names_the_first_diverging_row(flat):
+    spec = ForecasterSpec("linear", input_len=4, horizon=2)
+    w = np.zeros((2, 4))
+    w[:, -1] = 1e200  # a flat row forecasts zeros; any other stays finite for one block, then overflows
+    zoo = _make_zoo({"boom": Forecaster(spec=spec, weights={"W": w, "b": np.zeros(2)})}, {"boom": np.ones(3)})
+    values = np.tile(np.arange(4.0), (4, 1))
+    values[flat] = 2.0
+    cfg = FusionConfig(horizon=6)
+    first = min(set(range(4)) - set(flat))
+    message = _fault(lambda: forecast_rows(zoo, values, cfg))
+    assert message == f"forecast diverged: channel {first} turns non-finite at step 2 (block 1)"
+    assert message == _fault(lambda: forecast_multivariate(zoo, MultivariateSeries(values.T), cfg))
+
+
+def test_batched_path_rejects_a_forced_request():
+    with pytest.raises(ValueError, match="^forced_model_ids go through forecast_multivariate$"):
+        forecast_rows(_last_zoo(), np.ones((1, 6)), FusionConfig(horizon=2, forced_model_ids=("m0",)))
+
+
+# -- config checks -----------------------------------------------------------
+
+
+def test_fusion_config_rejects_a_float_horizon():
+    # forecast_multivariate once ended in a TypeError from np.empty
+    with pytest.raises(ValueError, match=r"^field 'horizon' must be an integer, got 12\.0$"):
+        FusionConfig(horizon=12.0)
+
+
+@pytest.mark.parametrize("top_k", [2.0, True], ids=["float", "bool"])
+def test_fusion_config_rejects_a_non_integer_top_k(top_k):
+    # matching once ended in "slice indices must be integers"
+    with pytest.raises(ValueError, match=rf"^field 'top_k' must be an integer, got {top_k}$"):
+        FusionConfig(horizon=12, top_k=top_k)
