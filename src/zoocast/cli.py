@@ -333,7 +333,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         message = str(exc).replace("\r", "\\r").replace("\n", "\\n")  # one line, whatever file name it quotes
         print(f"error: {message}", file=sys.stderr)
         return 1

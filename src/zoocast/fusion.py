@@ -5,8 +5,6 @@ The pipeline per channel: instance-normalize the look-back window, rank
 zoo models against the window's encoding, run ceil(H/h) forecasting
 blocks (feeding each block's output back as history), average the top-k
 models inside each block, then de-normalize with the window's stats.
-A forced-model request takes each channel's named model in place of the
-ranking; every other step is the same.
 
 `forecast_multivariate` runs that pipeline one channel at a time; it
 keeps that loop while the benchmark's tracer tests pin its per-channel
@@ -17,6 +15,7 @@ row; the evaluation harness uses it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ from .core import MultivariateSeries, check_fields, checked_normalize_rows, deno
 class FusionConfig:
     horizon: int
     top_k: int = 1
-    forced_model_ids: tuple = ()  # per-variate override; empty = use matching
 
     def __post_init__(self):
         check_fields(vars(self), {"horizon": int, "top_k": int}, "field")
@@ -50,12 +48,32 @@ class SelectionResult:
         return tuple(model_id for model_id, _ in self.ranking[: self.top_k])
 
 
+def _check_request(zoo, length: int, top_k: int) -> None:
+    if length != zoo.input_len:
+        raise ValueError(f"history length {length} != zoo input_len {zoo.input_len}")
+    if top_k > len(zoo.entries):
+        raise ValueError(f"top_k {top_k} exceeds zoo size {len(zoo.entries)}")
+
+
+def _check_forecasts(pred: np.ndarray, h: int) -> None:
+    """Name the first row of an (R, H) forecast that turns non-finite, its step and its block."""
+    bad = ~np.isfinite(pred)
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=1)))
+        step = int(np.argmax(bad[row]))
+        raise ValueError(f"forecast diverged: channel {row} turns non-finite at step {step} (block {step // h})")
+
+
 def match(zoo, variate_window, top_k: int = 1) -> SelectionResult:
     """Rank every zoo model by cosine between its stored representation
     and the encoding of the (internally normalized) window."""
     window = np.asarray(variate_window, dtype=np.float64)
     norm_win, _ = normalize(window)
     mu = extractor_mod.encode(zoo.extractor_params, norm_win)
+    # with an overflowing squared norm every model would score 0.0 and rank in manifest order
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not math.isfinite(mu.dot(mu)):
+            raise ValueError("encoding overflows float64")
     scored = [
         (entry.model_id, extractor_mod.cosine(entry.representation, mu)) for entry in zoo.entries
     ]
@@ -103,14 +121,7 @@ def forecast_multivariate(zoo, series: MultivariateSeries, cfg: FusionConfig):
     """Full pipeline over all channels, one channel at a time, so the first
     channel at fault raises; returns (predictions, selections, per-channel
     NormStats)."""
-    input_len = zoo.input_len
-    if series.length != input_len:
-        raise ValueError(f"history length {series.length} != zoo input_len {input_len}")
-    if cfg.top_k > len(zoo.entries):
-        raise ValueError(f"top_k {cfg.top_k} exceeds zoo size {len(zoo.entries)}")
-    if cfg.forced_model_ids and len(cfg.forced_model_ids) != series.num_channels:
-        raise ValueError("forced_model_ids must name one model per channel")
-
+    _check_request(zoo, series.length, cfg.top_k)
     predictions = np.empty((cfg.horizon, series.num_channels))
     selections = []
     stats_list = []
@@ -119,29 +130,16 @@ def forecast_multivariate(zoo, series: MultivariateSeries, cfg: FusionConfig):
             window = series.channel(c)
             try:  # the window passed its series' checks, so only an overflow raises here
                 norm_win, stats = normalize(window)
+                selection = match(zoo, window, cfg.top_k)
             except ValueError as exc:
                 raise ValueError(f"channel {c}: {exc}") from None
-            if cfg.forced_model_ids:
-                selection = SelectionResult(ranking=((cfg.forced_model_ids[c], 1.0),), top_k=1)
-            else:
-                selection = match(zoo, window, cfg.top_k)
             models = [zoo.forecaster(model_id) for model_id in selection.chosen]
             norm_pred = sequential_forecast(models, norm_win, cfg.horizon)
             predictions[:, c] = denormalize(norm_pred, stats)
             selections.append(selection)
             stats_list.append(stats)
-    try:
-        result = MultivariateSeries(predictions, series.channel_names)
-    except ValueError:
-        bad = ~np.isfinite(predictions)
-        if not bad.any():
-            raise
-        channel = int(np.argmax(bad.any(axis=0)))
-        row = int(np.argmax(bad[:, channel]))
-        raise ValueError(
-            f"forecast diverged: channel {channel} turns non-finite at step {row} (block {row // zoo.horizon})"
-        ) from None
-    return result, selections, stats_list
+    _check_forecasts(predictions.T, zoo.horizon)
+    return MultivariateSeries(predictions, series.channel_names), selections, stats_list
 
 
 def forecast_rows(zoo, rows, cfg: FusionConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -153,22 +151,21 @@ def forecast_rows(zoo, rows, cfg: FusionConfig) -> tuple[np.ndarray, np.ndarray]
     row, and the rows that chose the same models in the same order share
     one `sequential_forecast`. Row r gets the bits and the choice that
     `forecast_multivariate` gives channel r, and its faults raise that
-    function's messages with r as the channel; an overflowing row raises
-    before any model is loaded.
+    function's messages with r as the channel; a row whose values or
+    encoding overflow raises before any model is loaded.
     """
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected (R, T) rows, got shape {x.shape}")
-    if x.shape[1] != zoo.input_len:
-        raise ValueError(f"history length {x.shape[1]} != zoo input_len {zoo.input_len}")
-    if cfg.forced_model_ids:
-        raise ValueError("forced_model_ids go through forecast_multivariate")
-    if cfg.top_k > len(zoo.entries):
-        raise ValueError(f"top_k {cfg.top_k} exceeds zoo size {len(zoo.entries)}")
+    _check_request(zoo, x.shape[1], cfg.top_k)
     norm, mu, sigma = checked_normalize_rows(x, lambda r: f"channel {r}")
-    # (R, 1, L): one vector-matrix product per row, the bits of the 1-D `encode`
-    encodings = extractor_mod.encode_batch(zoo.extractor_params, norm[:, None, :])[:, 0]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing encoding is checked, not warned about
+        # (R, 1, L): one vector-matrix product per row, the bits of the 1-D `encode`
+        encodings = extractor_mod.encode_batch(zoo.extractor_params, norm[:, None, :])[:, 0]
+        # each row's squared norm as `cosine_matrix` sums it, checked as `match` checks it
+        overflowed = ~np.isfinite((encodings[:, None, :] @ encodings[:, :, None])[:, 0, 0])
+        if overflowed.any():
+            raise ValueError(f"channel {int(np.argmax(overflowed))}: encoding overflows float64")
         scores = extractor_mod.cosine_matrix(encodings, np.stack([e.representation for e in zoo.entries]))
     # a stable sort keeps manifest order among equal scores, as `match` does
     choice = np.argsort(-scores, axis=1, kind="stable")[:, : cfg.top_k]
@@ -183,11 +180,5 @@ def forecast_rows(zoo, rows, cfg: FusionConfig) -> tuple[np.ndarray, np.ndarray]
             models = [zoo.forecaster(zoo.entries[i].model_id) for i in choice[members[0]]]
             norm_pred[members] = sequential_forecast(models, norm[members], cfg.horizon)
         pred = sigma[:, None] * norm_pred + mu[:, None]
-    bad = ~np.isfinite(pred)
-    if bad.any():
-        row = int(np.argmax(bad.any(axis=1)))
-        step = int(np.argmax(bad[row]))
-        raise ValueError(
-            f"forecast diverged: channel {row} turns non-finite at step {step} (block {step // zoo.horizon})"
-        )
+    _check_forecasts(pred, zoo.horizon)
     return pred, choice

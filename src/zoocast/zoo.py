@@ -92,8 +92,9 @@ class Zoo:
 
     Construction raises a `ValueError` naming the entry at fault unless
     the zoo is non-empty, its model ids are unique, and every entry has a
-    finite representation of shape (repr_dim,), reads windows of the
-    extractor's input_len and forecasts the first entry's horizon.
+    finite representation of shape (repr_dim,) whose squared norm does
+    not overflow float64, reads windows of the extractor's input_len and
+    forecasts the first entry's horizon.
     """
 
     entries: list
@@ -117,6 +118,9 @@ class Zoo:
                 )
             if not np.all(np.isfinite(e.representation)):
                 raise ValueError(f"entry {e.model_id!r}: non-finite representation")
+            with np.errstate(over="ignore"):  # every cosine against it would read 0.0
+                if not np.isfinite(np.dot(e.representation, e.representation)):
+                    raise ValueError(f"entry {e.model_id!r}: representation norm overflows float64")
             if e.input_len != params.input_len:
                 raise ValueError(
                     f"entry {e.model_id!r}: input_len {e.input_len} != extractor input_len {params.input_len}"

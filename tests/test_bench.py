@@ -14,7 +14,7 @@ from zoocast.bench import (
     report_to_bytes,
     run_benchmark,
 )
-from zoocast.core import Dataset, MultivariateSeries, mse, normalize_rows
+from zoocast.core import Dataset, MultivariateSeries, denormalize, mse, normalize, normalize_rows
 from zoocast.extractor import init_params
 from zoocast.forecasters import Forecaster, ForecasterSpec, init_weights, make_baseline
 from zoocast.zoo import zoo_from_models
@@ -193,12 +193,13 @@ def _reference_run_benchmark(cfg, zoo, datasets):
         windows = _reference_windows(data, cfg.look_back, horizon)
         for entry in zoo.entries:
             values = []
+            model = zoo.forecaster(entry.model_id)
             for window, truth in windows:
-                forced = fusion.FusionConfig(
-                    horizon=horizon, top_k=1, forced_model_ids=(entry.model_id,) * window.num_channels
-                )
-                pred, _, _ = fusion.forecast_multivariate(zoo, window, forced)
-                values.append(mse(truth, pred))
+                columns = []
+                for c in range(window.num_channels):
+                    norm_win, stats = normalize(window.channel(c))
+                    columns.append(denormalize(fusion.sequential_forecast([model], norm_win, horizon), stats))
+                values.append(mse(truth, np.stack(columns, axis=1)))
             if values:
                 zoo_distribution.append(
                     {"dataset": data.name, "model_id": entry.model_id, "mse": float(np.mean(values))}

@@ -530,13 +530,14 @@ def test_overflowing_values_exit_with_error_line(pipeline, tmp_path, capsys, rec
 
 
 def test_embed_pca_of_huge_representations_exits_with_error_line(pipeline, tmp_path, capsys, recwarn):
-    # representations of 1e200 load (they are finite) but overflow the PCA's covariance
+    # two opposite representations whose squared norms stay finite, so they load,
+    # but whose squares sum to more than float64 holds in the PCA's covariance
     root, datasets, zoo_dir = pipeline
     huge_zoo = tmp_path / "zoo"
     shutil.copytree(zoo_dir, huge_zoo)
     manifest = json.loads((huge_zoo / "zoo.json").read_bytes())
-    entry = manifest["entries"][0]
-    entry["representation"] = [1e200 * v for v in entry["representation"]]
+    for entry, sign in zip(manifest["entries"], (1.0, -1.0)):
+        entry["representation"] = [sign * 1.3e154] + [0.0] * (len(entry["representation"]) - 1)
     (huge_zoo / "zoo.json").write_bytes(json.dumps(manifest).encode())
     out = tmp_path / "embed.csv"
     assert run_cli("embed", "--zoo", str(huge_zoo), "--input", str(datasets[0]), "--pca", "1", "--out", str(out)) == 1
@@ -775,3 +776,14 @@ def test_full_bench_config_sets_every_key():
     assert set(raw) == set(cli.BENCH_CONFIG_TYPES)
     raw.pop("datasets")
     assert all((tuple(v) if isinstance(v, list) else v) != getattr(BenchConfig(), k) for k, v in raw.items())
+
+
+def test_forecast_of_a_horizon_too_large_to_allocate_exits_with_error_line(pipeline, tmp_path, capsys):
+    # used to end in a MemoryError traceback; numpy refuses this size at once
+    _, datasets, zoo_dir = pipeline
+    out = tmp_path / "fc"
+    rc = run_cli("forecast", "--zoo", str(zoo_dir), "--input", str(datasets[0]), "--horizon", "1000000000000", "--out", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert not out.exists()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from zoocast import extractor as extractor_mod
 from zoocast.core import MultivariateSeries, denormalize, normalize
-from zoocast.extractor import cosine, cosine_matrix, encode, init_params
+from zoocast.extractor import ExtractorParams, cosine, cosine_matrix, encode, init_params
 from zoocast.forecasters import Forecaster, ForecasterSpec, forecast, init_weights, make_baseline
 from zoocast.fusion import (
     FusionConfig,
@@ -248,11 +248,9 @@ def test_top1_identical_to_best_model_alone():
     values = rng.uniform(0, 1, size=(6, 1))
     series = MultivariateSeries(values)
     pred, sel, _ = forecast_multivariate(zoo, series, FusionConfig(horizon=5, top_k=1))
-    best = sel[0].ranking[0][0]
-    forced, _, _ = forecast_multivariate(
-        zoo, series, FusionConfig(horizon=5, top_k=1, forced_model_ids=(best,))
-    )
-    np.testing.assert_array_equal(pred.values, forced.values)
+    norm_win, stats = normalize(values[:, 0])
+    alone = denormalize(sequential_forecast([zoo.forecaster(sel[0].chosen[0])], norm_win, 5), stats)
+    np.testing.assert_array_equal(pred.values[:, 0], alone)
 
 
 def test_pipeline_length_mismatch():
@@ -272,9 +270,13 @@ def test_diverging_recursion_names_the_channel_and_block():
     w = np.zeros((2, 4))
     w[:, -1] = 1e200  # block 0 stays finite, block 1 overflows
     models = {"ok": _zero_model(4, 2), "boom": Forecaster(spec=spec, weights={"W": w, "b": np.zeros(2)})}
-    zoo = _make_zoo(models, {"ok": np.ones(3), "boom": -np.ones(3)})
-    series = MultivariateSeries(np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]]))
-    cfg = FusionConfig(horizon=6, forced_model_ids=("ok", "boom"))
+    series = MultivariateSeries(np.array([[1.0, 4.0], [2.0, 1.0], [3.0, 3.0], [4.0, 2.0]]))
+    # each model's representation is one channel's encoding, so matching picks "ok", then "boom"
+    params = init_params(4, 4, 3, seed=0)
+    encodings = [encode(params, normalize(series.channel(c))[0]) for c in range(2)]
+    zoo = zoo_from_models(models, params, dict(zip(models, encodings)))
+    assert [match(zoo, series.channel(c)).chosen for c in range(2)] == [("ok",), ("boom",)]
+    cfg = FusionConfig(horizon=6)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=r"channel 1 .*step 2 \(block 1\)"):
             forecast_multivariate(zoo, series, cfg)
@@ -295,7 +297,7 @@ def test_overflowing_channel_is_named_without_a_warning(channel):
             forecast_multivariate(_last_zoo(), series, FusionConfig(horizon=2))
 
 
-# -- forced-model requests ---------------------------------------------------
+# -- matched requests, channel by channel ------------------------------------
 
 ARCHITECTURES = ("linear", "patch_mlp", "last", "mean", "seasonal_naive")
 
@@ -311,13 +313,14 @@ def _every_architecture_zoo(h, seed, input_len=8):
     return _make_zoo(models, {arch: rng.normal(size=3) for arch in ARCHITECTURES})
 
 
-def _per_channel_forced(zoo, values, forced_ids, horizon):
-    """The channel-by-channel form: 1-D normalize, sequential_forecast and
-    denormalize for each channel."""
+def _per_channel_form(zoo, values, chosen, horizon):
+    """The channel-by-channel form: 1-D normalize, sequential_forecast over
+    the channel's chosen models and denormalize for each channel."""
     columns, stats = [], []
-    for c, model_id in enumerate(forced_ids):
+    for c, model_ids in enumerate(chosen):
         norm_win, st_c = normalize(values[:, c])
-        columns.append(denormalize(sequential_forecast([zoo.forecaster(model_id)], norm_win, horizon), st_c))
+        models = [zoo.forecaster(model_id) for model_id in model_ids]
+        columns.append(denormalize(sequential_forecast(models, norm_win, horizon), st_c))
         stats.append(st_c)
     return np.stack(columns, axis=1), stats
 
@@ -326,41 +329,23 @@ def _per_channel_forced(zoo, values, forced_ids, horizon):
     seed=st.integers(0, 2**32 - 1),
     h=st.integers(1, 7),
     horizon=st.integers(1, 30),
-    forced_ids=st.lists(st.sampled_from(ARCHITECTURES), min_size=1, max_size=9),
+    top_k=st.integers(1, 3),
+    channels=st.integers(1, 9),
 )
 @settings(max_examples=60, deadline=None)
-def test_forced_request_equals_the_per_channel_form_bit_for_bit(seed, h, horizon, forced_ids):
+def test_matched_request_equals_the_per_channel_form_bit_for_bit(seed, h, horizon, top_k, channels):
     zoo = _every_architecture_zoo(h, seed % 1000)
     rng = np.random.default_rng(seed)
-    values = rng.normal(size=(8, len(forced_ids))) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-50, 50)
-    values[:, rng.random(len(forced_ids)) < 0.2] = 4.0  # constant channels take the std fallback
+    values = rng.normal(size=(8, channels)) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-50, 50)
+    values[:, rng.random(channels) < 0.2] = 4.0  # constant channels take the std fallback
     pred, selections, stats = forecast_multivariate(
-        zoo, MultivariateSeries(values), FusionConfig(horizon=horizon, forced_model_ids=tuple(forced_ids))
+        zoo, MultivariateSeries(values), FusionConfig(horizon=horizon, top_k=top_k)
     )
-    expected, expected_stats = _per_channel_forced(zoo, values, forced_ids, horizon)
+    expected, expected_stats = _per_channel_form(zoo, values, [s.chosen for s in selections], horizon)
     assert pred.values.tobytes() == expected.tobytes()
     assert pred.values.flags.c_contiguous
     assert stats == expected_stats
-    assert [s.ranking for s in selections] == [((model_id, 1.0),) for model_id in forced_ids]
-
-
-FORCED_FAULTS = {
-    # (overflowing channels, forced ids, the error a channel-by-channel loop raises first)
-    "overflow before an unknown model": ([1], ("m0", "m0", "nope"), "^channel 1: values overflow instance normalization$"),
-    "unknown model before an overflow": ([2], ("m0", "nope", "m0"), "^no model 'nope' in zoo$"),
-    "overflow and unknown model on one channel": ([1], ("m0", "nope", "m0"), "^channel 1: values overflow"),
-}
-
-
-@pytest.mark.parametrize("overflowing, forced_ids, message", FORCED_FAULTS.values(), ids=FORCED_FAULTS.keys())
-def test_forced_request_raises_the_first_channels_fault(overflowing, forced_ids, message):
-    values = np.tile(np.arange(6.0)[:, None], (1, 3))
-    values[:, overflowing] = 1e308
-    cfg = FusionConfig(horizon=2, forced_model_ids=forced_ids)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=message):
-            forecast_multivariate(_last_zoo(), MultivariateSeries(values), cfg)
+    assert [len(s.chosen) for s in selections] == [top_k] * channels
 
 
 # -- the batched matched path ------------------------------------------------
@@ -471,9 +456,28 @@ def test_batched_path_names_the_first_diverging_row(flat):
     assert message == _fault(lambda: forecast_multivariate(zoo, MultivariateSeries(values.T), cfg))
 
 
-def test_batched_path_rejects_a_forced_request():
-    with pytest.raises(ValueError, match="^forced_model_ids go through forecast_multivariate$"):
-        forecast_rows(_last_zoo(), np.ones((1, 6)), FusionConfig(horizon=2, forced_model_ids=("m0",)))
+@pytest.mark.parametrize("scale", [1e307, 1e160], ids=str)
+def test_overflowing_encoding_is_named_before_any_model_loads(scale):
+    # every model used to score 0.0 on such an encoding, and matching took manifest order
+    base = _last_zoo(n=3)
+    params = init_params(6, 4, 3, seed=0)
+    weights = dict(params.weights, W2=params.weights["W2"] * scale, b1=np.zeros(4))  # a flat row encodes as b2
+    zoo = zoo_from_models(
+        {e.model_id: base.forecaster(e.model_id) for e in base.entries},
+        ExtractorParams(weights, 6, 4, 3),
+        {e.model_id: e.representation for e in base.entries},
+    )
+    values = np.random.default_rng(0).normal(size=(4, 6))
+    values[0] = 2.0
+    loads, real = [], zoo.forecaster
+    zoo.forecaster = lambda model_id: loads.append(model_id) or real(model_id)
+    cfg = FusionConfig(horizon=2, top_k=2)
+    assert _fault(lambda: forecast_rows(zoo, values, cfg)) == "channel 1: encoding overflows float64"
+    assert loads == []
+    assert _fault(lambda: forecast_multivariate(zoo, MultivariateSeries(values.T), cfg)) == (
+        "channel 1: encoding overflows float64"
+    )
+    assert _fault(lambda: match(zoo, values[1])) == "encoding overflows float64"
 
 
 # -- config checks -----------------------------------------------------------

@@ -312,12 +312,13 @@ def test_load_zoo_rejects_duplicate_model_ids(tmp_path):
     [
         ([("a", 36, 12, [1.0, 1.0, 1.0])], r"entry 'a': representation shape \(3,\) != extractor dim \(4,\)"),
         ([("a", 36, 12, [1.0] * 4), ("b", 36, 12, [1.0, np.nan, 0.0, 0.0])], "entry 'b': non-finite representation"),
+        ([("a", 36, 12, [1.0] * 4), ("b", 36, 12, [1e160, 0.0, 0.0, 0.0])], "entry 'b': representation norm overflows"),
         ([("a", 36, 12, [1.0] * 4), ("b", 12, 12, [1.0] * 4)], "entry 'b': input_len 12 != extractor input_len 36"),
         ([("a", 36, 12, [1.0] * 4), ("b", 36, 6, [1.0] * 4)], "entry 'b': horizon 6 != horizon 12 of entry 'a'"),
         ([], "need at least one model"),
         ([("a", 36, 12, [1.0] * 4), ("a", 36, 12, [0.0] * 4)], "duplicate model_id 'a'"),
     ],
-    ids=["dim", "nan", "input_len", "horizon", "empty", "duplicate"],
+    ids=["dim", "nan", "norm-overflow", "input_len", "horizon", "empty", "duplicate"],
 )
 def test_in_memory_zoo_is_checked_at_construction(entries, message):
     params = init_params(36, 8, 4, seed=0)
