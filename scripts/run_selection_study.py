@@ -12,10 +12,9 @@ import numpy as np
 from zoocast import forecasters
 from zoocast.bench import default_family_suite
 from zoocast.core import denormalize, mse, normalize
-from zoocast.extractor import ExtractorTrainConfig, MaskSpec, train_extractor
-from zoocast.forecasters import ForecasterSpec, TrainConfig
+from zoocast.forecasters import ForecasterSpec
 from zoocast.fusion import match
-from zoocast.zoo import compute_model_representation, compute_transfer_matrix, zoo_from_models
+from zoocast.zoo import zoo_from_suite
 
 
 def main():
@@ -32,13 +31,7 @@ def main():
     start = time.monotonic()
     suite = default_family_suite(seed=args.seed, noise_std=args.noise)
     names = [d.name for d in suite]
-    spec = ForecasterSpec("linear", args.look_back, args.horizon)
-    tm, models = compute_transfer_matrix(suite, spec, TrainConfig(seed=args.seed))
-    params, log = train_extractor(
-        suite, tm, ExtractorTrainConfig(seed=args.seed), MaskSpec(), input_len=args.look_back
-    )
-    reprs = {n: compute_model_representation(params, d, seed=args.seed) for n, d in zip(names, suite)}
-    zoo = zoo_from_models(models, params, reprs)
+    zoo, log = zoo_from_suite(suite, ForecasterSpec("linear", args.look_back, args.horizon), seed=args.seed)
     print(f"pipeline trained in {time.monotonic() - start:.0f}s (final recon {log[-1]['recon']:.3f})")
 
     eval_suite = default_family_suite(seed=args.eval_seed, noise_std=args.noise)
@@ -56,7 +49,7 @@ def main():
             confusion[family, names.index(picked)] += 1
             norm_win, stats = normalize(window)
             errors = {
-                n: mse(truth, denormalize(forecasters.forecast(models[n], norm_win), stats)) for n in names
+                n: mse(truth, denormalize(forecasters.forecast(zoo.forecaster(n), norm_win), stats)) for n in names
             }
             beats += errors[picked] <= np.median(list(errors.values()))
             count += 1

@@ -8,9 +8,8 @@ import time
 import numpy as np
 
 from zoocast.bench import BenchConfig, default_family_suite, report_to_bytes, run_benchmark
-from zoocast.extractor import ExtractorTrainConfig, MaskSpec, train_extractor
-from zoocast.forecasters import ForecasterSpec, TrainConfig
-from zoocast.zoo import compute_model_representation, compute_transfer_matrix, zoo_from_models
+from zoocast.forecasters import ForecasterSpec
+from zoocast.zoo import zoo_from_suite
 
 
 def main():
@@ -26,14 +25,8 @@ def main():
 
     start = time.monotonic()
     suite = default_family_suite(seed=args.seed, noise_std=args.noise)
-    spec = ForecasterSpec("linear", args.look_back, args.horizon)
-    tm, models = compute_transfer_matrix(suite, spec, TrainConfig(seed=args.seed))
-    params, _ = train_extractor(
-        suite, tm, ExtractorTrainConfig(seed=args.seed), MaskSpec(), input_len=args.look_back
-    )
-    reprs = {d.name: compute_model_representation(params, d, seed=args.seed) for d in suite}
-    zoo = zoo_from_models(models, params, reprs)
-    print(f"zoo of {len(models)} models built in {time.monotonic() - start:.0f}s")
+    zoo, _ = zoo_from_suite(suite, ForecasterSpec("linear", args.look_back, args.horizon), seed=args.seed)
+    print(f"zoo of {len(zoo.entries)} models built in {time.monotonic() - start:.0f}s")
 
     cfg = BenchConfig(
         look_back=args.look_back,

@@ -127,16 +127,22 @@ def evaluation_windows(data: Dataset, look_back: int, horizon: int) -> tuple[np.
     return tiles[:, :look_back], tiles[:, look_back:]
 
 
-def _stacked_forecast(zoo, rows: np.ndarray, c: int, cfg: fusion.FusionConfig) -> np.ndarray:
-    """(W*C, H) matched forecasts of the (W*C, T) channel rows of W windows
-    of C channels, window-major, from one batched pass. Rows are forecast
-    independently, so each window gets the bits a request of its own would."""
-    try:
-        return fusion.forecast_rows(zoo, rows, cfg)[0]
-    except ValueError as exc:  # row k is channel k % c of window k // c; zoo faults pass as they are
-        if not str(exc).startswith(("channel ", "forecast diverged: channel ")):
-            raise
-        raise ValueError(f"{len(rows) // c} windows of {c} channels, stacked window-major: {exc}") from None
+def _row_labels(names: list, horizon: int, bounds: np.ndarray, channels: list):
+    """Label of row r of a horizon's stack, whose dataset i holds rows
+    bounds[i]:bounds[i + 1], window-major over channels[i] channels."""
+
+    def where(r: int) -> str:
+        i = int(np.searchsorted(bounds, r, side="right")) - 1
+        window, channel = divmod(r - int(bounds[i]), channels[i])
+        return f"dataset {names[i]!r}, horizon {horizon}, window {window}, channel {channel}"
+
+    return where
+
+
+def _as_windows(rows: np.ndarray, shape: tuple) -> np.ndarray:
+    """(W*C, H) forecast rows, window-major, as (W, H, C) windows."""
+    w, horizon, c = shape
+    return rows.reshape(w, c, horizon).transpose(0, 2, 1)
 
 
 def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
@@ -145,54 +151,86 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
 
     Returns a report dict with per-(dataset, method, horizon) rows, a
     per-window record list, the horizon-averaged summary, and the per-zoo-
-    model MSE distribution per dataset. All windows of a (dataset, horizon)
-    go out as one stack per method: the zoo method matches and forecasts
-    its channel rows in one `fusion.forecast_rows` pass, not through
-    `forecast_multivariate`'s per-channel loop. Each zoo model forecasts
-    the first horizon's windows in one stacked recursion; every window
-    gets its own metric values.
+    model MSE distribution per dataset, each in dataset-major order.
+
+    The work runs horizon-major. For each horizon, every dataset's windows
+    are stacked as (W*C, T) channel rows, window-major, datasets in suite
+    order; the zoo method forecasts the whole stack in one matched
+    `fusion.forecast_rows` pass, each baseline in one `forecast_batch`,
+    and each dataset's slice is scored right away (only the scores are
+    kept). Then each zoo model forecasts every dataset's first-horizon rows
+    in one stacked recursion. Rows are forecast independently, so every
+    window gets the bits a request of its own would.
+
+    Faults raise in that order: by horizon, then the forecasts of the rows
+    across datasets (named `dataset 'd', horizon h, window w, channel c`),
+    then each dataset's scores, then the zoo distribution, model by model,
+    naming the first dataset in suite order whose forecast diverged.
     """
+    names = [data.name for data in datasets]
+    scored = {}  # (dataset index, horizon position) -> {method: {metric: (W,) scores}}
+    first = {}  # dataset index -> its first horizon's (channel rows, truths), for the zoo distribution
+    for position, horizon in enumerate(cfg.horizons):
+        tiles = {i: evaluation_windows(data, cfg.look_back, horizon) for i, data in enumerate(datasets)}
+        tiles = {i: (x.transpose(0, 2, 1).reshape(-1, cfg.look_back), truth) for i, (x, truth) in tiles.items() if len(x)}
+        if not tiles:
+            continue
+        stack = np.concatenate([rows for rows, _ in tiles.values()])
+        bounds = np.cumsum([0] + [len(rows) for rows, _ in tiles.values()])
+        where = _row_labels([names[i] for i in tiles], horizon, bounds, [truth.shape[2] for _, truth in tiles.values()])
+        preds = {"zoocast": fusion.forecast_rows(zoo, stack, fusion.FusionConfig(horizon, cfg.top_k), where)[0]}
+        for method in forecasters.BASELINES:
+            model = forecasters.make_baseline(method, cfg.look_back, horizon, cfg.season_period)
+            preds[method] = forecasters.forecast_batch(model, stack)
+        for (i, (_, truth)), lo, hi in zip(tiles.items(), bounds, bounds[1:]):
+            windows = {method: _as_windows(pred[lo:hi], truth.shape) for method, pred in preds.items()}
+            scored[i, position] = {method: {m: score(m, truth, w) for m in cfg.metrics} for method, w in windows.items()}
+        if position == 0:
+            first = tiles
+
+    # per-model MSE distribution at the first horizon (violin-plot data):
+    # each model alone on every dataset's channel rows, one normalization, one recursion per model
+    distribution = {}  # (dataset index, entry index) -> mean MSE
+    if first:
+        horizon = cfg.horizons[0]
+        bounds = np.cumsum([0] + [len(rows) for rows, _ in first.values()])
+        owner = np.repeat(list(first), np.diff(bounds))  # dataset index of each stacked row
+        stack, mu, sigma = checked_normalize_rows(
+            np.concatenate([rows for rows, _ in first.values()]), lambda r: f"dataset {names[owner[r]]!r}"
+        )
+        for j, entry in enumerate(zoo.entries):
+            with np.errstate(over="ignore", invalid="ignore"):  # a diverged forecast is checked below
+                pred = fusion.sequential_forecast([zoo.forecaster(entry.model_id)], stack, horizon)
+                pred = pred * sigma[:, None] + mu[:, None]
+            diverged = ~np.isfinite(pred).all(axis=1)
+            if diverged.any():  # the first diverged row lies in the first such dataset in suite order
+                i = owner[np.argmax(diverged)]
+                raise ValueError(f"dataset {names[i]!r}, horizon {horizon}: model {entry.model_id!r} forecast diverged")
+            for (i, (_, truth)), lo, hi in zip(first.items(), bounds, bounds[1:]):
+                distribution[i, j] = float(np.mean(score("mse", truth, _as_windows(pred[lo:hi], truth.shape))))
+
     rows = []
     per_window = []
     zoo_distribution = []
     warnings = []
-    for data in datasets:
-        first = None  # the first horizon's (channel rows, truths), for the per-model distribution
-        for horizon in cfg.horizons:
-            x, truth = evaluation_windows(data, cfg.look_back, horizon)
-            if not len(x):
-                warnings.append(f"{data.name}: horizon {horizon} skipped (series too short)")
+    for i, name in enumerate(names):
+        for position, horizon in enumerate(cfg.horizons):
+            if (i, position) not in scored:
+                warnings.append(f"{name}: horizon {horizon} skipped (series too short)")
                 continue
-            w, _, c = x.shape
-            channel_rows = x.transpose(0, 2, 1).reshape(w * c, cfg.look_back)
-            preds = {"zoocast": _stacked_forecast(zoo, channel_rows, c, fusion.FusionConfig(horizon, cfg.top_k))}
-            for method in forecasters.BASELINES:
-                model = forecasters.make_baseline(method, cfg.look_back, horizon, cfg.season_period)
-                preds[method] = forecasters.forecast_batch(model, channel_rows)
-            if horizon == cfg.horizons[0]:
-                first = channel_rows, truth
-            for method, rows_pred in preds.items():
-                pred = rows_pred.reshape(w, c, horizon).transpose(0, 2, 1)
-                key = {"dataset": data.name, "method": method, "horizon": horizon}
-                scores = {m: score(m, truth, pred).tolist() for m in cfg.metrics}
-                for wi in range(w):
-                    for metric in cfg.metrics:
-                        per_window.append({**key, "window": wi, "metric": metric, "value": scores[metric][wi]})
-                rows.append({**key, **{m: float(np.mean(scores[m])) for m in cfg.metrics}})
-        # per-model MSE distribution at the first horizon (violin-plot data)
-        if first is None:
-            continue
-        channel_rows, truth = first
-        horizon, (w, _, c) = cfg.horizons[0], truth.shape
-        # each model alone on every channel: one normalization of the (W*C, T) stack, one recursion per model
-        stack, mu, sigma = checked_normalize_rows(channel_rows, f"dataset {data.name!r}")
-        for entry in zoo.entries:
-            with np.errstate(over="ignore", invalid="ignore"):  # a diverged forecast is checked below
-                pred = fusion.sequential_forecast([zoo.forecaster(entry.model_id)], stack, horizon).T * sigma + mu
-            if not np.isfinite(pred).all():
-                raise ValueError(f"dataset {data.name!r}, horizon {horizon}: model {entry.model_id!r} forecast diverged")
-            values = score("mse", truth, pred.reshape(horizon, w, c).transpose(1, 0, 2))
-            zoo_distribution.append({"dataset": data.name, "model_id": entry.model_id, "mse": float(np.mean(values))})
+            for method, scores in scored[i, position].items():
+                per_window += [
+                    {"dataset": name, "method": method, "horizon": horizon, "window": wi, "metric": metric, "value": value}
+                    for wi, window_values in enumerate(zip(*[scores[m].tolist() for m in cfg.metrics]))
+                    for metric, value in zip(cfg.metrics, window_values)
+                ]
+                means = {m: float(np.mean(scores[m])) for m in cfg.metrics}
+                rows.append({"dataset": name, "method": method, "horizon": horizon, **means})
+        if i in first:
+            zoo_distribution += [
+                {"dataset": name, "model_id": entry.model_id, "mse": distribution[i, j]}
+                for j, entry in enumerate(zoo.entries)
+            ]
 
     summary = {}
     for row in rows:

@@ -10,7 +10,9 @@ models inside each block, then de-normalize with the window's stats.
 keeps that loop while the benchmark's tracer tests pin its per-channel
 call counts (ROADMAP item 1). `forecast_rows` runs the matched pipeline
 on a stack of channel rows in one batched pass, with the same bits per
-row; the evaluation harness uses it.
+row; the evaluation harness sends it every dataset's windows of one
+horizon as one stack, and passes a row label that names each row's
+dataset, horizon, window and channel in its faults.
 """
 
 from __future__ import annotations
@@ -55,13 +57,18 @@ def _check_request(zoo, length: int, top_k: int) -> None:
         raise ValueError(f"top_k {top_k} exceeds zoo size {len(zoo.entries)}")
 
 
-def _check_forecasts(pred: np.ndarray, h: int) -> None:
-    """Name the first row of an (R, H) forecast that turns non-finite, its step and its block."""
+def _channel(r: int) -> str:
+    return f"channel {r}"
+
+
+def _check_forecasts(pred: np.ndarray, h: int, where=_channel) -> None:
+    """Name the first row of an (R, H) forecast that turns non-finite, by
+    `where(row)`, with its step and its block."""
     bad = ~np.isfinite(pred)
     if bad.any():
         row = int(np.argmax(bad.any(axis=1)))
         step = int(np.argmax(bad[row]))
-        raise ValueError(f"forecast diverged: channel {row} turns non-finite at step {step} (block {step // h})")
+        raise ValueError(f"forecast diverged: {where(row)} turns non-finite at step {step} (block {step // h})")
 
 
 def match(zoo, variate_window, top_k: int = 1) -> SelectionResult:
@@ -142,7 +149,7 @@ def forecast_multivariate(zoo, series: MultivariateSeries, cfg: FusionConfig):
     return MultivariateSeries(predictions, series.channel_names), selections, stats_list
 
 
-def forecast_rows(zoo, rows, cfg: FusionConfig) -> tuple[np.ndarray, np.ndarray]:
+def forecast_rows(zoo, rows, cfg: FusionConfig, where=_channel) -> tuple[np.ndarray, np.ndarray]:
     """Matched forecasts of an (R, T) stack of channel rows in one batched
     pass; returns the (R, H) predictions and the (R, k) indices into
     `zoo.entries` that each row chose, best first.
@@ -151,21 +158,22 @@ def forecast_rows(zoo, rows, cfg: FusionConfig) -> tuple[np.ndarray, np.ndarray]
     row, and the rows that chose the same models in the same order share
     one `sequential_forecast`. Row r gets the bits and the choice that
     `forecast_multivariate` gives channel r, and its faults raise that
-    function's messages with r as the channel; a row whose values or
-    encoding overflow raises before any model is loaded.
+    function's messages with `where(r)` (default `channel r`) naming the
+    row; a row whose values or encoding overflow raises before any model
+    is loaded. Zoo faults keep their own messages.
     """
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected (R, T) rows, got shape {x.shape}")
     _check_request(zoo, x.shape[1], cfg.top_k)
-    norm, mu, sigma = checked_normalize_rows(x, lambda r: f"channel {r}")
+    norm, mu, sigma = checked_normalize_rows(x, where)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing encoding is checked, not warned about
         # (R, 1, L): one vector-matrix product per row, the bits of the 1-D `encode`
         encodings = extractor_mod.encode_batch(zoo.extractor_params, norm[:, None, :])[:, 0]
         # each row's squared norm as `cosine_matrix` sums it, checked as `match` checks it
         overflowed = ~np.isfinite((encodings[:, None, :] @ encodings[:, :, None])[:, 0, 0])
         if overflowed.any():
-            raise ValueError(f"channel {int(np.argmax(overflowed))}: encoding overflows float64")
+            raise ValueError(f"{where(int(np.argmax(overflowed)))}: encoding overflows float64")
         scores = extractor_mod.cosine_matrix(encodings, np.stack([e.representation for e in zoo.entries]))
     # a stable sort keeps manifest order among equal scores, as `match` does
     choice = np.argsort(-scores, axis=1, kind="stable")[:, : cfg.top_k]
@@ -180,5 +188,5 @@ def forecast_rows(zoo, rows, cfg: FusionConfig) -> tuple[np.ndarray, np.ndarray]
             models = [zoo.forecaster(zoo.entries[i].model_id) for i in choice[members[0]]]
             norm_pred[members] = sequential_forecast(models, norm[members], cfg.horizon)
         pred = sigma[:, None] * norm_pred + mu[:, None]
-    _check_forecasts(pred, zoo.horizon)
+    _check_forecasts(pred, zoo.horizon, where)
     return pred, choice

@@ -316,3 +316,17 @@ def zoo_from_models(models: dict, params: extractor_mod.ExtractorParams, represe
         for model_id, model in models.items()
     ]
     return Zoo(entries, params, _cache=dict(models))
+
+
+def zoo_from_suite(suite: list, spec: forecasters.ForecasterSpec, seed: int = 0) -> tuple:
+    """The default in-memory zoo of a suite, every step seeded with `seed`
+    and otherwise at its config defaults: one `spec` forecaster per
+    dataset and the transfer matrix between them, the extractor trained on
+    it, and each model's representation from its own dataset. Returns
+    (Zoo, the extractor's training log)."""
+    tm, models = compute_transfer_matrix(suite, spec, forecasters.TrainConfig(seed=seed))
+    params, log = extractor_mod.train_extractor(
+        suite, tm, extractor_mod.ExtractorTrainConfig(seed=seed), extractor_mod.MaskSpec(), input_len=spec.input_len
+    )
+    reprs = {d.name: compute_model_representation(params, d, seed=seed) for d in suite}
+    return zoo_from_models(models, params, reprs), log

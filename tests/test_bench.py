@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,8 +19,10 @@ from zoocast.bench import (
 )
 from zoocast.core import Dataset, MultivariateSeries, denormalize, mse, normalize, normalize_rows
 from zoocast.extractor import init_params
+from zoocast.extractor import save as save_extractor
 from zoocast.forecasters import Forecaster, ForecasterSpec, init_weights, make_baseline
-from zoocast.zoo import zoo_from_models
+from zoocast.forecasters import save as save_model
+from zoocast.zoo import build_zoo, load_zoo, zoo_from_models
 
 
 def test_sine_periodicity():
@@ -278,6 +283,50 @@ def test_stacked_harness_matches_reference_when_every_horizon_is_too_long():
     _assert_reports_identical(cfg, _mixed_zoo(), datasets)
 
 
+def test_stacked_harness_matches_reference_on_the_default_config():
+    # the default BenchConfig's traffic: five one-channel families of 1200 points, a 36 -> 12 zoo
+    report = _assert_reports_identical(BenchConfig(), _mixed_zoo(36, 12), default_family_suite(seed=7, length=1200))
+    assert b'"warnings":[]' in report
+
+
+def test_stacked_harness_matches_reference_on_mixed_channels_and_a_repeated_horizon():
+    # "short" has one window at horizon 4 and none at horizon 9
+    cfg = BenchConfig(look_back=12, horizons=(4, 9, 4), metrics=("mse", "smape", "mape"), top_k=2, season_period=3)
+    datasets = [_named_dataset(150), _named_dataset(20, "short", channels=1), _named_dataset(90, "one-channel", channels=1)]
+    report = run_benchmark(cfg, _mixed_zoo(), datasets)
+    assert report["warnings"] == ["short: horizon 9 skipped (series too short)"]
+    assert [(d["dataset"], d["model_id"]) for d in report["zoo_distribution"]] == [
+        (data.name, entry.model_id) for data in datasets for entry in _mixed_zoo().entries
+    ]
+    _assert_reports_identical(cfg, _mixed_zoo(), datasets)
+
+
+def test_a_later_datasets_row_fault_wins_over_an_earlier_datasets_score_fault():
+    # "scores" forecasts finitely but its squared errors overflow; "rows" overflows normalization.
+    # Rows of every dataset are forecast before any dataset is scored, so "rows" names the fault.
+    values = np.concatenate([np.full(12, 2.0**660), np.full(4, -(2.0**660))])[:, None]  # a constant look-back
+    scores = Dataset(MultivariateSeries(values), "scores")
+    rows = Dataset(MultivariateSeries(np.resize([1e300, -1e300], (16, 1))), "rows")
+    cfg = BenchConfig(look_back=12, horizons=(4,))
+    with pytest.raises(ValueError, match=r"^metric 'mse' overflows float64 on these values$"):
+        run_benchmark(cfg, _mixed_zoo(), [scores])
+    expected = r"^dataset 'rows', horizon 4, window 0, channel 0: values overflow instance normalization$"
+    with pytest.raises(ValueError, match=expected):
+        run_benchmark(cfg, _mixed_zoo(), [scores, rows])
+
+
+def test_an_earlier_horizons_fault_wins_over_an_earlier_datasets_later_horizon():
+    # "long"'s huge first value is in its horizon-5 window only; "late" overflows at horizon 4
+    long = Dataset(MultivariateSeries(np.concatenate([[1e300], np.ones(16)])[:, None]), "long")
+    late = Dataset(MultivariateSeries(np.resize([1e300, -1e300], (16, 1))), "late")
+    expected = r"^dataset 'late', horizon 4, window 0, channel 0: values overflow instance normalization$"
+    with pytest.raises(ValueError, match=expected):
+        run_benchmark(BenchConfig(look_back=12, horizons=(4, 5)), _mixed_zoo(), [long, late])
+    expected = r"^dataset 'long', horizon 5, window 0, channel 0: values overflow instance normalization$"
+    with pytest.raises(ValueError, match=expected):
+        run_benchmark(BenchConfig(look_back=12, horizons=(4, 5)), _mixed_zoo(), [long])
+
+
 def test_stacked_harness_error_says_how_windows_were_stacked():
     spec = ForecasterSpec("linear", 12, 4)
     weights = {"W": np.zeros((4, 12)), "b": np.zeros(4)}
@@ -285,10 +334,32 @@ def test_stacked_harness_error_says_how_windows_were_stacked():
     zoo = zoo_from_models({"boom": Forecaster(spec, weights)}, init_params(12, 4, 3, seed=0), {"boom": np.ones(3)})
     values = np.random.default_rng(0).normal(size=(100, 2))
     values[:60] = 1.0  # the first three windows are flat
-    # window 3, channel 0 is stacked channel 3 * 2 + 0
-    expected = r"^5 windows of 2 channels, stacked window-major: forecast diverged: channel 6 "
+    # window 3, channel 0 is stacked row 3 * 2 + 0; the label names it as the harness stacked it
+    expected = r"^forecast diverged: dataset 'd', horizon 8, window 3, channel 0 turns non-finite at step 4 \(block 1\)$"
     with pytest.raises(ValueError, match=expected), np.errstate(over="ignore", invalid="ignore"):
         run_benchmark(BenchConfig(look_back=12, horizons=(8,)), zoo, [Dataset(MultivariateSeries(values), "d")])
+
+
+@pytest.mark.parametrize("fault", ["digest", "parse"])
+def test_harness_passes_zoo_faults_on_in_their_own_words(tmp_path, fault):
+    spec = ForecasterSpec("linear", 12, 4)
+    (tmp_path / "only.json").write_bytes(save_model(Forecaster(spec, init_weights(spec, seed=0))))
+    (tmp_path / "extractor.json").write_bytes(save_extractor(init_params(12, 4, 3, seed=0)))
+    source = _named_dataset(60, "source", channels=1)
+    out = build_zoo([tmp_path / "only.json"], [source], tmp_path / "extractor.json", tmp_path / "zoo", 4)
+    victim = out / "only.model.json"
+    if fault == "digest":
+        victim.write_bytes(victim.read_bytes() + b" ")
+    else:  # a model file that does not parse, under a manifest digest that matches it
+        victim.write_bytes(b"{")
+        manifest = json.loads((out / "zoo.json").read_bytes())
+        manifest["entries"][0]["digest"] = hashlib.sha256(b"{").hexdigest()
+        (out / "zoo.json").write_bytes(json.dumps(manifest).encode())
+    with pytest.raises(ValueError) as direct:
+        load_zoo(out).forecaster("only")
+    with pytest.raises(ValueError) as harness:
+        run_benchmark(BenchConfig(look_back=12, horizons=(4,)), load_zoo(out), [_named_dataset(100)])
+    assert str(harness.value) == str(direct.value)
 
 
 def _tiny_last_zoo(input_len=12, horizon=4):
@@ -387,13 +458,13 @@ def test_zoo_distribution_runs_one_stacked_recursion_per_model(monkeypatch):
         requests.append(fusion_cfg)
         return real_forecast(zoo, series, fusion_cfg)
 
-    def rows_spy(zoo, rows, fusion_cfg):
+    def rows_spy(zoo, rows, fusion_cfg, where):
         inside.append([])
         try:
-            pred, choice = real_rows(zoo, rows, fusion_cfg)
+            pred, choice = real_rows(zoo, rows, fusion_cfg, where)
         finally:
             groups = inside.pop()
-        batched.append((np.shape(rows), fusion_cfg.horizon, fusion_cfg.top_k))
+        batched.append((np.asarray(rows), fusion_cfg.horizon, fusion_cfg.top_k))
         norm = normalize_rows(rows)[0]
         chosen = [tuple(zoo.entries[i].model_id for i in row) for row in choice]
         # one recursion per distinct choice tuple, over exactly the rows that chose it, in row order
@@ -407,23 +478,34 @@ def test_zoo_distribution_runs_one_stacked_recursion_per_model(monkeypatch):
         if inside:
             inside[-1].append((ids, np.asarray(window)))
         else:
-            recursions.append((list(ids), np.shape(window), horizon))
+            recursions.append((list(ids), np.asarray(window), horizon))
         return real_sequential(models, window, horizon)
 
     monkeypatch.setattr(fusion, "forecast_multivariate", forecast_spy)
     monkeypatch.setattr(fusion, "forecast_rows", rows_spy)
     monkeypatch.setattr(fusion, "sequential_forecast", sequential_spy)
     run_benchmark(cfg, zoo, datasets)
-    expected, expected_batched = [], []
-    for data in datasets:
-        for horizon in cfg.horizons:
-            w, t, c = evaluation_windows(data, cfg.look_back, horizon)[0].shape
-            expected_batched.append(((w * c, t), horizon, 2))
-        w, t, c = evaluation_windows(data, cfg.look_back, 4)[0].shape
-        expected += [([entry.model_id], (w * c, t), 4) for entry in zoo.entries]
-    assert recursions == expected
+
+    def stacked_rows(horizon):  # every dataset's (W*C, T) window-major channel rows, in suite order
+        tiles = [evaluation_windows(data, cfg.look_back, horizon)[0] for data in datasets]
+        return np.concatenate([x.transpose(0, 2, 1).reshape(-1, cfg.look_back) for x in tiles])
+
     assert requests == []  # the harness sends no per-channel request
-    assert batched == expected_batched  # one batched pass per (dataset, horizon)
+    # one batched pass per horizon, in horizon order, over every dataset's windows
+    def total_rows(horizon):  # the sum of W * C over datasets
+        return sum(np.prod(evaluation_windows(data, cfg.look_back, horizon)[0].shape[::2]) for data in datasets)
+
+    assert [(rows.shape, horizon, top_k) for rows, horizon, top_k in batched] == [
+        ((total_rows(h), cfg.look_back), h, 2) for h in cfg.horizons
+    ]
+    for (rows, _, _), horizon in zip(batched, cfg.horizons):
+        assert np.array_equal(rows, stacked_rows(horizon))
+    # one recursion per zoo model over all datasets' first-horizon rows
+    first = normalize_rows(stacked_rows(4))[0]
+    assert [(ids, window.shape, horizon) for ids, window, horizon in recursions] == [
+        ([entry.model_id], first.shape, 4) for entry in zoo.entries
+    ]
+    assert all(np.array_equal(window, first) for _, window, _ in recursions)
 
 
 def test_zoo_distribution_names_the_model_whose_forecast_diverges():
@@ -433,12 +515,16 @@ def test_zoo_distribution_names_the_model_whose_forecast_diverges():
     models = {"boom": Forecaster(spec, weights), "up": make_baseline("last", 8, 4), "down": make_baseline("mean", 8, 4)}
     e = np.array([1.0, 0.0, 0.0])
     zoo = zoo_from_models(models, init_params(8, 4, 3, seed=0), {"boom": np.zeros(3), "up": e, "down": -e})
-    data = generate_synthetic(SyntheticFamilySpec(kind="sine", period=5, length=60))
-    for window in evaluation_windows(data, 8, 8)[0]:
-        selection = fusion.forecast_multivariate(zoo, MultivariateSeries(window), fusion.FusionConfig(8))[1][0]
-        assert selection.chosen != ("boom",)
-    with pytest.raises(ValueError, match=r"^dataset 'sine-p5-s0', horizon 8: model 'boom' forecast diverged$"):
-        run_benchmark(BenchConfig(look_back=8, horizons=(8,)), zoo, [data])
+    suite = [generate_synthetic(SyntheticFamilySpec(kind="sine", period=5, length=60, seed=s)) for s in (0, 1)]
+    for data in suite:
+        for window in evaluation_windows(data, 8, 8)[0]:
+            selection = fusion.forecast_multivariate(zoo, MultivariateSeries(window), fusion.FusionConfig(8))[1][0]
+            assert selection.chosen != ("boom",)
+    # both datasets diverge; the first in suite order is named
+    for datasets in (suite, suite[::-1]):
+        expected = rf"^dataset '{datasets[0].name}', horizon 8: model 'boom' forecast diverged$"
+        with pytest.raises(ValueError, match=expected):
+            run_benchmark(BenchConfig(look_back=8, horizons=(8,)), zoo, datasets)
 
 
 def test_default_family_suite_has_five_distinct_families():

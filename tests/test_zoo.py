@@ -7,7 +7,8 @@ import pytest
 
 from zoocast.bench import SyntheticFamilySpec, generate_synthetic
 from zoocast.core import Dataset, MultivariateSeries, normalize
-from zoocast.extractor import DECODER_TENSORS, ENCODER_TENSORS, encode, encode_batch, init_params
+from zoocast.extractor import DECODER_TENSORS, ENCODER_TENSORS, ExtractorTrainConfig, MaskSpec, encode, encode_batch
+from zoocast.extractor import init_params, train_extractor
 from zoocast.extractor import load as load_extractor, save as save_extractor
 from zoocast.forecasters import Forecaster, ForecasterSpec, TrainConfig, make_baseline, save as save_model, train
 from zoocast.fusion import FusionConfig, forecast_multivariate
@@ -20,6 +21,7 @@ from zoocast.zoo import (
     compute_transfer_matrix,
     load_zoo,
     zoo_from_models,
+    zoo_from_suite,
 )
 
 
@@ -118,6 +120,20 @@ def test_transfer_matrix_copies_within_band():
     copies = [Dataset(series=base.series, name=f"copy{i}") for i in range(3)]
     tm, _ = compute_transfer_matrix(copies, spec, cfg)
     assert tm.g.max() - tm.g.min() < 0.05
+
+
+def test_zoo_from_suite_is_the_seeded_default_chain():
+    suite = [_dataset(seed=1, length=200), _dataset(kind="sawtooth", seed=2, length=200, period=7)]
+    spec = ForecasterSpec("linear", input_len=12, horizon=4)
+    zoo, log = zoo_from_suite(suite, spec, seed=3)
+    tm, models = compute_transfer_matrix(suite, spec, TrainConfig(seed=3))
+    params, expected_log = train_extractor(suite, tm, ExtractorTrainConfig(seed=3), MaskSpec(), input_len=12)
+    assert log == expected_log
+    assert save_extractor(zoo.extractor_params) == save_extractor(params)
+    assert [e.model_id for e in zoo.entries] == [d.name for d in suite]
+    for entry, data in zip(zoo.entries, suite):
+        assert save_model(zoo.forecaster(entry.model_id)) == save_model(models[data.name])
+        assert np.array_equal(entry.representation, compute_model_representation(params, data, seed=3))
 
 
 def test_transfer_matrix_round_trip_and_missing_pair():
