@@ -4,8 +4,8 @@
 # representation extractor, assemble a zoo, then run every command that
 # reads the zoo: forecast a fresh series, embed it (raw and PCA-projected)
 # and run the evaluation harness on the five datasets. Ends by printing
-# the sha256 of every artifact and of every output, so two commits can be
-# compared.
+# the sha256 of every file it writes (artifacts, outputs and the
+# synthesized CSVs), so two commits can be compared.
 #
 # Uses an installed `zoocast` when there is one, else this checkout's source.
 set -euo pipefail
@@ -55,4 +55,5 @@ head -5 forecast/forecast.csv
 
 echo "artifact digests:"
 sha256sum tm.json "${MODELS[@]}" extractor.json zoo/extractor.json zoo/zoo.json \
-    forecast/forecast.csv forecast/provenance.json embed.csv embed-pca2.csv report.json
+    forecast/forecast.csv forecast/provenance.json embed.csv embed-pca2.csv report.json \
+    "${DATA[@]}" query.csv

@@ -14,6 +14,9 @@ SYNTH_KINDS = ("sine", "sawtooth", "trend_sine", "random_walk", "ar1")
 
 METRIC_FNS = {"mse": mse, "smape": smape, "mape": mape}
 
+# the JSON kind of each BenchConfig field, in the order its faults are named
+BENCH_CONFIG_KINDS = {"horizons": list[int], "metrics": list[str], "look_back": int, "top_k": int, "season_period": int}
+
 
 @dataclass(frozen=True)
 class SyntheticFamilySpec:
@@ -61,7 +64,7 @@ class BenchConfig:
     season_period: int = 7
 
     def __post_init__(self):
-        check_fields(vars(self), {"look_back": int, "horizons": list[int], "top_k": int, "season_period": int}, "field")
+        check_fields(vars(self), BENCH_CONFIG_KINDS, "field")
         if self.look_back < 1:
             raise ValueError(f"look_back must be >= 1, got {self.look_back}")
         if not self.horizons:
@@ -69,6 +72,8 @@ class BenchConfig:
         if min(self.horizons) < 1:
             raise ValueError(f"horizons must be >= 1, got {list(self.horizons)}")
         check_metrics(self.metrics)
+        if len(set(self.metrics)) < len(self.metrics):  # each would be written twice per window
+            raise ValueError(f"metrics name {max(self.metrics, key=self.metrics.count)!r} more than once")
 
 
 def generate_synthetic(spec: SyntheticFamilySpec) -> Dataset:
@@ -157,10 +162,10 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
     are stacked as (W*C, T) channel rows, window-major, datasets in suite
     order; the zoo method forecasts the whole stack in one matched
     `fusion.forecast_rows` pass, each baseline in one `forecast_batch`,
-    and each dataset's slice is scored right away (only the scores are
-    kept). Then each zoo model forecasts every dataset's first-horizon rows
-    in one stacked recursion. Rows are forecast independently, so every
-    window gets the bits a request of its own would.
+    and each dataset's slice is scored right away into that dataset's own
+    lists. Then each zoo model forecasts the first horizon's stack in one
+    recursion, and the lists are joined in suite order. Rows are forecast
+    independently, so every window gets the bits a request of its own would.
 
     Faults raise in that order: by horizon, then the forecasts of the rows
     across datasets (named `dataset 'd', horizon h, window w, channel c`),
@@ -168,80 +173,61 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
     naming the first dataset in suite order whose forecast diverged.
     """
     names = [data.name for data in datasets]
-    scored = {}  # (dataset index, horizon position) -> {method: {metric: (W,) scores}}
-    first = {}  # dataset index -> its first horizon's (channel rows, truths), for the zoo distribution
+    # each dataset's own lists, appended to as its slices are scored and joined in suite order at the end
+    rows, per_window, zoo_distribution, warnings = ([[] for _ in datasets] for _ in range(4))
+    first = None  # the first horizon with its (dataset indices, truths, channel rows, bounds), for the zoo distribution
     for position, horizon in enumerate(cfg.horizons):
-        tiles = {i: evaluation_windows(data, cfg.look_back, horizon) for i, data in enumerate(datasets)}
-        tiles = {i: (x.transpose(0, 2, 1).reshape(-1, cfg.look_back), truth) for i, (x, truth) in tiles.items() if len(x)}
-        if not tiles:
+        tiles = [evaluation_windows(data, cfg.look_back, horizon) for data in datasets]
+        kept = [i for i, (x, _) in enumerate(tiles) if len(x)]
+        for i in sorted(set(range(len(datasets))) - set(kept)):
+            warnings[i].append(f"{names[i]}: horizon {horizon} skipped (series too short)")
+        if not kept:
             continue
-        stack = np.concatenate([rows for rows, _ in tiles.values()])
-        bounds = np.cumsum([0] + [len(rows) for rows, _ in tiles.values()])
-        where = _row_labels([names[i] for i in tiles], horizon, bounds, [truth.shape[2] for _, truth in tiles.values()])
+        truths = [tiles[i][1] for i in kept]
+        parts = [tiles[i][0].transpose(0, 2, 1).reshape(-1, cfg.look_back) for i in kept]
+        stack = np.concatenate(parts)
+        bounds = np.cumsum([0] + [len(part) for part in parts])
+        where = _row_labels([names[i] for i in kept], horizon, bounds, [truth.shape[2] for truth in truths])
         preds = {"zoocast": fusion.forecast_rows(zoo, stack, fusion.FusionConfig(horizon, cfg.top_k), where)[0]}
         for method in forecasters.BASELINES:
             model = forecasters.make_baseline(method, cfg.look_back, horizon, cfg.season_period)
             preds[method] = forecasters.forecast_batch(model, stack)
-        for (i, (_, truth)), lo, hi in zip(tiles.items(), bounds, bounds[1:]):
-            windows = {method: _as_windows(pred[lo:hi], truth.shape) for method, pred in preds.items()}
-            scored[i, position] = {method: {m: score(m, truth, w) for m in cfg.metrics} for method, w in windows.items()}
+        for i, truth, lo, hi in zip(kept, truths, bounds, bounds[1:]):
+            for method, pred in preds.items():
+                scores = {m: score(m, truth, _as_windows(pred[lo:hi], truth.shape)) for m in cfg.metrics}
+                per_window[i] += [
+                    {"dataset": names[i], "method": method, "horizon": horizon, "window": wi, "metric": metric, "value": value}
+                    for wi, window_values in enumerate(zip(*[scores[m].tolist() for m in cfg.metrics]))
+                    for metric, value in zip(cfg.metrics, window_values)
+                ]
+                means = {m: float(np.mean(scores[m])) for m in cfg.metrics}
+                rows[i].append({"dataset": names[i], "method": method, "horizon": horizon, **means})
         if position == 0:
-            first = tiles
+            first = horizon, kept, truths, stack, bounds
 
     # per-model MSE distribution at the first horizon (violin-plot data):
-    # each model alone on every dataset's channel rows, one normalization, one recursion per model
-    distribution = {}  # (dataset index, entry index) -> mean MSE
+    # each model alone on the first horizon's channel rows, one normalization, one recursion per model
     if first:
-        horizon = cfg.horizons[0]
-        bounds = np.cumsum([0] + [len(rows) for rows, _ in first.values()])
-        owner = np.repeat(list(first), np.diff(bounds))  # dataset index of each stacked row
-        stack, mu, sigma = checked_normalize_rows(
-            np.concatenate([rows for rows, _ in first.values()]), lambda r: f"dataset {names[owner[r]]!r}"
-        )
-        for j, entry in enumerate(zoo.entries):
+        horizon, kept, truths, stack, bounds = first
+        owner = np.repeat(kept, np.diff(bounds))  # dataset index of each stacked row
+        norm, mu, sigma = checked_normalize_rows(stack, lambda r: f"dataset {names[owner[r]]!r}")
+        for entry in zoo.entries:
             with np.errstate(over="ignore", invalid="ignore"):  # a diverged forecast is checked below
-                pred = fusion.sequential_forecast([zoo.forecaster(entry.model_id)], stack, horizon)
+                pred = fusion.sequential_forecast([zoo.forecaster(entry.model_id)], norm, horizon)
                 pred = pred * sigma[:, None] + mu[:, None]
             diverged = ~np.isfinite(pred).all(axis=1)
             if diverged.any():  # the first diverged row lies in the first such dataset in suite order
                 i = owner[np.argmax(diverged)]
                 raise ValueError(f"dataset {names[i]!r}, horizon {horizon}: model {entry.model_id!r} forecast diverged")
-            for (i, (_, truth)), lo, hi in zip(first.items(), bounds, bounds[1:]):
-                distribution[i, j] = float(np.mean(score("mse", truth, _as_windows(pred[lo:hi], truth.shape))))
+            for i, truth, lo, hi in zip(kept, truths, bounds, bounds[1:]):
+                value = float(np.mean(score("mse", truth, _as_windows(pred[lo:hi], truth.shape))))
+                zoo_distribution[i].append({"dataset": names[i], "model_id": entry.model_id, "mse": value})
 
-    rows = []
-    per_window = []
-    zoo_distribution = []
-    warnings = []
-    for i, name in enumerate(names):
-        for position, horizon in enumerate(cfg.horizons):
-            if (i, position) not in scored:
-                warnings.append(f"{name}: horizon {horizon} skipped (series too short)")
-                continue
-            for method, scores in scored[i, position].items():
-                per_window += [
-                    {"dataset": name, "method": method, "horizon": horizon, "window": wi, "metric": metric, "value": value}
-                    for wi, window_values in enumerate(zip(*[scores[m].tolist() for m in cfg.metrics]))
-                    for metric, value in zip(cfg.metrics, window_values)
-                ]
-                means = {m: float(np.mean(scores[m])) for m in cfg.metrics}
-                rows.append({"dataset": name, "method": method, "horizon": horizon, **means})
-        if i in first:
-            zoo_distribution += [
-                {"dataset": name, "model_id": entry.model_id, "mse": distribution[i, j]}
-                for j, entry in enumerate(zoo.entries)
-            ]
-
-    summary = {}
+    lists = rows, per_window, zoo_distribution, warnings
+    rows, per_window, zoo_distribution, warnings = ([item for part in per_dataset for item in part] for per_dataset in lists)
+    summary = {}  # (dataset, method) -> its rows, in report order
     for row in rows:
-        key = (row["dataset"], row["method"])
-        summary.setdefault(key, {m: [] for m in cfg.metrics})
-        for m in cfg.metrics:
-            summary[key][m].append(row[m])
-    summary_rows = [
-        {"dataset": dataset, "method": method, **{m: float(np.mean(vals[m])) for m in cfg.metrics}}
-        for (dataset, method), vals in sorted(summary.items())
-    ]
+        summary.setdefault((row["dataset"], row["method"]), []).append(row)
     return {
         "config": {
             "look_back": cfg.look_back,
@@ -251,7 +237,10 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
         },
         "rows": rows,
         "per_window": per_window,
-        "summary": summary_rows,
+        "summary": [
+            {"dataset": dataset, "method": method, **{m: float(np.mean([row[m] for row in group])) for m in cfg.metrics}}
+            for (dataset, method), group in sorted(summary.items())
+        ],
         "zoo_distribution": zoo_distribution,
         "warnings": warnings,
     }

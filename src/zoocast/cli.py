@@ -7,7 +7,6 @@ machine-parseable JSON object to stdout.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, extractor, forecasters, fusion, zoo as zoo_mod
-from .core import MultivariateSeries, canonical_json, check_fields, checked_normalize_rows, load_csv, read_text, trim_to_last
+from .core import MultivariateSeries, canonical_json, check_fields, checked_normalize_rows, load_csv, read_text, trim_to_last, write_csv
 
 ARCH_FLAGS = {"linear": "linear", "patch-mlp": "patch_mlp"}
 
@@ -102,11 +101,7 @@ def cmd_embed(args):
     else:
         points = np.stack(reprs)
         columns = [f"r{i + 1}" for i in range(points.shape[1])]
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "kind"] + columns)
-        for label, kind, row in zip(labels, kinds, points):
-            writer.writerow([label, kind] + [repr(float(v)) for v in row])
+    write_csv(args.out, ["label", "kind"] + columns, ([label, kind, *row] for label, kind, row in zip(labels, kinds, points)))
     _emit(args, {"out": args.out, "points": len(labels)})
 
 
@@ -119,12 +114,8 @@ def cmd_forecast(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "forecast.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["channel", "step", "value"])
-        for c in range(pred.num_channels):
-            for step in range(pred.length):
-                writer.writerow([c, step, repr(float(pred.values[step, c]))])
+    rows = ([c, step, v] for c, column in enumerate(pred.values.T) for step, v in enumerate(column))
+    write_csv(csv_path, ["channel", "step", "value"], rows)
     provenance = {
         "channels": [
             {
@@ -150,11 +141,8 @@ def cmd_evaluate(args):
 
 def cmd_synth(args):
     data = bench.generate_synthetic(_config(bench.SyntheticFamilySpec, vars(args)))
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"c{i}" for i in range(data.series.num_channels)])
-        for t in range(data.series.length):
-            writer.writerow([t] + [repr(float(v)) for v in data.series.values[t]])
+    header = ["t"] + [f"c{i}" for i in range(data.series.num_channels)]
+    write_csv(args.out, header, ([t, *values] for t, values in enumerate(data.series.values)))
     _emit(args, {"out": args.out, "length": data.series.length, "channels": data.series.num_channels})
 
 
@@ -180,11 +168,8 @@ def parse_flat_config(text: str) -> dict:
     return out
 
 
-# the JSON kind of each `zoocast benchmark` config key
-BENCH_CONFIG_TYPES = {
-    "datasets": list[str], "horizons": list[int], "metrics": list[str],
-    "look_back": int, "top_k": int, "season_period": int,
-}
+# the JSON kind of each `zoocast benchmark` config key: the datasets, then BenchConfig's fields
+BENCH_CONFIG_TYPES = {"datasets": list[str], **bench.BENCH_CONFIG_KINDS}
 
 
 def cmd_benchmark(args):

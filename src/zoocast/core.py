@@ -310,6 +310,16 @@ def read_text(path) -> str:
         raise ValueError(f"{p.name}: line {line}: not UTF-8 text (byte 0x{blob[exc.start]:02x})") from None
 
 
+def write_csv(path, header: list, rows) -> None:
+    """Write a UTF-8 CSV: the header, then each row. Every float cell is
+    written as `repr(float(v))`, the shortest text that `load_csv` parses
+    back to the same float."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+
+
 def load_csv(path) -> Dataset:
     """Load a benchmark-style CSV: a header row, then rows whose first
     column is an index and the rest numeric.

@@ -61,7 +61,8 @@ def datasets(draw, name: str) -> Dataset:
 
 @st.composite
 def suites(draw) -> list:
-    return [draw(datasets(f"d{i}")) for i in range(draw(st.integers(1, 3)))]
+    # names may repeat: the summary merges datasets that share a name, the rest of the report keeps them apart
+    return [draw(datasets(draw(st.sampled_from("ab")))) for _ in range(draw(st.integers(1, 3)))]
 
 
 CONFIGS = st.builds(

@@ -88,6 +88,18 @@ def test_score_rejects_an_smape_term_whose_denominator_overflows():
         bench.score("smape", np.array([[1e308]]), np.array([[0.9e308]]))
 
 
+@pytest.mark.parametrize("metrics, repeated", [(("mse", "mse"), "mse"), (("smape", "mse", "mape", "mse"), "mse")])
+def test_bench_config_rejects_a_repeated_metric(metrics, repeated):
+    # each of its per-window records was once written twice
+    with pytest.raises(ValueError, match=rf"^metrics name '{repeated}' more than once$"):
+        BenchConfig(metrics=metrics)
+
+
+def test_bench_config_names_a_metric_that_is_not_a_string():
+    with pytest.raises(ValueError, match=r"^field 'metrics' must be a list of strings, got \(5,\)$"):
+        BenchConfig(metrics=(5,))
+
+
 @pytest.mark.parametrize("look_back", [0, -5])
 def test_bench_config_rejects_a_look_back_below_one(look_back):
     with pytest.raises(ValueError, match=rf"^look_back must be >= 1, got {look_back}$"):
@@ -280,6 +292,21 @@ def test_stacked_harness_matches_reference_when_every_horizon_is_too_long():
     report = run_benchmark(cfg, _mixed_zoo(), datasets)
     assert {d["dataset"] for d in report["zoo_distribution"]} == {"named"}
     assert len(report["warnings"]) == 2
+    _assert_reports_identical(cfg, _mixed_zoo(), datasets)
+
+
+@pytest.mark.parametrize("short_first", [True, False])
+def test_stacked_harness_matches_reference_when_a_dataset_is_skipped_only_at_the_first_horizon(short_first):
+    # the 30-point dataset has no window at horizon 30 and one at horizon 4: it has rows but no zoo distribution
+    cfg = BenchConfig(look_back=12, horizons=(30, 4))
+    datasets = [_named_dataset(30, "short"), _named_dataset(200)]
+    datasets = datasets if short_first else datasets[::-1]
+    report = run_benchmark(cfg, _mixed_zoo(), datasets)
+    assert report["warnings"] == ["short: horizon 30 skipped (series too short)"]
+    assert [(r["dataset"], r["horizon"]) for r in report["rows"] if r["method"] == "zoocast"] == [
+        (data.name, horizon) for data in datasets for horizon in cfg.horizons if (data.name, horizon) != ("short", 30)
+    ]
+    assert {d["dataset"] for d in report["zoo_distribution"]} == {"named"}
     _assert_reports_identical(cfg, _mixed_zoo(), datasets)
 
 

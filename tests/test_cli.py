@@ -632,6 +632,7 @@ def test_an_error_quoting_a_line_break_stays_on_one_line(pipeline, tmp_path, cap
         ("horizons = [-36]", "horizons must be >= 1, got [-36]"),  # was a ZeroDivisionError traceback
         ("top_k = 0", "top_k must be >= 1"),
         ("season_period = 0", "season_period must be >= 1"),
+        ("metrics = [\"mse\", \"mse\"]", "metrics name 'mse' more than once"),  # was exit 0, every record twice
     ],
 )
 def test_benchmark_config_value_out_of_range_exits_with_error_line(pipeline, tmp_path, capsys, line, message):

@@ -16,6 +16,7 @@ from zoocast.core import (
     sample_windows,
     smape,
     trim_to_last,
+    write_csv,
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -363,3 +364,15 @@ def test_load_csv_etth_format(tmp_path):
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
     data = load_csv(path)
     assert data.series.num_channels == 7
+
+
+@settings(max_examples=50)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12), st.integers(1, 3))
+def test_write_csv_round_trips_every_float_through_load_csv(tmp_path_factory, values, channels):
+    rows = np.resize(np.array(values), (len(values), channels))
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    write_csv(path, ["t"] + [f"c{c}" for c in range(channels)], ([t, *row] for t, row in enumerate(rows)))
+    assert np.array_equal(load_csv(path).series.values, rows)
+    lines = path.read_bytes().split(b"\r\n")
+    assert lines[0] == b"t," + b",".join(f"c{c}".encode() for c in range(channels))
+    assert lines[1] == ("0," + ",".join(repr(float(v)) for v in rows[0])).encode()
