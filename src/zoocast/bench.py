@@ -32,6 +32,7 @@ class SyntheticFamilySpec:
         if self.kind not in SYNTH_KINDS:
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
         check_fields(vars(self), dict.fromkeys(("period", "length", "channels", "seed"), int), "field")
+        check_fields(vars(self), dict.fromkeys(("amplitude", "noise_std"), float), "field")
         if self.length < 1 or self.channels < 1 or self.period < 1:
             raise ValueError("length, channels and period must be >= 1")
         if self.noise_std < 0:
@@ -49,10 +50,12 @@ def score(metric: str, truth, pred):
 
 
 def check_metrics(names) -> None:
-    """Raise a ValueError naming every name not in METRIC_FNS."""
+    """Raise a ValueError naming every name not in METRIC_FNS, or a repeated one."""
     unknown = set(names) - set(METRIC_FNS)
     if unknown:
         raise ValueError(f"unknown metrics {sorted(unknown, key=str)}; known metrics: {sorted(METRIC_FNS)}")
+    if len(set(names)) < len(names):  # a report row keeps one mean and one window list per name
+        raise ValueError(f"metrics name {max(names, key=names.count)!r} more than once")
 
 
 @dataclass(frozen=True)
@@ -72,8 +75,6 @@ class BenchConfig:
         if min(self.horizons) < 1:
             raise ValueError(f"horizons must be >= 1, got {list(self.horizons)}")
         check_metrics(self.metrics)
-        if len(set(self.metrics)) < len(self.metrics):  # each would be written twice per window
-            raise ValueError(f"metrics name {max(self.metrics, key=self.metrics.count)!r} more than once")
 
 
 def generate_synthetic(spec: SyntheticFamilySpec) -> Dataset:
@@ -154,8 +155,9 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
     """Evaluate the zoo pipeline and the naive baselines on every dataset
     and horizon; metrics computed on the raw (de-normalized) scale.
 
-    Returns a report dict with per-(dataset, method, horizon) rows, a
-    per-window record list, the horizon-averaged summary, and the per-zoo-
+    Returns a `format_version` 2 report: per-(dataset, method, horizon)
+    rows holding each metric's mean and, under `windows`, its per-window
+    scores in window order; the horizon-averaged summary; and the per-zoo-
     model MSE distribution per dataset, each in dataset-major order.
 
     The work runs horizon-major. For each horizon, every dataset's windows
@@ -174,7 +176,7 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
     """
     names = [data.name for data in datasets]
     # each dataset's own lists, appended to as its slices are scored and joined in suite order at the end
-    rows, per_window, zoo_distribution, warnings = ([[] for _ in datasets] for _ in range(4))
+    rows, zoo_distribution, warnings = ([[] for _ in datasets] for _ in range(3))
     first = None  # the first horizon with its (dataset indices, truths, channel rows, bounds), for the zoo distribution
     for position, horizon in enumerate(cfg.horizons):
         tiles = [evaluation_windows(data, cfg.look_back, horizon) for data in datasets]
@@ -195,13 +197,9 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
         for i, truth, lo, hi in zip(kept, truths, bounds, bounds[1:]):
             for method, pred in preds.items():
                 scores = {m: score(m, truth, _as_windows(pred[lo:hi], truth.shape)) for m in cfg.metrics}
-                per_window[i] += [
-                    {"dataset": names[i], "method": method, "horizon": horizon, "window": wi, "metric": metric, "value": value}
-                    for wi, window_values in enumerate(zip(*[scores[m].tolist() for m in cfg.metrics]))
-                    for metric, value in zip(cfg.metrics, window_values)
-                ]
                 means = {m: float(np.mean(scores[m])) for m in cfg.metrics}
-                rows[i].append({"dataset": names[i], "method": method, "horizon": horizon, **means})
+                windows = {m: scores[m].tolist() for m in cfg.metrics}
+                rows[i].append({"dataset": names[i], "method": method, "horizon": horizon, **means, "windows": windows})
         if position == 0:
             first = horizon, kept, truths, stack, bounds
 
@@ -223,12 +221,12 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
                 value = float(np.mean(score("mse", truth, _as_windows(pred[lo:hi], truth.shape))))
                 zoo_distribution[i].append({"dataset": names[i], "model_id": entry.model_id, "mse": value})
 
-    lists = rows, per_window, zoo_distribution, warnings
-    rows, per_window, zoo_distribution, warnings = ([item for part in per_dataset for item in part] for per_dataset in lists)
+    rows, zoo_distribution, warnings = ([item for part in lists for item in part] for lists in (rows, zoo_distribution, warnings))
     summary = {}  # (dataset, method) -> its rows, in report order
     for row in rows:
         summary.setdefault((row["dataset"], row["method"]), []).append(row)
     return {
+        "format_version": 2,
         "config": {
             "look_back": cfg.look_back,
             "horizons": list(cfg.horizons),
@@ -236,7 +234,6 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
             "top_k": cfg.top_k,
         },
         "rows": rows,
-        "per_window": per_window,
         "summary": [
             {"dataset": dataset, "method": method, **{m: float(np.mean([row[m] for row in group])) for m in cfg.metrics}}
             for (dataset, method), group in sorted(summary.items())

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import reprlib
+import sys
 import types
 from dataclasses import dataclass
 from pathlib import Path
@@ -167,21 +168,23 @@ def canonical_json(payload) -> bytes:
 
 
 # the JSON kinds `check_fields` knows, as its messages name them
-JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object",
+JSON_KINDS = {int: "an integer", float: "a finite number", str: "a string", list: "a list", dict: "an object",
               list[int]: "a list of integers", list[str]: "a list of strings", list[dict]: "a list of objects"}
 
 
 def _has_kind(value, kind) -> bool:
     if isinstance(kind, types.GenericAlias):  # list[int], list[str] or list[dict]
         return isinstance(value, (list, tuple)) and all(_has_kind(item, kind.__args__[0]) for item in value)
+    if kind is float:  # an int or a float that a finite float64 holds; NaN fails the comparison
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
     return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
 def check_fields(record: dict, fields: dict, where: str) -> None:
     """Raise a ValueError "{where} 'name' ..." for the first field of
     `fields` ({name: kind in JSON_KINDS}) that `record` lacks or holds with
-    another JSON kind. A bool is not an integer; a list kind also takes a
-    tuple, the form a config dataclass holds."""
+    another kind. A bool is not an integer or a number, a float kind takes
+    a finite int or float, and a list kind also takes a tuple."""
     for name, kind in fields.items():
         if name not in record:
             raise ValueError(f"{where} {name!r} is missing")

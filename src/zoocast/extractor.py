@@ -51,7 +51,7 @@ class MaskSpec:
     num_views: int = 3
 
     def __post_init__(self):
-        check_fields(vars(self), {"num_views": int}, "field")
+        check_fields(vars(self), {"mask_ratio": float, "num_views": int}, "field")
         if not (0.0 < self.mask_ratio < 1.0):
             raise ValueError("mask_ratio must be in (0, 1)")
         if self.num_views < 1:
@@ -73,7 +73,7 @@ class ExtractorTrainConfig:
         ints = ("epochs", "seed", "windows_per_dataset", "hidden_dim", "repr_dim")
         if self.batch_size is not None:
             ints += ("batch_size",)
-        check_fields(vars(self), dict.fromkeys(ints, int), "field")
+        check_fields(vars(self), {**dict.fromkeys(ints, int), "constraint_weight": float, "learning_rate": float}, "field")
         if min(self.epochs, self.windows_per_dataset, self.hidden_dim, self.repr_dim) < 1:
             raise ValueError("epochs, windows_per_dataset, hidden_dim and repr_dim must be >= 1")
         if self.constraint_weight < 0:

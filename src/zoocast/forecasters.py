@@ -64,7 +64,7 @@ class TrainConfig:
     stride: int = 1
 
     def __post_init__(self):
-        check_fields(vars(self), dict.fromkeys(("epochs", "batch_size", "seed", "stride"), int), "field")
+        check_fields(vars(self), {"epochs": int, "learning_rate": float, "batch_size": int, "seed": int, "stride": int}, "field")
         if self.epochs < 1 or self.batch_size < 1 or self.stride < 1:
             raise ValueError("epochs, batch_size and stride must be >= 1")
         if not (self.learning_rate > 0):

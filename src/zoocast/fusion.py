@@ -177,15 +177,13 @@ def forecast_rows(zoo, rows, cfg: FusionConfig, where=_channel) -> tuple[np.ndar
         scores = extractor_mod.cosine_matrix(encodings, np.stack([e.representation for e in zoo.entries]))
     # a stable sort keeps manifest order among equal scores, as `match` does
     choice = np.argsort(-scores, axis=1, kind="stable")[:, : cfg.top_k]
-    # group id of each row's choice prefix, column by column: ids stay below R, so id * N cannot overflow
-    group = np.zeros(len(x), dtype=np.int64)
-    for column in choice.T:
-        _, first, group = np.unique(group * len(zoo.entries) + column, return_index=True, return_inverse=True)
+    groups = {}  # each choice to its rows, in order of first use: models load as the per-channel loop loads them
+    for r, chosen in enumerate(choice.tolist()):
+        groups.setdefault(tuple(chosen), []).append(r)
     norm_pred = np.empty((len(x), cfg.horizon))
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged forecast is checked below
-        for g in np.argsort(first):  # groups in order of first use load models as the per-channel loop does
-            members = np.flatnonzero(group == g)
-            models = [zoo.forecaster(zoo.entries[i].model_id) for i in choice[members[0]]]
+        for chosen, members in groups.items():
+            models = [zoo.forecaster(zoo.entries[i].model_id) for i in chosen]
             norm_pred[members] = sequential_forecast(models, norm[members], cfg.horizon)
         pred = sigma[:, None] * norm_pred + mu[:, None]
     _check_forecasts(pred, zoo.horizon, where)

@@ -95,6 +95,23 @@ def test_bench_config_rejects_a_repeated_metric(metrics, repeated):
         BenchConfig(metrics=metrics)
 
 
+def test_synthetic_spec_names_a_string_amplitude():
+    # was accepted, and generate_synthetic then failed inside numpy
+    with pytest.raises(ValueError, match=r"^field 'amplitude' must be a finite number, got 'x'$"):
+        SyntheticFamilySpec(kind="sine", amplitude="x")
+
+
+def test_synthetic_spec_names_a_string_noise_std():
+    # was a TypeError from the range check
+    with pytest.raises(ValueError, match=r"^field 'noise_std' must be a finite number, got '0\.1'$"):
+        SyntheticFamilySpec(kind="sine", noise_std="0.1")
+
+
+def test_synthetic_spec_rejects_an_int_beyond_float64():
+    with pytest.raises(ValueError, match=r"^field 'amplitude' must be a finite number, got 1000"):
+        SyntheticFamilySpec(kind="sine", amplitude=10**400)
+
+
 def test_bench_config_names_a_metric_that_is_not_a_string():
     with pytest.raises(ValueError, match=r"^field 'metrics' must be a list of strings, got \(5,\)$"):
         BenchConfig(metrics=(5,))
@@ -165,7 +182,6 @@ def _reference_run_benchmark(cfg, zoo, datasets):
     stacked: one forecast per window, method and zoo model."""
     methods = ["zoocast", "last", "mean", "seasonal_naive"]
     rows = []
-    per_window = []
     zoo_distribution = []
     warnings = []
     for data in datasets:
@@ -177,7 +193,7 @@ def _reference_run_benchmark(cfg, zoo, datasets):
             fusion_cfg = fusion.FusionConfig(horizon=horizon, top_k=cfg.top_k)
             for method in methods:
                 scores = {m: [] for m in cfg.metrics}
-                for wi, (window, truth) in enumerate(windows):
+                for window, truth in windows:
                     if method == "zoocast":
                         pred, _, _ = fusion.forecast_multivariate(zoo, window, fusion_cfg)
                     else:
@@ -186,24 +202,14 @@ def _reference_run_benchmark(cfg, zoo, datasets):
                             forecasters.forecast_batch(model, window.values.T).T, window.channel_names
                         )
                     for metric in cfg.metrics:
-                        value = METRIC_FNS[metric](truth, pred)
-                        scores[metric].append(value)
-                        per_window.append(
-                            {
-                                "dataset": data.name,
-                                "method": method,
-                                "horizon": horizon,
-                                "window": wi,
-                                "metric": metric,
-                                "value": value,
-                            }
-                        )
+                        scores[metric].append(METRIC_FNS[metric](truth, pred))
                 rows.append(
                     {
                         "dataset": data.name,
                         "method": method,
                         "horizon": horizon,
                         **{m: float(np.mean(scores[m])) for m in cfg.metrics},
+                        "windows": scores,
                     }
                 )
         horizon = cfg.horizons[0]
@@ -233,6 +239,7 @@ def _reference_run_benchmark(cfg, zoo, datasets):
         for (dataset, method), vals in sorted(summary.items())
     ]
     return {
+        "format_version": 2,
         "config": {
             "look_back": cfg.look_back,
             "horizons": list(cfg.horizons),
@@ -240,7 +247,6 @@ def _reference_run_benchmark(cfg, zoo, datasets):
             "top_k": cfg.top_k,
         },
         "rows": rows,
-        "per_window": per_window,
         "summary": summary_rows,
         "zoo_distribution": zoo_distribution,
         "warnings": warnings,
@@ -264,8 +270,10 @@ def _named_dataset(length, name="named", channels=3):
 
 
 def _assert_reports_identical(cfg, zoo, datasets):
-    got = report_to_bytes(run_benchmark(cfg, zoo, datasets))
+    report = run_benchmark(cfg, zoo, datasets)
+    got = report_to_bytes(report)
     assert got == report_to_bytes(_reference_run_benchmark(cfg, zoo, datasets))
+    assert json.loads(got) == report
     return got
 
 
@@ -439,15 +447,7 @@ def test_report_totals_match_per_window_recomputation():
     report = run_benchmark(cfg, zoo, [data])
     for row in report["rows"]:
         for metric in cfg.metrics:
-            values = [
-                w["value"]
-                for w in report["per_window"]
-                if w["dataset"] == row["dataset"]
-                and w["method"] == row["method"]
-                and w["horizon"] == row["horizon"]
-                and w["metric"] == metric
-            ]
-            assert row[metric] == pytest.approx(np.mean(values), abs=1e-12)
+            assert row[metric] == pytest.approx(np.mean(row["windows"][metric]), abs=1e-12)
 
 
 def test_zoo_distribution_present():

@@ -445,6 +445,30 @@ def test_evaluate_names_an_unknown_metric(pipeline, capsys):
     assert capsys.readouterr().err == "error: unknown metrics ['foo']; known metrics: ['mape', 'mse', 'smape']\n"
 
 
+def test_evaluate_rejects_a_repeated_metric(pipeline, capsys):
+    # was exit 0, printing mse once
+    root, datasets, _ = pipeline
+    rc = run_cli("evaluate", "--truth", str(datasets[0]), "--pred", str(datasets[0]), "--metrics", "mse,mse")
+    assert rc == 1
+    assert capsys.readouterr().err == "error: metrics name 'mse' more than once\n"
+
+
+@pytest.mark.parametrize("kind", ["sine", "random_walk"])
+def test_synth_rejects_a_nan_noise(tmp_path, capsys, kind):
+    # was exit 0: `nan > 0` is false, so sine wrote noise-free data and random_walk used scale 1.0
+    rc = run_cli("synth", "--kind", kind, "--noise", "nan", "--out", str(tmp_path / "s.csv"))
+    assert rc == 1
+    assert capsys.readouterr().err == "error: field 'noise_std' must be a finite number, got nan\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_synth_names_an_infinite_amplitude(tmp_path, capsys):
+    # was "error: non-finite input", naming no field
+    rc = run_cli("synth", "--kind", "sine", "--amplitude", "inf", "--out", str(tmp_path / "s.csv"))
+    assert rc == 1
+    assert capsys.readouterr().err == "error: field 'amplitude' must be a finite number, got inf\n"
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

@@ -628,6 +628,24 @@ def test_mask_spec_rejects_a_float_view_count():
         MaskSpec(num_views=2.0)
 
 
+def test_mask_spec_names_a_string_mask_ratio():
+    # was a TypeError from the range check
+    with pytest.raises(ValueError, match=r"^field 'mask_ratio' must be a finite number, got '0\.3'$"):
+        MaskSpec(mask_ratio="0.3")
+
+
+def test_extractor_train_config_rejects_an_infinite_learning_rate():
+    # was accepted, and training then diverged in epoch 1
+    with pytest.raises(ValueError, match=r"^field 'learning_rate' must be a finite number, got inf$"):
+        ExtractorTrainConfig(learning_rate=float("inf"))
+
+
+def test_extractor_train_config_rejects_a_nan_constraint_weight():
+    # was accepted: `nan < 0` is false
+    with pytest.raises(ValueError, match=r"^field 'constraint_weight' must be a finite number, got nan$"):
+        ExtractorTrainConfig(constraint_weight=float("nan"))
+
+
 @pytest.mark.parametrize("input_len", [0, -3])
 def test_train_extractor_rejects_an_input_len_below_one(input_len):
     datasets = _tiny_suite()

@@ -269,6 +269,22 @@ def test_train_config_rejects_a_float_epoch_count():
         TrainConfig(epochs=2.0)
 
 
+def test_train_config_rejects_a_bool_learning_rate():
+    # was accepted: `True > 0`
+    with pytest.raises(ValueError, match=r"^field 'learning_rate' must be a finite number, got True$"):
+        TrainConfig(learning_rate=True)
+
+
+def test_train_config_rejects_an_infinite_learning_rate():
+    # was accepted, and train_many then diverged in epoch 1
+    with pytest.raises(ValueError, match=r"^field 'learning_rate' must be a finite number, got inf$"):
+        TrainConfig(learning_rate=float("inf"))
+
+
+def test_train_config_takes_an_integer_learning_rate():
+    assert TrainConfig(learning_rate=1).learning_rate == 1
+
+
 def test_train_divergence_detected():
     data = _sine_dataset(length=100)
     with pytest.raises(ValueError, match="diverged"):

@@ -26,14 +26,16 @@ def _run_script(name, out):
 
 def test_run_zoo_benchmark_writes_a_finite_report(tmp_path):
     report = _run_script("run_zoo_benchmark.py", tmp_path / "report.json")
-    assert set(report) == {"config", "per_window", "rows", "summary", "warnings", "zoo_distribution"}
+    assert set(report) == {"config", "format_version", "rows", "summary", "warnings", "zoo_distribution"}
+    assert report["format_version"] == 2
     assert report["warnings"] == []
     methods = {"zoocast", "last", "mean", "seasonal_naive"}
     datasets = {row["dataset"] for row in report["summary"]}
     assert len(datasets) == 5
     assert {(row["dataset"], row["method"]) for row in report["summary"]} == {(d, m) for d in datasets for m in methods}
     values = [row["mse"] for key in ("rows", "summary", "zoo_distribution") for row in report[key]]
-    values += [row["value"] for row in report["per_window"]]
+    assert all(set(row["windows"]) == set(report["config"]["metrics"]) for row in report["rows"])
+    values += [value for row in report["rows"] for window_values in row["windows"].values() for value in window_values]
     assert values and all(math.isfinite(v) and v >= 0 for v in values)
 
 
