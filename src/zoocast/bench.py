@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import forecasters, fusion
 from .core import Dataset, MultivariateSeries, canonical_json, check_fields, checked_normalize_rows, mape, mse, smape
@@ -77,7 +77,10 @@ class BenchConfig:
         check_metrics(self.metrics)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing series is checked below
 def generate_synthetic(spec: SyntheticFamilySpec) -> Dataset:
+    """A series of `spec`'s family; amplitudes or noise so large that the
+    series overflows float64 raise a ValueError naming both fields."""
     rng = np.random.default_rng(spec.seed)
     t = np.arange(spec.length)
     cols = []
@@ -101,6 +104,9 @@ def generate_synthetic(spec: SyntheticFamilySpec) -> Dataset:
                 x[i] = 0.9 * x[i - 1] + eps[i]
         cols.append(x)
     values = np.stack(cols, axis=1)
+    if not np.isfinite(values).all():
+        fields = f"amplitude {spec.amplitude!r} and noise_std {spec.noise_std!r}"
+        raise ValueError(f"{fields} overflow float64 in a series of kind {spec.kind!r}")
     name = f"{spec.kind}-p{spec.period}-s{spec.seed}"
     return Dataset(series=MultivariateSeries(values), name=name)
 
@@ -124,12 +130,13 @@ def default_family_suite(seed: int = 0, noise_std: float = 0.05, length: int = 6
 
 def evaluation_windows(data: Dataset, look_back: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """(W, T, C) windows and their (W, H, C) truths: non-overlapping views
-    tiled over the tail of the series, stride T + H."""
+    tiled over the tail of the series, stride T + H. The tail of the
+    C-contiguous (N, C) values reshapes to (W, T + H, C) without a copy."""
     values = data.series.values
     total = look_back + horizon
     if values.shape[0] < total:
         return np.empty((0, look_back, values.shape[1])), np.empty((0, horizon, values.shape[1]))
-    tiles = sliding_window_view(values, total, axis=0)[values.shape[0] % total :: total].transpose(0, 2, 1)
+    tiles = values[values.shape[0] % total :].reshape(-1, total, values.shape[1])
     return tiles[:, :look_back], tiles[:, look_back:]
 
 
@@ -151,6 +158,27 @@ def _as_windows(rows: np.ndarray, shape: tuple) -> np.ndarray:
     return rows.reshape(w, c, horizon).transpose(0, 2, 1)
 
 
+def _runs(kept: list, truths: list, bounds: np.ndarray) -> list:
+    """Each run of consecutive kept datasets with one channel count, as
+    (its dataset indices, its (ΣW, H, C) truth stack, the bounds of each
+    dataset's windows in that stack, its slice of the stacked rows)."""
+    runs = []
+    for _, group in itertools.groupby(range(len(kept)), key=lambda j: truths[j].shape[2]):
+        positions = list(group)
+        a, b = positions[0], positions[-1] + 1
+        windows = np.cumsum([0] + [len(truth) for truth in truths[a:b]])
+        runs.append((kept[a:b], np.concatenate(truths[a:b]), windows, slice(bounds[a], bounds[b])))
+    return runs
+
+
+def _run_scores(metric: str, run: tuple, pred: np.ndarray) -> list:
+    """One `score` of a run's forecast rows against its truth stack, split
+    into each dataset's (W,) window scores."""
+    _, truth, windows, rows = run
+    values = score(metric, truth, _as_windows(pred[rows], truth.shape))
+    return [values[lo:hi] for lo, hi in zip(windows, windows[1:])]
+
+
 def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
     """Evaluate the zoo pipeline and the naive baselines on every dataset
     and horizon; metrics computed on the raw (de-normalized) scale.
@@ -163,21 +191,25 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
     The work runs horizon-major. For each horizon, every dataset's windows
     are stacked as (W*C, T) channel rows, window-major, datasets in suite
     order; the zoo method forecasts the whole stack in one matched
-    `fusion.forecast_rows` pass, each baseline in one `forecast_batch`,
-    and each dataset's slice is scored right away into that dataset's own
-    lists. Then each zoo model forecasts the first horizon's stack in one
-    recursion, and the lists are joined in suite order. Rows are forecast
-    independently, so every window gets the bits a request of its own would.
+    `fusion.forecast_rows` pass and each baseline in one `forecast_batch`.
+    Each run of consecutive datasets with one channel count is then scored
+    once per method and metric over its (ΣW, H, C) truth stack, and the
+    window scores are split at dataset bounds into each dataset's own
+    rows. Then each zoo model forecasts the first horizon's stack in one
+    recursion, scored once per run, and the lists are joined in suite
+    order. Rows are forecast independently and metrics reduce each window
+    on its own, so every window gets the bits a request of its own would.
 
     Faults raise in that order: by horizon, then the forecasts of the rows
     across datasets (named `dataset 'd', horizon h, window w, channel c`),
-    then each dataset's scores, then the zoo distribution, model by model,
-    naming the first dataset in suite order whose forecast diverged.
+    then the scores, run by run, method by method, then the zoo
+    distribution, model by model, naming the first dataset in suite order
+    whose forecast diverged.
     """
     names = [data.name for data in datasets]
-    # each dataset's own lists, appended to as its slices are scored and joined in suite order at the end
+    # each dataset's own lists, appended to as its windows are scored and joined in suite order at the end
     rows, zoo_distribution, warnings = ([[] for _ in datasets] for _ in range(3))
-    first = None  # the first horizon with its (dataset indices, truths, channel rows, bounds), for the zoo distribution
+    first = None  # the first horizon with its (dataset indices, channel rows, bounds, runs), for the zoo distribution
     for position, horizon in enumerate(cfg.horizons):
         tiles = [evaluation_windows(data, cfg.look_back, horizon) for data in datasets]
         kept = [i for i, (x, _) in enumerate(tiles) if len(x)]
@@ -194,19 +226,21 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
         for method in forecasters.BASELINES:
             model = forecasters.make_baseline(method, cfg.look_back, horizon, cfg.season_period)
             preds[method] = forecasters.forecast_batch(model, stack)
-        for i, truth, lo, hi in zip(kept, truths, bounds, bounds[1:]):
+        runs = _runs(kept, truths, bounds)
+        for run in runs:
             for method, pred in preds.items():
-                scores = {m: score(m, truth, _as_windows(pred[lo:hi], truth.shape)) for m in cfg.metrics}
-                means = {m: float(np.mean(scores[m])) for m in cfg.metrics}
-                windows = {m: scores[m].tolist() for m in cfg.metrics}
-                rows[i].append({"dataset": names[i], "method": method, "horizon": horizon, **means, "windows": windows})
+                scores = {m: _run_scores(m, run, pred) for m in cfg.metrics}
+                for k, i in enumerate(run[0]):
+                    means = {m: float(np.mean(scores[m][k])) for m in cfg.metrics}
+                    windows = {m: scores[m][k].tolist() for m in cfg.metrics}
+                    rows[i].append({"dataset": names[i], "method": method, "horizon": horizon, **means, "windows": windows})
         if position == 0:
-            first = horizon, kept, truths, stack, bounds
+            first = horizon, kept, stack, bounds, runs
 
     # per-model MSE distribution at the first horizon (violin-plot data):
     # each model alone on the first horizon's channel rows, one normalization, one recursion per model
     if first:
-        horizon, kept, truths, stack, bounds = first
+        horizon, kept, stack, bounds, runs = first
         owner = np.repeat(kept, np.diff(bounds))  # dataset index of each stacked row
         norm, mu, sigma = checked_normalize_rows(stack, lambda r: f"dataset {names[owner[r]]!r}")
         for entry in zoo.entries:
@@ -217,9 +251,10 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
             if diverged.any():  # the first diverged row lies in the first such dataset in suite order
                 i = owner[np.argmax(diverged)]
                 raise ValueError(f"dataset {names[i]!r}, horizon {horizon}: model {entry.model_id!r} forecast diverged")
-            for i, truth, lo, hi in zip(kept, truths, bounds, bounds[1:]):
-                value = float(np.mean(score("mse", truth, _as_windows(pred[lo:hi], truth.shape))))
-                zoo_distribution[i].append({"dataset": names[i], "model_id": entry.model_id, "mse": value})
+            for run in runs:
+                for i, window_mse in zip(run[0], _run_scores("mse", run, pred)):
+                    value = float(np.mean(window_mse))
+                    zoo_distribution[i].append({"dataset": names[i], "model_id": entry.model_id, "mse": value})
 
     rows, zoo_distribution, warnings = ([item for part in lists for item in part] for lists in (rows, zoo_distribution, warnings))
     summary = {}  # (dataset, method) -> its rows, in report order

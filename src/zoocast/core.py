@@ -50,6 +50,8 @@ class MultivariateSeries:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"expected (T, C) with T, C >= 1, got shape {arr.shape}")
+        # one memory layout, so every window of a series is summed in the same order
+        arr = np.ascontiguousarray(arr)
         if not np.isfinite(arr).all():
             raise ValueError("non-finite input")
         if self.channel_names and len(self.channel_names) != arr.shape[1]:

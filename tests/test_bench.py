@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,21 @@ def test_synthetic_spec_rejects_an_int_beyond_float64():
         SyntheticFamilySpec(kind="sine", amplitude=10**400)
 
 
+@pytest.mark.parametrize("kind", bench.SYNTH_KINDS)
+@pytest.mark.parametrize("amplitude", [1.0, 1e308])
+def test_generate_synthetic_names_the_fields_of_a_series_that_overflows(kind, amplitude):
+    # was "non-finite input" from MultivariateSeries, after a numpy RuntimeWarning for some kinds
+    spec = SyntheticFamilySpec(kind=kind, amplitude=amplitude, noise_std=1e308, length=50)
+    expected = f"amplitude {amplitude!r} and noise_std 1e+308 overflow float64 in a series of kind '{kind}'"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        generate_synthetic(spec)
+
+
+def test_generate_synthetic_keeps_a_huge_amplitude_that_fits():
+    values = generate_synthetic(SyntheticFamilySpec(kind="sawtooth", period=4, amplitude=1e308, length=8)).series.values
+    assert np.array_equal(values[:, 0], 1e308 * (np.arange(8) % 4 / 4))
+
+
 def test_bench_config_names_a_metric_that_is_not_a_string():
     with pytest.raises(ValueError, match=r"^field 'metrics' must be a list of strings, got \(5,\)$"):
         BenchConfig(metrics=(5,))
@@ -164,13 +180,15 @@ def _reference_windows(data, look_back, horizon):
     return out
 
 
-@given(st.integers(1, 80), st.integers(1, 3), st.integers(1, 12), st.integers(1, 12))
-def test_evaluation_windows_equal_the_loop(length, channels, look_back, horizon):
-    values = np.arange(length * channels, dtype=np.float64).reshape(length, channels)
+@given(st.integers(1, 80), st.integers(1, 3), st.integers(1, 12), st.integers(1, 12), st.sampled_from("CF"))
+def test_evaluation_windows_equal_the_loop(length, channels, look_back, horizon, order):
+    # the windows are views of the series, also of one given Fortran-ordered
+    values = np.asarray(np.arange(length * channels, dtype=np.float64).reshape(length, channels), order=order)
     data = Dataset(MultivariateSeries(values, tuple("abc"[:channels])), "d")
     x, truth = evaluation_windows(data, look_back, horizon)
     expected = _reference_windows(data, look_back, horizon)
     assert len(x) == len(truth) == len(expected)
+    assert not len(x) or np.shares_memory(x, data.series.values) and np.shares_memory(truth, data.series.values)
     assert x.shape[1:] == (look_back, channels) and truth.shape[1:] == (horizon, channels)
     for x_w, truth_w, (ref_window, ref_future) in zip(x, truth, expected):
         assert np.array_equal(x_w, ref_window.values)
@@ -336,6 +354,70 @@ def test_stacked_harness_matches_reference_on_mixed_channels_and_a_repeated_hori
     _assert_reports_identical(cfg, _mixed_zoo(), datasets)
 
 
+def test_stacked_harness_matches_reference_on_a_fortran_ordered_and_a_column_strided_dataset():
+    # a Fortran-ordered series once kept its layout: four zoocast rows and one zoo_distribution
+    # entry differed from the per-window loop in the last bit
+    values = _named_dataset(200).series.values
+    strided = np.empty((len(values), 6))
+    strided[:, ::2] = values
+    datasets = [
+        Dataset(MultivariateSeries(np.asfortranarray(values)), "fortran"),
+        Dataset(MultivariateSeries(strided[:, ::2]), "strided"),
+    ]
+    cfg = BenchConfig(look_back=12, horizons=(4, 9), metrics=("mse", "smape", "mape"), top_k=2)
+    _assert_reports_identical(cfg, _mixed_zoo(), datasets)
+
+
+def test_stacked_harness_matches_reference_on_interleaved_channel_counts():
+    # no two adjacent datasets share a channel count, so each is scored as a run of its own
+    cfg = BenchConfig(look_back=12, horizons=(4, 9), metrics=("mse", "smape", "mape"), top_k=2, season_period=3)
+    datasets = [_named_dataset(150), _named_dataset(90, "one-channel", channels=1), _named_dataset(120, "again")]
+    _assert_reports_identical(cfg, _mixed_zoo(), datasets)
+
+
+def _five_model_zoo(input_len=36, horizon=12):
+    """`_mixed_zoo` with a second random linear model."""
+    zoo = _mixed_zoo(input_len, horizon)
+    models = {e.model_id: zoo.forecaster(e.model_id) for e in zoo.entries}
+    spec = ForecasterSpec("linear", input_len, horizon)
+    models["linear2"] = Forecaster(spec=spec, weights=init_weights(spec, seed=4))
+    reprs = {e.model_id: e.representation for e in zoo.entries}
+    reprs["linear2"] = np.random.default_rng(12).normal(size=4)
+    return zoo_from_models(models, zoo.extractor_params, reprs)
+
+
+def _count_metric_calls(monkeypatch) -> list:
+    calls = []
+    for name, fn in METRIC_FNS.items():
+        monkeypatch.setitem(METRIC_FNS, name, lambda truth, pred, name=name, fn=fn: calls.append(name) or fn(truth, pred))
+    return calls
+
+
+def test_harness_scores_each_horizon_once_per_method_and_metric(monkeypatch):
+    # the default suite is one run of one-channel datasets: 7 horizons x 4 methods + 5 zoo models
+    # (a call per dataset, 7 x 4 x 5 + 5 x 5 = 165, before runs were scored as one stack)
+    calls = _count_metric_calls(monkeypatch)
+    run_benchmark(BenchConfig(), _five_model_zoo(), default_family_suite(seed=7, length=1200))
+    assert len(calls) == 33
+
+
+def test_harness_scores_interleaved_channel_counts_once_per_run(monkeypatch):
+    # three runs at each horizon: at horizon 4 "short" and "one-channel" make one, and at horizon 9
+    # "short" has no window
+    cfg = BenchConfig(look_back=12, horizons=(4, 9), metrics=("mse", "smape", "mape"), top_k=2, season_period=3)
+    datasets = [
+        _named_dataset(150),
+        _named_dataset(20, "short", channels=1),
+        _named_dataset(90, "one-channel", channels=1),
+        _named_dataset(120, "again"),
+    ]
+    calls = _count_metric_calls(monkeypatch)
+    run_benchmark(cfg, _mixed_zoo(), datasets)
+    runs = {4: 3, 9: 3}
+    assert len(calls) == sum(runs.values()) * 4 * 3 + runs[4] * len(_mixed_zoo().entries)
+    assert calls[: 3 * 4] == list(cfg.metrics) * 4  # method-major over the first run
+
+
 def test_a_later_datasets_row_fault_wins_over_an_earlier_datasets_score_fault():
     # "scores" forecasts finitely but its squared errors overflow; "rows" overflows normalization.
     # Rows of every dataset are forecast before any dataset is scored, so "rows" names the fault.
@@ -348,6 +430,19 @@ def test_a_later_datasets_row_fault_wins_over_an_earlier_datasets_score_fault():
     expected = r"^dataset 'rows', horizon 4, window 0, channel 0: values overflow instance normalization$"
     with pytest.raises(ValueError, match=expected):
         run_benchmark(cfg, _mixed_zoo(), [scores, rows])
+
+
+def test_a_runs_first_metric_fault_wins_over_an_earlier_datasets_later_metric():
+    # one run of two one-channel datasets is scored metric by metric over both:
+    # "b"'s mse fault comes before "a"'s smape fault, which a dataset-by-dataset pass met first
+    zoo = zoo_from_models({"m0": make_baseline("last", 1, 1)}, init_params(1, 4, 3, seed=0), {"m0": np.ones(3)})
+    a = Dataset(MultivariateSeries(np.full((4, 1), 0.95e308)), "a")  # exact forecasts, but |Y| + |Yhat| overflows
+    b = Dataset(MultivariateSeries(np.resize([1.0, 1e200], (4, 1))), "b")  # the squared error overflows
+    cfg = BenchConfig(look_back=1, horizons=(1,), metrics=("mse", "smape"))
+    with pytest.raises(ValueError, match=r"^metric 'smape' overflows float64 on these values$"):
+        run_benchmark(cfg, zoo, [a])
+    with pytest.raises(ValueError, match=r"^metric 'mse' overflows float64 on these values$"):
+        run_benchmark(cfg, zoo, [a, b])
 
 
 def test_an_earlier_horizons_fault_wins_over_an_earlier_datasets_later_horizon():

@@ -469,6 +469,18 @@ def test_synth_names_an_infinite_amplitude(tmp_path, capsys):
     assert capsys.readouterr().err == "error: field 'amplitude' must be a finite number, got inf\n"
 
 
+@pytest.mark.parametrize("kind", ["sine", "random_walk", "ar1"])
+@pytest.mark.parametrize("amplitude", ["1", "1e308"])
+def test_synth_names_a_noise_that_overflows(tmp_path, capsys, kind, amplitude):
+    # was "error: non-finite input", naming no field, after a RuntimeWarning for a huge amplitude
+    out = tmp_path / "s.csv"
+    rc = run_cli("synth", "--kind", kind, "--amplitude", amplitude, "--noise", "1e308", "--length", "50", "--out", str(out))
+    assert rc == 1
+    expected = f"amplitude {float(amplitude)!r} and noise_std 1e+308 overflow float64 in a series of kind '{kind}'"
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

@@ -298,6 +298,24 @@ def test_multivariate_series_invariants():
     assert s.length == 4 and s.num_channels == 2
 
 
+@pytest.mark.parametrize(
+    "values",
+    [np.asfortranarray(np.arange(12.0).reshape(4, 3)), np.arange(24.0).reshape(4, 6)[:, ::2], np.arange(4.0)[::-1]],
+    ids=["fortran", "column-strided", "reversed"],
+)
+def test_multivariate_series_stores_c_contiguous_values(values):
+    # a Fortran-ordered series once kept its layout, and its windows were summed in another order
+    s = MultivariateSeries(values)
+    assert s.values.flags.c_contiguous
+    assert np.array_equal(s.values, values.reshape(len(values), -1))
+
+
+@pytest.mark.parametrize("values", [5.0, np.ones((2, 2, 2))])
+def test_multivariate_series_names_a_shape_that_is_not_t_by_c(values):
+    with pytest.raises(ValueError, match=r"^expected \(T, C\) with T, C >= 1, got shape \("):
+        MultivariateSeries(values)
+
+
 def test_load_csv_basic(tmp_path):
     path = tmp_path / "tiny.csv"
     path.write_text("date,a,b\n2020-01-01,1.0,4\n2020-01-02,2.5,5\n2020-01-03,3e0,6\n")
