@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forecasters, fusion
-from .core import Dataset, MultivariateSeries, canonical_json, check_fields, checked_normalize_rows, mape, mse, smape
+from .core import Dataset, MultivariateSeries, canonical_json, check_fields, check_unique, checked_normalize_rows, mape, mse, smape
 
 SYNTH_KINDS = ("sine", "sawtooth", "trend_sine", "random_walk", "ar1")
 
@@ -200,13 +200,14 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
     order. Rows are forecast independently and metrics reduce each window
     on its own, so every window gets the bits a request of its own would.
 
-    Faults raise in that order: by horizon, then the forecasts of the rows
-    across datasets (named `dataset 'd', horizon h, window w, channel c`),
-    then the scores, run by run, method by method, then the zoo
-    distribution, model by model, naming the first dataset in suite order
-    whose forecast diverged.
+    Faults raise in that order: a repeated dataset name; then by horizon,
+    the forecasts of the rows across datasets (named `dataset 'd', horizon
+    h, window w, channel c`), then the scores, run by run, method by
+    method; then the zoo distribution, model by model, naming the first
+    dataset in suite order whose forecast diverged.
     """
     names = [data.name for data in datasets]
+    check_unique(names, "dataset name")  # rows, summary and zoo distribution are keyed by name
     # each dataset's own lists, appended to as its windows are scored and joined in suite order at the end
     rows, zoo_distribution, warnings = ([[] for _ in datasets] for _ in range(3))
     first = None  # the first horizon with its (dataset indices, channel rows, bounds, runs), for the zoo distribution

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, extractor, forecasters, fusion, zoo as zoo_mod
-from .core import MultivariateSeries, canonical_json, check_fields, checked_normalize_rows, load_csv, read_text, trim_to_last, write_csv
+from .core import MultivariateSeries, canonical_json, check_fields, load_csv, read_text, trim_to_last, write_csv
 
 ARCH_FLAGS = {"linear": "linear", "patch-mlp": "patch_mlp"}
 
@@ -90,9 +90,7 @@ def cmd_embed(args):
     if args.input:
         data = load_csv(args.input)
         windows = trim_to_last(data.series.values, z.extractor_params.input_len).T
-        norm = checked_normalize_rows(windows, lambda c: f"channel {c}")[0]
-        # (C, 1, L): one vector-matrix product per channel, the bits of the 1-D `encode`
-        reprs.extend(extractor.encode_batch(z.extractor_params, norm[:, None, :])[:, 0])
+        reprs.extend(fusion.encode_rows(z, windows)[3])  # forecast's encodings, with its overflow checks
         labels.extend(data.series.channel_names or [f"{data.name}:{c}" for c in range(len(windows))])
         kinds.extend(["variate"] * len(windows))
     if args.pca:

@@ -194,6 +194,31 @@ def check_fields(record: dict, fields: dict, where: str) -> None:
             raise ValueError(f"{where} {name!r} must be {JSON_KINDS[kind]}, got {reprlib.repr(record[name])}")
 
 
+# the largest array size, length, count or epoch count that a config or
+# argument takes; a larger one is an error naming it, where numpy would
+# raise an error of its own for an array it cannot address, or a run
+# would not end
+MAX_SIZE = 2**20
+
+
+def check_sizes(record: dict, names, where: str) -> None:
+    """Raise a ValueError "{where} 'name' must be at most MAX_SIZE" for the
+    first of `names` whose integer in `record` is larger."""
+    for name in names:
+        if record[name] > MAX_SIZE:
+            raise ValueError(f"{where} {name!r} must be at most {MAX_SIZE}, got {record[name]}")
+
+
+def check_unique(names, what: str) -> None:
+    """Raise a ValueError "duplicate {what} 'x'" for the first name that
+    `names` repeats."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"duplicate {what} {name!r}")
+        seen.add(name)
+
+
 def read_artifact(blob: bytes, kind: str, version: int | None, fields: dict) -> dict:
     """The JSON object held in `blob`, a `kind` file: its `format_version`
     must be `version` (unless that is None) and its `fields` pass

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import canonical_json, check_fields, checked_tensors, init_uniform, read_artifact, sample_windows
+from .core import canonical_json, check_fields, check_sizes, check_unique, checked_tensors, init_uniform, read_artifact, sample_windows
 
 EXTRACTOR_FORMAT_VERSION = 1
 EXTRACTOR_FIELDS = {"dims": dict, "weights": dict, "training_log": list}
@@ -52,6 +52,7 @@ class MaskSpec:
 
     def __post_init__(self):
         check_fields(vars(self), {"mask_ratio": float, "num_views": int}, "field")
+        check_sizes(vars(self), ("num_views",), "field")
         if not (0.0 < self.mask_ratio < 1.0):
             raise ValueError("mask_ratio must be in (0, 1)")
         if self.num_views < 1:
@@ -74,6 +75,7 @@ class ExtractorTrainConfig:
         if self.batch_size is not None:
             ints += ("batch_size",)
         check_fields(vars(self), {**dict.fromkeys(ints, int), "constraint_weight": float, "learning_rate": float}, "field")
+        check_sizes(vars(self), ("epochs", "windows_per_dataset", "hidden_dim", "repr_dim"), "field")
         if min(self.epochs, self.windows_per_dataset, self.hidden_dim, self.repr_dim) < 1:
             raise ValueError("epochs, windows_per_dataset, hidden_dim and repr_dim must be >= 1")
         if self.constraint_weight < 0:
@@ -82,6 +84,8 @@ class ExtractorTrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.batch_size is not None and self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (constraint needs negatives)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def param_shapes(input_len: int, hidden_dim: int, repr_dim: int) -> dict:
@@ -298,8 +302,10 @@ def train_extractor(
 ):
     """SGD on the combined objective; returns (params, training_log).
 
-    transfer_matrix must cover every pair of dataset names; its scores are
-    clipped to [-1, 1] so the cosine regression target is attainable.
+    The datasets' names must be unique, and transfer_matrix must hold
+    each of them; its block between them, in suite order
+    (`TransferMatrix.submatrix`), is clipped to [-1, 1] so the cosine
+    regression target is attainable.
 
     Batches are stratified round-robin across datasets. With the default
     batch_size (one window per dataset) every contrastive negative comes
@@ -309,22 +315,22 @@ def train_extractor(
     Each epoch samples every dataset's windows (`sample_windows`), then
     masks all of them in one `mask_series` call; batches are slices.
 
-    Every step checks that the loss is finite and updates the one weights
-    dict in place; the weights are validated once, when training ends,
-    so a non-finite tensor still raises there.
+    Every step checks that the loss is finite, and every epoch that its
+    mean losses are, and updates the one weights dict in place; the
+    weights are validated once, when training ends, so a non-finite tensor
+    still raises there.
     """
     if len(datasets) < 1:
         raise ValueError("need at least one dataset")
+    check_fields({"input_len": input_len}, {"input_len": int}, "argument")
+    check_sizes({"input_len": input_len}, ("input_len",), "argument")
     if input_len < 1:
         raise ValueError(f"input_len must be >= 1, got {input_len}")
     if len(datasets) * cfg.windows_per_dataset < 2:
         raise ValueError("an epoch needs at least 2 windows (constraint needs negatives)")
     names = [d.name for d in datasets]
-    g = np.empty((len(names), len(names)))
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            g[i, j] = transfer_matrix.score(a, b)
-    g = np.clip(g, -1.0, 1.0)
+    check_unique(names, "dataset name")
+    g = np.clip(transfer_matrix.submatrix(names), -1.0, 1.0)
 
     params = init_params(input_len, cfg.hidden_dim, cfg.repr_dim, cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
@@ -352,15 +358,10 @@ def train_extractor(
                 for name, grad in grads.items():
                     params.weights[name] -= cfg.learning_rate * grad
                 epoch_components.append(components)
-        log.append(
-            {
-                "epoch": epoch + 1,
-                **{
-                    key: float(np.mean([c[key] for c in epoch_components]))
-                    for key in ("recon", "trans", "constraint", "total")
-                },
-            }
-        )
+            means = {key: float(np.mean([c[key] for c in epoch_components])) for key in ("recon", "trans", "constraint", "total")}
+        if not all(map(math.isfinite, means.values())):  # finite batch losses whose mean overflows
+            raise ValueError(f"training diverged in epoch {epoch + 1}")
+        log.append({"epoch": epoch + 1, **means})
     return replace(params), log  # the one check of the trained tensors
 
 

@@ -15,12 +15,13 @@ per-model training's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Dataset, canonical_json, check_fields, checked_normalize_rows, checked_tensors, init_uniform, read_artifact
+from .core import Dataset, canonical_json, check_fields, check_sizes, checked_normalize_rows, checked_tensors, init_uniform, read_artifact
 
 TRAINABLE = ("linear", "patch_mlp")
 BASELINES = ("last", "mean", "seasonal_naive")
@@ -43,6 +44,7 @@ class ForecasterSpec:
         if self.architecture not in TRAINABLE + BASELINES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
         check_fields(vars(self), SPEC_SIZES, "field")
+        check_sizes(vars(self), ("input_len", "horizon", "patch_len", "hidden_dim"), "field")
         if self.input_len < 1 or self.horizon < 1:
             raise ValueError("input_len and horizon must be >= 1")
         if self.architecture == "patch_mlp" and (self.patch_len < 1 or self.hidden_dim < 1):
@@ -65,10 +67,13 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(vars(self), {"epochs": int, "learning_rate": float, "batch_size": int, "seed": int, "stride": int}, "field")
+        check_sizes(vars(self), ("epochs",), "field")
         if self.epochs < 1 or self.batch_size < 1 or self.stride < 1:
             raise ValueError("epochs, batch_size and stride must be >= 1")
         if not (self.learning_rate > 0):
             raise ValueError("learning_rate must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -225,9 +230,11 @@ def train_many(spec: ForecasterSpec, datasets: list, cfg: TrainConfig) -> list:
     The architecture and then every dataset's windows are checked before
     any training. Datasets with the same number of training windows train
     in lockstep: one stacked step per batch for all of them. Every byte of
-    each model, `epoch_losses` included, equals training it alone. Once all
-    have run, the first diverged dataset in list order raises "training
-    failed on dataset 'X': training diverged in epoch N".
+    each model, `epoch_losses` included, equals training it alone. A model
+    diverges in the first epoch with a non-finite step loss, or whose mean
+    step loss overflows. Once all have run, the first diverged dataset in
+    list order raises "training failed on dataset 'X': training diverged
+    in epoch N".
     """
     if spec.architecture not in TRAINABLE:
         raise ValueError(f"architecture {spec.architecture!r} is not trainable")
@@ -251,14 +258,14 @@ def train_many(spec: ForecasterSpec, datasets: list, cfg: TrainConfig) -> list:
         weights, losses, epochs = _lockstep_sgd(spec, *stacks.pop(n), cfg)
         for k, i in enumerate(members):
             diverged[i] = epochs[k]
+            if diverged[i]:
+                continue
+            with np.errstate(over="ignore"):  # each model's losses are a contiguous row, summed as np.mean sums a list
+                epoch_losses = tuple(float(np.mean(row)) for row in losses[:, k])
+            # finite step losses whose epoch mean overflows diverged too
+            diverged[i] = next((epoch + 1 for epoch, loss in enumerate(epoch_losses) if not math.isfinite(loss)), 0)
             if not diverged[i]:
-                models[i] = Forecaster(
-                    spec=spec,
-                    weights={name: w[k] for name, w in weights.items()},
-                    source_dataset=datasets[i].name,
-                    # each model's losses are a contiguous row, summed as np.mean sums a list
-                    epoch_losses=tuple(float(np.mean(row)) for row in losses[:, k]),
-                )
+                models[i] = Forecaster(spec, {name: w[k] for name, w in weights.items()}, datasets[i].name, epoch_losses)
     for data, epoch in zip(datasets, diverged):
         if epoch:
             raise ValueError(f"training failed on dataset {data.name!r}: training diverged in epoch {epoch}")

@@ -18,6 +18,7 @@ dataset, horizon, window and channel in its faults.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +51,14 @@ class SelectionResult:
         return tuple(model_id for model_id, _ in self.ranking[: self.top_k])
 
 
-def _check_request(zoo, length: int, top_k: int) -> None:
+def _check_request(zoo, rows: int, length: int, cfg: FusionConfig) -> None:
     if length != zoo.input_len:
         raise ValueError(f"history length {length} != zoo input_len {zoo.input_len}")
-    if top_k > len(zoo.entries):
-        raise ValueError(f"top_k {top_k} exceeds zoo size {len(zoo.entries)}")
+    if cfg.top_k > len(zoo.entries):
+        raise ValueError(f"top_k {cfg.top_k} exceeds zoo size {len(zoo.entries)}")
+    # past sys.maxsize bytes numpy cannot even try to allocate the forecasts or a recursion's history
+    if max(rows, 1) * (length + cfg.horizon + zoo.horizon) > sys.maxsize // 8:
+        raise ValueError(f"horizon {cfg.horizon} is too large: numpy cannot address its forecasts")
 
 
 def _channel(r: int) -> str:
@@ -128,7 +132,7 @@ def forecast_multivariate(zoo, series: MultivariateSeries, cfg: FusionConfig):
     """Full pipeline over all channels, one channel at a time, so the first
     channel at fault raises; returns (predictions, selections, per-channel
     NormStats)."""
-    _check_request(zoo, series.length, cfg.top_k)
+    _check_request(zoo, series.num_channels, series.length, cfg)
     predictions = np.empty((cfg.horizon, series.num_channels))
     selections = []
     stats_list = []
@@ -149,14 +153,31 @@ def forecast_multivariate(zoo, series: MultivariateSeries, cfg: FusionConfig):
     return MultivariateSeries(predictions, series.channel_names), selections, stats_list
 
 
+def encode_rows(zoo, rows, where=_channel) -> tuple:
+    """Instance-normalize an (R, L) stack of rows and encode each with the
+    zoo's extractor; returns (normalized rows, means, stds, (R, repr_dim)
+    encodings). A ValueError names `where(r)` for the first row whose
+    values overflow normalization, or else whose encoding's squared norm
+    overflows float64 (every cosine against it would read 0.0)."""
+    norm, mu, sigma = checked_normalize_rows(rows, where)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing encoding is checked, not warned about
+        # (R, 1, L): one vector-matrix product per row, the bits of the 1-D `encode`
+        encodings = extractor_mod.encode_batch(zoo.extractor_params, norm[:, None, :])[:, 0]
+        # each row's squared norm as `cosine_matrix` sums it, checked as `match` checks it
+        overflowed = ~np.isfinite((encodings[:, None, :] @ encodings[:, :, None])[:, 0, 0])
+    if overflowed.any():
+        raise ValueError(f"{where(int(np.argmax(overflowed)))}: encoding overflows float64")
+    return norm, mu, sigma, encodings
+
+
 def forecast_rows(zoo, rows, cfg: FusionConfig, where=_channel) -> tuple[np.ndarray, np.ndarray]:
     """Matched forecasts of an (R, T) stack of channel rows in one batched
     pass; returns the (R, H) predictions and the (R, k) indices into
     `zoo.entries` that each row chose, best first.
 
-    One normalization, one encode and one (R, N) cosine matrix serve every
-    row, and the rows that chose the same models in the same order share
-    one `sequential_forecast`. Row r gets the bits and the choice that
+    One normalization and encode (`encode_rows`) and one (R, N) cosine
+    matrix serve every row, and the rows that chose the same models in the
+    same order share one `sequential_forecast`. Row r gets the bits and the choice that
     `forecast_multivariate` gives channel r, and its faults raise that
     function's messages with `where(r)` (default `channel r`) naming the
     row; a row whose values or encoding overflow raises before any model
@@ -165,15 +186,9 @@ def forecast_rows(zoo, rows, cfg: FusionConfig, where=_channel) -> tuple[np.ndar
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected (R, T) rows, got shape {x.shape}")
-    _check_request(zoo, x.shape[1], cfg.top_k)
-    norm, mu, sigma = checked_normalize_rows(x, where)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing encoding is checked, not warned about
-        # (R, 1, L): one vector-matrix product per row, the bits of the 1-D `encode`
-        encodings = extractor_mod.encode_batch(zoo.extractor_params, norm[:, None, :])[:, 0]
-        # each row's squared norm as `cosine_matrix` sums it, checked as `match` checks it
-        overflowed = ~np.isfinite((encodings[:, None, :] @ encodings[:, :, None])[:, 0, 0])
-        if overflowed.any():
-            raise ValueError(f"{where(int(np.argmax(overflowed)))}: encoding overflows float64")
+    _check_request(zoo, len(x), x.shape[1], cfg)
+    norm, mu, sigma, encodings = encode_rows(zoo, x, where)
+    with np.errstate(over="ignore", invalid="ignore"):
         scores = extractor_mod.cosine_matrix(encodings, np.stack([e.representation for e in zoo.entries]))
     # a stable sort keeps manifest order among equal scores, as `match` does
     choice = np.argsort(-scores, axis=1, kind="stable")[:, : cfg.top_k]

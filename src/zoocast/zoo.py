@@ -26,7 +26,8 @@ import numpy as np
 
 from . import extractor as extractor_mod
 from . import forecasters
-from .core import Dataset, MultivariateSeries, as_float_array, canonical_json, check_fields, mse, read_artifact, sample_windows
+from .core import Dataset, MultivariateSeries, as_float_array, canonical_json, check_fields, check_sizes, check_unique, mse
+from .core import read_artifact, sample_windows
 
 ZOO_FORMAT_VERSION = 1
 MANIFEST_FIELDS = {"extractor": str, "extractor_digest": str, "entries": list[dict]}
@@ -40,10 +41,14 @@ REPRESENTATION_SAMPLES = 256  # source windows averaged into each model's repres
 
 @dataclass(frozen=True)
 class TransferMatrix:
+    """Transfer scores between datasets of unique names, in suite order:
+    g[i, j] is the score of dataset i's model on dataset j's tail."""
+
     dataset_names: tuple
-    g: np.ndarray  # g[i, j] = transfer score from dataset i's model to dataset j
+    g: np.ndarray
 
     def __post_init__(self):
+        check_unique(self.dataset_names, "dataset name")
         arr = np.asarray(self.g, dtype=np.float64)
         n = len(self.dataset_names)
         if arr.shape != (n, n):
@@ -53,14 +58,13 @@ class TransferMatrix:
         object.__setattr__(self, "dataset_names", tuple(self.dataset_names))
         object.__setattr__(self, "g", arr)
 
-    def score(self, src: str, dst: str) -> float:
-        try:
-            i = self.dataset_names.index(src)
-            j = self.dataset_names.index(dst)
-        except ValueError:
-            missing = src if src not in self.dataset_names else dst
-            raise ValueError(f"transfer matrix has no entry for dataset {missing!r}") from None
-        return float(self.g[i, j])
+    def submatrix(self, names) -> np.ndarray:
+        """The (n, n) block of g between `names`, in that order."""
+        missing = [name for name in names if name not in self.dataset_names]
+        if missing:
+            raise ValueError(f"transfer matrix has no entry for dataset {missing[0]!r}")
+        rows = [self.dataset_names.index(name) for name in names]
+        return self.g[np.ix_(rows, rows)]
 
     def to_bytes(self) -> bytes:
         return canonical_json({"datasets": self.dataset_names, "g": self.g})
@@ -71,8 +75,9 @@ class TransferMatrix:
         g = as_float_array(payload["g"], "transfer matrix file field 'g'")
         try:
             return cls(dataset_names=payload["datasets"], g=g)
-        except ValueError as exc:  # every check in __post_init__ is on g
-            raise ValueError(f"transfer matrix file field 'g': {exc}") from None
+        except ValueError as exc:  # __post_init__ checks the names, then g
+            field = "datasets" if len(set(payload["datasets"])) < len(payload["datasets"]) else "g"
+            raise ValueError(f"transfer matrix file field {field!r}: {exc}") from None
 
 
 @dataclass
@@ -91,10 +96,11 @@ class Zoo:
     """Model entries matched in the extractor's representation space.
 
     Construction raises a `ValueError` naming the entry at fault unless
-    the zoo is non-empty, its model ids are unique, and every entry has a
-    finite representation of shape (repr_dim,) whose squared norm does
-    not overflow float64, reads windows of the extractor's input_len and
-    forecasts the first entry's horizon.
+    the zoo is non-empty, its model ids are unique (checked before any
+    entry's own fields), and every entry has a finite representation of
+    shape (repr_dim,) whose squared norm does not overflow float64, reads
+    windows of the extractor's input_len and forecasts the first entry's
+    horizon.
     """
 
     entries: list
@@ -105,12 +111,9 @@ class Zoo:
     def __post_init__(self):
         if not self.entries:
             raise ValueError("need at least one model")
+        check_unique([e.model_id for e in self.entries], "model_id")
         first, params = self.entries[0], self.extractor_params
-        seen_ids = set()
         for e in self.entries:
-            if e.model_id in seen_ids:
-                raise ValueError(f"duplicate model_id {e.model_id!r}")
-            seen_ids.add(e.model_id)
             shape = np.shape(e.representation)
             if shape != (params.repr_dim,):
                 raise ValueError(
@@ -171,8 +174,13 @@ def compute_model_representation(
     params: extractor_mod.ExtractorParams, source_data: Dataset, sample_count: int = REPRESENTATION_SAMPLES, seed: int = 0
 ) -> np.ndarray:
     """Mean encoding of sampled, instance-normalized source windows."""
+    given = {"sample_count": sample_count, "seed": seed}
+    check_fields(given, dict.fromkeys(given, int), "argument")
+    check_sizes(given, ("sample_count",), "argument")
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     windows = sample_windows(np.random.default_rng(seed), source_data, params.input_len, sample_count)
     return extractor_mod.encode_batch(params, windows).mean(axis=0)
 
@@ -196,28 +204,26 @@ def compute_transfer_matrix(
     """Train one forecaster per dataset (on the first 80%), evaluate each
     on every dataset's held-out tail at normalized scale, g = 1 - MSE.
 
-    Inputs are checked before any training, in suite order: each tail's
-    evaluation windows, then `train_many`'s checks. So a later dataset's
-    bad input wins over an earlier dataset's divergence.
+    Inputs are checked before any training: the names must be unique,
+    then, in suite order, each tail's evaluation windows are cut, then
+    `train_many` runs its checks. So a later dataset's bad input wins over
+    an earlier dataset's divergence. The train parts, tails and models are
+    lists in suite order; g[i, j] scores model i on tail j.
 
     Returns (TransferMatrix, trained models by dataset name).
     """
     if len(datasets) < 2:
         raise ValueError("need at least 2 datasets")
-    train_parts, eval_sets = [], {}
+    names = [d.name for d in datasets]
+    check_unique(names, "dataset name")
+    train_parts, tails = [], []
     for data in datasets:
         train_part, tail = _split(data, spec.input_len + spec.horizon)
-        eval_sets[data.name] = forecasters.extract_windows(tail, spec.input_len, spec.horizon)
         train_parts.append(train_part)
-    names = [d.name for d in datasets]
-    models = dict(zip(names, forecasters.train_many(spec, train_parts, cfg)))
-    g = np.empty((len(names), len(names)))
-    for i, src in enumerate(names):
-        for j, dst in enumerate(names):
-            windows, targets = eval_sets[dst]
-            preds = forecasters.forecast_batch(models[src], windows)
-            g[i, j] = 1.0 - mse(targets.T, preds.T)
-    return TransferMatrix(dataset_names=tuple(names), g=g), models
+        tails.append(forecasters.extract_windows(tail, spec.input_len, spec.horizon))
+    models = forecasters.train_many(spec, train_parts, cfg)
+    g = [[1.0 - mse(targets.T, forecasters.forecast_batch(model, windows).T) for windows, targets in tails] for model in models]
+    return TransferMatrix(dataset_names=tuple(names), g=np.array(g)), dict(zip(names, models))
 
 
 def build_zoo(

@@ -295,6 +295,17 @@ def _assert_reports_identical(cfg, zoo, datasets):
     return got
 
 
+def test_run_benchmark_rejects_a_repeated_dataset_name_before_any_forecast(monkeypatch):
+    # two datasets named 'x' once gave 4 summary rows instead of 8, each averaging both
+    def no_forecast(*args):
+        raise AssertionError("forecast before the names were checked")
+
+    monkeypatch.setattr(fusion, "forecast_rows", no_forecast)
+    suite = [_named_dataset(120, "x"), _named_dataset(150, "y"), _named_dataset(130, "x", channels=1)]
+    with pytest.raises(ValueError, match="^duplicate dataset name 'x'$"):
+        run_benchmark(BenchConfig(look_back=12, horizons=(4,)), _mixed_zoo(), suite)
+
+
 def test_stacked_harness_matches_reference_on_named_channels():
     cfg = BenchConfig(look_back=12, horizons=(4, 9))
     _assert_reports_identical(cfg, _mixed_zoo(), [_named_dataset(200)])

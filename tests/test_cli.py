@@ -815,12 +815,65 @@ def test_full_bench_config_sets_every_key():
     assert all((tuple(v) if isinstance(v, list) else v) != getattr(BenchConfig(), k) for k, v in raw.items())
 
 
-def test_forecast_of_a_horizon_too_large_to_allocate_exits_with_error_line(pipeline, tmp_path, capsys):
-    # used to end in a MemoryError traceback; numpy refuses this size at once
+@pytest.mark.parametrize(
+    "horizon, error",
+    [
+        # used to end in a MemoryError traceback; numpy refuses this size at once
+        (10**12, "error: Unable to allocate "),
+        # once numpy's "array is too big; ..." text
+        (2**62, f"error: horizon {2**62} is too large: numpy cannot address its forecasts\n"),
+    ],
+    ids=["unallocatable", "unaddressable"],
+)
+def test_forecast_of_a_horizon_too_large_exits_with_error_line(pipeline, tmp_path, capsys, horizon, error):
     _, datasets, zoo_dir = pipeline
     out = tmp_path / "fc"
-    rc = run_cli("forecast", "--zoo", str(zoo_dir), "--input", str(datasets[0]), "--horizon", "1000000000000", "--out", str(out))
+    rc = run_cli("forecast", "--zoo", str(zoo_dir), "--input", str(datasets[0]), "--horizon", str(horizon), "--out", str(out))
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert err.startswith(error) and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["transfer-matrix", "benchmark"])
+def test_two_datasets_of_one_name_exit_with_error_line(pipeline, tmp_path, capsys, recwarn, command):
+    # a/x.csv and b/x.csv are both dataset 'x'; transfer-matrix once wrote four equal scores for them
+    root, datasets, zoo_dir = pipeline
+    paths = [tmp_path / part / "x.csv" for part in "ab"]
+    for path, source in zip(paths, datasets):
+        path.parent.mkdir()
+        shutil.copy(source, path)
+    out = tmp_path / "out.json"
+    if command == "transfer-matrix":
+        argv = ["--datasets", ",".join(map(str, paths)), "--epochs", "1"]
+    else:
+        config = tmp_path / "bench.cfg"
+        config.write_text(f"datasets = {json.dumps(list(map(str, paths)))}\nhorizons = [6]\n")
+        argv = ["--config", str(config), "--zoo", str(zoo_dir)]
+    assert run_cli(command, *argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: duplicate dataset name 'x'\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("pca", [[], ["--pca", "2"]], ids=["raw", "pca"])
+@pytest.mark.parametrize("scale", [1.7e308, 1e307], ids=["encoding-overflows", "squared-norm-overflows"])
+def test_embed_of_an_overflowing_encoding_exits_with_forecast_error_line(pipeline, tmp_path, capsys, recwarn, scale, pca):
+    # embed once wrote inf cells (or, for 1e307, finite ones) where forecast names the channel
+    _, datasets, zoo_dir = pipeline
+    zoo = tmp_path / "zoo"
+    shutil.copytree(zoo_dir, zoo)
+    payload = json.loads((zoo / "extractor.json").read_bytes())
+    w2 = np.asarray(payload["weights"]["W2"])
+    payload["weights"]["W2"] = (w2 / np.abs(w2).max() * scale).tolist()
+    blob = json.dumps(payload).encode()
+    (zoo / "extractor.json").write_bytes(blob)
+    manifest = json.loads((zoo / "zoo.json").read_bytes())
+    manifest["extractor_digest"] = hashlib.sha256(blob).hexdigest()
+    (zoo / "zoo.json").write_bytes(json.dumps(manifest).encode())
+    for command, argv in (("forecast", ["--horizon", "6"]), ("embed", pca)):
+        out = tmp_path / command
+        assert run_cli(command, "--zoo", str(zoo), "--input", str(datasets[0]), *argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: channel 0: encoding overflows float64\n"
+        assert not out.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

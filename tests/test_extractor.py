@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zoocast.bench import SyntheticFamilySpec, generate_synthetic
+from zoocast.core import Dataset, MultivariateSeries, sample_windows
 from zoocast.extractor import (
     DECODER_TENSORS,
     ENCODER_TENSORS,
@@ -660,6 +661,60 @@ def test_train_extractor_rejects_an_epoch_of_one_window():
     cfg = ExtractorTrainConfig(epochs=1, windows_per_dataset=1, hidden_dim=8, repr_dim=4)
     with pytest.raises(ValueError, match=r"^an epoch needs at least 2 windows"):
         train_extractor(datasets, _uniform_tm([datasets[0].name]), cfg, MaskSpec(), input_len=36)
+
+
+def test_train_extractor_skips_a_trailing_batch_of_one_window():
+    # three windows in batches of two: the one-window batch has no negatives, so the
+    # epoch is the first batch's step alone, replayed here from the same generator
+    datasets = _tiny_suite() + [generate_synthetic(SyntheticFamilySpec(kind="trend_sine", length=200, seed=2))]
+    tm = TransferMatrix(tuple(d.name for d in datasets), np.array([[0.9, 0.2, -3.0], [0.4, 0.8, 0.1], [0.3, 2.0, 0.7]]))
+    cfg = ExtractorTrainConfig(epochs=1, windows_per_dataset=1, batch_size=2, hidden_dim=8, repr_dim=4, seed=5)
+    params, log = train_extractor(datasets, tm, cfg, MaskSpec(), input_len=12)
+
+    rng = np.random.default_rng(cfg.seed + 1)
+    windows = np.concatenate([sample_windows(rng, data, 12, 1) for data in datasets])
+    views = mask_series(windows, MaskSpec(), rng)
+    expected = init_params(12, 8, 4, seed=cfg.seed)
+    _, grads, components = combined_loss_and_grad(
+        expected, windows[:2], views[:2], np.arange(2), np.clip(tm.g, -1.0, 1.0), cfg.constraint_weight
+    )
+    for name, grad in grads.items():
+        expected.weights[name] -= cfg.learning_rate * grad
+    assert log == [{"epoch": 1, **components}]
+    assert save(params) == save(expected)
+
+
+def test_train_extractor_rejects_a_repeated_dataset_name():
+    sine, saw = _tiny_suite()
+    cfg = ExtractorTrainConfig(epochs=1, windows_per_dataset=2, hidden_dim=8, repr_dim=4)
+    with pytest.raises(ValueError, match="^duplicate dataset name 'x'$"):
+        train_extractor([Dataset(sine.series, "x"), Dataset(saw.series, "x")], _uniform_tm(["x", "y"]), cfg, MaskSpec(), input_len=12)
+
+
+def test_train_extractor_names_an_epoch_whose_mean_loss_overflows(recwarn):
+    # each batch's loss is finite, near 0.7 * 1e308, so two of them overflow the epoch's mean
+    datasets = [Dataset(MultivariateSeries([[1.0]]), name) for name in "ab"]
+    cfg = ExtractorTrainConfig(epochs=1, windows_per_dataset=3, constraint_weight=1e308, hidden_dim=1, repr_dim=1)
+    with pytest.raises(ValueError, match="^training diverged in epoch 1$"):
+        train_extractor(datasets, _uniform_tm(["a", "b"]), cfg, MaskSpec(num_views=1), input_len=1)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ExtractorTrainConfig(seed=-1), "^seed must be >= 0, got -1$"),
+        (lambda: ExtractorTrainConfig(windows_per_dataset=2**62), rf"^field 'windows_per_dataset' must be at most {2**20}, got {2**62}$"),
+        (lambda: ExtractorTrainConfig(epochs=2**62), rf"^field 'epochs' must be at most {2**20}, got {2**62}$"),
+        (lambda: MaskSpec(num_views=10**30), rf"^field 'num_views' must be at most {2**20}, got {10**30}$"),
+        (lambda: train_extractor(_tiny_suite(), _uniform_tm(["sine-p12-s0", "sawtooth-p9-s1"]), ExtractorTrainConfig(), MaskSpec(), "4"),
+         "^argument 'input_len' must be an integer, got '4'$"),
+    ],
+    ids=["negative-seed", "huge-windows", "huge-epochs", "huge-views", "string-input-len"],
+)
+def test_extractor_configs_name_a_seed_below_zero_or_a_size_numpy_cannot_take(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def _three_families():

@@ -281,6 +281,22 @@ def test_train_config_rejects_an_infinite_learning_rate():
         TrainConfig(learning_rate=float("inf"))
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: TrainConfig(seed=-1), "^seed must be >= 0, got -1$"),
+        (lambda: TrainConfig(epochs=2**62), rf"^field 'epochs' must be at most {2**20}, got {2**62}$"),
+        (lambda: _patch_spec(hidden=10**30), rf"^field 'hidden_dim' must be at most {2**20}, got {10**30}$"),
+        (lambda: _linear_spec(h=2**62), rf"^field 'horizon' must be at most {2**20}, got {2**62}$"),
+    ],
+    ids=["negative-seed", "huge-epochs", "huge-hidden-dim", "huge-horizon"],
+)
+def test_configs_name_a_seed_below_zero_or_a_size_numpy_cannot_take(make, message):
+    # each once raised numpy's own text, such as "expected non-negative integer" or "array is too big"
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_train_config_takes_an_integer_learning_rate():
     assert TrainConfig(learning_rate=1).learning_rate == 1
 
@@ -450,3 +466,22 @@ def test_extract_windows_normalizes_with_window_stats():
     norm, stats = normalize(w0)
     np.testing.assert_allclose(windows[0], norm)
     np.testing.assert_allclose(targets[0], (np.array([4.0, 5.0]) - stats.mean) / stats.std)
+
+
+def test_extract_windows_names_a_target_far_outside_its_window_scale(recwarn):
+    # the window's std is 1e-7, so the target 1e308 normalizes past float64
+    values = np.array([0.0, 2e-7, 0.0, 2e-7, 1e308])[:, None]
+    with pytest.raises(ValueError, match="^dataset 'far': values overflow instance normalization$"):
+        extract_windows(Dataset(MultivariateSeries(values), "far"), input_len=4, horizon=1)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_train_many_names_an_epoch_whose_mean_loss_overflows(recwarn):
+    # flat windows before a 1.3e154 spike: each of the three channels' windows
+    # has a finite loss near 8.4e307, and their epoch mean overflows
+    values = np.zeros((6, 3))
+    values[-1] = 1.3e154
+    data = Dataset(MultivariateSeries(values), "spike")
+    with pytest.raises(ValueError, match="^training failed on dataset 'spike': training diverged in epoch 1$"):
+        train_many(_linear_spec(), [data], TrainConfig(epochs=1, learning_rate=1e-300))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -489,6 +489,19 @@ def test_fusion_config_rejects_a_float_horizon():
         FusionConfig(horizon=12.0)
 
 
+@pytest.mark.parametrize("horizon", [2**62, 10**30])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_a_horizon_numpy_cannot_address_names_the_horizon(horizon, channels):
+    # once numpy's own "array is too big" or "Maximum allowed dimension exceeded"
+    zoo = _last_zoo()
+    values = np.random.default_rng(0).normal(size=(zoo.input_len, channels))
+    message = f"^horizon {horizon} is too large: numpy cannot address its forecasts$"
+    with pytest.raises(ValueError, match=message):
+        forecast_multivariate(zoo, MultivariateSeries(values), FusionConfig(horizon=horizon))
+    with pytest.raises(ValueError, match=message):
+        forecast_rows(zoo, values.T, FusionConfig(horizon=horizon))
+
+
 @pytest.mark.parametrize("top_k", [2.0, True], ids=["float", "bool"])
 def test_fusion_config_rejects_a_non_integer_top_k(top_k):
     # matching once ended in "slice indices must be integers"

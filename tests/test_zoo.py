@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from zoocast.bench import SyntheticFamilySpec, generate_synthetic
-from zoocast.core import Dataset, MultivariateSeries, normalize
+from zoocast.core import Dataset, MultivariateSeries, mse, normalize
 from zoocast.extractor import DECODER_TENSORS, ENCODER_TENSORS, ExtractorTrainConfig, MaskSpec, encode, encode_batch
 from zoocast.extractor import init_params, train_extractor
 from zoocast.extractor import load as load_extractor, save as save_extractor
-from zoocast.forecasters import Forecaster, ForecasterSpec, TrainConfig, make_baseline, save as save_model, train
+from zoocast.forecasters import Forecaster, ForecasterSpec, TrainConfig, extract_windows, forecast_batch, make_baseline
+from zoocast.forecasters import save as save_model, train
 from zoocast.fusion import FusionConfig, forecast_multivariate
 from zoocast.zoo import (
     ModelEntry,
@@ -90,8 +91,9 @@ def test_transfer_matrix_identical_datasets():
     base = _dataset(seed=5, length=300)
     twin = Dataset(series=base.series, name="twin")
     tm, _ = compute_transfer_matrix([base, twin], spec, cfg)
-    assert abs(tm.score(base.name, twin.name) - tm.score(base.name, base.name)) < 0.05
-    assert abs(tm.score(twin.name, base.name) - tm.score(twin.name, twin.name)) < 0.05
+    g = tm.submatrix([base.name, twin.name])
+    assert abs(g[0, 1] - g[0, 0]) < 0.05
+    assert abs(g[1, 0] - g[1, 1]) < 0.05
 
 
 def test_transfer_matrix_noise_target_scores_lower():
@@ -101,7 +103,8 @@ def test_transfer_matrix_noise_target_scores_lower():
     rng = np.random.default_rng(0)
     noise = Dataset(series=MultivariateSeries(rng.standard_normal((300, 1))), name="noise")
     tm, _ = compute_transfer_matrix([clean, noise], spec, cfg)
-    assert tm.score(clean.name, noise.name) <= tm.score(clean.name, clean.name)
+    g = tm.submatrix([clean.name, noise.name])
+    assert g[0, 1] <= g[0, 0]
 
 
 def test_transfer_matrix_constant_series_near_one():
@@ -110,7 +113,7 @@ def test_transfer_matrix_constant_series_near_one():
     const = Dataset(series=MultivariateSeries(np.full((200, 1), 3.0)), name="const")
     other = Dataset(series=MultivariateSeries(np.full((200, 1), 9.0)), name="const2")
     tm, _ = compute_transfer_matrix([const, other], spec, cfg)
-    assert tm.score("const", "const") == pytest.approx(1.0, abs=0.05)
+    assert tm.submatrix(["const"])[0, 0] == pytest.approx(1.0, abs=0.05)
 
 
 def test_transfer_matrix_copies_within_band():
@@ -142,18 +145,49 @@ def test_transfer_matrix_round_trip_and_missing_pair():
     np.testing.assert_array_equal(restored.g, tm.g)
     assert restored.dataset_names == ("a", "b")
     with pytest.raises(ValueError, match="'c'"):
-        tm.score("a", "c")
+        tm.submatrix(["a", "c"])
+
+
+def test_transfer_matrix_equals_one_forecast_and_score_per_pair():
+    # unequal lengths, so the datasets train in separate lockstep groups
+    suite = [_dataset(seed=1, length=200), _dataset(kind="sawtooth", seed=2, length=230, period=9),
+             _dataset(kind="trend_sine", seed=3, length=260, period=18), _dataset(seed=4, length=200, period=5)]
+    spec = ForecasterSpec("linear", input_len=12, horizon=4)
+    cfg = TrainConfig(epochs=2, seed=1)
+    tm, models = compute_transfer_matrix(suite, spec, cfg)
+    reference, tails = [], []
+    for data in suite:
+        cut = int(data.series.length * 0.8)
+        values = data.series.values
+        reference.append(train(spec, Dataset(MultivariateSeries(values[:cut]), data.name), cfg))
+        tails.append(extract_windows(Dataset(MultivariateSeries(values[cut:]), data.name), 12, 4))
+    g = [[1.0 - mse(targets.T, forecast_batch(model, windows).T) for windows, targets in tails] for model in reference]
+    assert tm.to_bytes() == TransferMatrix(tuple(d.name for d in suite), np.array(g)).to_bytes()
+    assert [save_model(models[d.name]) for d in suite] == [save_model(model) for model in reference]
+    assert np.array_equal(tm.submatrix([suite[2].name, suite[0].name]), np.array(g)[np.ix_([2, 0], [2, 0])])
+
+
+def test_transfer_matrix_rejects_a_repeated_dataset_name_before_any_work():
+    # the second 'x' is too short for its tail windows, but the names are checked first
+    spec = ForecasterSpec("linear", input_len=12, horizon=4)
+    suite = [Dataset(_dataset(seed=1).series, "x"), Dataset(MultivariateSeries(np.ones((20, 1))), "x")]
+    with pytest.raises(ValueError, match="^duplicate dataset name 'x'$"):
+        compute_transfer_matrix(suite, spec, TrainConfig(epochs=1))
+    with pytest.raises(ValueError, match="^duplicate dataset name 'x'$"):
+        TransferMatrix(dataset_names=("x", "y", "x"), g=np.zeros((3, 3)))
 
 
 TRANSFER_MATRIX_FILE_FAULTS = {
-    "g larger than its datasets": (b'{"datasets": [], "g": [[1, 2], [3, 4]]}', r"g has shape \(2, 2\), expected \(0, 0\)"),
-    "non-finite g": (b'{"datasets": ["a"], "g": [[NaN]]}', "non-finite transfer scores"),
+    "g larger than its datasets": (b'{"datasets": [], "g": [[1, 2], [3, 4]]}', r"'g': g has shape \(2, 2\), expected \(0, 0\)"),
+    "non-finite g": (b'{"datasets": ["a"], "g": [[NaN]]}', "'g': non-finite transfer scores"),
+    # checked before g, whose shape is wrong too
+    "repeated name": (b'{"datasets": ["x", "x"], "g": [[1, 2]]}', "'datasets': duplicate dataset name 'x'"),
 }
 
 
 @pytest.mark.parametrize("blob, fault", TRANSFER_MATRIX_FILE_FAULTS.values(), ids=TRANSFER_MATRIX_FILE_FAULTS.keys())
 def test_transfer_matrix_file_errors_name_the_field(blob, fault):
-    with pytest.raises(ValueError, match=f"^transfer matrix file field 'g': {fault}$"):
+    with pytest.raises(ValueError, match=f"^transfer matrix file field {fault}$"):
         TransferMatrix.from_bytes(blob)
 
 
