@@ -8,14 +8,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forecasters, fusion
-from .core import Dataset, MultivariateSeries, canonical_json, check_fields, check_unique, checked_normalize_rows, mape, mse, smape
+from .core import COUNT, MAX_SIZE, SEED, SIZE, Dataset, MultivariateSeries, Range, canonical_json, check_fields, check_unique
+from .core import checked_normalize_rows, mape, mse, smape
 
 SYNTH_KINDS = ("sine", "sawtooth", "trend_sine", "random_walk", "ar1")
 
 METRIC_FNS = {"mse": mse, "smape": smape, "mape": mape}
 
-# the JSON kind of each BenchConfig field, in the order its faults are named
-BENCH_CONFIG_KINDS = {"horizons": list[int], "metrics": list[str], "look_back": int, "top_k": int, "season_period": int}
+# the kind and range of each SyntheticFamilySpec and BenchConfig field (each horizon's), in the order its faults are named
+SYNTH_SPEC_KINDS = {"period": SIZE, "length": SIZE, "channels": SIZE, "seed": SEED, "amplitude": float, "noise_std": Range(float, 0)}
+BENCH_CONFIG_KINDS = {"horizons": Range(list[int], 1, MAX_SIZE), "metrics": list[str],
+                      "look_back": SIZE, "top_k": COUNT, "season_period": SIZE}
 
 
 @dataclass(frozen=True)
@@ -31,12 +34,7 @@ class SyntheticFamilySpec:
     def __post_init__(self):
         if self.kind not in SYNTH_KINDS:
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
-        check_fields(vars(self), dict.fromkeys(("period", "length", "channels", "seed"), int), "field")
-        check_fields(vars(self), dict.fromkeys(("amplitude", "noise_std"), float), "field")
-        if self.length < 1 or self.channels < 1 or self.period < 1:
-            raise ValueError("length, channels and period must be >= 1")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        check_fields(vars(self), SYNTH_SPEC_KINDS, "field")
 
 
 def score(metric: str, truth, pred):
@@ -68,12 +66,8 @@ class BenchConfig:
 
     def __post_init__(self):
         check_fields(vars(self), BENCH_CONFIG_KINDS, "field")
-        if self.look_back < 1:
-            raise ValueError(f"look_back must be >= 1, got {self.look_back}")
         if not self.horizons:
             raise ValueError("horizons must be nonempty")
-        if min(self.horizons) < 1:
-            raise ValueError(f"horizons must be >= 1, got {list(self.horizons)}")
         check_metrics(self.metrics)
 
 

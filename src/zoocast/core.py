@@ -154,7 +154,11 @@ def denormalize(x_norm, stats: NormStats) -> np.ndarray:
 
 def init_uniform(shapes: dict, seed: int) -> dict:
     """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] tensors drawn from one
-    seeded generator in `shapes` order; fan_in is the last dimension."""
+    seeded generator in `shapes` order; fan_in is the last dimension. A
+    tensor of more than MAX_SIZE values raises, before any is drawn."""
+    for name, shape in shapes.items():
+        if math.prod(shape) > MAX_SIZE:
+            raise ValueError(f"weight tensor {name!r} of shape {shape} would hold more than {MAX_SIZE} values")
     rng = np.random.default_rng(seed)
     weights = {}
     for name, shape in shapes.items():
@@ -173,6 +177,35 @@ def canonical_json(payload) -> bytes:
 JSON_KINDS = {int: "an integer", float: "a finite number", str: "a string", list: "a list", dict: "an object",
               list[int]: "a list of integers", list[str]: "a list of strings", list[dict]: "a list of objects"}
 
+# the largest array size, length or epoch count that a config or argument
+# takes, and the most values a weight tensor holds: past it numpy raises
+# its own error for an array it cannot address, or a run would not end
+MAX_SIZE = 2**20
+
+
+@dataclass(frozen=True)
+class Range:
+    """A JSON kind whose values (a list's items) lie in [low, high], or in (low, high) if `open`."""
+
+    kind: object
+    low: float
+    high: float = math.inf
+    open: bool = False
+
+    def broken_bound(self, value) -> str | None:
+        """The bound that `value` breaks, as in ">= 1", or None."""
+        if self.open and not self.low < value < self.high:
+            return f"> {self.low}" if self.high == math.inf else f"in ({self.low}, {self.high})"
+        if not self.open and not self.low <= value <= self.high:
+            return f">= {self.low}" if value < self.low else f"at most {self.high}"
+        return None
+
+
+SIZE = Range(int, 1, MAX_SIZE)  # an array size, length or epoch count
+COUNT = Range(int, 1)
+SEED = Range(int, 0)
+POSITIVE = Range(float, 0, open=True)
+
 
 def _has_kind(value, kind) -> bool:
     if isinstance(kind, types.GenericAlias):  # list[int], list[str] or list[dict]
@@ -183,30 +216,22 @@ def _has_kind(value, kind) -> bool:
 
 
 def check_fields(record: dict, fields: dict, where: str) -> None:
-    """Raise a ValueError "{where} 'name' ..." for the first field of
-    `fields` ({name: kind in JSON_KINDS}) that `record` lacks or holds with
-    another kind. A bool is not an integer or a number, a float kind takes
-    a finite int or float, and a list kind also takes a tuple."""
+    """Raise a ValueError "{where} 'name' must be ..., got value" for the
+    first field of `fields` that `record` lacks or holds with another kind
+    or out of range. A kind is one of JSON_KINDS or a `Range` of one, which
+    bounds a list's items. A bool is not an integer or a number, a float
+    kind takes a finite int or float, and a list kind also takes a tuple."""
     for name, kind in fields.items():
         if name not in record:
             raise ValueError(f"{where} {name!r} is missing")
-        if not _has_kind(record[name], kind):
-            raise ValueError(f"{where} {name!r} must be {JSON_KINDS[kind]}, got {reprlib.repr(record[name])}")
-
-
-# the largest array size, length, count or epoch count that a config or
-# argument takes; a larger one is an error naming it, where numpy would
-# raise an error of its own for an array it cannot address, or a run
-# would not end
-MAX_SIZE = 2**20
-
-
-def check_sizes(record: dict, names, where: str) -> None:
-    """Raise a ValueError "{where} 'name' must be at most MAX_SIZE" for the
-    first of `names` whose integer in `record` is larger."""
-    for name in names:
-        if record[name] > MAX_SIZE:
-            raise ValueError(f"{where} {name!r} must be at most {MAX_SIZE}, got {record[name]}")
+        value, json_kind = record[name], kind.kind if isinstance(kind, Range) else kind
+        if not _has_kind(value, json_kind):
+            raise ValueError(f"{where} {name!r} must be {JSON_KINDS[json_kind]}, got {reprlib.repr(value)}")
+        if isinstance(kind, Range):
+            for item in value if isinstance(json_kind, types.GenericAlias) else (value,):
+                bound = kind.broken_bound(item)
+                if bound:
+                    raise ValueError(f"{where} {name!r} must be {bound}, got {reprlib.repr(item)}")
 
 
 def check_unique(names, what: str) -> None:

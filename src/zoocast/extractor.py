@@ -14,11 +14,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import canonical_json, check_fields, check_sizes, check_unique, checked_tensors, init_uniform, read_artifact, sample_windows
+from .core import POSITIVE, SEED, SIZE, Range, canonical_json, check_fields, check_unique, checked_tensors, init_uniform, read_artifact
+from .core import sample_windows
 
 EXTRACTOR_FORMAT_VERSION = 1
 EXTRACTOR_FIELDS = {"dims": dict, "weights": dict, "training_log": list}
-DIMS_FIELDS = {"L": int, "hidden": int, "d": int}
+DIMS_FIELDS = {"L": SIZE, "hidden": SIZE, "d": SIZE}
+# the kind and range of each field of ExtractorParams, MaskSpec and ExtractorTrainConfig
+PARAMS_KINDS = {"input_len": SIZE, "hidden_dim": SIZE, "repr_dim": SIZE}
+MASK_SPEC_KINDS = {"mask_ratio": Range(float, 0, 1, open=True), "num_views": SIZE}
+EXTRACTOR_CONFIG_KINDS = {  # batch_size, checked only when set, takes 2 or more: the constraint needs negatives
+    "constraint_weight": Range(float, 0), "epochs": SIZE, "learning_rate": POSITIVE, "batch_size": Range(int, 2),
+    "seed": SEED, "windows_per_dataset": SIZE, "hidden_dim": SIZE, "repr_dim": SIZE,
+}
 
 # OpenBLAS runs a product on one thread up to m*n*k = 65,536 * 4
 BLAS_SINGLE_THREAD_MNK = 262_144
@@ -38,7 +46,7 @@ class ExtractorParams:
     repr_dim: int
 
     def __post_init__(self):
-        check_fields(vars(self), dict.fromkeys(("input_len", "hidden_dim", "repr_dim"), int), "field")
+        check_fields(vars(self), PARAMS_KINDS, "field")
         shapes = param_shapes(self.input_len, self.hidden_dim, self.repr_dim)
         if isinstance(self.weights, dict) and not set(self.weights) & set(DECODER_TENSORS):
             shapes = {name: shapes[name] for name in ENCODER_TENSORS}
@@ -51,12 +59,7 @@ class MaskSpec:
     num_views: int = 3
 
     def __post_init__(self):
-        check_fields(vars(self), {"mask_ratio": float, "num_views": int}, "field")
-        check_sizes(vars(self), ("num_views",), "field")
-        if not (0.0 < self.mask_ratio < 1.0):
-            raise ValueError("mask_ratio must be in (0, 1)")
-        if self.num_views < 1:
-            raise ValueError("num_views must be >= 1")
+        check_fields(vars(self), MASK_SPEC_KINDS, "field")
 
 
 @dataclass(frozen=True)
@@ -71,21 +74,8 @@ class ExtractorTrainConfig:
     repr_dim: int = 32
 
     def __post_init__(self):
-        ints = ("epochs", "seed", "windows_per_dataset", "hidden_dim", "repr_dim")
-        if self.batch_size is not None:
-            ints += ("batch_size",)
-        check_fields(vars(self), {**dict.fromkeys(ints, int), "constraint_weight": float, "learning_rate": float}, "field")
-        check_sizes(vars(self), ("epochs", "windows_per_dataset", "hidden_dim", "repr_dim"), "field")
-        if min(self.epochs, self.windows_per_dataset, self.hidden_dim, self.repr_dim) < 1:
-            raise ValueError("epochs, windows_per_dataset, hidden_dim and repr_dim must be >= 1")
-        if self.constraint_weight < 0:
-            raise ValueError("constraint_weight must be >= 0")
-        if not (self.learning_rate > 0):
-            raise ValueError("learning_rate must be positive")
-        if self.batch_size is not None and self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 (constraint needs negatives)")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        kinds = {name: kind for name, kind in EXTRACTOR_CONFIG_KINDS.items() if name != "batch_size" or self.batch_size is not None}
+        check_fields(vars(self), kinds, "field")
 
 
 def param_shapes(input_len: int, hidden_dim: int, repr_dim: int) -> dict:
@@ -322,10 +312,7 @@ def train_extractor(
     """
     if len(datasets) < 1:
         raise ValueError("need at least one dataset")
-    check_fields({"input_len": input_len}, {"input_len": int}, "argument")
-    check_sizes({"input_len": input_len}, ("input_len",), "argument")
-    if input_len < 1:
-        raise ValueError(f"input_len must be >= 1, got {input_len}")
+    check_fields({"input_len": input_len}, {"input_len": SIZE}, "argument")
     if len(datasets) * cfg.windows_per_dataset < 2:
         raise ValueError("an epoch needs at least 2 windows (constraint needs negatives)")
     names = [d.name for d in datasets]
@@ -375,8 +362,7 @@ def pca_project(reprs: list, k: int) -> np.ndarray:
     loading (the first on ties) is positive. A direction the points do not span projects to 0."""
     points = np.stack([np.asarray(r, dtype=np.float64) for r in reprs])
     n, d = points.shape
-    if k < 1 or k > 3:
-        raise ValueError("k must be in {1, 2, 3}")
+    check_fields({"k": k}, {"k": Range(int, 1, 3)}, "argument")
     if n < k + 1:
         raise ValueError(f"need at least {k + 1} points for k={k}, got {n}")
     if k > d:

@@ -21,14 +21,16 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Dataset, canonical_json, check_fields, check_sizes, checked_normalize_rows, checked_tensors, init_uniform, read_artifact
+from .core import COUNT, POSITIVE, SEED, SIZE, Dataset, canonical_json, check_fields, checked_normalize_rows, checked_tensors, init_uniform
+from .core import read_artifact
 
 TRAINABLE = ("linear", "patch_mlp")
 BASELINES = ("last", "mean", "seasonal_naive")
 
 MODEL_FORMAT_VERSION = 1
 MODEL_FIELDS = {"spec": dict, "source_dataset": str, "weights": dict}
-SPEC_SIZES = dict.fromkeys(("input_len", "horizon", "patch_len", "hidden_dim", "season_period"), int)
+SPEC_SIZES = dict.fromkeys(("input_len", "horizon", "patch_len", "hidden_dim", "season_period"), SIZE)
+TRAIN_CONFIG_KINDS = {"epochs": SIZE, "learning_rate": POSITIVE, "batch_size": COUNT, "seed": SEED, "stride": COUNT}
 
 
 @dataclass(frozen=True)
@@ -44,13 +46,6 @@ class ForecasterSpec:
         if self.architecture not in TRAINABLE + BASELINES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
         check_fields(vars(self), SPEC_SIZES, "field")
-        check_sizes(vars(self), ("input_len", "horizon", "patch_len", "hidden_dim"), "field")
-        if self.input_len < 1 or self.horizon < 1:
-            raise ValueError("input_len and horizon must be >= 1")
-        if self.architecture == "patch_mlp" and (self.patch_len < 1 or self.hidden_dim < 1):
-            raise ValueError("patch_len and hidden_dim must be >= 1")
-        if self.architecture == "seasonal_naive" and self.season_period < 1:
-            raise ValueError("season_period must be >= 1")
 
     @property
     def num_patches(self) -> int:
@@ -66,14 +61,7 @@ class TrainConfig:
     stride: int = 1
 
     def __post_init__(self):
-        check_fields(vars(self), {"epochs": int, "learning_rate": float, "batch_size": int, "seed": int, "stride": int}, "field")
-        check_sizes(vars(self), ("epochs",), "field")
-        if self.epochs < 1 or self.batch_size < 1 or self.stride < 1:
-            raise ValueError("epochs, batch_size and stride must be >= 1")
-        if not (self.learning_rate > 0):
-            raise ValueError("learning_rate must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_fields(vars(self), TRAIN_CONFIG_KINDS, "field")
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,16 @@ dataset, horizon, window and channel in its faults.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import extractor as extractor_mod
 from . import forecasters
-from .core import MultivariateSeries, check_fields, checked_normalize_rows, denormalize, normalize
+from .core import COUNT, SIZE, MultivariateSeries, check_fields, checked_normalize_rows, denormalize, normalize
+
+
+FUSION_CONFIG_KINDS = {"horizon": SIZE, "top_k": COUNT}
 
 
 @dataclass(frozen=True)
@@ -34,11 +36,7 @@ class FusionConfig:
     top_k: int = 1
 
     def __post_init__(self):
-        check_fields(vars(self), {"horizon": int, "top_k": int}, "field")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
+        check_fields(vars(self), FUSION_CONFIG_KINDS, "field")
 
 
 @dataclass(frozen=True)
@@ -51,14 +49,11 @@ class SelectionResult:
         return tuple(model_id for model_id, _ in self.ranking[: self.top_k])
 
 
-def _check_request(zoo, rows: int, length: int, cfg: FusionConfig) -> None:
+def _check_request(zoo, length: int, cfg: FusionConfig) -> None:
     if length != zoo.input_len:
         raise ValueError(f"history length {length} != zoo input_len {zoo.input_len}")
     if cfg.top_k > len(zoo.entries):
         raise ValueError(f"top_k {cfg.top_k} exceeds zoo size {len(zoo.entries)}")
-    # past sys.maxsize bytes numpy cannot even try to allocate the forecasts or a recursion's history
-    if max(rows, 1) * (length + cfg.horizon + zoo.horizon) > sys.maxsize // 8:
-        raise ValueError(f"horizon {cfg.horizon} is too large: numpy cannot address its forecasts")
 
 
 def _channel(r: int) -> str:
@@ -132,7 +127,7 @@ def forecast_multivariate(zoo, series: MultivariateSeries, cfg: FusionConfig):
     """Full pipeline over all channels, one channel at a time, so the first
     channel at fault raises; returns (predictions, selections, per-channel
     NormStats)."""
-    _check_request(zoo, series.num_channels, series.length, cfg)
+    _check_request(zoo, series.length, cfg)
     predictions = np.empty((cfg.horizon, series.num_channels))
     selections = []
     stats_list = []
@@ -186,7 +181,7 @@ def forecast_rows(zoo, rows, cfg: FusionConfig, where=_channel) -> tuple[np.ndar
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected (R, T) rows, got shape {x.shape}")
-    _check_request(zoo, len(x), x.shape[1], cfg)
+    _check_request(zoo, x.shape[1], cfg)
     norm, mu, sigma, encodings = encode_rows(zoo, x, where)
     with np.errstate(over="ignore", invalid="ignore"):
         scores = extractor_mod.cosine_matrix(encodings, np.stack([e.representation for e in zoo.entries]))

@@ -12,8 +12,9 @@ construction that it has at least one entry, unique model ids, and for
 each entry a finite representation of the extractor's dimension, the
 extractor's input_len and the first entry's horizon. The check runs for
 built, loaded and in-memory zoos alike, and `build_zoo` writes no file
-for a zoo that fails it. Model files load lazily, so `Zoo.forecaster`
-checks each model's input_len and horizon against its entry on first load.
+for a zoo that fails it. `load_zoo` checks every model file's digest, and
+model files load lazily: on first use `Zoo.forecaster` checks the digest
+again and the model's input_len and horizon against its entry.
 """
 
 from __future__ import annotations
@@ -26,14 +27,14 @@ import numpy as np
 
 from . import extractor as extractor_mod
 from . import forecasters
-from .core import Dataset, MultivariateSeries, as_float_array, canonical_json, check_fields, check_sizes, check_unique, mse
+from .core import SEED, SIZE, Dataset, MultivariateSeries, as_float_array, canonical_json, check_fields, check_unique, mse
 from .core import read_artifact, sample_windows
 
 ZOO_FORMAT_VERSION = 1
 MANIFEST_FIELDS = {"extractor": str, "extractor_digest": str, "entries": list[dict]}
 ENTRY_FIELDS = {
     "model_id": str, "file": str, "digest": str, "source_dataset": str,
-    "input_len": int, "horizon": int, "representation": list,
+    "input_len": SIZE, "horizon": SIZE, "representation": list,
 }
 TRANSFER_MATRIX_FIELDS = {"datasets": list[str], "g": list}
 REPRESENTATION_SAMPLES = 256  # source windows averaged into each model's representation
@@ -174,13 +175,7 @@ def compute_model_representation(
     params: extractor_mod.ExtractorParams, source_data: Dataset, sample_count: int = REPRESENTATION_SAMPLES, seed: int = 0
 ) -> np.ndarray:
     """Mean encoding of sampled, instance-normalized source windows."""
-    given = {"sample_count": sample_count, "seed": seed}
-    check_fields(given, dict.fromkeys(given, int), "argument")
-    check_sizes(given, ("sample_count",), "argument")
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_fields({"sample_count": sample_count, "seed": seed}, {"sample_count": SIZE, "seed": SEED}, "argument")
     windows = sample_windows(np.random.default_rng(seed), source_data, params.input_len, sample_count)
     return extractor_mod.encode_batch(params, windows).mean(axis=0)
 
@@ -303,6 +298,8 @@ def load_zoo(zoo_dir) -> Zoo:
         record["representation"] = as_float_array(raw["representation"], f"entry {raw['model_id']!r}: representation")
         if not _is_file(root / raw["file"]):
             raise ValueError(f"entry {raw['model_id']!r}: missing weights file {raw['file']}")
+        if _digest((root / raw["file"]).read_bytes()) != raw["digest"]:
+            raise ValueError(f"digest mismatch for entry {raw['model_id']!r} ({raw['file']})")
         entries.append(ModelEntry(**record))
     return Zoo(entries=entries, extractor_params=params, root=root)
 

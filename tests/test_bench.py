@@ -133,16 +133,45 @@ def test_bench_config_names_a_metric_that_is_not_a_string():
         BenchConfig(metrics=(5,))
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"seed": -1}, "^field 'seed' must be >= 0, got -1$"),  # was numpy's "expected non-negative integer"
+        ({"length": 2**62}, rf"^field 'length' must be at most {2**20}, got {2**62}$"),  # was accepted
+        ({"period": 0}, "^field 'period' must be >= 1, got 0$"),
+        ({"noise_std": -0.1}, r"^field 'noise_std' must be >= 0, got -0\.1$"),
+    ],
+)
+def test_synthetic_family_spec_names_a_field_out_of_range(fields, message):
+    with pytest.raises(ValueError, match=message):
+        SyntheticFamilySpec(kind="sine", **fields)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"top_k": 0}, "^field 'top_k' must be >= 1, got 0$"),  # was accepted
+        ({"season_period": 0}, "^field 'season_period' must be >= 1, got 0$"),  # raised after the zoo forecast
+        # both ended in numpy's "array is too big; ..." from evaluation_windows
+        ({"look_back": 2**62}, rf"^field 'look_back' must be at most {2**20}, got {2**62}$"),
+        ({"horizons": (6, 2**62)}, rf"^field 'horizons' must be at most {2**20}, got {2**62}$"),
+    ],
+)
+def test_bench_config_names_a_field_out_of_range(fields, message):
+    with pytest.raises(ValueError, match=message):
+        BenchConfig(**fields)
+
+
 @pytest.mark.parametrize("look_back", [0, -5])
 def test_bench_config_rejects_a_look_back_below_one(look_back):
-    with pytest.raises(ValueError, match=rf"^look_back must be >= 1, got {look_back}$"):
+    with pytest.raises(ValueError, match=rf"^field 'look_back' must be >= 1, got {look_back}$"):
         BenchConfig(look_back=look_back)
 
 
-@pytest.mark.parametrize("horizons", [(0,), (6, -8), (-36,)])
-def test_bench_config_rejects_a_horizon_below_one(horizons):
+@pytest.mark.parametrize("horizons, bad", [((0,), 0), ((6, -8), -8), ((-36,), -36)])
+def test_bench_config_rejects_a_horizon_below_one(horizons, bad):
     # (-36,) with the default look_back 36 once tiled with stride 0: ZeroDivisionError
-    with pytest.raises(ValueError, match=r"^horizons must be >= 1, got \["):
+    with pytest.raises(ValueError, match=rf"^field 'horizons' must be >= 1, got {bad}$"):
         BenchConfig(horizons=horizons)
 
 

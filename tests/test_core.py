@@ -1,13 +1,22 @@
+import dataclasses
+import math
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zoocast import bench, extractor, forecasters, fusion
 from zoocast.core import (
+    MAX_SIZE,
     Dataset,
     MultivariateSeries,
     NormStats,
+    Range,
+    check_fields,
     denormalize,
+    init_uniform,
     load_csv,
     mape,
     mse,
@@ -394,3 +403,77 @@ def test_write_csv_round_trips_every_float_through_load_csv(tmp_path_factory, va
     lines = path.read_bytes().split(b"\r\n")
     assert lines[0] == b"t," + b",".join(f"c{c}".encode() for c in range(channels))
     assert lines[1] == ("0," + ",".join(repr(float(v)) for v in rows[0])).encode()
+
+
+# -- field kinds and ranges ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind, value, message",
+    [
+        (Range(int, 1, MAX_SIZE), 2.0, "field 'x' must be an integer, got 2.0"),
+        (Range(int, 1, MAX_SIZE), 0, "field 'x' must be >= 1, got 0"),
+        (Range(int, 1, MAX_SIZE), 2**62, f"field 'x' must be at most 1048576, got {2**62}"),
+        (Range(float, 0, open=True), 0.0, "field 'x' must be > 0, got 0.0"),
+        (Range(float, 0, 1, open=True), 1.0, "field 'x' must be in (0, 1), got 1.0"),
+        (Range(float, 0), -0.5, "field 'x' must be >= 0, got -0.5"),
+        (Range(list[int], 1, MAX_SIZE), (6, -8), "field 'x' must be >= 1, got -8"),
+        (Range(list[int], 1, MAX_SIZE), (6, 8.0), "field 'x' must be a list of integers, got (6, 8.0)"),
+    ],
+)
+def test_check_fields_names_the_field_and_the_value_out_of_kind_or_range(kind, value, message):
+    with pytest.raises(ValueError) as fault:
+        check_fields({"x": value}, {"x": kind}, "field")
+    assert str(fault.value) == message
+
+
+@pytest.mark.parametrize("kind, value", [(Range(int, 1, MAX_SIZE), MAX_SIZE), (Range(float, 0, 1, open=True), 0.5), (Range(int, 0), 0)])
+def test_check_fields_takes_a_value_on_or_inside_its_bounds(kind, value):
+    check_fields({"x": value}, {"x": kind}, "field")
+
+
+# every config class, the kinds it declares for its fields, and fields that build it
+CONFIGS = [
+    (fusion.FusionConfig, fusion.FUSION_CONFIG_KINDS, {"horizon": 12}),
+    (forecasters.ForecasterSpec, forecasters.SPEC_SIZES, {"architecture": "patch_mlp", "input_len": 36, "horizon": 12}),
+    (forecasters.TrainConfig, forecasters.TRAIN_CONFIG_KINDS, {}),
+    (extractor.ExtractorTrainConfig, extractor.EXTRACTOR_CONFIG_KINDS, {}),
+    (extractor.MaskSpec, extractor.MASK_SPEC_KINDS, {}),
+    (extractor.ExtractorParams, extractor.PARAMS_KINDS,
+     {"weights": extractor.init_params(6, 4, 2, 0).weights, "input_len": 6, "hidden_dim": 4, "repr_dim": 2}),
+    (bench.SyntheticFamilySpec, bench.SYNTH_SPEC_KINDS, {"kind": "sine"}),
+    (bench.BenchConfig, bench.BENCH_CONFIG_KINDS, {}),
+]
+
+
+def _just_outside(kind) -> list:
+    """Values just outside a declared kind: a non-finite number for a plain
+    float, the nearest values past each finite bound of a range (for a
+    list kind, as a one-item list), and none for a kind of no number."""
+    if kind is float:
+        return [math.inf]
+    if not isinstance(kind, Range):
+        return []
+    item = kind.kind.__args__[0] if isinstance(kind.kind, types.GenericAlias) else kind.kind
+    past = (lambda bound, way: bound + way) if item is int else (lambda bound, way: math.nextafter(bound, way * math.inf))
+    values = [kind.low if kind.open else past(kind.low, -1)]
+    if kind.high != math.inf:
+        values.append(kind.high if kind.open else past(kind.high, 1))
+    return [[v] for v in values] if item is not kind.kind else values
+
+
+@pytest.mark.parametrize("cls, kinds, fields", CONFIGS, ids=[cls.__name__ for cls, _, _ in CONFIGS])
+def test_every_config_number_field_declares_a_range_and_rejects_a_value_just_outside_it(cls, kinds, fields):
+    numbers = [f.name for f in dataclasses.fields(cls) if "int" in f.type or "float" in f.type]
+    assert numbers and all(isinstance(kinds.get(name), Range) or kinds.get(name) is float for name in numbers), kinds
+    cls(**fields)
+    for name, kind in kinds.items():
+        for value in _just_outside(kind):
+            with pytest.raises(ValueError, match=rf"^field '{name}' must be "):
+                cls(**{**fields, name: value})
+
+
+def test_init_uniform_names_a_tensor_of_more_than_max_size_values_before_drawing():
+    # the first tensor fits, so a drawing initializer would allocate it before the second failed
+    with pytest.raises(ValueError, match=rf"^weight tensor 'big' of shape \(1024, 1025\) would hold more than {MAX_SIZE} values$"):
+        init_uniform({"small": (1024, 1024), "big": (1024, 1025)}, 0)

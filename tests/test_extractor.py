@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +20,7 @@ from zoocast.extractor import (
     init_params,
     load,
     mask_series,
+    param_shapes,
     pca_project,
     save,
     train_extractor,
@@ -614,7 +617,7 @@ def test_train_extractor_missing_pair():
 @pytest.mark.parametrize("field", ["epochs", "windows_per_dataset", "hidden_dim", "repr_dim"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_extractor_train_config_rejects_sizes_below_one(field, value):
-    with pytest.raises(ValueError, match=r"^epochs, windows_per_dataset, hidden_dim and repr_dim must be >= 1$"):
+    with pytest.raises(ValueError, match=rf"^field '{field}' must be >= 1, got {value}$"):
         ExtractorTrainConfig(**{field: value})
 
 
@@ -651,7 +654,7 @@ def test_extractor_train_config_rejects_a_nan_constraint_weight():
 def test_train_extractor_rejects_an_input_len_below_one(input_len):
     datasets = _tiny_suite()
     cfg = ExtractorTrainConfig(epochs=1, windows_per_dataset=4, hidden_dim=8, repr_dim=4)
-    with pytest.raises(ValueError, match=rf"^input_len must be >= 1, got {input_len}$"):
+    with pytest.raises(ValueError, match=rf"^argument 'input_len' must be >= 1, got {input_len}$"):
         train_extractor(datasets, _uniform_tm([d.name for d in datasets]), cfg, MaskSpec(), input_len=input_len)
 
 
@@ -703,7 +706,7 @@ def test_train_extractor_names_an_epoch_whose_mean_loss_overflows(recwarn):
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: ExtractorTrainConfig(seed=-1), "^seed must be >= 0, got -1$"),
+        (lambda: ExtractorTrainConfig(seed=-1), "^field 'seed' must be >= 0, got -1$"),
         (lambda: ExtractorTrainConfig(windows_per_dataset=2**62), rf"^field 'windows_per_dataset' must be at most {2**20}, got {2**62}$"),
         (lambda: ExtractorTrainConfig(epochs=2**62), rf"^field 'epochs' must be at most {2**20}, got {2**62}$"),
         (lambda: MaskSpec(num_views=10**30), rf"^field 'num_views' must be at most {2**20}, got {10**30}$"),
@@ -715,6 +718,33 @@ def test_train_extractor_names_an_epoch_whose_mean_loss_overflows(recwarn):
 def test_extractor_configs_name_a_seed_below_zero_or_a_size_numpy_cannot_take(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+def test_extractor_params_reject_a_hidden_dim_below_one():
+    # was accepted, with (0, L) and (R, 0) tensors
+    shapes = param_shapes(6, 0, 2)
+    with pytest.raises(ValueError, match="^field 'hidden_dim' must be >= 1, got 0$"):
+        ExtractorParams({name: np.zeros(shapes[name]) for name in ENCODER_TENSORS}, 6, 0, 2)
+
+
+@pytest.mark.parametrize("key", ["L", "hidden", "d"])
+def test_load_names_an_extractor_file_size_below_one(key):
+    # an encoder-only file with "L": 0 and (hidden, 0) tensors once loaded
+    payload = json.loads(save(init_params(6, 4, 2, seed=0)))
+    payload["dims"][key] = 0
+    shapes = param_shapes(payload["dims"]["L"], payload["dims"]["hidden"], payload["dims"]["d"])
+    payload["weights"] = {name: np.zeros(shapes[name]).tolist() for name in ENCODER_TENSORS}
+    with pytest.raises(ValueError, match=rf"^extractor file field 'dims' key '{key}' must be >= 1, got 0$"):
+        load(json.dumps(payload).encode())
+
+
+def test_train_extractor_names_a_weight_tensor_too_large_before_drawing_it():
+    # was MemoryError: Unable to allocate 8.00 TiB
+    datasets = _tiny_suite()
+    cfg = ExtractorTrainConfig(epochs=1, windows_per_dataset=4, hidden_dim=2**20, repr_dim=4)
+    message = rf"^weight tensor 'W1' of shape \(1048576, 1048576\) would hold more than {2**20} values$"
+    with pytest.raises(ValueError, match=message):
+        train_extractor(datasets, _uniform_tm([d.name for d in datasets]), cfg, MaskSpec(), input_len=2**20)
 
 
 def _three_families():
@@ -808,6 +838,16 @@ def test_pca_duplicate_points_project_to_zero():
     point = np.array([1.0, 2.0, 3.0])
     proj = pca_project([point] * 5, 2)
     np.testing.assert_allclose(proj, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [(0, "must be >= 1, got 0"), (4, "must be at most 3, got 4"), (2.0, "must be an integer, got 2.0")],  # 2.0 was a TypeError
+)
+def test_pca_names_a_component_count_out_of_kind_or_range(k, message):
+    points = [np.arange(5.0) * i for i in range(6)]
+    with pytest.raises(ValueError, match=rf"^argument 'k' {message}$"):
+        pca_project(points, k)
 
 
 def test_pca_matches_dense_eigensolver():

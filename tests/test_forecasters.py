@@ -284,7 +284,7 @@ def test_train_config_rejects_an_infinite_learning_rate():
 @pytest.mark.parametrize(
     "make, message",
     [
-        (lambda: TrainConfig(seed=-1), "^seed must be >= 0, got -1$"),
+        (lambda: TrainConfig(seed=-1), "^field 'seed' must be >= 0, got -1$"),
         (lambda: TrainConfig(epochs=2**62), rf"^field 'epochs' must be at most {2**20}, got {2**62}$"),
         (lambda: _patch_spec(hidden=10**30), rf"^field 'hidden_dim' must be at most {2**20}, got {10**30}$"),
         (lambda: _linear_spec(h=2**62), rf"^field 'horizon' must be at most {2**20}, got {2**62}$"),
@@ -295,6 +295,21 @@ def test_configs_name_a_seed_below_zero_or_a_size_numpy_cannot_take(make, messag
     # each once raised numpy's own text, such as "expected non-negative integer" or "array is too big"
     with pytest.raises(ValueError, match=message):
         make()
+
+
+def test_a_linear_spec_rejects_a_patch_len_below_one():
+    # was accepted: only patch_mlp specs checked patch_len and hidden_dim
+    with pytest.raises(ValueError, match="^field 'patch_len' must be >= 1, got 0$"):
+        ForecasterSpec("linear", 36, 12, patch_len=0)
+
+
+def test_train_many_names_a_weight_tensor_too_large_before_drawing_it():
+    # every size fits MAX_SIZE, but W_out is horizon x hidden_dim * num_patches = 2**60 values:
+    # was numpy's "array is too big; ..." from init_weights
+    spec = ForecasterSpec("patch_mlp", input_len=2**20, horizon=2**20, patch_len=1, hidden_dim=2**20)
+    data = Dataset(MultivariateSeries(np.sin(np.arange(2**21) / 7.0)), "long")
+    with pytest.raises(ValueError, match=rf"^weight tensor 'W_out' of shape \({2**20}, {2**40}\) would hold more than {2**20} values$"):
+        train_many(spec, [data], TrainConfig(epochs=1))
 
 
 def test_train_config_takes_an_integer_learning_rate():

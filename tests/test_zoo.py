@@ -321,7 +321,13 @@ def test_load_zoo_detects_missing_file_and_corruption(tmp_path):
     with pytest.raises(ValueError, match="model1"):
         load_zoo(out)
     victim.write_bytes(original.replace(b"linear", b"linear "))
+    # checked at load, though parsing is lazy: a model that is never picked is named too
+    with pytest.raises(ValueError, match=r"^digest mismatch for entry 'model1' \(model1\.model\.json\)$"):
+        load_zoo(out)
+    victim.write_bytes(original)
     zoo = load_zoo(out)
+    victim.write_bytes(original.replace(b"linear", b"linear "))
+    # and again on first use, so a file changed after load is named too
     with pytest.raises(ValueError, match="digest mismatch"):
         zoo.forecaster("model1")
 
