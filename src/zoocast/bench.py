@@ -35,6 +35,8 @@ class SyntheticFamilySpec:
         if self.kind not in SYNTH_KINDS:
             raise ValueError(f"unknown synthetic kind {self.kind!r}")
         check_fields(vars(self), SYNTH_SPEC_KINDS, "field")
+        if self.length * self.channels > MAX_SIZE:  # the series' values, drawn at once
+            raise ValueError(f"length {self.length} and channels {self.channels} would hold more than {MAX_SIZE} values")
 
 
 def score(metric: str, truth, pred):
@@ -66,8 +68,6 @@ class BenchConfig:
 
     def __post_init__(self):
         check_fields(vars(self), BENCH_CONFIG_KINDS, "field")
-        if not self.horizons:
-            raise ValueError("horizons must be nonempty")
         check_metrics(self.metrics)
 
 
@@ -189,22 +189,22 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
     Each run of consecutive datasets with one channel count is then scored
     once per method and metric over its (ΣW, H, C) truth stack, and the
     window scores are split at dataset bounds into each dataset's own
-    rows. Then each zoo model forecasts the first horizon's stack in one
-    recursion, scored once per run, and the lists are joined in suite
-    order. Rows are forecast independently and metrics reduce each window
-    on its own, so every window gets the bits a request of its own would.
+    rows. In the first horizon's pass each zoo model then forecasts that
+    horizon's stack in one recursion, scored once per run. At the end the
+    lists are joined in suite order. Rows are forecast independently and
+    metrics reduce each window on its own, so every window gets the bits a
+    request of its own would.
 
     Faults raise in that order: a repeated dataset name; then by horizon,
     the forecasts of the rows across datasets (named `dataset 'd', horizon
     h, window w, channel c`), then the scores, run by run, method by
-    method; then the zoo distribution, model by model, naming the first
-    dataset in suite order whose forecast diverged.
+    method; then, in the first horizon only, the zoo distribution, model
+    by model, naming the first row whose forecast diverged and the model.
     """
     names = [data.name for data in datasets]
     check_unique(names, "dataset name")  # rows, summary and zoo distribution are keyed by name
     # each dataset's own lists, appended to as its windows are scored and joined in suite order at the end
     rows, zoo_distribution, warnings = ([[] for _ in datasets] for _ in range(3))
-    first = None  # the first horizon with its (dataset indices, channel rows, bounds, runs), for the zoo distribution
     for position, horizon in enumerate(cfg.horizons):
         tiles = [evaluation_windows(data, cfg.look_back, horizon) for data in datasets]
         kept = [i for i, (x, _) in enumerate(tiles) if len(x)]
@@ -229,27 +229,19 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
                     means = {m: float(np.mean(scores[m][k])) for m in cfg.metrics}
                     windows = {m: scores[m][k].tolist() for m in cfg.metrics}
                     rows[i].append({"dataset": names[i], "method": method, "horizon": horizon, **means, "windows": windows})
+        # per-model MSE distribution at the first horizon (violin-plot data):
+        # each model alone on its channel rows, one normalization, one recursion per model
         if position == 0:
-            first = horizon, kept, stack, bounds, runs
-
-    # per-model MSE distribution at the first horizon (violin-plot data):
-    # each model alone on the first horizon's channel rows, one normalization, one recursion per model
-    if first:
-        horizon, kept, stack, bounds, runs = first
-        owner = np.repeat(kept, np.diff(bounds))  # dataset index of each stacked row
-        norm, mu, sigma = checked_normalize_rows(stack, lambda r: f"dataset {names[owner[r]]!r}")
-        for entry in zoo.entries:
-            with np.errstate(over="ignore", invalid="ignore"):  # a diverged forecast is checked below
-                pred = fusion.sequential_forecast([zoo.forecaster(entry.model_id)], norm, horizon)
-                pred = pred * sigma[:, None] + mu[:, None]
-            diverged = ~np.isfinite(pred).all(axis=1)
-            if diverged.any():  # the first diverged row lies in the first such dataset in suite order
-                i = owner[np.argmax(diverged)]
-                raise ValueError(f"dataset {names[i]!r}, horizon {horizon}: model {entry.model_id!r} forecast diverged")
-            for run in runs:
-                for i, window_mse in zip(run[0], _run_scores("mse", run, pred)):
-                    value = float(np.mean(window_mse))
-                    zoo_distribution[i].append({"dataset": names[i], "model_id": entry.model_id, "mse": value})
+            norm, mu, sigma = checked_normalize_rows(stack, where)
+            for entry in zoo.entries:
+                with np.errstate(over="ignore", invalid="ignore"):  # a diverged forecast is checked below
+                    pred = fusion.sequential_forecast([zoo.forecaster(entry.model_id)], norm, horizon)
+                    pred = pred * sigma[:, None] + mu[:, None]
+                fusion.check_forecasts(pred, zoo.horizon, lambda r: f"{where(r)}, model {entry.model_id!r}")
+                for run in runs:
+                    for i, window_mse in zip(run[0], _run_scores("mse", run, pred)):
+                        value = float(np.mean(window_mse))
+                        zoo_distribution[i].append({"dataset": names[i], "model_id": entry.model_id, "mse": value})
 
     rows, zoo_distribution, warnings = ([item for part in lists for item in part] for lists in (rows, zoo_distribution, warnings))
     summary = {}  # (dataset, method) -> its rows, in report order

@@ -185,7 +185,7 @@ MAX_SIZE = 2**20
 
 @dataclass(frozen=True)
 class Range:
-    """A JSON kind whose values (a list's items) lie in [low, high], or in (low, high) if `open`."""
+    """A JSON kind whose values (a nonempty list's items) lie in [low, high], or in (low, high) if `open`."""
 
     kind: object
     low: float
@@ -219,8 +219,9 @@ def check_fields(record: dict, fields: dict, where: str) -> None:
     """Raise a ValueError "{where} 'name' must be ..., got value" for the
     first field of `fields` that `record` lacks or holds with another kind
     or out of range. A kind is one of JSON_KINDS or a `Range` of one, which
-    bounds a list's items. A bool is not an integer or a number, a float
-    kind takes a finite int or float, and a list kind also takes a tuple."""
+    bounds a list's items and takes no empty list. A bool is not an integer
+    or a number, a float kind takes a finite int or float, and a list kind
+    also takes a tuple."""
     for name, kind in fields.items():
         if name not in record:
             raise ValueError(f"{where} {name!r} is missing")
@@ -228,7 +229,10 @@ def check_fields(record: dict, fields: dict, where: str) -> None:
         if not _has_kind(value, json_kind):
             raise ValueError(f"{where} {name!r} must be {JSON_KINDS[json_kind]}, got {reprlib.repr(value)}")
         if isinstance(kind, Range):
-            for item in value if isinstance(json_kind, types.GenericAlias) else (value,):
+            items = value if isinstance(json_kind, types.GenericAlias) else (value,)
+            if not items:
+                raise ValueError(f"{where} {name!r} must be nonempty")
+            for item in items:
                 bound = kind.broken_bound(item)
                 if bound:
                     raise ValueError(f"{where} {name!r} must be {bound}, got {reprlib.repr(item)}")

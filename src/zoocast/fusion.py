@@ -60,7 +60,7 @@ def _channel(r: int) -> str:
     return f"channel {r}"
 
 
-def _check_forecasts(pred: np.ndarray, h: int, where=_channel) -> None:
+def check_forecasts(pred: np.ndarray, h: int, where=_channel) -> None:
     """Name the first row of an (R, H) forecast that turns non-finite, by
     `where(row)`, with its step and its block."""
     bad = ~np.isfinite(pred)
@@ -144,7 +144,7 @@ def forecast_multivariate(zoo, series: MultivariateSeries, cfg: FusionConfig):
             predictions[:, c] = denormalize(norm_pred, stats)
             selections.append(selection)
             stats_list.append(stats)
-    _check_forecasts(predictions.T, zoo.horizon)
+    check_forecasts(predictions.T, zoo.horizon)
     return MultivariateSeries(predictions, series.channel_names), selections, stats_list
 
 
@@ -196,5 +196,5 @@ def forecast_rows(zoo, rows, cfg: FusionConfig, where=_channel) -> tuple[np.ndar
             models = [zoo.forecaster(zoo.entries[i].model_id) for i in chosen]
             norm_pred[members] = sequential_forecast(models, norm[members], cfg.horizon)
         pred = sigma[:, None] * norm_pred + mu[:, None]
-    _check_forecasts(pred, zoo.horizon, where)
+    check_forecasts(pred, zoo.horizon, where)
     return pred, choice

@@ -140,6 +140,9 @@ def test_bench_config_names_a_metric_that_is_not_a_string():
         ({"length": 2**62}, rf"^field 'length' must be at most {2**20}, got {2**62}$"),  # was accepted
         ({"period": 0}, "^field 'period' must be >= 1, got 0$"),
         ({"noise_std": -0.1}, r"^field 'noise_std' must be >= 0, got -0\.1$"),
+        # was accepted, and generate_synthetic would then build 2**40 values
+        ({"length": 2**20, "channels": 2**20}, f"^length {2**20} and channels {2**20} would hold more than {2**20} values$"),
+        ({"length": 2**19, "channels": 3}, f"^length {2**19} and channels 3 would hold more than {2**20} values$"),
     ],
 )
 def test_synthetic_family_spec_names_a_field_out_of_range(fields, message):
@@ -155,6 +158,7 @@ def test_synthetic_family_spec_names_a_field_out_of_range(fields, message):
         # both ended in numpy's "array is too big; ..." from evaluation_windows
         ({"look_back": 2**62}, rf"^field 'look_back' must be at most {2**20}, got {2**62}$"),
         ({"horizons": (6, 2**62)}, rf"^field 'horizons' must be at most {2**20}, got {2**62}$"),
+        ({"horizons": ()}, "^field 'horizons' must be nonempty$"),  # was "horizons must be nonempty", naming no field
     ],
 )
 def test_bench_config_names_a_field_out_of_range(fields, message):
@@ -179,6 +183,11 @@ def test_bench_config_rejects_a_float_horizon():
     # run_benchmark once ended in a TypeError from the window tiler
     with pytest.raises(ValueError, match=r"^field 'horizons' must be a list of integers, got \(12\.0,\)$"):
         BenchConfig(horizons=(12.0,))
+
+
+@pytest.mark.parametrize("length, channels", [(2**20, 1), (2**19, 2), (1, 2**20)])
+def test_synthetic_family_spec_takes_values_up_to_max_size(length, channels):
+    SyntheticFamilySpec(kind="sine", length=length, channels=channels)
 
 
 def test_synthetic_family_spec_rejects_a_float_length():
@@ -613,7 +622,7 @@ def test_zoo_distribution_runs_one_stacked_recursion_per_model(monkeypatch):
     datasets = [_named_dataset(200), _named_dataset(90, "one-channel", channels=1)]
     cfg = BenchConfig(look_back=12, horizons=(4, 9), top_k=2)
     model_ids = {id(zoo.forecaster(entry.model_id)): entry.model_id for entry in zoo.entries}
-    requests, batched, recursions, inside = [], [], [], []
+    requests, batched, recursions, inside, events = [], [], [], [], []
     real_forecast, real_rows, real_sequential = fusion.forecast_multivariate, fusion.forecast_rows, fusion.sequential_forecast
 
     def forecast_spy(zoo, series, fusion_cfg):
@@ -621,6 +630,7 @@ def test_zoo_distribution_runs_one_stacked_recursion_per_model(monkeypatch):
         return real_forecast(zoo, series, fusion_cfg)
 
     def rows_spy(zoo, rows, fusion_cfg, where):
+        events.append(("forecast_rows", fusion_cfg.horizon))
         inside.append([])
         try:
             pred, choice = real_rows(zoo, rows, fusion_cfg, where)
@@ -640,6 +650,7 @@ def test_zoo_distribution_runs_one_stacked_recursion_per_model(monkeypatch):
         if inside:
             inside[-1].append((ids, np.asarray(window)))
         else:
+            events.append(("zoo model", ids))
             recursions.append((list(ids), np.asarray(window), horizon))
         return real_sequential(models, window, horizon)
 
@@ -668,6 +679,8 @@ def test_zoo_distribution_runs_one_stacked_recursion_per_model(monkeypatch):
         ([entry.model_id], first.shape, 4) for entry in zoo.entries
     ]
     assert all(np.array_equal(window, first) for _, window, _ in recursions)
+    # each zoo model runs in the first horizon's pass: after its matched forecast, before the second horizon's
+    assert events == [("forecast_rows", 4), *(("zoo model", (entry.model_id,)) for entry in zoo.entries), ("forecast_rows", 9)]
 
 
 def test_zoo_distribution_names_the_model_whose_forecast_diverges():
@@ -682,9 +695,12 @@ def test_zoo_distribution_names_the_model_whose_forecast_diverges():
         for window in evaluation_windows(data, 8, 8)[0]:
             selection = fusion.forecast_multivariate(zoo, MultivariateSeries(window), fusion.FusionConfig(8))[1][0]
             assert selection.chosen != ("boom",)
-    # both datasets diverge; the first in suite order is named
+    # both datasets diverge; the first row in suite order is named
     for datasets in (suite, suite[::-1]):
-        expected = rf"^dataset '{datasets[0].name}', horizon 8: model 'boom' forecast diverged$"
+        expected = (
+            rf"^forecast diverged: dataset '{datasets[0].name}', horizon 8, window 0, channel 0, model 'boom' "
+            r"turns non-finite at step 4 \(block 1\)$"
+        )
         with pytest.raises(ValueError, match=expected):
             run_benchmark(BenchConfig(look_back=8, horizons=(8,)), zoo, datasets)
 

@@ -489,6 +489,8 @@ def test_synth_names_an_infinite_amplitude(tmp_path, capsys):
         (["--seed", "-1"], "field 'seed' must be >= 0, got -1"),  # was numpy's "expected non-negative integer"
         (["--length", str(2**62)], f"field 'length' must be at most {2**20}, got {2**62}"),  # was "array is too big; ..."
         (["--channels", "0"], "field 'channels' must be >= 1, got 0"),
+        # was accepted, so --length 1048576 --channels 1048576 would then build 2**40 values
+        (["--length", str(2**19), "--channels", "3"], f"length {2**19} and channels 3 would hold more than {2**20} values"),
     ],
 )
 def test_synth_names_a_seed_or_size_out_of_range(tmp_path, capsys, flags, message):
@@ -663,7 +665,11 @@ def test_benchmark_zoo_fault_comes_out_in_the_zoo_own_words(pipeline, tmp_path, 
         # one block: every forecast of the matched model is finite, but its squared error is not
         ("sine.model", [6], "metric 'mse' overflows float64 on these values"),
         # two blocks: the model matching never picks turns infinite in its own run
-        ("sawtooth.model", [24], "dataset 'sine', horizon 24: model 'sawtooth.model' forecast diverged"),
+        (
+            "sawtooth.model", [24],
+            "forecast diverged: dataset 'sine', horizon 24, window 0, channel 0, model 'sawtooth.model' "
+            "turns non-finite at step 12 (block 1)",
+        ),
     ],
     ids=["metric-overflow", "unmatched-model-diverges"],
 )
@@ -696,6 +702,7 @@ def test_an_error_quoting_a_line_break_stays_on_one_line(pipeline, tmp_path, cap
     [
         ("look_back = 0", "config key 'look_back' must be >= 1, got 0"),
         ("horizons = [-36]", "config key 'horizons' must be >= 1, got -36"),  # was a ZeroDivisionError traceback
+        ("horizons = []", "config key 'horizons' must be nonempty"),  # was "horizons must be nonempty", naming no key
         ("top_k = 0", "config key 'top_k' must be >= 1, got 0"),
         # was raised only after the zoo had forecast the first horizon
         ("season_period = 0", "config key 'season_period' must be >= 1, got 0"),

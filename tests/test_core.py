@@ -419,6 +419,7 @@ def test_write_csv_round_trips_every_float_through_load_csv(tmp_path_factory, va
         (Range(float, 0), -0.5, "field 'x' must be >= 0, got -0.5"),
         (Range(list[int], 1, MAX_SIZE), (6, -8), "field 'x' must be >= 1, got -8"),
         (Range(list[int], 1, MAX_SIZE), (6, 8.0), "field 'x' must be a list of integers, got (6, 8.0)"),
+        (Range(list[int], 1, MAX_SIZE), (), "field 'x' must be nonempty"),
     ],
 )
 def test_check_fields_names_the_field_and_the_value_out_of_kind_or_range(kind, value, message):

@@ -2,22 +2,31 @@
 end in a fresh interpreter and writes a well-formed report. Values are
 checked for shape and finiteness only; their bits depend on the BLAS build."""
 
+import hashlib
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run_script(name, out):
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def _run_script(name, out):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert f"report written to {out}" in proc.stdout
@@ -50,3 +59,20 @@ def test_run_selection_study_writes_a_finite_report(tmp_path):
         assert math.isfinite(report[key]) and 0.0 <= report[key] <= 1.0
     diagonal = sum(report["confusion"][i][i] for i in range(5))
     assert report["accuracy"] == diagonal / 500
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
+def test_full_pipeline_prints_a_digest_of_every_file_it_writes(tmp_path):
+    work = tmp_path / "work"
+    proc = subprocess.run(
+        ["bash", str(ROOT / "scripts" / "full_pipeline.sh"), str(work)],
+        env=_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.split("artifact digests:\n", 1)[1].splitlines()
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines), lines
+    digests = dict(reversed(line.split("  ", 1)) for line in lines)  # file -> its printed sha256
+    assert len(lines) == len(digests) == 20  # the artifacts, outputs and synthesized CSVs, once each
+    for name, digest in digests.items():
+        assert hashlib.sha256((work / name).read_bytes()).hexdigest() == digest, name
+    assert json.loads((work / "report.json").read_text(encoding="utf-8"))["format_version"] == 2
