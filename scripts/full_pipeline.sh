@@ -7,14 +7,13 @@
 # the sha256 of every file it writes (artifacts, outputs and the
 # synthesized CSVs), so two commits can be compared.
 #
-# Uses an installed `zoocast` when there is one, else this checkout's source.
+# Always runs this checkout's source, never an installed `zoocast`, so the
+# digests belong to the commit the script came from.
 set -euo pipefail
 
-if ! command -v zoocast >/dev/null 2>&1; then
-    SRC="$(cd "$(dirname "${BASH_SOURCE[0]}")/../src" && pwd)"
-    export PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}"
-    zoocast() { python3 -m zoocast.cli "$@"; }
-fi
+SRC="$(cd "$(dirname "${BASH_SOURCE[0]}")/../src" && pwd)"
+export PYTHONPATH="$SRC${PYTHONPATH:+:$PYTHONPATH}"
+zoocast() { python3 -m zoocast.cli "$@"; }
 
 WORK="${1:-$(mktemp -d)}"
 mkdir -p "$WORK"

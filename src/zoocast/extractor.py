@@ -305,10 +305,10 @@ def train_extractor(
     Each epoch samples every dataset's windows (`sample_windows`), then
     masks all of them in one `mask_series` call; batches are slices.
 
-    Every step checks that the loss is finite, and every epoch that its
-    mean losses are, and updates the one weights dict in place; the
-    weights are validated once, when training ends, so a non-finite tensor
-    still raises there.
+    Each step updates the one weights dict in place. Training diverges in
+    the first epoch whose mean step losses are not finite, and stops after
+    it; the weights are validated once, when training ends, so a
+    non-finite tensor still raises there.
     """
     if len(datasets) < 1:
         raise ValueError("need at least one dataset")
@@ -337,16 +337,14 @@ def train_extractor(
                 batch = slice(start, start + batch_size)
                 if dataset_index[batch].size < 2:
                     continue  # constraint needs negatives
-                loss, grads, components = combined_loss_and_grad(
+                _, grads, components = combined_loss_and_grad(
                     params, windows[batch], views[batch], dataset_index[batch], g, cfg.constraint_weight
                 )
-                if not math.isfinite(loss):
-                    raise ValueError(f"training diverged in epoch {epoch + 1}")
                 for name, grad in grads.items():
                     params.weights[name] -= cfg.learning_rate * grad
                 epoch_components.append(components)
             means = {key: float(np.mean([c[key] for c in epoch_components])) for key in ("recon", "trans", "constraint", "total")}
-        if not all(map(math.isfinite, means.values())):  # finite batch losses whose mean overflows
+        if not all(map(math.isfinite, means.values())):  # a non-finite batch loss, or finite ones whose mean overflows
             raise ValueError(f"training diverged in epoch {epoch + 1}")
         log.append({"epoch": epoch + 1, **means})
     return replace(params), log  # the one check of the trained tensors

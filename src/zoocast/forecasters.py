@@ -15,7 +15,6 @@ per-model training's.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -186,29 +185,29 @@ def extract_windows(data: Dataset, input_len: int, horizon: int, stride: int = 1
 def _lockstep_sgd(spec: ForecasterSpec, windows: np.ndarray, targets: np.ndarray, cfg: TrainConfig) -> tuple:
     """SGD for M models at once on (M, n, T) windows and (M, n, h) targets,
     every model from the seed's weights and shuffles. Returns the stacked
-    weights, the (epochs, M, steps) batch losses and each model's first
-    non-finite epoch (0 if none). A diverged model trains on with the rest;
-    the run stops early only once every model has diverged."""
+    weights, the (epochs, M) mean step losses and each model's diverged
+    epoch (0 if none): the first whose mean is not finite, as a non-finite
+    step makes it. A diverged model trains on with the rest; the run stops
+    after the epoch in which the last model diverges."""
     m, n = windows.shape[:2]
     weights = {name: np.repeat(w[None], m, axis=0) for name, w in init_weights(spec, cfg.seed).items()}
     rng = np.random.default_rng(cfg.seed + 1)
-    losses = np.empty((cfg.epochs, m, -(-n // cfg.batch_size)))
+    step_losses = np.empty((m, -(-n // cfg.batch_size)))
+    epoch_losses = np.empty((cfg.epochs, m))
     diverged = np.zeros(m, dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             order = rng.permutation(n)
             for step, start in enumerate(range(0, n, cfg.batch_size)):
                 batch = order[start : start + cfg.batch_size]  # take() keeps each slice C-ordered
-                loss, grads = loss_and_grad(spec, weights, windows.take(batch, axis=1), targets.take(batch, axis=1))
-                finite = np.isfinite(loss)
-                if not finite.all():
-                    diverged[(diverged == 0) & ~finite] = epoch + 1
-                    if diverged.all():
-                        return weights, losses, diverged
+                step_losses[:, step], grads = loss_and_grad(spec, weights, windows.take(batch, axis=1), targets.take(batch, axis=1))
                 for name, g in grads.items():
                     weights[name] -= cfg.learning_rate * g
-                losses[epoch, :, step] = loss
-    return weights, losses, diverged
+            epoch_losses[epoch] = step_losses.mean(axis=1)  # each contiguous row sums as np.mean sums a list
+            diverged[(diverged == 0) & ~np.isfinite(epoch_losses[epoch])] = epoch + 1
+            if diverged.all():
+                break
+    return weights, epoch_losses, diverged
 
 
 def train_many(spec: ForecasterSpec, datasets: list, cfg: TrainConfig) -> list:
@@ -219,10 +218,9 @@ def train_many(spec: ForecasterSpec, datasets: list, cfg: TrainConfig) -> list:
     any training. Datasets with the same number of training windows train
     in lockstep: one stacked step per batch for all of them. Every byte of
     each model, `epoch_losses` included, equals training it alone. A model
-    diverges in the first epoch with a non-finite step loss, or whose mean
-    step loss overflows. Once all have run, the first diverged dataset in
-    list order raises "training failed on dataset 'X': training diverged
-    in epoch N".
+    diverges in the first epoch whose mean step loss is not finite. Once
+    all have run, the first diverged dataset in list order raises
+    "training failed on dataset 'X': training diverged in epoch N".
     """
     if spec.architecture not in TRAINABLE:
         raise ValueError(f"architecture {spec.architecture!r} is not trainable")
@@ -243,17 +241,11 @@ def train_many(spec: ForecasterSpec, datasets: list, cfg: TrainConfig) -> list:
         windows[k], targets[k] = extract_windows(data, spec.input_len, spec.horizon, cfg.stride)
     models, diverged = [None] * len(datasets), [0] * len(datasets)
     for n, members in groups.items():
-        weights, losses, epochs = _lockstep_sgd(spec, *stacks.pop(n), cfg)
+        weights, epoch_losses, epochs = _lockstep_sgd(spec, *stacks.pop(n), cfg)
         for k, i in enumerate(members):
             diverged[i] = epochs[k]
-            if diverged[i]:
-                continue
-            with np.errstate(over="ignore"):  # each model's losses are a contiguous row, summed as np.mean sums a list
-                epoch_losses = tuple(float(np.mean(row)) for row in losses[:, k])
-            # finite step losses whose epoch mean overflows diverged too
-            diverged[i] = next((epoch + 1 for epoch, loss in enumerate(epoch_losses) if not math.isfinite(loss)), 0)
             if not diverged[i]:
-                models[i] = Forecaster(spec, {name: w[k] for name, w in weights.items()}, datasets[i].name, epoch_losses)
+                models[i] = Forecaster(spec, {name: w[k] for name, w in weights.items()}, datasets[i].name, tuple(epoch_losses[:, k].tolist()))
     for data, epoch in zip(datasets, diverged):
         if epoch:
             raise ValueError(f"training failed on dataset {data.name!r}: training diverged in epoch {epoch}")

@@ -755,16 +755,26 @@ def _three_families():
 
 
 @pytest.mark.parametrize("learning_rate, epoch", [(1e4, 1), (0.1, 2), (0.05, 7)])
-def test_train_extractor_divergence_names_the_epoch(learning_rate, epoch):
+def test_train_extractor_divergence_names_the_epoch(monkeypatch, learning_rate, epoch):
+    import zoocast.extractor as extractor_mod
+
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return combined_loss_and_grad(*args)
+
+    monkeypatch.setattr(extractor_mod, "combined_loss_and_grad", counted)
     datasets, tm = _three_families()
     cfg = ExtractorTrainConfig(epochs=40, learning_rate=learning_rate, windows_per_dataset=8)
     with pytest.raises(ValueError, match=rf"^training diverged in epoch {epoch}$"):
         train_extractor(datasets, tm, cfg, MaskSpec())
+    assert 0 < len(calls) <= epoch * 8  # 24 windows in batches of 3: training stops after the diverged epoch
 
 
 def test_train_extractor_validates_the_final_weights(monkeypatch):
     # a finite loss with a non-finite gradient on the last step passes the
-    # per-step loss check; the one check of the trained tensors catches it
+    # epoch-mean loss check; the one check of the trained tensors catches it
     import zoocast.extractor as extractor_mod
 
     datasets, tm = _three_families()

@@ -322,10 +322,20 @@ def test_train_divergence_detected():
         train(ForecasterSpec("linear", 36, 12), data, TrainConfig(epochs=50, learning_rate=1e4, seed=0))
 
 
-def test_train_divergence_names_the_epoch():
+def test_train_divergence_names_the_epoch(monkeypatch):
+    import zoocast.forecasters as forecasters_mod
+
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return loss_and_grad(*args)
+
+    monkeypatch.setattr(forecasters_mod, "loss_and_grad", counted)
     data = _sine_dataset(length=100)
     with pytest.raises(ValueError, match=r"diverged in epoch 1$"):
         train(ForecasterSpec("linear", 36, 12), data, TrainConfig(epochs=50, learning_rate=1e4, seed=0))
+    assert 0 < len(calls) <= 53  # a diverged run stops after its epoch of 53 steps
 
 
 def _per_model_train(spec, data, cfg):
@@ -491,12 +501,25 @@ def test_extract_windows_names_a_target_far_outside_its_window_scale(recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-def test_train_many_names_an_epoch_whose_mean_loss_overflows(recwarn):
-    # flat windows before a 1.3e154 spike: each of the three channels' windows
-    # has a finite loss near 8.4e307, and their epoch mean overflows
-    values = np.zeros((6, 3))
-    values[-1] = 1.3e154
-    data = Dataset(MultivariateSeries(values), "spike")
+def _spike(length, spikes):
+    values = np.zeros((length, 3))
+    values[len(values) - len(spikes):] = np.asarray(spikes)[:, None]
+    return Dataset(MultivariateSeries(values), "spike")
+
+
+@pytest.mark.parametrize(
+    "data, spec, cfg",
+    [
+        # flat windows before a 1.3e154 spike: each of the three channels' windows
+        # has a finite loss near 8.4e307, and their epoch mean overflows
+        (_spike(6, [1.3e154]), _linear_spec(), TrainConfig(epochs=1, learning_rate=1e-300)),
+        # epoch 1's 12 step losses are all finite (the largest 1.1025e308) but
+        # overflow their mean; epoch 2's second step is inf
+        (_spike(8, [5.25e153, 1.05e154]), ForecasterSpec("linear", 4, 1), TrainConfig(epochs=4, learning_rate=1.0)),
+    ],
+    ids=["one-epoch", "steps-finite-until-epoch-2"],
+)
+def test_train_many_names_an_epoch_whose_mean_loss_overflows(recwarn, data, spec, cfg):
     with pytest.raises(ValueError, match="^training failed on dataset 'spike': training diverged in epoch 1$"):
-        train_many(_linear_spec(), [data], TrainConfig(epochs=1, learning_rate=1e-300))
+        train_many(spec, [data], cfg)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

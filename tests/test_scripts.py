@@ -63,10 +63,17 @@ def test_run_selection_study_writes_a_finite_report(tmp_path):
 
 @pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
 def test_full_pipeline_prints_a_digest_of_every_file_it_writes(tmp_path):
+    # a decoy installed `zoocast` first on PATH: the script must run this checkout
+    decoy = tmp_path / "bin" / "zoocast"
+    decoy.parent.mkdir()
+    decoy.write_text("#!/bin/sh\nexit 3\n", encoding="utf-8")
+    decoy.chmod(0o755)
+    env = _env()
+    env["PATH"] = os.pathsep.join([str(decoy.parent), env.get("PATH", "")])
     work = tmp_path / "work"
     proc = subprocess.run(
         ["bash", str(ROOT / "scripts" / "full_pipeline.sh"), str(work)],
-        env=_env(), capture_output=True, text=True, timeout=300,
+        env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.split("artifact digests:\n", 1)[1].splitlines()
