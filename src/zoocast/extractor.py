@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import POSITIVE, SEED, SIZE, Range, canonical_json, check_fields, check_unique, checked_tensors, init_uniform, read_artifact
-from .core import sample_windows
+from .core import MAX_SIZE, sample_windows
 
 EXTRACTOR_FORMAT_VERSION = 1
 EXTRACTOR_FIELDS = {"dims": dict, "weights": dict, "training_log": list}
@@ -302,8 +302,9 @@ def train_extractor(
     from a different dataset, so the constraint separates datasets instead
     of scattering windows of the same series.
 
-    Each epoch samples every dataset's windows (`sample_windows`), then
-    masks all of them in one `mask_series` call; batches are slices.
+    Each epoch samples every dataset's windows (`sample_windows`) in batch
+    order and masks them in one `mask_series` call of at most `MAX_SIZE`
+    values; batches are slices.
 
     Each step updates the one weights dict in place. Training diverges in
     the first epoch whose mean step losses are not finite, and stops after
@@ -315,6 +316,9 @@ def train_extractor(
     check_fields({"input_len": input_len}, {"input_len": SIZE}, "argument")
     if len(datasets) * cfg.windows_per_dataset < 2:
         raise ValueError("an epoch needs at least 2 windows (constraint needs negatives)")
+    if len(datasets) * cfg.windows_per_dataset * mask_spec.num_views * input_len > MAX_SIZE:  # mask_series' views
+        raise ValueError(f"windows_per_dataset {cfg.windows_per_dataset}, num_views {mask_spec.num_views} and input_len "
+                         f"{input_len} over {len(datasets)} datasets would mask more than {MAX_SIZE} values per epoch")
     names = [d.name for d in datasets]
     check_unique(names, "dataset name")
     g = np.clip(transfer_matrix.submatrix(names), -1.0, 1.0)
@@ -323,20 +327,17 @@ def train_extractor(
     rng = np.random.default_rng(cfg.seed + 1)
     batch_size = max(2, len(datasets)) if cfg.batch_size is None else cfg.batch_size
     # interleave datasets so each batch draws evenly across them
-    order = np.arange(len(datasets) * cfg.windows_per_dataset).reshape(len(datasets), -1).T.ravel()
     dataset_index = np.tile(np.arange(len(datasets)), cfg.windows_per_dataset)
     log = []
     for epoch in range(cfg.epochs):
-        windows = np.concatenate([sample_windows(rng, data, input_len, cfg.windows_per_dataset) for data in datasets])
-        windows = windows[order]
+        windows = np.stack([sample_windows(rng, data, input_len, cfg.windows_per_dataset) for data in datasets], 1)
+        windows = windows.reshape(-1, input_len)  # in batch order: window w of every dataset, then w + 1
         views = mask_series(windows, mask_spec, rng)
 
         epoch_components = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, windows.shape[0], batch_size):
+            for start in range(0, len(windows) - 1, batch_size):  # a final single window has no negatives
                 batch = slice(start, start + batch_size)
-                if dataset_index[batch].size < 2:
-                    continue  # constraint needs negatives
                 _, grads, components = combined_loss_and_grad(
                     params, windows[batch], views[batch], dataset_index[batch], g, cfg.constraint_weight
                 )

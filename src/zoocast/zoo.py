@@ -2,19 +2,21 @@
 matrix that supervises the extractor, and manifest persistence.
 
 A zoo directory is self-contained: `zoo.json`, the referenced model files
-and an encoder-only `extractor.json`, each guarded by a content digest.
-Forecasting only encodes, so the zoo keeps the encoder tensors and drops
-the decoder and the training log; those stay in the trained extractor
-file that `build_zoo` reads.
+and an encoder-only `extractor.json`, each named by a plain file name in
+the directory and guarded by a content digest; `_read_checked` is the one
+read of the extractor and model files. Forecasting only encodes, so the
+zoo keeps the encoder tensors and drops the decoder and the training log;
+those stay in the trained extractor file that `build_zoo` reads.
 
 Matching compares representations in one space, so `Zoo` checks on
 construction that it has at least one entry, unique model ids, and for
 each entry a finite representation of the extractor's dimension, the
 extractor's input_len and the first entry's horizon. The check runs for
 built, loaded and in-memory zoos alike, and `build_zoo` writes no file
-for a zoo that fails it. `load_zoo` checks every model file's digest, and
-model files load lazily: on first use `Zoo.forecaster` checks the digest
-again and the model's input_len and horizon against its entry.
+for a zoo that fails it. `load_zoo` reads and checks every file, and
+model files are parsed lazily: on first use `Zoo.forecaster` reads and
+checks the file again, so one changed or gone since load is named too,
+and checks the model's input_len and horizon against its entry.
 """
 
 from __future__ import annotations
@@ -152,10 +154,7 @@ class Zoo:
             entry = next((e for e in self.entries if e.model_id == model_id), None)
             if entry is None:
                 raise ValueError(f"no model {model_id!r} in zoo")
-            path = (self.root or Path(".")) / entry.file
-            blob = path.read_bytes()
-            if _digest(blob) != entry.digest:
-                raise ValueError(f"digest mismatch for entry {model_id!r} ({entry.file})")
+            blob = _read_checked(self.root or Path("."), entry.file, entry.digest, f"entry {model_id!r}")
             model = forecasters.load(blob)
             for name, value in (("input_len", model.spec.input_len), ("horizon", model.spec.horizon)):
                 if value != getattr(entry, name):
@@ -169,6 +168,20 @@ class Zoo:
 
 def _digest(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
+
+
+def _read_checked(root: Path, name: str, digest: str, what: str) -> bytes:
+    """The bytes of the zoo file `name`, which must be a plain file name,
+    a regular file in `root`, and hash to `digest`."""
+    try:
+        if Path(name).name != name or not (root / name).is_file():
+            raise OSError
+        blob = (root / name).read_bytes()
+    except OSError:  # also a name too long for the file system, or an unreadable file
+        raise ValueError(f"{what}: no file {name!r} in the zoo directory") from None
+    if _digest(blob) != digest:
+        raise ValueError(f"digest mismatch for {what} ({name})")
+    return blob
 
 
 def compute_model_representation(
@@ -272,34 +285,19 @@ def build_zoo(
     return out
 
 
-def _is_file(path: Path) -> bool:
-    try:
-        return path.is_file()
-    except OSError:  # e.g. a name too long for the file system
-        return False
-
-
 def load_zoo(zoo_dir) -> Zoo:
     root = Path(zoo_dir)
     manifest_path = root / "zoo.json"
     if not manifest_path.exists():
         raise ValueError(f"no zoo.json in {root}")
     manifest = read_artifact(manifest_path.read_bytes(), "zoo manifest", ZOO_FORMAT_VERSION, MANIFEST_FIELDS)
-    if not _is_file(root / manifest["extractor"]):
-        raise ValueError(f"zoo manifest: missing extractor file {manifest['extractor']!r}")
-    extractor_blob = (root / manifest["extractor"]).read_bytes()
-    if _digest(extractor_blob) != manifest["extractor_digest"]:
-        raise ValueError("extractor digest mismatch")
-    params, _ = extractor_mod.load(extractor_blob)
+    params, _ = extractor_mod.load(_read_checked(root, manifest["extractor"], manifest["extractor_digest"], "extractor"))
     entries = []
     for i, raw in enumerate(manifest["entries"]):
         check_fields(raw, ENTRY_FIELDS, f"zoo manifest entry {i} field")
         record = {name: raw[name] for name in ENTRY_FIELDS}
         record["representation"] = as_float_array(raw["representation"], f"entry {raw['model_id']!r}: representation")
-        if not _is_file(root / raw["file"]):
-            raise ValueError(f"entry {raw['model_id']!r}: missing weights file {raw['file']}")
-        if _digest((root / raw["file"]).read_bytes()) != raw["digest"]:
-            raise ValueError(f"digest mismatch for entry {raw['model_id']!r} ({raw['file']})")
+        _read_checked(root, raw["file"], raw["digest"], f"entry {raw['model_id']!r}")
         entries.append(ModelEntry(**record))
     return Zoo(entries=entries, extractor_params=params, root=root)
 

@@ -282,6 +282,24 @@ def test_forecast_names_a_corrupted_model_file_that_matching_would_not_pick(pipe
     assert not out.exists()
 
 
+def test_forecast_refuses_a_model_file_outside_the_zoo_directory(pipeline, tmp_path, capsys):
+    # a byte-identical copy, so its digest holds: this forecast used to exit 0 from the outside file
+    root, datasets, zoo_dir = pipeline
+    zoo = tmp_path / "zoo"
+    shutil.copytree(zoo_dir, zoo)
+    manifest = json.loads((zoo / "zoo.json").read_bytes())
+    entry = manifest["entries"][0]
+    outside = tmp_path / entry["file"]
+    shutil.copyfile(zoo / entry["file"], outside)
+    entry["file"] = str(outside)
+    (zoo / "zoo.json").write_bytes(json.dumps(manifest).encode())
+    out = tmp_path / "fc"
+    rc = run_cli("forecast", "--zoo", str(zoo), "--input", str(datasets[0]), "--horizon", "6", "--out", str(out))
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: entry {entry['model_id']!r}: no file {str(outside)!r} in the zoo directory\n"
+    assert not out.exists()
+
+
 def test_forecast_with_a_manifest_that_disagrees_with_its_models_exits_with_error_line(pipeline, tmp_path, capsys):
     root, datasets, zoo_dir = pipeline
     bad_zoo = tmp_path / "zoo"

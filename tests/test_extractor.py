@@ -739,12 +739,28 @@ def test_load_names_an_extractor_file_size_below_one(key):
 
 
 def test_train_extractor_names_a_weight_tensor_too_large_before_drawing_it():
-    # was MemoryError: Unable to allocate 8.00 TiB
+    # a 4 TiB W1, once a MemoryError; one view of one window per dataset
+    # keeps the masked views, 2 * 2**19 values, within their bound
     datasets = _tiny_suite()
-    cfg = ExtractorTrainConfig(epochs=1, windows_per_dataset=4, hidden_dim=2**20, repr_dim=4)
-    message = rf"^weight tensor 'W1' of shape \(1048576, 1048576\) would hold more than {2**20} values$"
+    cfg = ExtractorTrainConfig(epochs=1, windows_per_dataset=1, hidden_dim=2**20, repr_dim=4)
+    message = rf"^weight tensor 'W1' of shape \(1048576, 524288\) would hold more than {2**20} values$"
     with pytest.raises(ValueError, match=message):
-        train_extractor(datasets, _uniform_tm([d.name for d in datasets]), cfg, MaskSpec(), input_len=2**20)
+        train_extractor(datasets, _uniform_tm([d.name for d in datasets]), cfg, MaskSpec(num_views=1), input_len=2**19)
+
+
+def test_train_extractor_bounds_the_masked_views_before_drawing_a_weight(monkeypatch):
+    # was trained: 2 * 64 * 256 * 36 = 1,179,648 masked values per epoch
+    import zoocast.extractor as extractor_mod
+
+    monkeypatch.setattr(extractor_mod, "init_params", lambda *args: pytest.fail("init_params ran"))
+    datasets = _tiny_suite()
+    cfg = ExtractorTrainConfig(epochs=1, windows_per_dataset=64, hidden_dim=8, repr_dim=4)
+    message = (
+        rf"^windows_per_dataset 64, num_views 256 and input_len 36 over 2 datasets "
+        rf"would mask more than {2**20} values per epoch$"
+    )
+    with pytest.raises(ValueError, match=message):
+        train_extractor(datasets, _uniform_tm([d.name for d in datasets]), cfg, MaskSpec(num_views=256), input_len=36)
 
 
 def _three_families():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import shutil
 
 import numpy as np
@@ -330,6 +331,38 @@ def test_load_zoo_detects_missing_file_and_corruption(tmp_path):
     # and again on first use, so a file changed after load is named too
     with pytest.raises(ValueError, match="digest mismatch"):
         zoo.forecaster("model1")
+    # as is one gone after load, or replaced by a directory (was FileNotFoundError, IsADirectoryError)
+    gone = r"^entry 'model1': no file 'model1\.model\.json' in the zoo directory$"
+    victim.write_bytes(original)
+    zoo = load_zoo(out)
+    victim.unlink()
+    with pytest.raises(ValueError, match=gone):
+        zoo.forecaster("model1")
+    victim.mkdir()
+    with pytest.raises(ValueError, match=gone):
+        zoo.forecaster("model1")
+
+
+@pytest.mark.parametrize(
+    "entry, where",
+    [(1, "absolute"), (1, "parent"), (1, "subdirectory"), (None, "absolute")],
+    ids=["entry-absolute", "entry-parent", "entry-subdirectory", "extractor-absolute"],
+)
+def test_load_zoo_refuses_a_file_outside_the_zoo_directory(tmp_path, entry, where):
+    # each names a byte-identical copy, so its digest holds (was loaded from there)
+    out = _build_test_zoo(tmp_path)
+    manifest = json.loads((out / "zoo.json").read_bytes())
+    record, key = (manifest, "extractor") if entry is None else (manifest["entries"][entry], "file")
+    source = out / record[key]
+    copy = (out / "sub" if where == "subdirectory" else tmp_path / "outside") / source.name  # out is tmp_path / "zoo"
+    copy.parent.mkdir()
+    shutil.copyfile(source, copy)
+    name = {"absolute": str(copy), "parent": f"../outside/{source.name}", "subdirectory": f"sub/{source.name}"}[where]
+    record[key] = name
+    (out / "zoo.json").write_bytes(json.dumps(manifest).encode())
+    what = "extractor" if entry is None else f"entry 'model{entry}'"
+    with pytest.raises(ValueError, match=rf"^{what}: no file '{re.escape(name)}' in the zoo directory$"):
+        load_zoo(out)
 
 
 def test_load_zoo_rejects_mixed_dims(tmp_path):
