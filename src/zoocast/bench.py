@@ -9,7 +9,7 @@ import numpy as np
 
 from . import forecasters, fusion
 from .core import COUNT, MAX_SIZE, SEED, SIZE, Dataset, MultivariateSeries, Range, canonical_json, check_fields, check_unique
-from .core import checked_normalize_rows, mape, mse, smape
+from .core import mape, mse, normalize_rows, smape
 
 SYNTH_KINDS = ("sine", "sawtooth", "trend_sine", "random_walk", "ar1")
 
@@ -230,9 +230,10 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
                     windows = {m: scores[m][k].tolist() for m in cfg.metrics}
                     rows[i].append({"dataset": names[i], "method": method, "horizon": horizon, **means, "windows": windows})
         # per-model MSE distribution at the first horizon (violin-plot data):
-        # each model alone on its channel rows, one normalization, one recursion per model
+        # each model alone on its channel rows, one normalization, one recursion per model;
+        # `forecast_rows` has named any row whose values overflow normalization
         if position == 0:
-            norm, mu, sigma = checked_normalize_rows(stack, where)
+            norm, mu, sigma = normalize_rows(stack)
             for entry in zoo.entries:
                 with np.errstate(over="ignore", invalid="ignore"):  # a diverged forecast is checked below
                     pred = fusion.sequential_forecast([zoo.forecaster(entry.model_id)], norm, horizon)

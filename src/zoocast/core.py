@@ -77,18 +77,6 @@ class Dataset:
     name: str
 
 
-def as_series(x) -> np.ndarray:
-    """Validate a univariate series: 1-D, nonempty, finite float64."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected 1-D series, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError("empty series")
-    if not np.isfinite(arr).all():
-        raise ValueError("non-finite input")
-    return arr
-
-
 def normalize_rows(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Instance-normalize every row (last axis) of an array of any rank
     with population statistics; returns (normalized, means, stds).
@@ -124,9 +112,17 @@ def checked_normalize_rows(x, where) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def normalize(x) -> tuple[np.ndarray, NormStats]:
-    """Instance-normalize one series; see `normalize_rows`. Values whose
-    mean or std overflow float64 raise a ValueError."""
-    norm, mu, sigma = normalize_rows(as_series(x))
+    """Instance-normalize one univariate series, a 1-D, nonempty, finite
+    float64 array; see `normalize_rows`. Values whose mean or std overflow
+    float64 raise a ValueError."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"expected 1-D series, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError("empty series")
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite input")
+    norm, mu, sigma = normalize_rows(arr)
     if not math.isfinite(sigma):  # an overflowed mean leaves a non-finite std too
         raise ValueError("values overflow instance normalization")
     return norm, NormStats(mean=float(mu), std=float(sigma))

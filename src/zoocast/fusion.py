@@ -73,11 +73,10 @@ def check_forecasts(pred: np.ndarray, h: int, where=_channel) -> None:
 def match(zoo, variate_window, top_k: int = 1) -> SelectionResult:
     """Rank every zoo model by cosine between its stored representation
     and the encoding of the (internally normalized) window."""
-    window = np.asarray(variate_window, dtype=np.float64)
-    norm_win, _ = normalize(window)
-    mu = extractor_mod.encode(zoo.extractor_params, norm_win)
-    # with an overflowing squared norm every model would score 0.0 and rank in manifest order
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked, not warned about
+        norm_win, _ = normalize(variate_window)
+        mu = extractor_mod.encode(zoo.extractor_params, norm_win)
+        # with an overflowing squared norm every model would score 0.0 and rank in manifest order
         if not math.isfinite(mu.dot(mu)):
             raise ValueError("encoding overflows float64")
     scored = [
@@ -183,15 +182,14 @@ def forecast_rows(zoo, rows, cfg: FusionConfig, where=_channel) -> tuple[np.ndar
         raise ValueError(f"expected (R, T) rows, got shape {x.shape}")
     _check_request(zoo, x.shape[1], cfg)
     norm, mu, sigma, encodings = encode_rows(zoo, x, where)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scores = extractor_mod.cosine_matrix(encodings, np.stack([e.representation for e in zoo.entries]))
-    # a stable sort keeps manifest order among equal scores, as `match` does
-    choice = np.argsort(-scores, axis=1, kind="stable")[:, : cfg.top_k]
-    groups = {}  # each choice to its rows, in order of first use: models load as the per-channel loop loads them
-    for r, chosen in enumerate(choice.tolist()):
-        groups.setdefault(tuple(chosen), []).append(r)
-    norm_pred = np.empty((len(x), cfg.horizon))
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged forecast is checked below
+        scores = extractor_mod.cosine_matrix(encodings, np.stack([e.representation for e in zoo.entries]))
+        # a stable sort keeps manifest order among equal scores, as `match` does
+        choice = np.argsort(-scores, axis=1, kind="stable")[:, : cfg.top_k]
+        groups = {}  # each choice to its rows, in order of first use: models load as the per-channel loop loads them
+        for r, chosen in enumerate(choice.tolist()):
+            groups.setdefault(tuple(chosen), []).append(r)
+        norm_pred = np.empty((len(x), cfg.horizon))
         for chosen, members in groups.items():
             models = [zoo.forecaster(zoo.entries[i].model_id) for i in chosen]
             norm_pred[members] = sequential_forecast(models, norm[members], cfg.horizon)

@@ -29,8 +29,8 @@ import numpy as np
 
 from . import extractor as extractor_mod
 from . import forecasters
-from .core import SEED, SIZE, Dataset, MultivariateSeries, as_float_array, canonical_json, check_fields, check_unique, mse
-from .core import read_artifact, sample_windows
+from .core import MAX_SIZE, SEED, SIZE, Dataset, MultivariateSeries, as_float_array, canonical_json, check_fields, check_unique
+from .core import mse, read_artifact, sample_windows
 
 ZOO_FORMAT_VERSION = 1
 MANIFEST_FIELDS = {"extractor": str, "extractor_digest": str, "entries": list[dict]}
@@ -187,8 +187,11 @@ def _read_checked(root: Path, name: str, digest: str, what: str) -> bytes:
 def compute_model_representation(
     params: extractor_mod.ExtractorParams, source_data: Dataset, sample_count: int = REPRESENTATION_SAMPLES, seed: int = 0
 ) -> np.ndarray:
-    """Mean encoding of sampled, instance-normalized source windows."""
+    """Mean encoding of sampled, instance-normalized source windows; more
+    than MAX_SIZE sampled values raise before any is drawn."""
     check_fields({"sample_count": sample_count, "seed": seed}, {"sample_count": SIZE, "seed": SEED}, "argument")
+    if sample_count * params.input_len > MAX_SIZE:
+        raise ValueError(f"sample_count {sample_count} and input_len {params.input_len} would draw more than {MAX_SIZE} values")
     windows = sample_windows(np.random.default_rng(seed), source_data, params.input_len, sample_count)
     return extractor_mod.encode_batch(params, windows).mean(axis=0)
 
@@ -287,10 +290,13 @@ def build_zoo(
 
 def load_zoo(zoo_dir) -> Zoo:
     root = Path(zoo_dir)
-    manifest_path = root / "zoo.json"
-    if not manifest_path.exists():
-        raise ValueError(f"no zoo.json in {root}")
-    manifest = read_artifact(manifest_path.read_bytes(), "zoo manifest", ZOO_FORMAT_VERSION, MANIFEST_FIELDS)
+    try:  # a regular file, as `_read_checked` requires of every zoo file
+        if not (root / "zoo.json").is_file():
+            raise OSError
+        blob = (root / "zoo.json").read_bytes()
+    except OSError:
+        raise ValueError(f"no zoo.json in {root}") from None
+    manifest = read_artifact(blob, "zoo manifest", ZOO_FORMAT_VERSION, MANIFEST_FIELDS)
     params, _ = extractor_mod.load(_read_checked(root, manifest["extractor"], manifest["extractor_digest"], "extractor"))
     entries = []
     for i, raw in enumerate(manifest["entries"]):

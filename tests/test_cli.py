@@ -268,6 +268,31 @@ def test_build_zoo_without_samples_exits_with_error_line(pipeline, tmp_path, cap
     assert not (tmp_path / "zoo").exists()
 
 
+def test_build_zoo_bounds_the_sampled_values(pipeline, tmp_path, capsys):
+    root, datasets, _ = pipeline
+    rc = run_cli(
+        "build-zoo", "--models", str(root / "sine.model.json"), "--data", str(datasets[0]),
+        "--extractor", str(root / "extractor.json"), "--samples", "29128", "--out", str(tmp_path / "zoo"),
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "error: sample_count 29128 and input_len 36 would draw more than 1048576 values\n"
+    assert not (tmp_path / "zoo").exists()
+
+
+def test_forecast_names_a_zoo_json_that_is_not_a_file(pipeline, tmp_path, capsys):
+    # was "error: [Errno 21] Is a directory: ..."
+    root, datasets, zoo_dir = pipeline
+    zoo = tmp_path / "zoo"
+    shutil.copytree(zoo_dir, zoo)
+    (zoo / "zoo.json").unlink()
+    (zoo / "zoo.json").mkdir()
+    out = tmp_path / "fc"
+    rc = run_cli("forecast", "--zoo", str(zoo), "--input", str(datasets[0]), "--horizon", "6", "--out", str(out))
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: no zoo.json in {zoo}\n"
+    assert not out.exists()
+
+
 def test_forecast_names_a_corrupted_model_file_that_matching_would_not_pick(pipeline, tmp_path, capsys):
     # the sine channel picks sine.model, so this file was never read and the forecast exited 0
     root, datasets, zoo_dir = pipeline

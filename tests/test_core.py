@@ -74,6 +74,24 @@ def test_normalize_rejects_empty_and_nonfinite():
         normalize([1.0, np.inf])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MultivariateSeries(np.zeros((3, 2)), channel_names=("a",)), "channel_names length does not match channel count"),
+        (lambda: normalize(np.zeros((2, 3))), "expected 1-D series, got shape (2, 3)"),
+        (
+            lambda: extractor.ExtractorParams([1.0], 4, 3, 2),
+            "extractor tensors list do not match ['V1', 'V2', 'W1', 'W2', 'b1', 'b2', 'c1', 'c2']",
+        ),
+    ],
+    ids=["channel-names-length", "normalize-2d", "tensors-not-an-object"],
+)
+def test_entry_points_name_a_malformed_call(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_denormalize_examples():
     np.testing.assert_array_equal(denormalize([0.0, 0.0, 0.0], NormStats(5.0, 1.0)), [5.0, 5.0, 5.0])
     np.testing.assert_array_equal(denormalize([1.0], NormStats(0.0, 2.0)), [2.0])

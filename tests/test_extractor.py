@@ -666,6 +666,23 @@ def test_train_extractor_rejects_an_epoch_of_one_window():
         train_extractor(datasets, _uniform_tm([datasets[0].name]), cfg, MaskSpec(), input_len=36)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: combined_loss_and_grad(init_params(4, 3, 2, 0), np.zeros((1, 4)), np.zeros((1, 2, 4)), np.zeros(1, int), np.ones((1, 1)), 1.0),
+            "no negatives: need at least 2 anchor series",
+        ),
+        (lambda: train_extractor([], _uniform_tm([]), ExtractorTrainConfig(), MaskSpec()), "need at least one dataset"),
+    ],
+    ids=["one-anchor", "no-datasets"],
+)
+def test_entry_points_name_a_malformed_call(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_train_extractor_skips_a_trailing_batch_of_one_window():
     # three windows in batches of two: the one-window batch has no negatives, so the
     # epoch is the first batch's step alone, replayed here from the same generator

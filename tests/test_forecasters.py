@@ -190,6 +190,14 @@ def test_zero_instance_gives_zero_loss_and_grads():
     assert all(np.all(g == 0) for g in grads.values())
 
 
+@pytest.mark.parametrize("architecture", ["last", "mean", "seasonal_naive"])
+def test_loss_and_grad_refuses_a_baseline(architecture):
+    spec = make_baseline(architecture, 4, 2).spec
+    with pytest.raises(ValueError) as info:
+        loss_and_grad(spec, {}, np.zeros((3, 4)), np.zeros((3, 2)))
+    assert str(info.value) == f"{architecture} has no trainable weights"
+
+
 @pytest.mark.parametrize("spec", [_linear_spec(), _patch_spec()], ids=["linear", "patch_mlp"])
 def test_gradients_match_finite_differences(spec):
     rng = np.random.default_rng(0)

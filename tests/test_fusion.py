@@ -480,6 +480,40 @@ def test_overflowing_encoding_is_named_before_any_model_loads(scale):
     assert _fault(lambda: match(zoo, values[1])) == "encoding overflows float64"
 
 
+def _loud_encoder_zoo():
+    """`_last_zoo` with its extractor's W1 and W2 scaled by 1e200, so `encode` overflows."""
+    zoo = _last_zoo()
+    weights = {name: w * 1e200 if name in ("W1", "W2") else w for name, w in zoo.extractor_params.weights.items()}
+    return zoo_from_models({"m0": zoo.forecaster("m0")}, ExtractorParams(weights, 6, 4, 3), {"m0": zoo.entries[0].representation})
+
+
+@pytest.mark.parametrize(
+    "zoo, window, message",
+    [
+        (_last_zoo, np.full(6, 1e308), "values overflow instance normalization"),
+        (_loud_encoder_zoo, np.arange(6.0), "encoding overflows float64"),
+    ],
+    ids=["values", "encoding"],
+)
+def test_a_standalone_match_names_an_overflow_without_a_warning(zoo, window, message):
+    # each used to warn first: "overflow encountered in reduce", "in matmul"
+    assert _fault(lambda: match(zoo(), window)) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sequential_forecast([], np.zeros(4), 2), "need at least one model"),
+        (lambda: sequential_forecast([_zero_model(4, 2), _zero_model(5, 2)], np.zeros(4), 2), "incompatible input lengths: 4 vs 5"),
+        (lambda: sequential_forecast([_zero_model(4, 2)], np.zeros(5), 2), "window length (5,) != input_len 4"),
+        (lambda: forecast_rows(_last_zoo(), np.zeros(6), FusionConfig(horizon=2)), "expected (R, T) rows, got shape (6,)"),
+    ],
+    ids=["no-models", "mixed-input-lengths", "wrong-window-length", "rows-not-2d"],
+)
+def test_entry_points_name_a_malformed_call(call, message):
+    assert _fault(call) == message
+
+
 # -- config checks -----------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from zoocast import zoo as zoo_mod
 from zoocast.bench import SyntheticFamilySpec, generate_synthetic
 from zoocast.core import Dataset, MultivariateSeries, mse, normalize
 from zoocast.extractor import DECODER_TENSORS, ENCODER_TENSORS, ExtractorTrainConfig, MaskSpec, encode, encode_batch
@@ -43,6 +44,23 @@ def test_representation_errors_on_short_dataset(params):
     data = Dataset(series=MultivariateSeries(np.ones((5, 1))), name="short")
     with pytest.raises(ValueError, match="no window"):
         compute_model_representation(params, data, sample_count=4, seed=0)
+
+
+def test_representation_bounds_the_sampled_values_before_drawing(monkeypatch):
+    params = init_params(2, 2, 2, 0)
+    data = Dataset(series=MultivariateSeries(np.arange(5.0)), name="short")
+    drawn = []
+
+    def sample(rng, data, length, count):
+        drawn.append(count)
+        raise RuntimeError("sampled")
+
+    monkeypatch.setattr(zoo_mod, "sample_windows", sample)
+    with pytest.raises(ValueError, match=r"^sample_count 524289 and input_len 2 would draw more than 1048576 values$"):
+        compute_model_representation(params, data, sample_count=2**19 + 1)
+    with pytest.raises(RuntimeError, match="sampled"):  # exactly MAX_SIZE values may be drawn
+        compute_model_representation(params, data, sample_count=2**19)
+    assert drawn == [2**19]
 
 
 def test_representation_of_identical_windows(params):
@@ -341,6 +359,38 @@ def test_load_zoo_detects_missing_file_and_corruption(tmp_path):
     victim.mkdir()
     with pytest.raises(ValueError, match=gone):
         zoo.forecaster("model1")
+
+
+def _one_model_zoo():
+    return zoo_from_models({"m": make_baseline("last", 12, 4)}, init_params(12, 8, 4, seed=0), {"m": np.ones(4)})
+
+
+def _manifest_directory(tmp_path):
+    (tmp_path / "zoo.json").mkdir()  # was IsADirectoryError
+    return load_zoo(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda tmp_path: _one_model_zoo().forecaster("nope"), "no model 'nope' in zoo"),
+        (
+            lambda tmp_path: compute_transfer_matrix([_dataset()], ForecasterSpec("linear", 12, 4), TrainConfig()),
+            "need at least 2 datasets",
+        ),
+        (
+            lambda tmp_path: build_zoo([tmp_path / "m.json"], [], tmp_path / "extractor.json", tmp_path / "zoo"),
+            "one source dataset required per model file",
+        ),
+        (load_zoo, "no zoo.json in {tmp_path}"),
+        (_manifest_directory, "no zoo.json in {tmp_path}"),
+    ],
+    ids=["unknown-model", "one-dataset", "more-models-than-sources", "no-manifest", "manifest-is-a-directory"],
+)
+def test_entry_points_name_a_malformed_call(tmp_path, call, message):
+    with pytest.raises(ValueError) as info:
+        call(tmp_path)
+    assert str(info.value) == message.format(tmp_path=tmp_path)
 
 
 @pytest.mark.parametrize(
