@@ -9,11 +9,11 @@ import time
 
 import numpy as np
 
-from zoocast import forecasters
-from zoocast.bench import default_family_suite
-from zoocast.core import denormalize, mse, normalize
+from zoocast.bench import SUITE_NOISE, default_family_suite
+from zoocast.core import BLOCK_HORIZON, LOOK_BACK, mse
+from zoocast.extractor import cosine_matrix
 from zoocast.forecasters import ForecasterSpec
-from zoocast.fusion import match
+from zoocast.fusion import encode_rows, sequential_forecast
 from zoocast.zoo import zoo_from_suite
 
 
@@ -21,10 +21,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--eval-seed", type=int, default=100)
-    ap.add_argument("--noise", type=float, default=0.05)
+    ap.add_argument("--noise", type=float, default=SUITE_NOISE)
     ap.add_argument("--windows-per-family", type=int, default=100)
-    ap.add_argument("--look-back", type=int, default=36)
-    ap.add_argument("--horizon", type=int, default=12)
+    ap.add_argument("--look-back", type=int, default=LOOK_BACK)
+    ap.add_argument("--horizon", type=int, default=BLOCK_HORIZON)
     ap.add_argument("--out", default=None, help="optional JSON report path")
     args = ap.parse_args()
 
@@ -37,22 +37,24 @@ def main():
     eval_suite = default_family_suite(seed=args.eval_seed, noise_std=args.noise)
     rng = np.random.default_rng(args.seed)
     total = args.look_back + args.horizon
+    # each family's windows, drawn in family order: (families * windows, look_back + horizon) tiles
+    starts = [rng.integers(0, data.series.length - total + 1, args.windows_per_family) for data in eval_suite]
+    tiles = np.concatenate([data.series.channel(0)[s[:, None] + np.arange(total)] for data, s in zip(eval_suite, starts)])
+    windows, truth = tiles[:, : args.look_back], tiles[:, args.look_back :]
+    family = np.repeat(np.arange(len(eval_suite)), args.windows_per_family)
+
+    # one encode and one cosine matrix for every window; argmax keeps the first of tied models, as `match` ranks them
+    norm, mu, sigma, encodings = encode_rows(zoo, windows)
+    picked = np.argmax(cosine_matrix(encodings, np.stack([entry.representation for entry in zoo.entries])), axis=1)
+    columns = np.array([names.index(entry.model_id) for entry in zoo.entries])
     confusion = np.zeros((len(names), len(names)), dtype=int)
-    beats = 0
-    count = 0
-    for family, data in enumerate(eval_suite):
-        chan = data.series.channel(0)
-        for s in rng.integers(0, len(chan) - total + 1, args.windows_per_family):
-            window = chan[s : s + args.look_back]
-            truth = chan[s + args.look_back : s + total]
-            picked = match(zoo, window).ranking[0][0]
-            confusion[family, names.index(picked)] += 1
-            norm_win, stats = normalize(window)
-            errors = {
-                n: mse(truth, denormalize(forecasters.forecast(zoo.forecaster(n), norm_win), stats)) for n in names
-            }
-            beats += errors[picked] <= np.median(list(errors.values()))
-            count += 1
+    np.add.at(confusion, (family, columns[picked]), 1)
+    errors = np.empty((len(windows), len(zoo.entries)))
+    for i, entry in enumerate(zoo.entries):  # one stacked forecast per model, de-normalized with each window's stats
+        pred = sigma[:, None] * sequential_forecast([zoo.forecaster(entry.model_id)], norm, args.horizon) + mu[:, None]
+        errors[:, i] = mse(truth[..., None], pred[..., None])
+    beats = int(np.sum(errors[np.arange(len(picked)), picked] <= np.median(errors, axis=1)))
+    count = len(picked)
 
     accuracy = np.trace(confusion) / confusion.sum()
     print(f"top-1 same-family accuracy: {accuracy:.3f}")

@@ -7,7 +7,8 @@ import time
 
 import numpy as np
 
-from zoocast.bench import BenchConfig, default_family_suite, report_to_bytes, run_benchmark
+from zoocast.bench import SUITE_NOISE, BenchConfig, default_family_suite, report_to_bytes, run_benchmark
+from zoocast.core import BLOCK_HORIZON, LOOK_BACK
 from zoocast.forecasters import ForecasterSpec
 from zoocast.zoo import zoo_from_suite
 
@@ -15,11 +16,11 @@ from zoocast.zoo import zoo_from_suite
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--noise", type=float, default=0.05)
-    ap.add_argument("--look-back", type=int, default=36)
-    ap.add_argument("--horizon", type=int, default=12, help="per-model forecast block length")
-    ap.add_argument("--horizons", default="6,8,14,18,24,36,48")
-    ap.add_argument("--top-k", type=int, default=1)
+    ap.add_argument("--noise", type=float, default=SUITE_NOISE)
+    ap.add_argument("--look-back", type=int, default=LOOK_BACK)
+    ap.add_argument("--horizon", type=int, default=BLOCK_HORIZON, help="per-model forecast block length")
+    ap.add_argument("--horizons", default=",".join(map(str, BenchConfig.horizons)))
+    ap.add_argument("--top-k", type=int, default=BenchConfig.top_k)
     ap.add_argument("--out", default=None, help="optional JSON report path")
     args = ap.parse_args()
 

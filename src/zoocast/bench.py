@@ -8,10 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forecasters, fusion
-from .core import COUNT, MAX_SIZE, SEED, SIZE, Dataset, MultivariateSeries, Range, canonical_json, check_fields, check_unique
+from .core import COUNT, LOOK_BACK, MAX_SIZE, SEED, SIZE, Dataset, MultivariateSeries, Range, canonical_json, check_fields, check_unique
 from .core import mape, mse, normalize_rows, smape
 
 SYNTH_KINDS = ("sine", "sawtooth", "trend_sine", "random_walk", "ar1")
+SUITE_NOISE = 0.05  # the default family suite's noise std, and the least its random walk takes
 
 METRIC_FNS = {"mse": mse, "smape": smape, "mape": mape}
 
@@ -60,11 +61,11 @@ def check_metrics(names) -> None:
 
 @dataclass(frozen=True)
 class BenchConfig:
-    look_back: int = 36
+    look_back: int = LOOK_BACK
     horizons: tuple = (6, 8, 14, 18, 24, 36, 48)
     metrics: tuple = ("mse",)
-    top_k: int = 1
-    season_period: int = 7
+    top_k: int = fusion.FusionConfig.top_k
+    season_period: int = forecasters.ForecasterSpec.season_period
 
     def __post_init__(self):
         check_fields(vars(self), BENCH_CONFIG_KINDS, "field")
@@ -105,7 +106,7 @@ def generate_synthetic(spec: SyntheticFamilySpec) -> Dataset:
     return Dataset(series=MultivariateSeries(values), name=name)
 
 
-def default_family_suite(seed: int = 0, noise_std: float = 0.05, length: int = 600) -> list:
+def default_family_suite(seed: int = 0, noise_std: float = SUITE_NOISE, length: int = SyntheticFamilySpec.length) -> list:
     """Five families with distinct dynamics.
 
     Families are chosen so a single look-back window identifies its family:
@@ -118,7 +119,7 @@ def default_family_suite(seed: int = 0, noise_std: float = 0.05, length: int = 6
         generate_synthetic(SyntheticFamilySpec(kind="sawtooth", period=9, noise_std=noise_std, length=length, seed=seed + 1)),
         generate_synthetic(SyntheticFamilySpec(kind="trend_sine", period=18, noise_std=noise_std, length=length, seed=seed + 2)),
         generate_synthetic(SyntheticFamilySpec(kind="sine", period=5, noise_std=noise_std, length=length, seed=seed + 3)),
-        generate_synthetic(SyntheticFamilySpec(kind="random_walk", noise_std=max(noise_std, 0.05), length=length, seed=seed + 4)),
+        generate_synthetic(SyntheticFamilySpec(kind="random_walk", noise_std=max(noise_std, SUITE_NOISE), length=length, seed=seed + 4)),
     ]
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, extractor, forecasters, fusion, zoo as zoo_mod
-from .core import MultivariateSeries, canonical_json, check_fields, load_csv, read_text, trim_to_last, write_csv
+from .core import BLOCK_HORIZON, LOOK_BACK, MultivariateSeries, canonical_json, check_fields, load_csv, read_text, trim_to_last, write_csv
 
 ARCH_FLAGS = {"linear": "linear", "patch-mlp": "patch_mlp"}
 
@@ -193,8 +193,8 @@ def _add_common(p, seed=True):
 def _add_model_flags(p):
     spec, train = forecasters.ForecasterSpec, forecasters.TrainConfig
     p.add_argument("--arch", choices=sorted(ARCH_FLAGS), default="linear")
-    p.add_argument("--input-len", type=int, default=36)
-    p.add_argument("--horizon", type=int, default=12)
+    p.add_argument("--input-len", type=int, default=LOOK_BACK)
+    p.add_argument("--horizon", type=int, default=BLOCK_HORIZON)
     p.add_argument("--patch-len", type=int, default=spec.patch_len)
     p.add_argument("--hidden-dim", type=int, default=spec.hidden_dim)
     p.add_argument("--epochs", type=int, default=train.epochs)
@@ -224,7 +224,7 @@ def _train_extractor_args(p):
     p.add_argument("--views", dest="num_views", type=int, default=mask.num_views)
     p.add_argument("--dim", dest="repr_dim", type=int, default=ext.repr_dim)
     p.add_argument("--hidden-dim", type=int, default=ext.hidden_dim)
-    p.add_argument("--input-len", type=int, default=36)
+    p.add_argument("--input-len", type=int, default=LOOK_BACK)
     p.add_argument("--epochs", type=int, default=ext.epochs)
     p.add_argument("--lr", dest="learning_rate", type=float, default=ext.learning_rate)
     p.add_argument("--batch-size", type=int, default=ext.batch_size, help="default: one window per dataset")
@@ -258,7 +258,7 @@ def _forecast_args(p):
 def _evaluate_args(p):
     p.add_argument("--truth", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--metrics", default="mse")
+    p.add_argument("--metrics", default=",".join(bench.BenchConfig.metrics))
     p.add_argument("--json", action="store_true")
 
 

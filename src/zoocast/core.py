@@ -23,6 +23,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 ZERO_STD_THRESHOLD = 1e-8
+LOOK_BACK = 36  # the default window length of the extractor, the models and the harness
+BLOCK_HORIZON = 12  # the default horizon of one forecaster block
 
 
 @dataclass(frozen=True)

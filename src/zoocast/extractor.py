@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import POSITIVE, SEED, SIZE, Range, canonical_json, check_fields, check_unique, checked_tensors, init_uniform, read_artifact
-from .core import MAX_SIZE, sample_windows
+from .core import LOOK_BACK, MAX_SIZE, sample_windows
 
 EXTRACTOR_FORMAT_VERSION = 1
 EXTRACTOR_FIELDS = {"dims": dict, "weights": dict, "training_log": list}
@@ -288,7 +288,7 @@ def train_extractor(
     transfer_matrix,
     cfg: ExtractorTrainConfig,
     mask_spec: MaskSpec,
-    input_len: int = 36,
+    input_len: int = LOOK_BACK,
 ):
     """SGD on the combined objective; returns (params, training_log).
 
@@ -308,8 +308,8 @@ def train_extractor(
 
     Each step updates the one weights dict in place. Training diverges in
     the first epoch whose mean step losses are not finite, and stops after
-    it; the weights are validated once, when training ends, so a
-    non-finite tensor still raises there.
+    it, naming the first such term in log order; the weights are validated
+    once, when training ends, so a non-finite tensor still raises there.
     """
     if len(datasets) < 1:
         raise ValueError("need at least one dataset")
@@ -345,8 +345,10 @@ def train_extractor(
                     params.weights[name] -= cfg.learning_rate * grad
                 epoch_components.append(components)
             means = {key: float(np.mean([c[key] for c in epoch_components])) for key in ("recon", "trans", "constraint", "total")}
-        if not all(map(math.isfinite, means.values())):  # a non-finite batch loss, or finite ones whose mean overflows
-            raise ValueError(f"training diverged in epoch {epoch + 1}")
+        # a non-finite batch loss, or finite ones whose mean overflows
+        diverged = [key for key, value in means.items() if not math.isfinite(value)]
+        if diverged:
+            raise ValueError(f"training diverged in epoch {epoch + 1} ({diverged[0]})")
         log.append({"epoch": epoch + 1, **means})
     return replace(params), log  # the one check of the trained tensors
 

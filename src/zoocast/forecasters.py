@@ -257,7 +257,7 @@ def train(spec: ForecasterSpec, data: Dataset, cfg: TrainConfig) -> Forecaster:
     return train_many(spec, [data], cfg)[0]
 
 
-def make_baseline(architecture: str, input_len: int, horizon: int, season_period: int = 7) -> Forecaster:
+def make_baseline(architecture: str, input_len: int, horizon: int, season_period: int = ForecasterSpec.season_period) -> Forecaster:
     spec = ForecasterSpec(architecture=architecture, input_len=input_len, horizon=horizon, season_period=season_period)
     return Forecaster(spec=spec)
 

@@ -70,7 +70,7 @@ def check_forecasts(pred: np.ndarray, h: int, where=_channel) -> None:
         raise ValueError(f"forecast diverged: {where(row)} turns non-finite at step {step} (block {step // h})")
 
 
-def match(zoo, variate_window, top_k: int = 1) -> SelectionResult:
+def match(zoo, variate_window, top_k: int = FusionConfig.top_k) -> SelectionResult:
     """Rank every zoo model by cosine between its stored representation
     and the encoding of the (internally normalized) window."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked, not warned about

@@ -16,7 +16,8 @@ built, loaded and in-memory zoos alike, and `build_zoo` writes no file
 for a zoo that fails it. `load_zoo` reads and checks every file, and
 model files are parsed lazily: on first use `Zoo.forecaster` reads and
 checks the file again, so one changed or gone since load is named too,
-and checks the model's input_len and horizon against its entry.
+and checks the model's input_len and horizon against its entry. Each of
+these faults names the entry and its file.
 """
 
 from __future__ import annotations
@@ -155,7 +156,10 @@ class Zoo:
             if entry is None:
                 raise ValueError(f"no model {model_id!r} in zoo")
             blob = _read_checked(self.root or Path("."), entry.file, entry.digest, f"entry {model_id!r}")
-            model = forecasters.load(blob)
+            try:
+                model = forecasters.load(blob)
+            except ValueError as exc:
+                raise ValueError(f"entry {model_id!r} ({entry.file}): {exc}") from None
             for name, value in (("input_len", model.spec.input_len), ("horizon", model.spec.horizon)):
                 if value != getattr(entry, name):
                     raise ValueError(
@@ -256,7 +260,10 @@ def build_zoo(
     blobs, entries = [], []
     for model_path, source in zip(model_files, source_datasets):
         blob = Path(model_path).read_bytes()
-        model = forecasters.load(blob)
+        try:
+            model = forecasters.load(blob)
+        except ValueError as exc:  # named like `load_csv` names its file
+            raise ValueError(f"{Path(model_path).name}: {exc}") from None
         model_id = Path(model_path).stem
         blobs.append(blob)
         entries.append(

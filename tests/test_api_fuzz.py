@@ -295,7 +295,8 @@ def test_train_extractor_trains_or_names_the_field_or_dataset(suite, fields, see
         mask_spec = MaskSpec(**{name: fields[name] for name in MASK_FAULTS})
         params, log = train_extractor(suite, tm, cfg, mask_spec, input_len=fields["input_len"])
     except ValueError as exc:
-        _assert_names_the_fault(str(exc), mutated_field, r"\bdataset '|^training diverged in epoch \d+$|^extractor tensor \w+ contains non-finite values$")
+        diverged = r"^training diverged in epoch \d+ \((recon|trans|constraint|total)\)$"
+        _assert_names_the_fault(str(exc), mutated_field, rf"\bdataset '|{diverged}|^extractor tensor \w+ contains non-finite values$")
         return
     assert params.input_len == fields["input_len"] and len(log) == fields["epochs"]
 

@@ -207,15 +207,16 @@ def test_malformed_model_spec_exits_with_error_line(pipeline, tmp_path, capsys):
         "--extractor", str(root / "extractor.json"), "--out", str(tmp_path / "zoo"),
     )
     assert rc == 1
-    assert "error: model file field 'spec'" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: bad.json: model file field 'spec' must be an object, got None\n"
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
         (lambda payload: payload["spec"].update(input_len=36.0),
-         "model file field 'spec' is invalid: field 'input_len' must be an integer, got 36.0"),
-        (lambda payload: payload.update(source_dataset=5), "model file field 'source_dataset' must be a string, got 5"),
+         "bad.json: model file field 'spec' is invalid: field 'input_len' must be an integer, got 36.0"),
+        (lambda payload: payload.update(source_dataset=5),
+         "bad.json: model file field 'source_dataset' must be a string, got 5"),
     ],
     ids=["float-input-len", "numeric-source-dataset"],
 )
@@ -251,7 +252,8 @@ def test_forecast_rejects_a_zoo_model_with_a_float_horizon(pipeline, tmp_path, c
     rc = run_cli("forecast", "--zoo", str(zoo), "--input", str(datasets[0]), "--horizon", "24", "--out", str(tmp_path / "fc"))
     assert rc == 1
     assert capsys.readouterr().err == (
-        "error: model file field 'spec' is invalid: field 'horizon' must be an integer, got 12.0\n"
+        "error: entry 'sine.model' (sine.model.model.json): "
+        "model file field 'spec' is invalid: field 'horizon' must be an integer, got 12.0\n"
     )
 
 
@@ -690,7 +692,7 @@ def _scaled_weights(blob, scale=1e300):
     "edit, update_digest, message",
     [
         (lambda blob: blob + b" ", False, "digest mismatch for entry 'sine.model' (sine.model.model.json)"),
-        (lambda blob: b"[1]", True, "malformed model file: holds a list, not an object"),
+        (lambda blob: b"[1]", True, "entry 'sine.model' (sine.model.model.json): malformed model file: holds a list, not an object"),
     ],
     ids=["digest", "parse"],
 )
@@ -737,7 +739,7 @@ def test_an_error_quoting_a_line_break_stays_on_one_line(pipeline, tmp_path, cap
     assert rc == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith("error: model file field 'spec' is invalid: ") and err.endswith("argument '\\n'\n")
+    assert err.startswith("error: bad.json: model file field 'spec' is invalid: ") and err.endswith("argument '\\n'\n")
 
 
 @pytest.mark.parametrize(

@@ -188,6 +188,11 @@ FIELD_FAULTS = [
      "model file field 'spec' is invalid: field 'horizon' must be an integer, got 2.0"),
     (forecasters.load, b'{"format_version":1,"spec":{"architecture":"last","input_len":4,"horizon":2},'
                        b'"source_dataset":5,"weights":{}}', "model file field 'source_dataset' must be a string, got 5"),
+    # input_len and horizon stay required: a model file never loads with a default window or horizon
+    (forecasters.load, b'{"format_version":1,"spec":{"architecture":"last","horizon":2},"source_dataset":"a","weights":{}}',
+     "model file field 'spec' is invalid: ForecasterSpec.__init__() missing 1 required positional argument: 'input_len'"),
+    (forecasters.load, b'{"format_version":1,"spec":{"architecture":"last","input_len":4},"source_dataset":"a","weights":{}}',
+     "model file field 'spec' is invalid: ForecasterSpec.__init__() missing 1 required positional argument: 'horizon'"),
     (_load_manifest_entry, b'{"input_len":true}', "zoo manifest entry 0 field 'input_len' must be an integer, got True"),
 ]
 

@@ -1,6 +1,7 @@
 """Smoke tests for the experiment scripts under scripts/: each runs end to
 end in a fresh interpreter and writes a well-formed report. Values are
-checked for shape and finiteness only; their bits depend on the BLAS build."""
+checked for shape and finiteness only, as their bits depend on the BLAS
+build, except against a reference computed here on the same build."""
 
 import hashlib
 import json
@@ -12,7 +13,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from zoocast import forecasters
+from zoocast.bench import BenchConfig, default_family_suite
+from zoocast.core import denormalize, mse, normalize
+from zoocast.forecasters import ForecasterSpec
+from zoocast.fusion import match
+from zoocast.zoo import zoo_from_suite
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,9 +32,9 @@ def _env():
     return env
 
 
-def _run_script(name, out):
+def _run_script(name, out, *args):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), "--out", str(out)],
+        [sys.executable, str(ROOT / "scripts" / name), "--out", str(out), *args],
         env=_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -38,6 +47,10 @@ def test_run_zoo_benchmark_writes_a_finite_report(tmp_path):
     assert set(report) == {"config", "format_version", "rows", "summary", "warnings", "zoo_distribution"}
     assert report["format_version"] == 2
     assert report["warnings"] == []
+    cfg = BenchConfig()  # the script's flags default to the harness's own config
+    assert report["config"] == {
+        "look_back": cfg.look_back, "horizons": list(cfg.horizons), "metrics": list(cfg.metrics), "top_k": cfg.top_k,
+    }
     methods = {"zoocast", "last", "mean", "seasonal_naive"}
     datasets = {row["dataset"] for row in report["summary"]}
     assert len(datasets) == 5
@@ -59,6 +72,34 @@ def test_run_selection_study_writes_a_finite_report(tmp_path):
         assert math.isfinite(report[key]) and 0.0 <= report[key] <= 1.0
     diagonal = sum(report["confusion"][i][i] for i in range(5))
     assert report["accuracy"] == diagonal / 500
+
+
+def _per_window_study(windows_per_family):
+    """The selection study one window at a time, through `match` and the
+    1-D `forecast`, on the script's default suite, zoo and draws."""
+    suite = default_family_suite(seed=0, noise_std=0.05)
+    names = [d.name for d in suite]
+    zoo, _ = zoo_from_suite(suite, ForecasterSpec("linear", 36, 12), seed=0)
+    rng = np.random.default_rng(0)
+    confusion = np.zeros((5, 5), dtype=int)
+    beats = 0
+    for family, data in enumerate(default_family_suite(seed=100, noise_std=0.05)):
+        chan = data.series.channel(0)
+        for s in rng.integers(0, len(chan) - 48 + 1, windows_per_family):
+            window, truth = chan[s : s + 36], chan[s + 36 : s + 48]
+            picked = match(zoo, window).ranking[0][0]
+            confusion[family, names.index(picked)] += 1
+            norm_win, stats = normalize(window)
+            errors = {n: mse(truth, denormalize(forecasters.forecast(zoo.forecaster(n), norm_win), stats)) for n in names}
+            beats += errors[picked] <= np.median(list(errors.values()))
+    return {"accuracy": float(np.trace(confusion) / confusion.sum()), "beats_median": beats / confusion.sum(),
+            "confusion": confusion.tolist(), "families": names}
+
+
+def test_run_selection_study_matches_the_per_window_study(tmp_path):
+    # the script scores every window in one batched pass; each window must get the pick and errors it gets alone
+    report = _run_script("run_selection_study.py", tmp_path / "study.json", "--windows-per-family", "12")
+    assert {key: report[key] for key in ("accuracy", "beats_median", "confusion", "families")} == _per_window_study(12)
 
 
 @pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
