@@ -1,6 +1,6 @@
 """Series containers, instance normalization, window sampling, trimming,
-metrics, CSV ingestion, and the weight initializer, JSON writer and
-checked JSON reader that every artifact shares.
+metrics, CSV ingestion, and the weight initializer, JSON writer (stdlib
+`json`) and checked JSON reader (`orjson`) that every artifact shares.
 
 Everything here is a pure function over numpy arrays. A univariate series
 is a 1-D float64 array; a multivariate series is a (T, C) float64 array
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import orjson
 from numpy.lib.stride_tricks import sliding_window_view
 
 ZERO_STD_THRESHOLD = 1e-8
@@ -246,13 +247,46 @@ def check_unique(names, what: str) -> None:
         seen.add(name)
 
 
+# the deepest nesting of arrays and objects that `read_artifact` decodes;
+# artifacts nest at most 4 deep, and orjson has no limit of its own: an
+# object nested 100,000 deep overflows its stack and kills the process
+MAX_NESTING = 64
+# an opening bracket becomes 1 and a closing one -1 (as int8), a quote stays; every other byte is deleted
+_MARKS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
+_NOT_MARKS = bytes(byte for byte in range(256) if byte not in b'[{]}"')
+# `_nesting` translates a blob in pieces of this many bytes: one temporary
+# as large as a 195 KB extractor file raised the peak RSS of perfbench's
+# forecast-wide run by 1.6 MB in 12 of 13 runs (glibc malloc), 64 KB
+# pieces in 1 of 17
+_PIECE = 1 << 16
+
+
+def _nesting(blob: bytes) -> int:
+    """The deepest nesting of brackets in `blob` outside its strings. Once
+    the escaped backslashes and quotes are gone, every other quote opens
+    a string, so the even pieces between quotes lie outside them; any
+    prefix that a JSON parser accepts nests exactly this deep."""
+    if b"\\" in blob:
+        blob = blob.replace(b"\\\\", b"").replace(b'\\"', b"")
+    marks = b"".join(blob[start:start + _PIECE].translate(_MARKS, _NOT_MARKS) for start in range(0, len(blob), _PIECE))
+    steps = np.frombuffer(b"".join(marks.split(b'"')[::2]), dtype=np.int8)
+    return int(steps.cumsum(dtype=np.int64).max(initial=0))
+
+
 def read_artifact(blob: bytes, kind: str, version: int | None, fields: dict) -> dict:
     """The JSON object held in `blob`, a `kind` file: its `format_version`
     must be `version` (unless that is None) and its `fields` pass
-    `check_fields`. A ValueError names `kind` otherwise."""
+    `check_fields`. A ValueError names `kind` otherwise.
+
+    The JSON must be strict: UTF-8 with no byte order mark, no lone
+    surrogate, no NaN or Infinity literal, no number beyond float64's
+    range, and no nesting deeper than MAX_NESTING. An integer beyond the
+    64-bit range decodes as a float."""
+    if _nesting(blob) > MAX_NESTING:
+        raise ValueError(f"malformed {kind} file: nested deeper than {MAX_NESTING}")
     try:
-        payload = json.loads(blob)
-    except (ValueError, RecursionError) as exc:  # incl. JSONDecodeError, UnicodeDecodeError
+        payload = orjson.loads(blob)
+    except orjson.JSONDecodeError as exc:  # also for bytes that are not UTF-8
         raise ValueError(f"malformed {kind} file: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"malformed {kind} file: holds a {type(payload).__name__}, not an object")

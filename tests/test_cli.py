@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 from zoocast import cli, forecasters
 from zoocast.bench import BenchConfig, run_benchmark
 from zoocast.cli import COMMANDS, build_parser, main, parse_flat_config
-from zoocast.core import load_csv, normalize
+from zoocast.core import MAX_NESTING, load_csv, normalize, read_artifact
 from zoocast.extractor import encode
 from zoocast.zoo import load_zoo
 
@@ -63,6 +66,34 @@ def test_pipeline_artifacts_exist(pipeline):
     root, datasets, zoo_dir = pipeline
     assert (zoo_dir / "zoo.json").exists()
     assert (zoo_dir / "extractor.json").exists()
+
+
+def test_every_pipeline_artifact_decodes_as_the_stdlib_reader_decodes_it(pipeline):
+    root, _, _ = pipeline
+    artifacts = sorted(root.rglob("*.json"))
+    assert len(artifacts) >= 8  # tm.json, two models, extractor.json and the zoo's four files
+    for path in artifacts:
+        blob = path.read_bytes()
+        # repr tells -0.0 from 0.0 and 1 from 1.0, and writes each float's shortest exact digits
+        assert repr(read_artifact(blob, path.name, None, {})) == repr(json.loads(blob)), path
+
+
+@pytest.mark.parametrize("ahead", [b"", b'"s": "' + b"}" * 100_000 + b'", '], ids=["bare", "closing brackets in a string ahead"])
+def test_forecast_on_a_zoo_json_nested_100000_deep_exits_with_error_line(pipeline, tmp_path, ahead):
+    # orjson has no depth limit of its own: this document overflows its stack and kills the process
+    root, datasets, zoo_dir = pipeline
+    zoo = tmp_path / "zoo"
+    shutil.copytree(zoo_dir, zoo)
+    nest = b'{"a": ' * 100_000 + b"1" + b"}" * 100_000
+    (zoo / "zoo.json").write_bytes(b"{" + ahead + b'"x": ' + nest + b"}")
+    out = tmp_path / "fc"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "zoocast.cli", "forecast", "--zoo", str(zoo), "--input", str(datasets[0]), "--horizon", "6", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: malformed zoo manifest file: nested deeper than {MAX_NESTING}\n")
+    assert not out.exists()
 
 
 def test_forecast_end_to_end(pipeline, tmp_path):

@@ -1,5 +1,8 @@
 import dataclasses
+import json
 import math
+import struct
+import sys
 import types
 
 import numpy as np
@@ -9,11 +12,14 @@ from hypothesis import strategies as st
 
 from zoocast import bench, extractor, forecasters, fusion
 from zoocast.core import (
+    MAX_NESTING,
     MAX_SIZE,
     Dataset,
     MultivariateSeries,
     NormStats,
     Range,
+    _nesting,
+    canonical_json,
     check_fields,
     denormalize,
     init_uniform,
@@ -22,6 +28,7 @@ from zoocast.core import (
     mse,
     normalize,
     normalize_rows,
+    read_artifact,
     sample_windows,
     smape,
     trim_to_last,
@@ -496,3 +503,84 @@ def test_init_uniform_names_a_tensor_of_more_than_max_size_values_before_drawing
     # the first tensor fits, so a drawing initializer would allocate it before the second failed
     with pytest.raises(ValueError, match=rf"^weight tensor 'big' of shape \(1024, 1025\) would hold more than {MAX_SIZE} values$"):
         init_uniform({"small": (1024, 1024), "big": (1024, 1025)}, 0)
+
+
+# -- artifact JSON -------------------------------------------------------------
+
+# any finite float64: hypothesis's own draws (subnormals included) and raw bit patterns
+float64_bits = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+any_finite_float = st.floats(allow_nan=False, allow_infinity=False) | float64_bits.filter(math.isfinite)
+
+
+@settings(max_examples=300)
+@given(st.lists(any_finite_float | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, sys.float_info.max]), max_size=64))
+def test_read_artifact_returns_every_float_that_canonical_json_wrote_with_its_bits(values):
+    bits = np.array(values, dtype=np.float64).view(np.uint64)
+    payload = read_artifact(canonical_json({"list": values, "array": np.array(values)}), "model", None, {})
+    for decoded in (payload["list"], payload["array"]):
+        assert all(type(value) is float for value in decoded)
+        assert np.array_equal(np.array(decoded, dtype=np.float64).view(np.uint64), bits)
+
+
+STRICT_JSON_FAULTS = {
+    "NaN": (b'{"x": NaN}', "unexpected character: line 1 column 7 (char 6)"),
+    "Infinity": (b'{"x": Infinity}', "unexpected character: line 1 column 7 (char 6)"),
+    "-Infinity": (b'{"x": -Infinity}', "no digit after minus sign: line 1 column 7 (char 6)"),
+    "overflow": (b'{"x": 1e400}', "number is infinity when parsed as double: line 1 column 7 (char 6)"),
+    "utf-8 bom": (b'\xef\xbb\xbf{"x": 1}', "byte order mark (BOM) is not supported: line 1 column 1 (char 0)"),
+    "utf-16": ('{"x": 1}'.encode("utf-16"), "str is not valid UTF-8: surrogates not allowed: line 1 column 1 (char 0)"),
+    "utf-32": ('{"x": 1}'.encode("utf-32"), "str is not valid UTF-8: surrogates not allowed: line 1 column 1 (char 0)"),
+    "escaped lone surrogate": (b'{"x": "\\ud800"}', "no matched low surrogate in string: line 1 column 14 (char 13)"),
+}
+
+
+@pytest.mark.parametrize("blob, fault", STRICT_JSON_FAULTS.values(), ids=STRICT_JSON_FAULTS.keys())
+def test_read_artifact_refuses_json_that_the_stdlib_reader_takes(blob, fault):
+    json.loads(blob)  # the stdlib reader this one replaced took every one of these
+    with pytest.raises(ValueError) as refused:
+        read_artifact(blob, "model", None, {})
+    assert str(refused.value) == f"malformed model file: {fault}"
+
+
+def test_read_artifact_refuses_a_utf8_encoded_lone_surrogate():
+    with pytest.raises(ValueError) as refused:
+        read_artifact(b'{"x": "\xed\xa0\x80"}', "model", None, {})
+    assert str(refused.value) == "malformed model file: str is not valid UTF-8: surrogates not allowed: line 1 column 1 (char 0)"
+
+
+def test_read_artifact_decodes_an_integer_beyond_64_bits_as_a_float():
+    assert read_artifact(b'{"x": 18446744073709551615, "y": 18446744073709551616}', "model", None, {}) == {
+        "x": 2**64 - 1, "y": float(2**64)
+    }
+
+
+def _nested(depth, ahead=b""):
+    """An object whose field "x" nests `depth` deep in all, after `ahead`."""
+    return b'{"s": "' + ahead + b'", "x": ' + b"[" * (depth - 1) + b"0" + b"]" * (depth - 1) + b"}"
+
+
+@pytest.mark.parametrize("ahead", [b"", b"]" * 100_000, b'\\"]}]}', b"\\\\", b'\\\\\\"]]'], ids=["bare", "brackets", "escaped quote", "escaped backslash", "both"])
+def test_read_artifact_refuses_nesting_deeper_than_max_nesting_whatever_a_string_ahead_holds(ahead):
+    assert read_artifact(_nested(MAX_NESTING, ahead), "model", None, {})["s"] == json.loads(_nested(1, ahead))["s"]
+    with pytest.raises(ValueError, match=rf"^malformed model file: nested deeper than {MAX_NESTING}$"):
+        read_artifact(_nested(MAX_NESTING + 1, ahead), "model", None, {})
+
+
+def _depth(value) -> int:
+    if isinstance(value, (list, dict)):
+        return 1 + max(map(_depth, value.values() if isinstance(value, dict) else value), default=0)
+    return 0
+
+
+TRICKY_TEXT = st.text(alphabet='[]{}"\\\n\u00e9\U0001f600 ab', max_size=6)
+NESTED_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | TRICKY_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TRICKY_TEXT, inner, max_size=3),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300)
+@given(NESTED_JSON, st.booleans())
+def test_nesting_counts_brackets_outside_strings_only(value, ascii_only):
+    assert _nesting(json.dumps(value, ensure_ascii=ascii_only).encode()) == _depth(value)

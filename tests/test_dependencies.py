@@ -1,0 +1,30 @@
+"""The package's declared runtime dependencies are exactly the third-party
+modules its source imports, so none is undeclared and none is stale."""
+
+import ast
+import re
+import sys
+import tomllib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _imported_top_level_modules(package: Path) -> set:
+    modules = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules.add(node.module.split(".")[0])
+    return modules
+
+
+def test_declared_dependencies_are_the_third_party_modules_the_package_imports():
+    package = ROOT / "src" / "zoocast"
+    third_party = _imported_top_level_modules(package) - set(sys.stdlib_module_names) - {package.name}
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    # a requirement's distribution name, normalized as an import name
+    declared = {re.match(r"[A-Za-z0-9._-]+", req).group().lower().replace("-", "_") for req in project["dependencies"]}
+    assert third_party == declared

@@ -215,13 +215,43 @@ def test_manifest_holding_a_list_raises_value_error(zoo_dir):
         (zoo_dir / "zoo.json").write_bytes(valid)
 
 
-def test_manifest_with_a_non_finite_representation_raises_value_error(zoo_dir):
+def _refusal(zoo_dir, blob):
+    """The ValueError message of `load_zoo` with `blob` as its zoo.json."""
     valid = (zoo_dir / "zoo.json").read_bytes()
-    manifest = json.loads(valid)
-    manifest["entries"][0]["representation"] = [float("nan")] * len(manifest["entries"][0]["representation"])
     try:
-        (zoo_dir / "zoo.json").write_bytes(json.dumps(manifest).encode())
-        with pytest.raises(ValueError, match="entry 'a': non-finite representation"):
+        (zoo_dir / "zoo.json").write_bytes(blob)
+        with pytest.raises(ValueError) as refused:
             load_zoo(zoo_dir)
     finally:
         (zoo_dir / "zoo.json").write_bytes(valid)
+    return str(refused.value)
+
+
+def _with_representation(zoo_dir, literal):
+    """zoo.json with every value of the first entry's representation
+    written as `literal`, and the offset of the first one."""
+    manifest = json.loads((zoo_dir / "zoo.json").read_bytes())
+    manifest["entries"][0]["representation"] = [1234.5] * len(manifest["entries"][0]["representation"])
+    blob = json.dumps(manifest).encode().replace(b"1234.5", literal)
+    return blob, blob.index(literal)
+
+
+def test_manifest_with_a_non_finite_representation_raises_value_error(zoo_dir):
+    # a NaN literal is not JSON: the reader refuses it where it stands
+    blob, at = _with_representation(zoo_dir, b"NaN")
+    assert _refusal(zoo_dir, blob) == f"malformed zoo manifest file: unexpected character: line 1 column {at + 1} (char {at})"
+
+
+@pytest.mark.parametrize(
+    "literal, fault",
+    [(b"Infinity", "unexpected character"), (b"-Infinity", "no digit after minus sign"), (b"1e400", "number is infinity when parsed as double")],
+    ids=["Infinity", "-Infinity", "1e400"],
+)
+def test_manifest_with_a_representation_beyond_float64_raises_value_error(zoo_dir, literal, fault):
+    blob, at = _with_representation(zoo_dir, literal)
+    assert _refusal(zoo_dir, blob) == f"malformed zoo manifest file: {fault}: line 1 column {at + 1} (char {at})"
+
+
+def test_manifest_with_a_byte_order_mark_raises_value_error(zoo_dir):
+    blob = b"\xef\xbb\xbf" + (zoo_dir / "zoo.json").read_bytes()
+    assert _refusal(zoo_dir, blob) == "malformed zoo manifest file: byte order mark (BOM) is not supported: line 1 column 1 (char 0)"

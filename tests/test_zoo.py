@@ -197,17 +197,38 @@ def test_transfer_matrix_rejects_a_repeated_dataset_name_before_any_work():
 
 
 TRANSFER_MATRIX_FILE_FAULTS = {
-    "g larger than its datasets": (b'{"datasets": [], "g": [[1, 2], [3, 4]]}', r"'g': g has shape \(2, 2\), expected \(0, 0\)"),
-    "non-finite g": (b'{"datasets": ["a"], "g": [[NaN]]}', "'g': non-finite transfer scores"),
+    "g larger than its datasets": (
+        b'{"datasets": [], "g": [[1, 2], [3, 4]]}', r"transfer matrix file field 'g': g has shape \(2, 2\), expected \(0, 0\)"
+    ),
+    # a file cannot hold a non-finite score: the strict JSON reader refuses its literal
+    "non-finite g": (
+        b'{"datasets": ["a"], "g": [[NaN]]}', r"malformed transfer matrix file: unexpected character: line 1 column 28 \(char 27\)"
+    ),
+    "infinite g": (
+        b'{"datasets": ["a"], "g": [[Infinity]]}', r"malformed transfer matrix file: unexpected character: line 1 column 28 \(char 27\)"
+    ),
+    "overflowing g": (
+        b'{"datasets": ["a"], "g": [[1e400]]}',
+        r"malformed transfer matrix file: number is infinity when parsed as double: line 1 column 28 \(char 27\)",
+    ),
+    "byte order mark": (
+        b'\xef\xbb\xbf{"datasets": ["a"], "g": [[1]]}',
+        r"malformed transfer matrix file: byte order mark \(BOM\) is not supported: line 1 column 1 \(char 0\)",
+    ),
     # checked before g, whose shape is wrong too
-    "repeated name": (b'{"datasets": ["x", "x"], "g": [[1, 2]]}', "'datasets': duplicate dataset name 'x'"),
+    "repeated name": (b'{"datasets": ["x", "x"], "g": [[1, 2]]}', "transfer matrix file field 'datasets': duplicate dataset name 'x'"),
 }
 
 
 @pytest.mark.parametrize("blob, fault", TRANSFER_MATRIX_FILE_FAULTS.values(), ids=TRANSFER_MATRIX_FILE_FAULTS.keys())
 def test_transfer_matrix_file_errors_name_the_field(blob, fault):
-    with pytest.raises(ValueError, match=f"^transfer matrix file field {fault}$"):
+    with pytest.raises(ValueError, match=f"^{fault}$"):
         TransferMatrix.from_bytes(blob)
+
+
+def test_transfer_matrix_rejects_non_finite_scores():
+    with pytest.raises(ValueError, match="^non-finite transfer scores$"):
+        TransferMatrix(("a",), [[np.nan]])
 
 
 def test_transfer_matrix_propagates_training_error():
