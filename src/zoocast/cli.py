@@ -32,6 +32,15 @@ def _load_datasets(paths: str) -> list:
     return [load_csv(p) for p in paths.split(",")]
 
 
+def _load_query(path, n: int) -> tuple:
+    """The query CSV at `path` and its last `n` rows; a shortfall names the file."""
+    data = load_csv(path)
+    try:
+        return data, trim_to_last(data.series.values, n)
+    except ValueError as exc:
+        raise ValueError(f"{Path(path).name}: {exc}") from None
+
+
 def _config(cls, values: dict, **given):
     """A `cls` dataclass from the entries of `values` named like its fields
     (`vars(args)`, or a config file's keys) and from `given`; every field
@@ -88,8 +97,8 @@ def cmd_embed(args):
         kinds.append("ptm")
         reprs.append(entry.representation)
     if args.input:
-        data = load_csv(args.input)
-        windows = trim_to_last(data.series.values, z.extractor_params.input_len).T
+        data, last = _load_query(args.input, z.extractor_params.input_len)
+        windows = last.T
         reprs.extend(fusion.encode_rows(z, windows)[3])  # forecast's encodings, with its overflow checks
         labels.extend(data.series.channel_names or [f"{data.name}:{c}" for c in range(len(windows))])
         kinds.extend(["variate"] * len(windows))
@@ -105,8 +114,8 @@ def cmd_embed(args):
 
 def cmd_forecast(args):
     z = zoo_mod.load_zoo(args.zoo)
-    data = load_csv(args.input)
-    window = MultivariateSeries(trim_to_last(data.series.values, z.input_len), data.series.channel_names)
+    data, last = _load_query(args.input, z.input_len)
+    window = MultivariateSeries(last, data.series.channel_names)
     cfg = fusion.FusionConfig(horizon=args.horizon, top_k=args.top_k)
     pred, selections, stats = fusion.forecast_multivariate(z, window, cfg)
     out_dir = Path(args.out)

@@ -12,12 +12,13 @@ Matching compares representations in one space, so `Zoo` checks on
 construction that it has at least one entry, unique model ids, and for
 each entry a finite representation of the extractor's dimension, the
 extractor's input_len and the first entry's horizon. The check runs for
-built, loaded and in-memory zoos alike, and `build_zoo` writes no file
-for a zoo that fails it. `load_zoo` reads and checks every file, and
-model files are parsed lazily: on first use `Zoo.forecaster` reads and
-checks the file again, so one changed or gone since load is named too,
-and checks the model's input_len and horizon against its entry. Each of
-these faults names the entry and its file.
+loaded and in-memory zoos, and a built zoo is an in-memory zoo written
+to disk: `build_zoo` refuses repeated ids before any file is parsed and
+writes nothing for a zoo that fails the check. `load_zoo` reads and
+checks every file, and model files are parsed lazily: on first use
+`Zoo.forecaster` reads and checks the file again, so one changed or gone
+since load is named too, and checks the model's input_len and horizon
+against its entry. Each of these faults names the entry and its file.
 """
 
 from __future__ import annotations
@@ -156,10 +157,7 @@ class Zoo:
             if entry is None:
                 raise ValueError(f"no model {model_id!r} in zoo")
             blob = _read_checked(self.root or Path("."), entry.file, entry.digest, f"entry {model_id!r}")
-            try:
-                model = forecasters.load(blob)
-            except ValueError as exc:
-                raise ValueError(f"entry {model_id!r} ({entry.file}): {exc}") from None
+            model = _load_model(blob, f"entry {model_id!r} ({entry.file})")
             for name, value in (("input_len", model.spec.input_len), ("horizon", model.spec.horizon)):
                 if value != getattr(entry, name):
                     raise ValueError(
@@ -186,6 +184,14 @@ def _read_checked(root: Path, name: str, digest: str, what: str) -> bytes:
     if _digest(blob) != digest:
         raise ValueError(f"digest mismatch for {what} ({name})")
     return blob
+
+
+def _load_model(blob: bytes, where: str) -> forecasters.Forecaster:
+    """The model file `blob`, parsed; its faults are prefixed with `where`."""
+    try:
+        return forecasters.load(blob)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def compute_model_representation(
@@ -249,39 +255,27 @@ def build_zoo(
     per_model_source_samples: int = REPRESENTATION_SAMPLES,
     seed: int = 0,
 ) -> Path:
-    """Assemble a self-contained zoo directory from trained model files
-    and their source datasets; idempotent for identical inputs. The zoo's
-    `extractor.json` holds only the encoder of `extractor_file`. Nothing
-    is written unless the entries pass `Zoo`'s checks."""
+    """Write `zoo_from_models`' zoo of the trained model files, keyed by
+    file stem, and the encoder of `extractor_file` as a self-contained zoo
+    directory; idempotent for identical inputs."""
     if len(model_files) != len(source_datasets):
         raise ValueError("one source dataset required per model file")
+    model_ids = [Path(p).stem for p in model_files]
+    check_unique(model_ids, "model_id")
     params, _ = extractor_mod.load(Path(extractor_file).read_bytes())
     params = replace(params, weights={name: params.weights[name] for name in extractor_mod.ENCODER_TENSORS})
-    blobs, entries = [], []
-    for model_path, source in zip(model_files, source_datasets):
-        blob = Path(model_path).read_bytes()
-        try:
-            model = forecasters.load(blob)
-        except ValueError as exc:  # named like `load_csv` names its file
-            raise ValueError(f"{Path(model_path).name}: {exc}") from None
-        model_id = Path(model_path).stem
-        blobs.append(blob)
-        entries.append(
-            ModelEntry(
-                model_id=model_id,
-                file=f"{model_id}.model.json",
-                digest=_digest(blob),
-                source_dataset=model.source_dataset or source.name,
-                input_len=model.spec.input_len,
-                horizon=model.spec.horizon,
-                representation=compute_model_representation(params, source, per_model_source_samples, seed),
-            )
-        )
-    Zoo(entries, params)
+    blobs, models, reprs = [], {}, {}
+    for model_id, model_path, source in zip(model_ids, model_files, source_datasets):
+        blobs.append(Path(model_path).read_bytes())
+        model = _load_model(blobs[-1], Path(model_path).name)  # named like `load_csv` names its file
+        models[model_id] = replace(model, source_dataset=model.source_dataset or source.name)
+        reprs[model_id] = compute_model_representation(params, source, per_model_source_samples, seed)
+    zoo = zoo_from_models(models, params, reprs)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for entry, blob in zip(entries, blobs):
+    for entry, blob in zip(zoo.entries, blobs):
+        entry.file, entry.digest = f"{entry.model_id}.model.json", _digest(blob)
         (out / entry.file).write_bytes(blob)
     extractor_blob = extractor_mod.save(params)
     (out / "extractor.json").write_bytes(extractor_blob)
@@ -289,7 +283,7 @@ def build_zoo(
         "format_version": ZOO_FORMAT_VERSION,
         "extractor": "extractor.json",
         "extractor_digest": _digest(extractor_blob),
-        "entries": [asdict(e) for e in entries],
+        "entries": [asdict(e) for e in zoo.entries],
     }
     (out / "zoo.json").write_bytes(canonical_json(manifest))
     return out

@@ -122,6 +122,18 @@ def test_forecast_short_history_fails(pipeline, tmp_path, capsys):
     assert "36" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["forecast", "embed"])
+def test_a_too_short_query_is_named_and_writes_nothing(pipeline, tmp_path, capsys, command):
+    _, _, zoo_dir = pipeline
+    short = tmp_path / "short.csv"
+    short.write_text("t,a\n0,1\n1,2\n2,3\n")
+    out = tmp_path / "out"
+    extra = ["--horizon", "6"] if command == "forecast" else []
+    assert run_cli(command, "--zoo", str(zoo_dir), "--input", str(short), *extra, "--out", str(out)) == 1
+    assert capsys.readouterr() == ("", "error: short.csv: insufficient history: have 3, need 36\n")
+    assert not out.exists()
+
+
 def test_embed_with_pca(pipeline, tmp_path):
     root, datasets, zoo_dir = pipeline
     out = tmp_path / "embed.csv"

@@ -335,6 +335,42 @@ def test_build_zoo_rejects_empty_and_duplicates(tmp_path):
     assert not (tmp_path / "zoo").exists()
 
 
+def test_build_zoo_refuses_a_repeated_stem_before_any_work(tmp_path, monkeypatch):
+    extractor_file = tmp_path / "extractor.json"
+    extractor_file.write_bytes(save_extractor(init_params(12, 8, 4, seed=0)))
+    (tmp_path / "sub").mkdir()
+    paths = [tmp_path / "a.json", tmp_path / "sub" / "a.json", tmp_path / "bad.json"]
+    for path, blob in zip(paths, [save_model(make_baseline("last", 12, 4))] * 2 + [b"{"]):
+        path.write_bytes(blob)
+    sampled = []
+    real = zoo_mod.compute_model_representation
+    monkeypatch.setattr(zoo_mod, "compute_model_representation", lambda *a, **k: sampled.append(1) or real(*a, **k))
+    data = _dataset(seed=1, length=100)
+    with pytest.raises(ValueError) as info:
+        build_zoo(paths, [data] * 3, extractor_file, tmp_path / "zoo", per_model_source_samples=8)
+    assert str(info.value) == "duplicate model_id 'a'"
+    assert sampled == []
+    assert not (tmp_path / "zoo").exists()
+
+
+def test_manifest_source_dataset_is_the_models_own_or_else_its_build_dataset(tmp_path):
+    extractor_file = tmp_path / "extractor.json"
+    extractor_file.write_bytes(save_extractor(init_params(12, 8, 4, seed=0)))
+    data = _dataset(seed=1, length=100)
+    trained = train(ForecasterSpec("linear", 12, 4), data, TrainConfig(epochs=1))
+    models = {"base": make_baseline("last", 12, 4), "trained": trained}
+    assert models["base"].source_dataset == "" and data.name not in ("", "x")
+    paths = [tmp_path / f"{name}.json" for name in models]
+    for path, model in zip(paths, models.values()):
+        path.write_bytes(save_model(model))
+    x = Dataset(series=data.series, name="x")
+    out = build_zoo(paths, [x, x], extractor_file, tmp_path / "zoo", per_model_source_samples=8)
+    manifest = json.loads((out / "zoo.json").read_bytes())
+    assert [e["source_dataset"] for e in manifest["entries"]] == ["x", data.name]
+    assert (out / "base.model.json").read_bytes() == paths[0].read_bytes()  # the file keeps its own empty name
+    in_memory = zoo_from_models(models, init_params(12, 8, 4, seed=0), {name: np.ones(4) for name in models})
+    assert [e.source_dataset for e in in_memory.entries] == ["", data.name]
+
 def test_build_zoo_is_deterministic(tmp_path):
     out1 = _build_test_zoo(tmp_path / "a")
     out2 = _build_test_zoo(tmp_path / "b")
