@@ -1,10 +1,19 @@
 #!/usr/bin/env python3
 """Train the full pipeline on the synthetic family suite and measure how
 often window matching picks the same-family model, plus how the pick's
-forecast error compares to the rest of the zoo."""
+forecast error compares to the rest of the zoo.
+
+`--seed` and `--families` each take one value or an inclusive range
+(`0-9`, `2-5`), `--noise` one value or a comma list (`0.05,0.3`); the
+study runs every combination. Seed s trains on
+`default_family_suite(seed=s)` and draws its held-out windows from the
+suite seeded `--eval-seed` + s. With more than one run it ends with one
+row per (families, noise): the mean and minimum top-1 accuracy over the
+seeds that trained, and the seeds whose extractor diverged."""
 
 import argparse
 import json
+import re
 import time
 
 import numpy as np
@@ -17,31 +26,42 @@ from zoocast.fusion import encode_rows, sequential_forecast
 from zoocast.zoo import zoo_from_suite
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--eval-seed", type=int, default=100)
-    ap.add_argument("--noise", type=float, default=SUITE_NOISE)
-    ap.add_argument("--windows-per-family", type=int, default=100)
-    ap.add_argument("--look-back", type=int, default=LOOK_BACK)
-    ap.add_argument("--horizon", type=int, default=BLOCK_HORIZON)
-    ap.add_argument("--out", default=None, help="optional JSON report path")
-    args = ap.parse_args()
+def int_range(text: str) -> list:
+    """`3` or `0-9` (inclusive) as a list of ints."""
+    match = re.fullmatch(r"(\d+)(?:-(\d+))?", text)
+    if match is None:
+        raise argparse.ArgumentTypeError(f"expected N or A-B, got {text!r}")
+    first, last = match.groups()
+    return list(range(int(first), int(last or first) + 1))
 
+
+def float_list(text: str) -> list:
+    return [float(part) for part in text.split(",")]
+
+
+def study(seed: int, eval_seed: int, noise: float, families: int, windows_per_family: int, look_back: int, horizon: int):
+    """One run, printed as it goes: its report (a single run's `--out`
+    keys), or None if the extractor diverged."""
     start = time.monotonic()
-    suite = default_family_suite(seed=args.seed, noise_std=args.noise)
+    suite = default_family_suite(seed=seed, noise_std=noise)[:families]
     names = [d.name for d in suite]
-    zoo, log = zoo_from_suite(suite, ForecasterSpec("linear", args.look_back, args.horizon), seed=args.seed)
+    try:
+        zoo, log = zoo_from_suite(suite, ForecasterSpec("linear", look_back, horizon), seed=seed)
+    except ValueError as exc:
+        if not str(exc).startswith("training diverged"):  # the extractor's; a forecaster's names its dataset
+            raise
+        print(f"extractor {exc}")
+        return None
     print(f"pipeline trained in {time.monotonic() - start:.0f}s (final recon {log[-1]['recon']:.3f})")
 
-    eval_suite = default_family_suite(seed=args.eval_seed, noise_std=args.noise)
-    rng = np.random.default_rng(args.seed)
-    total = args.look_back + args.horizon
+    eval_suite = default_family_suite(seed=eval_seed, noise_std=noise)[:families]
+    rng = np.random.default_rng(seed)
+    total = look_back + horizon
     # each family's windows, drawn in family order: (families * windows, look_back + horizon) tiles
-    starts = [rng.integers(0, data.series.length - total + 1, args.windows_per_family) for data in eval_suite]
+    starts = [rng.integers(0, data.series.length - total + 1, windows_per_family) for data in eval_suite]
     tiles = np.concatenate([data.series.channel(0)[s[:, None] + np.arange(total)] for data, s in zip(eval_suite, starts)])
-    windows, truth = tiles[:, : args.look_back], tiles[:, args.look_back :]
-    family = np.repeat(np.arange(len(eval_suite)), args.windows_per_family)
+    windows, truth = tiles[:, :look_back], tiles[:, look_back:]
+    family = np.repeat(np.arange(len(eval_suite)), windows_per_family)
 
     # one encode and one cosine matrix for every window; argmax keeps the first of tied models, as `match` ranks them
     norm, mu, sigma, encodings = encode_rows(zoo, windows)
@@ -51,7 +71,7 @@ def main():
     np.add.at(confusion, (family, columns[picked]), 1)
     errors = np.empty((len(windows), len(zoo.entries)))
     for i, entry in enumerate(zoo.entries):  # one stacked forecast per model, de-normalized with each window's stats
-        pred = sigma[:, None] * sequential_forecast([zoo.forecaster(entry.model_id)], norm, args.horizon) + mu[:, None]
+        pred = sigma[:, None] * sequential_forecast([zoo.forecaster(entry.model_id)], norm, horizon) + mu[:, None]
         errors[:, i] = mse(truth[..., None], pred[..., None])
     beats = int(np.sum(errors[np.arange(len(picked)), picked] <= np.median(errors, axis=1)))
     count = len(picked)
@@ -63,18 +83,62 @@ def main():
     width = max(len(n) for n in names)
     for n, row in zip(names, confusion):
         print(f"  {n:<{width}} {row.tolist()}")
+    return {
+        "accuracy": float(accuracy),
+        "beats_median": beats / count,
+        "confusion": confusion.tolist(),
+        "families": names,
+        "seed": seed,
+        "eval_seed": eval_seed,
+    }
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--seed", type=int_range, default=[0], help="training seeds, e.g. 0 or 0-9")
+    ap.add_argument("--eval-seed", type=int, default=100,
+                    help="seed s draws its held-out windows from the suite seeded eval-seed + s, also when it runs alone")
+    ap.add_argument("--noise", type=float_list, default=[SUITE_NOISE], help="suite noise levels, e.g. 0.05,0.3")
+    ap.add_argument("--families", type=int_range, default=[5], help="study the first N families of the suite, e.g. 5 or 2-5")
+    ap.add_argument("--windows-per-family", type=int, default=100)
+    ap.add_argument("--look-back", type=int, default=LOOK_BACK)
+    ap.add_argument("--horizon", type=int, default=BLOCK_HORIZON)
+    ap.add_argument("--out", default=None, help="optional JSON report path")
+    args = ap.parse_args()
+
+    grid = [(n, noise, seed) for n in args.families for noise in args.noise for seed in args.seed]
+    runs = []
+    for families, noise, seed in grid:
+        if len(grid) > 1:
+            print(f"== {families} families, noise {noise:g}, seed {seed}")
+        report = study(seed, args.eval_seed + seed, noise, families, args.windows_per_family, args.look_back, args.horizon)
+        runs.append({"families_count": families, "noise": noise, "seed": seed, "report": report})
+
+    if len(grid) == 1:
+        if runs[0]["report"] is None:
+            raise SystemExit(1)
+        payload = runs[0]["report"]
+    else:
+        summary = []
+        print("families  noise  mean top-1  min top-1  diverged seeds")
+        for families in args.families:
+            for noise in args.noise:
+                cell = [run for run in runs if (run["families_count"], run["noise"]) == (families, noise)]
+                scores = [run["report"]["accuracy"] for run in cell if run["report"] is not None]
+                diverged = [run["seed"] for run in cell if run["report"] is None]
+                row = {
+                    "families_count": families, "noise": noise, "seeds": args.seed, "diverged_seeds": diverged,
+                    "mean_accuracy": float(np.mean(scores)) if scores else None,
+                    "min_accuracy": min(scores) if scores else None,
+                }
+                summary.append(row)
+                mean, low = (f"{row['mean_accuracy']:.3f}", f"{row['min_accuracy']:.3f}") if scores else ("-", "-")
+                print(f"{families:>8}  {noise:>5g}  {mean:>10}  {low:>9}  {diverged or '-'}")
+        payload = {"runs": runs, "summary": summary}
 
     if args.out:
-        report = {
-            "accuracy": float(accuracy),
-            "beats_median": beats / count,
-            "confusion": confusion.tolist(),
-            "families": names,
-            "seed": args.seed,
-            "eval_seed": args.eval_seed,
-        }
         with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True)
         print(f"report written to {args.out}")
 
 

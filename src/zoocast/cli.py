@@ -235,7 +235,9 @@ def _train_extractor_args(p):
     p.add_argument("--hidden-dim", type=int, default=ext.hidden_dim)
     p.add_argument("--input-len", type=int, default=LOOK_BACK)
     p.add_argument("--epochs", type=int, default=ext.epochs)
-    p.add_argument("--lr", dest="learning_rate", type=float, default=ext.learning_rate)
+    p.add_argument("--lr", dest="learning_rate", type=float, default=ext.learning_rate,
+                   help=f"default: {extractor.LEARNING_RATE_PER_DATASET:g} per dataset a batch draws from, "
+                   f"counting at most {extractor.RATE_DATASETS}")
     p.add_argument("--batch-size", type=int, default=ext.batch_size, help="default: one window per dataset")
     p.add_argument("--windows-per-dataset", type=int, default=ext.windows_per_dataset)
     _add_common(p)

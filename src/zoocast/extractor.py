@@ -23,10 +23,16 @@ DIMS_FIELDS = {"L": SIZE, "hidden": SIZE, "d": SIZE}
 # the kind and range of each field of ExtractorParams, MaskSpec and ExtractorTrainConfig
 PARAMS_KINDS = {"input_len": SIZE, "hidden_dim": SIZE, "repr_dim": SIZE}
 MASK_SPEC_KINDS = {"mask_ratio": Range(float, 0, 1, open=True), "num_views": SIZE}
-EXTRACTOR_CONFIG_KINDS = {  # batch_size, checked only when set, takes 2 or more: the constraint needs negatives
+EXTRACTOR_CONFIG_KINDS = {  # batch_size takes 2 or more: the constraint needs negatives
     "constraint_weight": Range(float, 0), "epochs": SIZE, "learning_rate": POSITIVE, "batch_size": Range(int, 2),
     "seed": SEED, "windows_per_dataset": SIZE, "hidden_dim": SIZE, "repr_dim": SIZE,
 }
+# the default step size per dataset a batch draws from, counting at most
+# RATE_DATASETS of them: the stable step grows with that count up to five
+# datasets (a flat rate that trains five diverges on two), and 0.007 times
+# eight or more diverged where 0.035 trained
+LEARNING_RATE_PER_DATASET = 0.007
+RATE_DATASETS = 5
 
 # OpenBLAS runs a product on one thread up to m*n*k = 65,536 * 4
 BLAS_SINGLE_THREAD_MNK = 262_144
@@ -66,15 +72,19 @@ class MaskSpec:
 class ExtractorTrainConfig:
     constraint_weight: float = 0.5  # weight on the contrastive term
     epochs: int = 100
-    learning_rate: float = 0.02
+    learning_rate: float | None = None  # None: LEARNING_RATE_PER_DATASET * min(batch size, datasets, RATE_DATASETS)
     batch_size: int | None = None  # None: one window per dataset per batch
     seed: int = 0
-    windows_per_dataset: int = 32
+    windows_per_dataset: int = 16
     hidden_dim: int = 64
     repr_dim: int = 32
 
     def __post_init__(self):
-        kinds = {name: kind for name, kind in EXTRACTOR_CONFIG_KINDS.items() if name != "batch_size" or self.batch_size is not None}
+        # learning_rate and batch_size are checked only when set: train_extractor derives a None
+        kinds = {
+            name: kind for name, kind in EXTRACTOR_CONFIG_KINDS.items()
+            if name not in ("learning_rate", "batch_size") or getattr(self, name) is not None
+        }
         check_fields(vars(self), kinds, "field")
 
 
@@ -300,7 +310,9 @@ def train_extractor(
     Batches are stratified round-robin across datasets. With the default
     batch_size (one window per dataset) every contrastive negative comes
     from a different dataset, so the constraint separates datasets instead
-    of scattering windows of the same series.
+    of scattering windows of the same series. The default learning rate is
+    `LEARNING_RATE_PER_DATASET` times the number of datasets a batch draws
+    from, min(batch size, datasets), counting at most `RATE_DATASETS`.
 
     Each epoch samples every dataset's windows (`sample_windows`) in batch
     order and masks them in one `mask_series` call of at most `MAX_SIZE`
@@ -308,8 +320,9 @@ def train_extractor(
 
     Each step updates the one weights dict in place. Training diverges in
     the first epoch whose mean step losses are not finite, and stops after
-    it, naming the first such term in log order; the weights are validated
-    once, when training ends, so a non-finite tensor still raises there.
+    it, naming the first such term in log order and the learning rate;
+    the weights are validated once, when training ends, so a non-finite
+    tensor still raises there.
     """
     if len(datasets) < 1:
         raise ValueError("need at least one dataset")
@@ -326,6 +339,9 @@ def train_extractor(
     params = init_params(input_len, cfg.hidden_dim, cfg.repr_dim, cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)
     batch_size = max(2, len(datasets)) if cfg.batch_size is None else cfg.batch_size
+    learning_rate = cfg.learning_rate
+    if learning_rate is None:
+        learning_rate = LEARNING_RATE_PER_DATASET * min(batch_size, len(datasets), RATE_DATASETS)
     # interleave datasets so each batch draws evenly across them
     dataset_index = np.tile(np.arange(len(datasets)), cfg.windows_per_dataset)
     log = []
@@ -342,13 +358,13 @@ def train_extractor(
                     params, windows[batch], views[batch], dataset_index[batch], g, cfg.constraint_weight
                 )
                 for name, grad in grads.items():
-                    params.weights[name] -= cfg.learning_rate * grad
+                    params.weights[name] -= learning_rate * grad
                 epoch_components.append(components)
             means = {key: float(np.mean([c[key] for c in epoch_components])) for key in ("recon", "trans", "constraint", "total")}
         # a non-finite batch loss, or finite ones whose mean overflows
         diverged = [key for key, value in means.items() if not math.isfinite(value)]
         if diverged:
-            raise ValueError(f"training diverged in epoch {epoch + 1} ({diverged[0]})")
+            raise ValueError(f"training diverged in epoch {epoch + 1} ({diverged[0]}) at learning rate {learning_rate:g}")
         log.append({"epoch": epoch + 1, **means})
     return replace(params), log  # the one check of the trained tensors
 

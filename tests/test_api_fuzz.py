@@ -295,7 +295,9 @@ def test_train_extractor_trains_or_names_the_field_or_dataset(suite, fields, see
         mask_spec = MaskSpec(**{name: fields[name] for name in MASK_FAULTS})
         params, log = train_extractor(suite, tm, cfg, mask_spec, input_len=fields["input_len"])
     except ValueError as exc:
-        diverged = r"^training diverged in epoch \d+ \((recon|trans|constraint|total)\)$"
+        # a drawn rate that is not a number (a fault such as "0.1") fails the config check before any step
+        rate = re.escape(f"{fields['learning_rate']:g}") if isinstance(fields["learning_rate"], (int, float)) else r"\S+"
+        diverged = rf"^training diverged in epoch \d+ \((recon|trans|constraint|total)\) at learning rate {rate}$"
         _assert_names_the_fault(str(exc), mutated_field, rf"\bdataset '|{diverged}|^extractor tensor \w+ contains non-finite values$")
         return
     assert params.input_len == fields["input_len"] and len(log) == fields["epochs"]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -66,6 +67,26 @@ def test_pipeline_artifacts_exist(pipeline):
     root, datasets, zoo_dir = pipeline
     assert (zoo_dir / "zoo.json").exists()
     assert (zoo_dir / "extractor.json").exists()
+
+
+def _quick_start_commands() -> list:
+    """The argv of each `zoocast` command in README's Quick start block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start (CLI)", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
+    # every training step at its defaults, on two 600-point datasets: a flat extractor
+    # learning rate of 0.02 diverged here in epoch 11, and --top-k 3 exceeded the zoo
+    monkeypatch.chdir(tmp_path)
+    commands = _quick_start_commands()
+    assert [argv[0] for argv in commands] == [
+        "synth", "synth", "train-ptm", "train-ptm", "transfer-matrix", "train-extractor", "build-zoo", "synth", "forecast",
+    ]
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+    assert load_csv("forecast/forecast.csv").series.length == 24
 
 
 def test_every_pipeline_artifact_decodes_as_the_stdlib_reader_decodes_it(pipeline):

@@ -683,24 +683,40 @@ def test_entry_points_name_a_malformed_call(call, message):
     assert str(info.value) == message
 
 
-def test_train_extractor_skips_a_trailing_batch_of_one_window():
-    # three windows in batches of two: the one-window batch has no negatives, so the
-    # epoch is the first batch's step alone, replayed here from the same generator
+@pytest.mark.parametrize(
+    "learning_rate, batch_size, windows_per_dataset",
+    [(0.02, 2, 1), (None, 2, 1), (None, 4, 3)],
+    ids=["explicit-rate", "default-rate", "batch-over-datasets"],
+)
+def test_train_extractor_skips_a_trailing_batch_of_one_window(learning_rate, batch_size, windows_per_dataset):
+    # 3 or 9 windows in batches of 2 or 4: the one-window batch has no negatives, so the
+    # epoch is the full batches' steps alone, replayed here from the same generator; the
+    # default rate is 0.007 per dataset a batch draws from, min(batch size, datasets, 5)
     datasets = _tiny_suite() + [generate_synthetic(SyntheticFamilySpec(kind="trend_sine", length=200, seed=2))]
     tm = TransferMatrix(tuple(d.name for d in datasets), np.array([[0.9, 0.2, -3.0], [0.4, 0.8, 0.1], [0.3, 2.0, 0.7]]))
-    cfg = ExtractorTrainConfig(epochs=1, windows_per_dataset=1, batch_size=2, hidden_dim=8, repr_dim=4, seed=5)
+    cfg = ExtractorTrainConfig(
+        epochs=1, learning_rate=learning_rate, windows_per_dataset=windows_per_dataset, batch_size=batch_size,
+        hidden_dim=8, repr_dim=4, seed=5,
+    )
     params, log = train_extractor(datasets, tm, cfg, MaskSpec(), input_len=12)
 
+    rate = 0.007 * min(batch_size, len(datasets), 5) if learning_rate is None else learning_rate
     rng = np.random.default_rng(cfg.seed + 1)
-    windows = np.concatenate([sample_windows(rng, data, 12, 1) for data in datasets])
+    windows = np.stack([sample_windows(rng, data, 12, windows_per_dataset) for data in datasets], 1).reshape(-1, 12)
     views = mask_series(windows, MaskSpec(), rng)
+    dataset_index = np.tile(np.arange(len(datasets)), windows_per_dataset)
     expected = init_params(12, 8, 4, seed=cfg.seed)
-    _, grads, components = combined_loss_and_grad(
-        expected, windows[:2], views[:2], np.arange(2), np.clip(tm.g, -1.0, 1.0), cfg.constraint_weight
-    )
-    for name, grad in grads.items():
-        expected.weights[name] -= cfg.learning_rate * grad
-    assert log == [{"epoch": 1, **components}]
+    steps = []
+    for start in range(0, len(windows) - 1, batch_size):
+        batch = slice(start, start + batch_size)
+        _, grads, components = combined_loss_and_grad(
+            expected, windows[batch], views[batch], dataset_index[batch], np.clip(tm.g, -1.0, 1.0), cfg.constraint_weight
+        )
+        for name, grad in grads.items():
+            expected.weights[name] -= rate * grad
+        steps.append(components)
+    assert len(steps) == len(windows) // batch_size
+    assert log == [{"epoch": 1, **{key: float(np.mean([c[key] for c in steps])) for key in steps[0]}}]
     assert save(params) == save(expected)
 
 
@@ -716,9 +732,22 @@ def test_train_extractor_names_an_epoch_whose_mean_loss_overflows(recwarn):
     # the terms before it stay finite, so the total is the term named
     datasets = [Dataset(MultivariateSeries([[1.0]]), name) for name in "ab"]
     cfg = ExtractorTrainConfig(epochs=1, windows_per_dataset=3, constraint_weight=1e308, hidden_dim=1, repr_dim=1)
-    with pytest.raises(ValueError, match=r"^training diverged in epoch 1 \(total\)$"):
+    with pytest.raises(ValueError, match=r"^training diverged in epoch 1 \(total\) at learning rate 0\.014$"):
         train_extractor(datasets, _uniform_tm(["a", "b"]), cfg, MaskSpec(num_views=1), input_len=1)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "names, batch_size, rate_text",
+    [("a", None, r"0\.007"), ("abc", 2, r"0\.014"), ("abcdefg", 3, r"0\.021"), ("abcdefg", None, r"0\.035")],
+)
+def test_train_extractor_default_rate_counts_the_datasets_a_batch_draws_from_up_to_five(names, batch_size, rate_text):
+    # 0.007 per dataset, min(batch size, datasets, 5): a rate of 0.007 times eight or more
+    # datasets diverged where 0.035 trained; the overflowing mean names the rate it stepped at
+    datasets = [Dataset(MultivariateSeries([[1.0]]), name) for name in names]
+    cfg = ExtractorTrainConfig(epochs=1, windows_per_dataset=6, constraint_weight=1e308, batch_size=batch_size, hidden_dim=1, repr_dim=1)
+    with pytest.raises(ValueError, match=rf"^training diverged in epoch 1 \(total\) at learning rate {rate_text}$"):
+        train_extractor(datasets, _uniform_tm(list(names)), cfg, MaskSpec(num_views=1), input_len=1)
 
 
 @pytest.mark.parametrize(
@@ -788,8 +817,8 @@ def _three_families():
     return datasets, TransferMatrix(tuple(d.name for d in datasets), np.eye(3))
 
 
-@pytest.mark.parametrize("learning_rate, epoch", [(1e4, 1), (0.1, 2), (0.05, 7)])
-def test_train_extractor_divergence_names_the_epoch(monkeypatch, learning_rate, epoch):
+@pytest.mark.parametrize("learning_rate, epoch, rate_text", [(1e4, 1, "10000"), (0.1, 2, r"0\.1"), (0.05, 7, r"0\.05")])
+def test_train_extractor_divergence_names_the_epoch(monkeypatch, learning_rate, epoch, rate_text):
     import zoocast.extractor as extractor_mod
 
     calls = []
@@ -801,7 +830,7 @@ def test_train_extractor_divergence_names_the_epoch(monkeypatch, learning_rate, 
     monkeypatch.setattr(extractor_mod, "combined_loss_and_grad", counted)
     datasets, tm = _three_families()
     cfg = ExtractorTrainConfig(epochs=40, learning_rate=learning_rate, windows_per_dataset=8)
-    with pytest.raises(ValueError, match=rf"^training diverged in epoch {epoch} \(recon\)$"):  # the first term logged
+    with pytest.raises(ValueError, match=rf"^training diverged in epoch {epoch} \(recon\) at learning rate {rate_text}$"):  # the first term logged
         train_extractor(datasets, tm, cfg, MaskSpec())
     assert 0 < len(calls) <= epoch * 8  # 24 windows in batches of 3: training stops after the diverged epoch
 

@@ -74,6 +74,25 @@ def test_run_selection_study_writes_a_finite_report(tmp_path):
     assert report["accuracy"] == diagonal / 500
 
 
+def test_run_selection_study_summarizes_each_family_count_and_noise_over_seeds(tmp_path):
+    report = _run_script(
+        "run_selection_study.py", tmp_path / "study.json", "--seed", "0-1", "--families", "2", "--windows-per-family", "12"
+    )
+    assert set(report) == {"runs", "summary"}
+    runs = report["runs"]
+    assert [(run["families_count"], run["noise"], run["seed"]) for run in runs] == [(2, 0.05, 0), (2, 0.05, 1)]
+    for run in runs:  # each trained run is a one-seed report over the first two families
+        assert run["report"] is not None, f"seed {run['seed']} diverged"  # a flat rate of 0.02 diverged on both
+        assert (run["report"]["seed"], run["report"]["eval_seed"]) == (run["seed"], 100 + run["seed"])
+        assert run["report"]["families"] == [d.name for d in default_family_suite(seed=run["seed"])[:2]]
+        assert [sum(row) for row in run["report"]["confusion"]] == [12, 12]
+    scores = [run["report"]["accuracy"] for run in runs]
+    assert report["summary"] == [{
+        "families_count": 2, "noise": 0.05, "seeds": [0, 1], "diverged_seeds": [],
+        "mean_accuracy": float(np.mean(scores)), "min_accuracy": min(scores),
+    }]
+
+
 def _per_window_study(windows_per_family):
     """The selection study one window at a time, through `match` and the
     1-D `forecast`, on the script's default suite, zoo and draws."""
