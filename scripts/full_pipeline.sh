@@ -26,8 +26,8 @@ for args in "sine 12" "sawtooth 9" "trend_sine 18" "sine 5" "random_walk 12"; do
     set -- $args
     kind=$1 period=$2
     csv="$kind-p$period.csv"
-    zoocast synth --kind "$kind" --period "$period" --noise 0.05 --length 600 --seed "$i" --out "$csv"
-    zoocast train-ptm --data "$csv" --arch linear --input-len 36 --horizon 12 --out "$kind-p$period.model.json"
+    zoocast synth --kind "$kind" --period "$period" --noise 0.05 --seed "$i" --out "$csv"
+    zoocast train-ptm --data "$csv" --out "$kind-p$period.model.json"
     DATA[$i]="$csv"
     MODELS[$i]="$kind-p$period.model.json"
     i=$((i + 1))
@@ -36,7 +36,7 @@ done
 datasets=$(IFS=,; echo "${DATA[*]}")
 models=$(IFS=,; echo "${MODELS[*]}")
 
-zoocast transfer-matrix --datasets "$datasets" --input-len 36 --horizon 12 --out tm.json
+zoocast transfer-matrix --datasets "$datasets" --out tm.json
 zoocast train-extractor --datasets "$datasets" --transfer-matrix tm.json --out extractor.json
 zoocast build-zoo --models "$models" --data "$datasets" --extractor extractor.json --out zoo
 

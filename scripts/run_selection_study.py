@@ -9,7 +9,12 @@ study runs every combination. Seed s trains on
 `default_family_suite(seed=s)` and draws its held-out windows from the
 suite seeded `--eval-seed` + s. With more than one run it ends with one
 row per (families, noise): the mean and minimum top-1 accuracy over the
-seeds that trained, and the seeds whose extractor diverged."""
+seeds that trained, and the seeds whose extractor diverged. Then it asks
+how well the match scores foretell a pick's quality: per run, the share
+of windows whose pick beats the zoo's median error, and the AUROC of the
+pick's cosine (max cosine) and of its lead over the runner-up (top-1
+minus top-2 cosine) for "the pick beats the zoo median" and for "the pick
+is the best model", each with its mean and range over the seeds."""
 
 import argparse
 import json
@@ -39,9 +44,27 @@ def float_list(text: str) -> list:
     return [float(part) for part in text.split(",")]
 
 
+# the calibration values of a run, as they are keyed in `--out`
+CALIBRATION = ("beats_median", "max_cosine_auroc_beats_median", "max_cosine_auroc_best",
+               "margin_auroc_beats_median", "margin_auroc_best")
+CALIBRATION_LABELS = ("beats median", "cos: median", "cos: best", "margin: median", "margin: best")
+
+
+def auroc(scores, labels):
+    """The chance that a random positive scores above a random negative,
+    a tie counting half; None unless `labels` holds both classes."""
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=bool)
+    positives, negatives = scores[labels], np.sort(scores[~labels])
+    if not len(positives) or not len(negatives):
+        return None
+    # each positive counts the negatives below it, and half of those it ties
+    below = np.searchsorted(negatives, positives, side="left") + np.searchsorted(negatives, positives, side="right")
+    return float(below.sum() / (2 * len(positives) * len(negatives)))
+
+
 def study(seed: int, eval_seed: int, noise: float, families: int, windows_per_family: int, look_back: int, horizon: int):
     """One run, printed as it goes: its report (a single run's `--out`
-    keys), or None if the extractor diverged."""
+    keys) and its CALIBRATION values, or None if the extractor diverged."""
     start = time.monotonic()
     suite = default_family_suite(seed=seed, noise_std=noise)[:families]
     names = [d.name for d in suite]
@@ -65,7 +88,8 @@ def study(seed: int, eval_seed: int, noise: float, families: int, windows_per_fa
 
     # one encode and one cosine matrix for every window; argmax keeps the first of tied models, as `match` ranks them
     norm, mu, sigma, encodings = encode_rows(zoo, windows)
-    picked = np.argmax(cosine_matrix(encodings, np.stack([entry.representation for entry in zoo.entries])), axis=1)
+    scores = cosine_matrix(encodings, np.stack([entry.representation for entry in zoo.entries]))
+    picked = np.argmax(scores, axis=1)
     columns = np.array([names.index(entry.model_id) for entry in zoo.entries])
     confusion = np.zeros((len(names), len(names)), dtype=int)
     np.add.at(confusion, (family, columns[picked]), 1)
@@ -73,8 +97,15 @@ def study(seed: int, eval_seed: int, noise: float, families: int, windows_per_fa
     for i, entry in enumerate(zoo.entries):  # one stacked forecast per model, de-normalized with each window's stats
         pred = sigma[:, None] * sequential_forecast([zoo.forecaster(entry.model_id)], norm, horizon) + mu[:, None]
         errors[:, i] = mse(truth[..., None], pred[..., None])
-    beats = int(np.sum(errors[np.arange(len(picked)), picked] <= np.median(errors, axis=1)))
+    pick_errors = errors[np.arange(len(picked)), picked]
+    beats_median, best = pick_errors <= np.median(errors, axis=1), pick_errors == errors.min(axis=1)
+    beats = int(np.sum(beats_median))
     count = len(picked)
+    top2 = -np.sort(-scores, axis=1)[:, :2]
+    signals = {"max_cosine": top2[:, 0], "margin": top2[:, 0] - top2[:, 1]}
+    calibration = {"beats_median": beats / count}
+    calibration.update({f"{name}_auroc_{event}": auroc(signal, outcome) for name, signal in signals.items()
+                        for event, outcome in (("beats_median", beats_median), ("best", best))})
 
     accuracy = np.trace(confusion) / confusion.sum()
     print(f"top-1 same-family accuracy: {accuracy:.3f}")
@@ -83,7 +114,7 @@ def study(seed: int, eval_seed: int, noise: float, families: int, windows_per_fa
     width = max(len(n) for n in names)
     for n, row in zip(names, confusion):
         print(f"  {n:<{width}} {row.tolist()}")
-    return {
+    report = {
         "accuracy": float(accuracy),
         "beats_median": beats / count,
         "confusion": confusion.tolist(),
@@ -91,6 +122,7 @@ def study(seed: int, eval_seed: int, noise: float, families: int, windows_per_fa
         "seed": seed,
         "eval_seed": eval_seed,
     }
+    return report, calibration
 
 
 def main():
@@ -111,8 +143,10 @@ def main():
     for families, noise, seed in grid:
         if len(grid) > 1:
             print(f"== {families} families, noise {noise:g}, seed {seed}")
-        report = study(seed, args.eval_seed + seed, noise, families, args.windows_per_family, args.look_back, args.horizon)
-        runs.append({"families_count": families, "noise": noise, "seed": seed, "report": report})
+        report, calibration = study(
+            seed, args.eval_seed + seed, noise, families, args.windows_per_family, args.look_back, args.horizon
+        ) or (None, None)
+        runs.append({"families_count": families, "noise": noise, "seed": seed, "report": report, "calibration": calibration})
 
     if len(grid) == 1:
         if runs[0]["report"] is None:
@@ -131,9 +165,21 @@ def main():
                     "mean_accuracy": float(np.mean(scores)) if scores else None,
                     "min_accuracy": min(scores) if scores else None,
                 }
+                for key in CALIBRATION:  # an AUROC is None for a run whose windows all fall in one class
+                    values = [run["calibration"][key] for run in cell if run["report"] is not None]
+                    values = [value for value in values if value is not None]
+                    row[f"mean_{key}"] = float(np.mean(values)) if values else None
+                    row[f"{key}_range"] = [min(values), max(values)] if values else None
                 summary.append(row)
                 mean, low = (f"{row['mean_accuracy']:.3f}", f"{row['min_accuracy']:.3f}") if scores else ("-", "-")
                 print(f"{families:>8}  {noise:>5g}  {mean:>10}  {low:>9}  {diverged or '-'}")
+        print("calibration, mean [min, max] over the seeds that trained; AUROC of max cosine (cos) and margin for")
+        print("the pick beating the zoo median (median) and being the best model (best):")
+        print(("families  noise  " + "  ".join(f"{label:<20}" for label in CALIBRATION_LABELS)).rstrip())
+        for row in summary:
+            cells = [f"{row[f'mean_{key}']:.3f} [{row[f'{key}_range'][0]:.3f}, {row[f'{key}_range'][1]:.3f}]"
+                     if row[f"mean_{key}"] is not None else "-" for key in CALIBRATION]
+            print((f"{row['families_count']:>8}  {row['noise']:>5g}  " + "  ".join(f"{cell:<20}" for cell in cells)).rstrip())
         payload = {"runs": runs, "summary": summary}
 
     if args.out:

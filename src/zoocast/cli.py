@@ -16,6 +16,7 @@ import numpy as np
 
 from . import bench, extractor, forecasters, fusion, zoo as zoo_mod
 from .core import BLOCK_HORIZON, LOOK_BACK, MultivariateSeries, canonical_json, check_fields, load_csv, read_text, trim_to_last, write_csv
+from .core import write_file
 
 ARCH_FLAGS = {"linear": "linear", "patch-mlp": "patch_mlp"}
 
@@ -59,14 +60,14 @@ def cmd_train_ptm(args):
     data = load_csv(args.data)
     spec, train_cfg = _model_configs(args)
     model = forecasters.train(spec, data, train_cfg)
-    Path(args.out).write_bytes(forecasters.save(model))
+    write_file(args.out, forecasters.save(model))
     _emit(args, {"out": args.out, "final_loss": model.epoch_losses[-1], "source_dataset": model.source_dataset})
 
 
 def cmd_transfer_matrix(args):
     datasets = _load_datasets(args.datasets)
     tm, _ = zoo_mod.compute_transfer_matrix(datasets, *_model_configs(args))
-    Path(args.out).write_bytes(tm.to_bytes())
+    write_file(args.out, tm.to_bytes())
     _emit(args, {"out": args.out, "datasets": list(tm.dataset_names)})
 
 
@@ -76,7 +77,7 @@ def cmd_train_extractor(args):
     cfg = _config(extractor.ExtractorTrainConfig, vars(args))
     mask_spec = _config(extractor.MaskSpec, vars(args))
     params, log = extractor.train_extractor(datasets, tm, cfg, mask_spec, input_len=args.input_len)
-    Path(args.out).write_bytes(extractor.save(params, log))
+    write_file(args.out, extractor.save(params, log))
     _emit(args, {"out": args.out, "final_loss": log[-1]["total"]})
 
 
@@ -134,7 +135,7 @@ def cmd_forecast(args):
             for c in range(pred.num_channels)
         ]
     }
-    (out_dir / "provenance.json").write_bytes(canonical_json(provenance))
+    write_file(out_dir / "provenance.json", canonical_json(provenance))
     _emit(args, {"out": str(csv_path), "horizon": args.horizon, "channels": pred.num_channels})
 
 
@@ -188,7 +189,7 @@ def cmd_benchmark(args):
     cfg = _config(bench.BenchConfig, {key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()})
     z = zoo_mod.load_zoo(args.zoo)
     report = bench.run_benchmark(cfg, z, datasets)
-    Path(args.out).write_bytes(bench.report_to_bytes(report))
+    write_file(args.out, bench.report_to_bytes(report))
     _emit(args, {"out": args.out, "rows": len(report["rows"]), "warnings": unread + report["warnings"]})
 
 

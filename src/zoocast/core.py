@@ -1,6 +1,7 @@
 """Series containers, instance normalization, window sampling, trimming,
 metrics, CSV ingestion, and the weight initializer, JSON writer (stdlib
-`json`) and checked JSON reader (`orjson`) that every artifact shares.
+`json`), checked JSON reader (`orjson`) and file writer that every
+artifact shares.
 
 Everything here is a pure function over numpy arrays. A univariate series
 is a 1-D float64 array; a multivariate series is a (T, C) float64 array
@@ -13,7 +14,9 @@ import csv
 import io
 import json
 import math
+import os
 import reprlib
+import stat
 import sys
 import types
 from dataclasses import dataclass
@@ -401,14 +404,42 @@ def read_text(path) -> str:
         raise ValueError(f"{p.name}: line {line}: not UTF-8 text (byte 0x{blob[exc.start]:02x})") from None
 
 
+def write_file(path, blob: bytes) -> None:
+    """Make `blob` the whole content of the file at `path`, as
+    `Path.write_bytes` does, but without emptying an existing regular file
+    first: it is overwritten from offset 0 and then cut at the length
+    written, so a failed write leaves a prefix of `blob`, never old bytes
+    after new ones. The file keeps its inode, mode and hard links, and a
+    symlink is written through. A missing file is created as
+    `open(path, "wb")` creates it; a device or a FIFO is written as it is,
+    and a directory raises IsADirectoryError."""
+    try:
+        fd = os.open(path, os.O_WRONLY)  # neither O_CREAT nor O_TRUNC
+        cut = stat.S_ISREG(os.fstat(fd).st_mode)
+    except FileNotFoundError:
+        fd, cut = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666), False
+    try:
+        rest = memoryview(blob)
+        try:
+            while rest:
+                rest = rest[os.write(fd, rest):]
+        finally:
+            if cut:
+                os.ftruncate(fd, len(blob) - len(rest))
+    finally:
+        os.close(fd)
+
+
 def write_csv(path, header: list, rows) -> None:
-    """Write a UTF-8 CSV: the header, then each row. Every float cell is
-    written as `repr(float(v))`, the shortest text that `load_csv` parses
-    back to the same float."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+    """Write a UTF-8 CSV with one `write_file`: the header, then each row,
+    each line ended by CRLF. Every float cell is written as
+    `repr(float(v))`, the shortest text that `load_csv` parses back to the
+    same float."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+    write_file(path, text.getvalue().encode("utf-8"))
 
 
 def load_csv(path) -> Dataset:

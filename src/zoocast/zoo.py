@@ -3,8 +3,9 @@ matrix that supervises the extractor, and manifest persistence.
 
 A zoo directory is self-contained: `zoo.json`, the referenced model files
 and an encoder-only `extractor.json`, each named by a plain file name in
-the directory and guarded by a content digest; `_read_checked` is the one
-read of the extractor and model files. Forecasting only encodes, so the
+the directory and guarded by a content digest; `_read_regular` is the one
+read of every zoo file, and `_read_checked` adds the name and digest
+checks of the extractor and model files. Forecasting only encodes, so the
 zoo keeps the encoder tensors and drops the decoder and the training log;
 those stay in the trained extractor file that `build_zoo` reads.
 
@@ -24,6 +25,8 @@ against its entry. Each of these faults names the entry and its file.
 from __future__ import annotations
 
 import hashlib
+import os
+import stat
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -32,7 +35,7 @@ import numpy as np
 from . import extractor as extractor_mod
 from . import forecasters
 from .core import MAX_SIZE, SEED, SIZE, Dataset, MultivariateSeries, as_float_array, canonical_json, check_fields, check_unique
-from .core import mse, read_artifact, sample_windows
+from .core import mse, read_artifact, sample_windows, write_file
 
 ZOO_FORMAT_VERSION = 1
 MANIFEST_FIELDS = {"extractor": str, "extractor_digest": str, "entries": list[dict]}
@@ -172,14 +175,26 @@ def _digest(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _read_regular(path: Path) -> bytes:
+    """The bytes of the regular file at `path`, from one open. The open
+    does not block, so a FIFO is refused as a directory is, by the type of
+    the opened file; anything but a regular file raises an OSError, and a
+    path holding a NUL a ValueError."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    with open(fd, "rb", buffering=0) as fh:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise OSError(f"{path} is not a regular file")
+        return fh.readall()
+
+
 def _read_checked(root: Path, name: str, digest: str, what: str) -> bytes:
     """The bytes of the zoo file `name`, which must be a plain file name,
     a regular file in `root`, and hash to `digest`."""
     try:
-        if Path(name).name != name or not (root / name).is_file():
+        if Path(name).name != name:
             raise OSError
-        blob = (root / name).read_bytes()
-    except OSError:  # also a name too long for the file system, or an unreadable file
+        blob = _read_regular(root / name)
+    except (OSError, ValueError):  # also a name too long for the file system or holding a NUL, or an unreadable file
         raise ValueError(f"{what}: no file {name!r} in the zoo directory") from None
     if _digest(blob) != digest:
         raise ValueError(f"digest mismatch for {what} ({name})")
@@ -276,26 +291,24 @@ def build_zoo(
     out.mkdir(parents=True, exist_ok=True)
     for entry, blob in zip(zoo.entries, blobs):
         entry.file, entry.digest = f"{entry.model_id}.model.json", _digest(blob)
-        (out / entry.file).write_bytes(blob)
+        write_file(out / entry.file, blob)
     extractor_blob = extractor_mod.save(params)
-    (out / "extractor.json").write_bytes(extractor_blob)
+    write_file(out / "extractor.json", extractor_blob)
     manifest = {
         "format_version": ZOO_FORMAT_VERSION,
         "extractor": "extractor.json",
         "extractor_digest": _digest(extractor_blob),
         "entries": [asdict(e) for e in zoo.entries],
     }
-    (out / "zoo.json").write_bytes(canonical_json(manifest))
+    write_file(out / "zoo.json", canonical_json(manifest))
     return out
 
 
 def load_zoo(zoo_dir) -> Zoo:
     root = Path(zoo_dir)
-    try:  # a regular file, as `_read_checked` requires of every zoo file
-        if not (root / "zoo.json").is_file():
-            raise OSError
-        blob = (root / "zoo.json").read_bytes()
-    except OSError:
+    try:
+        blob = _read_regular(root / "zoo.json")
+    except (OSError, ValueError):  # ValueError: a path holding a NUL
         raise ValueError(f"no zoo.json in {root}") from None
     manifest = read_artifact(blob, "zoo manifest", ZOO_FORMAT_VERSION, MANIFEST_FIELDS)
     params, _ = extractor_mod.load(_read_checked(root, manifest["extractor"], manifest["extractor_digest"], "extractor"))

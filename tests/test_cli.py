@@ -134,6 +134,39 @@ def test_forecast_end_to_end(pipeline, tmp_path):
     assert chan["norm_stats"]["std"] > 0
 
 
+def test_forecast_into_a_used_out_writes_what_a_fresh_out_holds(pipeline, tmp_path):
+    # the second run's files are shorter: each is overwritten in place, then cut
+    _, datasets, zoo_dir = pipeline
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    for horizon, out in (("24", used), ("6", used), ("6", fresh)):
+        assert run_cli("forecast", "--zoo", str(zoo_dir), "--input", str(datasets[0]), "--horizon", horizon, "--out", str(out)) == 0
+    for name in ("forecast.csv", "provenance.json"):
+        assert (used / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert load_csv(used / "forecast.csv").series.length == 6
+
+
+def test_train_ptm_writes_to_a_character_device(pipeline, capsys):
+    # /dev/null cannot be cut, so an output that is not a regular file is written as it is
+    _, datasets, _ = pipeline
+    assert run_cli("train-ptm", "--data", str(datasets[0]), "--epochs", "1", "--out", os.devnull) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_an_out_that_is_a_directory_exits_with_error_line(tmp_path, capsys):
+    rc = run_cli("synth", "--kind", "sine", "--out", str(tmp_path))
+    assert (rc, capsys.readouterr()) == (1, ("", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"))
+
+
+def test_an_out_that_is_a_symlink_is_written_through(tmp_path):
+    target, link, fresh = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "fresh.csv"
+    target.write_bytes(b"x" * 100_000)
+    link.symlink_to(target)
+    for out in (link, fresh):
+        assert run_cli("synth", "--kind", "sine", "--length", "50", "--out", str(out)) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh.read_bytes()
+
+
 def test_forecast_short_history_fails(pipeline, tmp_path, capsys):
     root, datasets, zoo_dir = pipeline
     short = tmp_path / "short.csv"

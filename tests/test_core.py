@@ -1,8 +1,12 @@
 import dataclasses
+import errno
 import json
 import math
+import os
+import stat
 import struct
 import sys
+import threading
 import types
 
 import numpy as np
@@ -33,6 +37,7 @@ from zoocast.core import (
     smape,
     trim_to_last,
     write_csv,
+    write_file,
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -428,6 +433,76 @@ def test_write_csv_round_trips_every_float_through_load_csv(tmp_path_factory, va
     lines = path.read_bytes().split(b"\r\n")
     assert lines[0] == b"t," + b",".join(f"c{c}".encode() for c in range(channels))
     assert lines[1] == ("0," + ",".join(repr(float(v)) for v in rows[0])).encode()
+
+
+def test_load_csv_reads_a_fifo_fed_by_a_writer(tmp_path, no_hang):
+    # only zoo files must be regular files: a query or a config may come through a pipe
+    path = tmp_path / "q.csv"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=("t,a\n0,1.5\n1,2.5\n",), daemon=True)
+    writer.start()
+    data = load_csv(path)
+    writer.join(10)
+    assert data.name == "q" and data.series.values.tolist() == [[1.5], [2.5]]
+
+
+def test_write_file_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
+    path, link = tmp_path / "a.json", tmp_path / "b.json"
+    path.write_bytes(canonical_json({"a": list(range(100)), "b": "x" * 50}))
+    path.chmod(0o640)
+    os.link(path, link)
+    inode = path.stat().st_ino
+    new = canonical_json({"a": [1]})
+    write_file(path, new)
+    assert path.read_bytes() == new == link.read_bytes()  # the hard link sees the same file
+    assert path.stat().st_ino == inode and stat.S_IMODE(path.stat().st_mode) == 0o640
+    write_file(path, b"")
+    assert path.read_bytes() == b""
+
+
+def test_write_file_creates_a_file_as_write_bytes_does(tmp_path):
+    write_file(tmp_path / "new.json", b"{}")
+    (tmp_path / "old.json").write_bytes(b"{}")
+    assert (tmp_path / "new.json").read_bytes() == b"{}"
+    assert (tmp_path / "new.json").stat().st_mode == (tmp_path / "old.json").stat().st_mode
+
+
+def test_a_failed_write_leaves_a_prefix_of_the_new_bytes(tmp_path, monkeypatch):
+    path = tmp_path / "a.json"
+    path.write_bytes(b"o" * 100)
+    real_write, calls = os.write, []
+
+    def three_bytes_then_a_full_disk(fd, data):
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, data[:3])
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "write", three_bytes_then_a_full_disk)
+        with pytest.raises(OSError, match="No space left on device"):
+            write_file(path, b"new bytes")
+    assert calls == [9, 6]
+    assert path.read_bytes() == b"new"
+
+
+def test_write_file_writes_a_fifo_as_it_is(tmp_path, no_hang):
+    # a FIFO cannot be cut: writing one must not call ftruncate
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(path.read_bytes()), daemon=True)
+    reader.start()
+    write_file(path, b"through the pipe")
+    reader.join(10)
+    assert read == [b"through the pipe"]
+
+
+def test_write_csv_overwrites_a_longer_csv(tmp_path):
+    path = tmp_path / "d.csv"
+    write_csv(path, ["t", "a"], ([t, float(t)] for t in range(50)))
+    write_csv(path, ["t", "a"], [[0, 0.5]])
+    assert path.read_bytes() == b"t,a\r\n0,0.5\r\n"
 
 
 # -- field kinds and ranges ----------------------------------------------------

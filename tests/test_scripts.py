@@ -4,6 +4,8 @@ checked for shape and finiteness only, as their bits depend on the BLAS
 build, except against a reference computed here on the same build."""
 
 import hashlib
+import importlib.util
+import itertools
 import json
 import math
 import os
@@ -87,10 +89,60 @@ def test_run_selection_study_summarizes_each_family_count_and_noise_over_seeds(t
         assert run["report"]["families"] == [d.name for d in default_family_suite(seed=run["seed"])[:2]]
         assert [sum(row) for row in run["report"]["confusion"]] == [12, 12]
     scores = [run["report"]["accuracy"] for run in runs]
+    calibration = {}
+    for key in STUDY.CALIBRATION:  # with two models a pick beats the median when it is the best, so an AUROC may be None
+        values = [run["calibration"][key] for run in runs if run["calibration"][key] is not None]
+        assert all(0.0 <= value <= 1.0 for value in values)
+        calibration[f"mean_{key}"] = float(np.mean(values)) if values else None
+        calibration[f"{key}_range"] = [min(values), max(values)] if values else None
+    assert [run["calibration"]["beats_median"] for run in runs] == [run["report"]["beats_median"] for run in runs]
     assert report["summary"] == [{
         "families_count": 2, "noise": 0.05, "seeds": [0, 1], "diverged_seeds": [],
-        "mean_accuracy": float(np.mean(scores)), "min_accuracy": min(scores),
+        "mean_accuracy": float(np.mean(scores)), "min_accuracy": min(scores), **calibration,
     }]
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+STUDY = _load_script("run_selection_study")
+
+
+def _pair_count_auroc(scores, labels):
+    """The AUROC counted over every (positive, negative) pair, a tie as half."""
+    positives = [s for s, label in zip(scores, labels) if label]
+    negatives = [s for s, label in zip(scores, labels) if not label]
+    wins = sum(1.0 if p > n else 0.5 if p == n else 0.0 for p, n in itertools.product(positives, negatives))
+    return wins / (len(positives) * len(negatives))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_auroc_counts_every_pair_and_a_tie_as_half(seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(2, 40))
+    scores = rng.integers(0, 5, size) / 4.0 if seed % 2 else rng.normal(size=size)  # even seeds: ties are rare
+    labels = rng.random(size) < 0.5
+    labels[:2] = [True, False]
+    assert STUDY.auroc(scores, labels) == pytest.approx(_pair_count_auroc(scores, labels), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "scores, labels, expected",
+    [
+        ([3.0, 1.0], [True, False], 1.0),
+        ([1.0, 3.0], [True, False], 0.0),
+        ([2.0, 2.0, 2.0], [True, False, False], 0.5),
+        ([1.0, 2.0, 2.0, 3.0], [False, True, False, True], 0.875),
+        ([1.0, 2.0], [True, True], None),
+        ([1.0, 2.0], [False, False], None),
+    ],
+)
+def test_auroc_of_small_cases(scores, labels, expected):
+    assert STUDY.auroc(scores, labels) == expected
 
 
 def _per_window_study(windows_per_family):
@@ -101,24 +153,40 @@ def _per_window_study(windows_per_family):
     zoo, _ = zoo_from_suite(suite, ForecasterSpec("linear", 36, 12), seed=0)
     rng = np.random.default_rng(0)
     confusion = np.zeros((5, 5), dtype=int)
-    beats = 0
+    max_cosine, margin, beats_median, best = [], [], [], []
     for family, data in enumerate(default_family_suite(seed=100, noise_std=0.05)):
         chan = data.series.channel(0)
         for s in rng.integers(0, len(chan) - 48 + 1, windows_per_family):
             window, truth = chan[s : s + 36], chan[s + 36 : s + 48]
-            picked = match(zoo, window).ranking[0][0]
+            ranking = match(zoo, window).ranking
+            picked = ranking[0][0]
             confusion[family, names.index(picked)] += 1
             norm_win, stats = normalize(window)
             errors = {n: mse(truth, denormalize(forecasters.forecast(zoo.forecaster(n), norm_win), stats)) for n in names}
-            beats += errors[picked] <= np.median(list(errors.values()))
-    return {"accuracy": float(np.trace(confusion) / confusion.sum()), "beats_median": beats / confusion.sum(),
-            "confusion": confusion.tolist(), "families": names}
+            beats_median.append(errors[picked] <= np.median(list(errors.values())))
+            best.append(errors[picked] == min(errors.values()))
+            max_cosine.append(ranking[0][1])
+            margin.append(ranking[0][1] - ranking[1][1])
+    calibration = {"beats_median": sum(beats_median) / confusion.sum()}
+    for name, signal in (("max_cosine", max_cosine), ("margin", margin)):
+        for event, outcome in (("beats_median", beats_median), ("best", best)):
+            calibration[f"{name}_auroc_{event}"] = _pair_count_auroc(signal, outcome)
+    return {"accuracy": float(np.trace(confusion) / confusion.sum()), "beats_median": sum(beats_median) / confusion.sum(),
+            "confusion": confusion.tolist(), "families": names, "calibration": calibration}
 
 
 def test_run_selection_study_matches_the_per_window_study(tmp_path):
     # the script scores every window in one batched pass; each window must get the pick and errors it gets alone
+    reference = _per_window_study(12)
+    calibration = reference.pop("calibration")
     report = _run_script("run_selection_study.py", tmp_path / "study.json", "--windows-per-family", "12")
-    assert {key: report[key] for key in ("accuracy", "beats_median", "confusion", "families")} == _per_window_study(12)
+    assert {key: report[key] for key in ("accuracy", "beats_median", "confusion", "families")} == reference
+    # seed 0 of a multi-seed run draws the same windows, and its AUROCs count every (positive, negative) pair
+    runs = _run_script("run_selection_study.py", tmp_path / "runs.json", "--seed", "0-1", "--windows-per-family", "12")["runs"]
+    assert runs[0]["report"] == report
+    assert set(runs[0]["calibration"]) == set(calibration) == set(STUDY.CALIBRATION)
+    for key, value in calibration.items():
+        assert runs[0]["calibration"][key] == pytest.approx(value, abs=1e-12), key
 
 
 @pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")

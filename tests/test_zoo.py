@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import shutil
 
@@ -416,6 +417,49 @@ def test_load_zoo_detects_missing_file_and_corruption(tmp_path):
     victim.mkdir()
     with pytest.raises(ValueError, match=gone):
         zoo.forecaster("model1")
+
+
+def _swap_for_a_fifo(path):
+    path.unlink()
+    os.mkfifo(path)
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("zoo.json", "no zoo.json in {out}"),
+        ("extractor.json", "extractor: no file 'extractor.json' in the zoo directory"),
+        ("model1.model.json", "entry 'model1': no file 'model1.model.json' in the zoo directory"),
+    ],
+)
+def test_load_zoo_refuses_a_fifo_without_blocking(tmp_path, no_hang, name, message):
+    out = _build_test_zoo(tmp_path)
+    _swap_for_a_fifo(out / name)
+    with pytest.raises(ValueError) as info:
+        load_zoo(out)
+    assert str(info.value) == message.format(out=out)
+
+
+def test_forecaster_refuses_a_model_file_swapped_for_a_fifo_after_load(tmp_path, no_hang):
+    out = _build_test_zoo(tmp_path)
+    zoo = load_zoo(out)
+    _swap_for_a_fifo(out / "model1.model.json")
+    with pytest.raises(ValueError, match=r"^entry 'model1': no file 'model1\.model\.json' in the zoo directory$"):
+        zoo.forecaster("model1")
+
+
+def test_load_zoo_names_a_path_holding_a_nul(tmp_path):
+    # a JSON string may hold \u0000, which no file name holds: it is named as a missing file, not by the open's error
+    out = _build_test_zoo(tmp_path)
+    manifest = json.loads((out / "zoo.json").read_bytes())
+    manifest["entries"][1]["file"] = "model1\x00.model.json"
+    (out / "zoo.json").write_bytes(json.dumps(manifest).encode())
+    with pytest.raises(ValueError) as info:
+        load_zoo(out)
+    assert str(info.value) == "entry 'model1': no file 'model1\\x00.model.json' in the zoo directory"
+    with pytest.raises(ValueError) as info:
+        load_zoo(f"{out}\x00")
+    assert str(info.value) == f"no zoo.json in {out}\x00"
 
 
 def _one_model_zoo():
