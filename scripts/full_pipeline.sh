@@ -45,9 +45,7 @@ zoocast forecast --zoo zoo --input query.csv --horizon 24 --top-k 1 --out foreca
 zoocast embed --zoo zoo --input query.csv --out embed.csv
 zoocast embed --zoo zoo --input query.csv --pca 2 --out embed-pca2.csv
 
-csv_list=$(printf '"%s",' "${DATA[@]}")
-echo "datasets = [${csv_list%,}]" > bench.cfg
-zoocast benchmark --zoo zoo --config bench.cfg --out report.json
+zoocast benchmark --zoo zoo --datasets "$datasets" --out report.json
 
 echo "forecast written to $WORK/forecast/forecast.csv"
 head -5 forecast/forecast.csv

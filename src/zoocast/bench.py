@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import forecasters, fusion
-from .core import COUNT, LOOK_BACK, MAX_SIZE, SEED, SIZE, Dataset, MultivariateSeries, Range, canonical_json, check_fields, check_unique
+from .core import COUNT, LOOK_BACK, MAX_SIZE, SEED, SIZE, Dataset, MultivariateSeries, Range, check_fields, check_unique
 from .core import mape, mse, normalize_rows, smape
 
 SYNTH_KINDS = ("sine", "sawtooth", "trend_sine", "random_walk", "ar1")
@@ -265,7 +265,3 @@ def run_benchmark(cfg: BenchConfig, zoo, datasets: list) -> dict:
         "zoo_distribution": zoo_distribution,
         "warnings": warnings,
     }
-
-
-def report_to_bytes(report: dict) -> bytes:
-    return canonical_json(report)

@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, extractor, forecasters, fusion, zoo as zoo_mod
-from .core import BLOCK_HORIZON, LOOK_BACK, MultivariateSeries, canonical_json, check_fields, load_csv, read_text, trim_to_last, write_csv
-from .core import write_file
+from .core import BLOCK_HORIZON, LOOK_BACK, MultivariateSeries, canonical_json, load_csv, trim_to_last, write_csv, write_file
 
 ARCH_FLAGS = {"linear": "linear", "patch-mlp": "patch_mlp"}
 
@@ -43,9 +42,8 @@ def _load_query(path, n: int) -> tuple:
 
 
 def _config(cls, values: dict, **given):
-    """A `cls` dataclass from the entries of `values` named like its fields
-    (`vars(args)`, or a config file's keys) and from `given`; every field
-    with no entry keeps its default."""
+    """A `cls` dataclass from the entries of `values` (`vars(args)`) named
+    like its fields and from `given`; every field with no entry keeps its default."""
     names = {f.name for f in dataclasses.fields(cls)}
     return cls(**{**{key: value for key, value in values.items() if key in names}, **given})
 
@@ -142,9 +140,8 @@ def cmd_forecast(args):
 def cmd_evaluate(args):
     truth = load_csv(args.truth)
     pred = load_csv(args.pred)
-    names = args.metrics.split(",")
-    bench.check_metrics(names)
-    _emit(args, {name: bench.score(name, truth.series, pred.series) for name in names})
+    bench.check_metrics(args.metrics)
+    _emit(args, {name: bench.score(name, truth.series, pred.series) for name in args.metrics})
 
 
 def cmd_synth(args):
@@ -154,43 +151,20 @@ def cmd_synth(args):
     _emit(args, {"out": args.out, "length": data.series.length, "channels": data.series.num_channels})
 
 
-def parse_flat_config(text: str) -> dict:
-    """Flat key = value config; values are JSON-ish scalars or lists. A `#`
-    starts a comment, except inside a value's leading JSON value."""
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key = value")
-        key, value = (part.strip() for part in raw.split("=", 1))
-        try:
-            parsed, end = json.JSONDecoder().raw_decode(value)
-        except json.JSONDecodeError:
-            end = 0
-        if end and value[end:].lstrip()[:1] in ("", "#"):
-            out[key] = parsed
-        else:  # not JSON: the value ends at the first #
-            out[key] = value.split("#", 1)[0].strip().strip("\"'")
-    return out
-
-
-# the JSON kind of each `zoocast benchmark` config key: the datasets, then BenchConfig's fields
-BENCH_CONFIG_TYPES = {"datasets": list[str], **bench.BENCH_CONFIG_KINDS}
-
-
 def cmd_benchmark(args):
-    raw = parse_flat_config(read_text(args.config))
-    check_fields(raw, {key: kind for key, kind in BENCH_CONFIG_TYPES.items() if key in raw}, "config key")
-    known = sorted(BENCH_CONFIG_TYPES)
-    unread = [f"config key {key!r} is not read; known keys: {known}" for key in raw if key not in BENCH_CONFIG_TYPES]
-    datasets = [load_csv(p) for p in raw.pop("datasets", [])]
-    cfg = _config(bench.BenchConfig, {key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()})
-    z = zoo_mod.load_zoo(args.zoo)
-    report = bench.run_benchmark(cfg, z, datasets)
-    write_file(args.out, bench.report_to_bytes(report))
-    _emit(args, {"out": args.out, "rows": len(report["rows"]), "warnings": unread + report["warnings"]})
+    cfg = _config(bench.BenchConfig, vars(args))
+    datasets = _load_datasets(args.datasets)
+    report = bench.run_benchmark(cfg, zoo_mod.load_zoo(args.zoo), datasets)
+    write_file(args.out, canonical_json(report))
+    _emit(args, {"out": args.out, "rows": len(report["rows"]), "warnings": report["warnings"]})
+
+
+def _comma_list(kind):
+    """An argparse `type` reading a comma-separated value as a tuple of `kind`."""
+    def parse(text: str) -> tuple:
+        return tuple(map(kind, text.split(",")))
+    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse's "invalid ... value" names it
+    return parse
 
 
 def _add_common(p, seed=True):
@@ -270,7 +244,7 @@ def _forecast_args(p):
 def _evaluate_args(p):
     p.add_argument("--truth", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--metrics", default=",".join(bench.BenchConfig.metrics))
+    _add_metrics(p)
     p.add_argument("--json", action="store_true")
 
 
@@ -285,9 +259,19 @@ def _synth_args(p):
     _add_common(p)
 
 
+def _add_metrics(p):
+    p.add_argument("--metrics", type=_comma_list(str), default=bench.BenchConfig.metrics)
+
+
 def _benchmark_args(p):
-    p.add_argument("--config", required=True)
+    cfg = bench.BenchConfig
     p.add_argument("--zoo", required=True)
+    p.add_argument("--datasets", required=True, help="comma-separated CSV paths")
+    p.add_argument("--look-back", type=int, default=cfg.look_back)
+    p.add_argument("--horizons", type=_comma_list(int), default=cfg.horizons)
+    _add_metrics(p)
+    p.add_argument("--top-k", type=int, default=cfg.top_k)
+    p.add_argument("--season-period", type=int, default=cfg.season_period)
     _add_common(p, seed=False)
 
 
@@ -301,7 +285,7 @@ COMMANDS = (
     ("forecast", "zero-shot forecast from a zoo", cmd_forecast, _forecast_args),
     ("evaluate", "metrics between truth and prediction CSVs", cmd_evaluate, _evaluate_args),
     ("synth", "generate a synthetic dataset CSV", cmd_synth, _synth_args),
-    ("benchmark", "run the evaluation harness from a config file", cmd_benchmark, _benchmark_args),
+    ("benchmark", "run the evaluation harness", cmd_benchmark, _benchmark_args),
 )
 
 

@@ -447,10 +447,15 @@ def load_csv(path) -> Dataset:
     column is an index and the rest numeric.
 
     Errors start with the file name and name the 1-based row (and column
-    where known); text that is not UTF-8 is named by its line.
+    where known); text that is not UTF-8, or that the csv reader refuses
+    (a cell over `csv.field_size_limit()`), is named by its line.
     """
     p = Path(path)
-    rows = list(csv.reader(io.StringIO(read_text(p), newline="")))
+    reader = csv.reader(io.StringIO(read_text(p), newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # not a ValueError
+        raise ValueError(f"{p.name}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{p.name}: empty file")
     width = len(rows[0])

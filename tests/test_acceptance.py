@@ -213,10 +213,8 @@ def test_artifacts_are_byte_deterministic(tmp_path):
     zoo_dir = run_twice("zoo", lambda o: [
         "build-zoo", "--models", str(model), "--data", str(data), "--extractor", str(ext),
         "--samples", "8", "--seed", "3", "--out", o], out_is_dir=True, artifact="zoo.json")
-    config = tmp_path / "bench.cfg"
-    config.write_text(f'datasets = ["{data}"]\nlook_back = 36\nhorizons = [6]\ntrials = 1\n')
     run_twice("report.json", lambda o: [
-        "benchmark", "--config", str(config), "--zoo", str(zoo_dir), "--out", o])
+        "benchmark", "--datasets", str(data), "--horizons", "6", "--zoo", str(zoo_dir), "--out", o])
     _check("determinism", not mismatches,
            f"rerun with same seed: {'all artifacts byte-identical' if not mismatches else 'mismatch in ' + ', '.join(mismatches)}")
 

@@ -28,8 +28,8 @@ from hypothesis import strategies as st
 from test_bench import _mixed_zoo, _reference_run_benchmark
 
 from zoocast import fusion
-from zoocast.bench import METRIC_FNS, BenchConfig, report_to_bytes, run_benchmark
-from zoocast.core import Dataset, MultivariateSeries
+from zoocast.bench import METRIC_FNS, BenchConfig, run_benchmark
+from zoocast.core import Dataset, MultivariateSeries, canonical_json
 from zoocast.extractor import ExtractorTrainConfig, MaskSpec, train_extractor
 from zoocast.extractor import save as save_extractor
 from zoocast.forecasters import Forecaster, ForecasterSpec, TrainConfig, train_many
@@ -108,12 +108,12 @@ def test_run_benchmark_equals_the_reference_or_raises_a_value_error(zoo, suite, 
             run_benchmark(cfg, zoo, suite)
         return
     try:
-        expected = report_to_bytes(_reference_run_benchmark(cfg, zoo, suite))
+        expected = canonical_json(_reference_run_benchmark(cfg, zoo, suite))
     except (ValueError, RuntimeWarning):
         with pytest.raises(ValueError):
             run_benchmark(cfg, zoo, suite)
     else:
-        assert report_to_bytes(run_benchmark(cfg, zoo, suite)) == expected
+        assert canonical_json(run_benchmark(cfg, zoo, suite)) == expected
 
 
 @st.composite

@@ -15,10 +15,9 @@ from zoocast.bench import (
     default_family_suite,
     evaluation_windows,
     generate_synthetic,
-    report_to_bytes,
     run_benchmark,
 )
-from zoocast.core import Dataset, MultivariateSeries, denormalize, mse, normalize, normalize_rows
+from zoocast.core import Dataset, MultivariateSeries, canonical_json, denormalize, mse, normalize, normalize_rows
 from zoocast.extractor import init_params
 from zoocast.extractor import save as save_extractor
 from zoocast.forecasters import Forecaster, ForecasterSpec, init_weights, make_baseline
@@ -327,8 +326,8 @@ def _named_dataset(length, name="named", channels=3):
 
 def _assert_reports_identical(cfg, zoo, datasets):
     report = run_benchmark(cfg, zoo, datasets)
-    got = report_to_bytes(report)
-    assert got == report_to_bytes(_reference_run_benchmark(cfg, zoo, datasets))
+    got = canonical_json(report)
+    assert got == canonical_json(_reference_run_benchmark(cfg, zoo, datasets))
     assert json.loads(got) == report
     return got
 
@@ -570,8 +569,8 @@ def test_benchmark_determinism():
     zoo = _tiny_last_zoo()
     data = generate_synthetic(SyntheticFamilySpec(kind="ar1", noise_std=0.2, length=150, seed=3))
     cfg = BenchConfig(look_back=12, horizons=(4,))
-    r1 = report_to_bytes(run_benchmark(cfg, zoo, [data]))
-    r2 = report_to_bytes(run_benchmark(cfg, zoo, [data]))
+    r1 = canonical_json(run_benchmark(cfg, zoo, [data]))
+    r2 = canonical_json(run_benchmark(cfg, zoo, [data]))
     assert r1 == r2
 
 

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -12,8 +14,8 @@ import pytest
 
 from zoocast import cli, forecasters
 from zoocast.bench import BenchConfig, run_benchmark
-from zoocast.cli import COMMANDS, build_parser, main, parse_flat_config
-from zoocast.core import MAX_NESTING, load_csv, normalize, read_artifact
+from zoocast.cli import COMMANDS, build_parser, main
+from zoocast.core import MAX_NESTING, canonical_json, load_csv, normalize, read_artifact
 from zoocast.extractor import encode
 from zoocast.zoo import load_zoo
 
@@ -238,13 +240,9 @@ def test_evaluate_identical_files(pipeline, capsys):
 
 def test_benchmark_command(pipeline, tmp_path, capsys):
     root, datasets, zoo_dir = pipeline
-    config = tmp_path / "bench.toml"
-    config.write_text(
-        "datasets = [\"%s\"]\n" % datasets[0]
-        + "look_back = 36\nhorizons = [6, 8]\ntrials = 1\nmetrics = [\"mse\"]\n"
-    )
+    flags = ["--datasets", str(datasets[0]), "--look-back", "36", "--horizons", "6,8", "--metrics", "mse"]
     report = tmp_path / "report.json"
-    assert run_cli("benchmark", "--config", str(config), "--zoo", str(zoo_dir), "--out", str(report), "--json") == 0
+    assert run_cli("benchmark", *flags, "--zoo", str(zoo_dir), "--out", str(report), "--json") == 0
     payload = json.loads(report.read_bytes())
     methods = {r["method"] for r in payload["rows"]}
     assert methods == {"zoocast", "last", "mean", "seasonal_naive"}
@@ -252,20 +250,18 @@ def test_benchmark_command(pipeline, tmp_path, capsys):
 
 def test_benchmark_determinism_bytes(pipeline, tmp_path):
     root, datasets, zoo_dir = pipeline
-    config = tmp_path / "bench.toml"
-    config.write_text("datasets = [\"%s\"]\nlook_back = 36\nhorizons = [6]\ntrials = 1\n" % datasets[0])
+    flags = ["--datasets", str(datasets[0]), "--look-back", "36", "--horizons", "6"]
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    assert run_cli("benchmark", "--config", str(config), "--zoo", str(zoo_dir), "--out", str(r1)) == 0
-    assert run_cli("benchmark", "--config", str(config), "--zoo", str(zoo_dir), "--out", str(r2)) == 0
+    assert run_cli("benchmark", *flags, "--zoo", str(zoo_dir), "--out", str(r1)) == 0
+    assert run_cli("benchmark", *flags, "--zoo", str(zoo_dir), "--out", str(r2)) == 0
     assert r1.read_bytes() == r2.read_bytes()
 
 
 def test_benchmark_reads_season_period(pipeline, tmp_path):
     root, datasets, zoo_dir = pipeline
-    config = tmp_path / "bench.toml"
-    config.write_text("datasets = [\"%s\"]\nhorizons = [6, 24]\nseason_period = 12\n" % datasets[0])
+    flags = ["--datasets", str(datasets[0]), "--horizons", "6,24", "--season-period", "12"]
     report = tmp_path / "report.json"
-    assert run_cli("benchmark", "--config", str(config), "--zoo", str(zoo_dir), "--out", str(report)) == 0
+    assert run_cli("benchmark", *flags, "--zoo", str(zoo_dir), "--out", str(report)) == 0
     got = [r for r in json.loads(report.read_bytes())["rows"] if r["method"] == "seasonal_naive"]
     cfg = BenchConfig(horizons=(6, 24), season_period=12)
     expected = run_benchmark(cfg, load_zoo(zoo_dir), [load_csv(datasets[0])])
@@ -456,57 +452,47 @@ def test_forecast_of_an_overflowing_channel_exits_with_error_line(pipeline, tmp_
     assert not (tmp_path / "fc").exists()
 
 
-@pytest.mark.parametrize("command", ["forecast", "train-ptm"])
+CSV_COMMANDS = ["forecast", "train-ptm", "evaluate", "benchmark"]
+
+
+def _csv_reading_argv(command, path, pipeline, tmp_path):
+    """(argv of `command` reading the CSV at `path`, the output it must not write)."""
+    _, datasets, zoo_dir = pipeline
+    out = tmp_path / "out"
+    argv = {
+        "forecast": ["--zoo", str(zoo_dir), "--input", str(path), "--horizon", "6", "--out", str(out)],
+        "train-ptm": ["--data", str(path), "--out", str(out)],
+        "evaluate": ["--truth", str(datasets[0]), "--pred", str(path)],
+        "benchmark": ["--zoo", str(zoo_dir), "--datasets", f"{datasets[0]},{path}", "--horizons", "6", "--out", str(out)],
+    }[command]
+    return [command, *argv], out
+
+
+@pytest.mark.parametrize("command", CSV_COMMANDS)
 def test_non_utf8_csv_exits_with_error_line(pipeline, tmp_path, capsys, command):
-    root, _, zoo_dir = pipeline
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"t,a\n0,\xff\n")
-    if command == "forecast":
-        argv = ["forecast", "--zoo", str(zoo_dir), "--input", str(bad), "--horizon", "6", "--out", str(tmp_path / "fc")]
-    else:
-        argv = ["train-ptm", "--data", str(bad), "--out", str(tmp_path / "m.json")]
+    argv, out = _csv_reading_argv(command, bad, pipeline, tmp_path)
     assert run_cli(*argv) == 1
     assert capsys.readouterr().err == "error: bad.csv: line 2: not UTF-8 text (byte 0xff)\n"
+    assert not out.exists()
 
 
-def test_non_utf8_benchmark_config_exits_with_error_line(pipeline, tmp_path, capsys):
-    _, _, zoo_dir = pipeline
-    config = tmp_path / "bench.cfg"
-    config.write_bytes("horizons = [6]\ndatasets = [\"café.csv\"]\n".encode("latin-1"))
-    rc = run_cli("benchmark", "--config", str(config), "--zoo", str(zoo_dir), "--out", str(tmp_path / "r.json"))
-    assert rc == 1
-    assert capsys.readouterr().err == "error: bench.cfg: line 2: not UTF-8 text (byte 0xe9)\n"
-    assert not (tmp_path / "r.json").exists()
+@pytest.mark.parametrize("command", CSV_COMMANDS)
+def test_a_csv_cell_over_the_field_limit_exits_with_error_line(pipeline, tmp_path, capsys, command):
+    # csv.Error is no ValueError: each of these commands once printed its traceback
+    long = tmp_path / "long.csv"
+    long.write_text("t,a\n0,1.0\n1," + "1" * 131_073 + "\n")
+    argv, out = _csv_reading_argv(command, long, pipeline, tmp_path)
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == "error: long.csv: line 3: field larger than field limit (131072)\n"
+    assert not out.exists()
 
 
 def test_missing_file_exits_nonzero(tmp_path, capsys):
     rc = run_cli("train-ptm", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m.json"))
     assert rc != 0
     assert "error:" in capsys.readouterr().err
-
-
-def test_parse_flat_config():
-    cfg = parse_flat_config("a = 1\nb = [1, 2]\nname = \"x\"  # comment\n\n# full comment\n")
-    assert cfg == {"a": 1, "b": [1, 2], "name": "x"}
-    with pytest.raises(ValueError, match="line 1"):
-        parse_flat_config("not an assignment")
-
-
-@pytest.mark.parametrize(
-    "line, value",
-    [
-        ('datasets = ["a#1.csv"]  # c', ["a#1.csv"]),
-        ('name = "x#y"', "x#y"),
-        ("name = x#y", "x"),
-        ("name = 'x' # c", "x"),
-        ("pair = 1 2 # c", "1 2"),
-        ("n = 12#c", 12),
-        ('open = "x#y', "x"),
-    ],
-)
-def test_parse_flat_config_reads_a_hash_inside_a_json_value(line, value):
-    # a dataset path holding "#" was once cut at it
-    assert parse_flat_config(line) == {line.split("=")[0].strip(): value}
 
 
 COMMAND_NAMES = [name for name, *_ in COMMANDS]
@@ -569,28 +555,28 @@ def test_known_command_builds_only_its_own_sub_parser(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "line, key",
+    "flag, value, kind",
     [
-        ("horizons = 12", "horizons"),
-        ("horizons = [\"6\"]", "horizons"),
-        ("top_k = [1]", "top_k"),
-        ("top_k = 2.7", "top_k"),
-        ("datasets = [1]", "datasets"),
-        ("datasets = \"a.csv\"", "datasets"),
-        ("metrics = \"foo\"", "metrics"),
-        ("look_back = true", "look_back"),
-        ("season_period = \"7\"", "season_period"),
+        ("--horizons", "12.0", "comma-separated int"),
+        ("--horizons", '["6"]', "comma-separated int"),
+        ("--horizons", "6,,8", "comma-separated int"),
+        ("--horizons", "", "comma-separated int"),
+        ("--top-k", "[1]", "int"),
+        ("--top-k", "2.7", "int"),
+        ("--look-back", "true", "int"),
+        ("--look-back", "", "int"),
+        ("--season-period", '"7"', "int"),
+        # a config file's value nested this deep was once a RecursionError traceback
+        pytest.param("--horizons", "[" * 100_000 + "6" + "]" * 100_000, "comma-separated int", id="--horizons-deeply-nested"),
     ],
 )
-def test_benchmark_config_key_of_the_wrong_type_exits_with_error_line(pipeline, tmp_path, capsys, line, key):
+def test_benchmark_flag_of_the_wrong_type_exits_with_usage_error(pipeline, tmp_path, capsys, flag, value, kind):
     root, datasets, zoo_dir = pipeline
-    config = tmp_path / "bench.cfg"
-    config.write_text("datasets = [\"%s\"]\nhorizons = [6]\n%s\n" % (datasets[0], line))
-    rc = run_cli("benchmark", "--config", str(config), "--zoo", str(zoo_dir), "--out", str(tmp_path / "r.json"))
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err.startswith(f"error: config key {key!r} must be ")
-    assert "Traceback" not in err
+    argv = ["benchmark", "--datasets", str(datasets[0]), f"{flag}={value}", "--zoo", str(zoo_dir), "--out", str(tmp_path / "r.json")]
+    code, out, err = _outcome(main, argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: zoocast benchmark ")
+    assert err.endswith(f"zoocast benchmark: error: argument {flag}: invalid {kind} value: {value!r}\n")
     assert not (tmp_path / "r.json").exists()
 
 
@@ -773,10 +759,9 @@ def _benchmark_with_model_files(pipeline, tmp_path, horizons, edits, update_dige
             if update_digest:
                 entry["digest"] = hashlib.sha256(blob).hexdigest()
     (zoo / "zoo.json").write_bytes(json.dumps(manifest).encode())
-    config = tmp_path / "bench.cfg"
-    config.write_text(f"datasets = {json.dumps([str(datasets[0])])}\nhorizons = {json.dumps(list(horizons))}\n")
+    flags = ["--datasets", str(datasets[0]), "--horizons", ",".join(map(str, horizons))]
     out = tmp_path / "report.json"
-    return run_cli("benchmark", "--config", str(config), "--zoo", str(zoo), "--out", str(out)), out
+    return run_cli("benchmark", *flags, "--zoo", str(zoo), "--out", str(out)), out
 
 
 def _scaled_weights(blob, scale=1e300):
@@ -840,47 +825,71 @@ def test_an_error_quoting_a_line_break_stays_on_one_line(pipeline, tmp_path, cap
 
 
 @pytest.mark.parametrize(
-    "line, message",
+    "flag, message",
     [
-        ("look_back = 0", "config key 'look_back' must be >= 1, got 0"),
-        ("horizons = [-36]", "config key 'horizons' must be >= 1, got -36"),  # was a ZeroDivisionError traceback
-        ("horizons = []", "config key 'horizons' must be nonempty"),  # was "horizons must be nonempty", naming no key
-        ("top_k = 0", "config key 'top_k' must be >= 1, got 0"),
+        ("--look-back=0", "field 'look_back' must be >= 1, got 0"),
+        ("--horizons=-36", "field 'horizons' must be >= 1, got -36"),  # was a ZeroDivisionError traceback
+        ("--metrics=foo", "unknown metrics ['foo']; known metrics: ['mape', 'mse', 'smape']"),
+        ("--top-k=0", "field 'top_k' must be >= 1, got 0"),
         # was raised only after the zoo had forecast the first horizon
-        ("season_period = 0", "config key 'season_period' must be >= 1, got 0"),
+        ("--season-period=0", "field 'season_period' must be >= 1, got 0"),
         # both were numpy's "array is too big; ..." from the window tiler
-        (f"look_back = {2**62}", f"config key 'look_back' must be at most {2**20}, got {2**62}"),
-        (f"horizons = [6, {2**62}]", f"config key 'horizons' must be at most {2**20}, got {2**62}"),
-        ("metrics = [\"mse\", \"mse\"]", "metrics name 'mse' more than once"),  # was exit 0, every record twice
+        (f"--look-back={2**62}", f"field 'look_back' must be at most {2**20}, got {2**62}"),
+        (f"--horizons=6,{2**62}", f"field 'horizons' must be at most {2**20}, got {2**62}"),
+        ("--metrics=mse,mse", "metrics name 'mse' more than once"),  # was exit 0, every record twice
     ],
 )
-def test_benchmark_config_value_out_of_range_exits_with_error_line(pipeline, tmp_path, capsys, line, message):
+def test_benchmark_config_value_out_of_range_exits_with_error_line(pipeline, tmp_path, capsys, flag, message):
     root, datasets, zoo_dir = pipeline
-    config = tmp_path / "bench.cfg"
-    config.write_text("datasets = [\"%s\"]\nhorizons = [6]\n%s\n" % (datasets[0], line))
-    rc = run_cli("benchmark", "--config", str(config), "--zoo", str(zoo_dir), "--out", str(tmp_path / "r.json"))
+    rc = run_cli("benchmark", "--datasets", str(datasets[0]), "--horizons", "6", flag, "--zoo", str(zoo_dir),
+                 "--out", str(tmp_path / "r.json"))
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "r.json").exists()
 
 
-def test_benchmark_names_every_config_key_it_does_not_read(pipeline, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv, dest, value",
+    [
+        (["benchmark", "--horizons", "6"], "horizons", (6,)),
+        (["benchmark", "--horizons", "6,24"], "horizons", (6, 24)),
+        (["benchmark", "--metrics", "mse,smape"], "metrics", ("mse", "smape")),
+        (["evaluate", "--metrics", "smape"], "metrics", ("smape",)),
+    ],
+)
+def test_a_comma_list_flag_reads_a_tuple_of_its_kind(argv, dest, value):
+    required = {"benchmark": ["--zoo", "z", "--datasets", "a.csv", "--out", "o"], "evaluate": ["--truth", "t", "--pred", "p"]}
+    assert getattr(build_parser().parse_args([*argv, *required[argv[0]]]), dest) == value
+
+
+def test_benchmark_refuses_a_misspelt_flag(pipeline, tmp_path, capsys):
+    # a config file's unknown keys were once only warned about; the report holds no warning of them
     root, datasets, zoo_dir = pipeline
-    config = tmp_path / "bench.cfg"
-    config.write_text("datasets = [\"%s\"]\nhorizon = [12]\nhorizons = [6]\ntrials = 1\n" % datasets[0])
     report = tmp_path / "report.json"
-    assert run_cli("benchmark", "--config", str(config), "--zoo", str(zoo_dir), "--out", str(report), "--json") == 0
-    known = "['datasets', 'horizons', 'look_back', 'metrics', 'season_period', 'top_k']"
-    warnings = json.loads(capsys.readouterr().out)["warnings"]
-    assert warnings == [
-        f"config key 'horizon' is not read; known keys: {known}",
-        f"config key 'trials' is not read; known keys: {known}",
-    ]
+    flags = ["--datasets", str(datasets[0]), "--horizons", "6", "--zoo", str(zoo_dir), "--out", str(report)]
+    for misspelt in (["--trials", "1"], ["--look_back", "36"]):
+        code, out, err = _outcome(main, ["benchmark", *flags, *misspelt], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"zoocast: error: unrecognized arguments: {' '.join(misspelt)}\n")
+        assert not report.exists()
+    assert run_cli("benchmark", *flags, "--json") == 0
+    assert json.loads(capsys.readouterr().out)["warnings"] == []
     expected = run_benchmark(BenchConfig(horizons=(6,)), load_zoo(zoo_dir), [load_csv(datasets[0])])
-    assert report.read_bytes() == cli.bench.report_to_bytes(expected)
+    assert report.read_bytes() == canonical_json(expected)
 
 
-# -- every optional flag (or config key) reaches its config field --------------
+def test_benchmark_help_lists_the_bench_config_flags_and_no_other(capsys):
+    code, out, _ = _outcome(main, ["benchmark", "-h"], capsys)
+    assert code == 0
+    options = set(re.findall(r"(?<![\w-])--[a-z-]+", out))
+    assert options == {"--help", "--zoo", "--datasets", "--out", "--json",
+                       "--look-back", "--horizons", "--metrics", "--top-k", "--season-period"}
+    # each config flag feeds the BenchConfig field of its dest name
+    args = vars(build_parser().parse_args(["benchmark", "--zoo", "z", "--datasets", "a.csv", "--out", "o"]))
+    assert set(args) - {"command", "func", "zoo", "datasets", "out", "json"} == {f.name for f in dataclasses.fields(BenchConfig)}
+
+
+# -- every optional flag reaches its config field ------------------------------
 
 
 class _Called(Exception):
@@ -911,9 +920,6 @@ MODEL_CONFIGS = (
     forecasters.TrainConfig(epochs=3, learning_rate=0.01, batch_size=4, seed=5, stride=2),
 )
 DEFAULT_MODEL_CONFIGS = (forecasters.ForecasterSpec("linear", 36, 12), forecasters.TrainConfig())
-FULL_BENCH_CONFIG = (
-    'datasets = ["a.csv"]\nlook_back = 24\nhorizons = [6, 12]\nmetrics = ["mse", "smape"]\ntop_k = 2\nseason_period = 12\n'
-)
 
 # command: (required argv, optional argv, API module, API function, picks
 # the configs from its (args, kwargs), configs for the optional argv, defaults)
@@ -950,7 +956,9 @@ FLAG_CASES = {
         cli.bench.SyntheticFamilySpec("ar1"),
     ),
     "benchmark": (
-        ["--zoo", "zoo"], ["--config", "full.cfg"], cli.bench, "run_benchmark", lambda a, k: a[0],
+        ["--zoo", "zoo", "--datasets", "a.csv"],
+        ["--look-back", "24", "--horizons", "6,12", "--metrics", "mse,smape", "--top-k", "2", "--season-period", "12"],
+        cli.bench, "run_benchmark", lambda a, k: a[0],
         BenchConfig(look_back=24, horizons=(6, 12), metrics=("mse", "smape"), top_k=2, season_period=12),
         BenchConfig(),
     ),
@@ -964,24 +972,18 @@ def flag_inputs(tmp_path, monkeypatch):
     for name in ("a", "b"):
         Path(f"{name}.csv").write_text("t,x\n" + "".join(f"{t},{float(np.sin(t))!r}\n" for t in range(60)))
     Path("tm.json").write_bytes(cli.zoo_mod.TransferMatrix(("a", "b"), np.eye(2)).to_bytes())
-    Path("full.cfg").write_text(FULL_BENCH_CONFIG)
-    Path("empty.cfg").write_text("")
     monkeypatch.setattr(cli.zoo_mod, "load_zoo", lambda path: None)
 
 
 @pytest.mark.parametrize("command", FLAG_CASES)
 def test_every_optional_flag_reaches_its_config_field(flag_inputs, monkeypatch, command):
     required, optional, module, name, pick, expected, default = FLAG_CASES[command]
-    if command == "benchmark":
-        plain = [*required, "--config", "empty.cfg"]
-    else:
-        plain = required
     full = [command, *required, *optional, "--out", "out"]
     assert pick(*_handed_to(monkeypatch, module, name, full)) == expected
-    assert pick(*_handed_to(monkeypatch, module, name, [command, *plain, "--out", "out"])) == default
+    assert pick(*_handed_to(monkeypatch, module, name, [command, *required, "--out", "out"])) == default
 
 
-@pytest.mark.parametrize("command", [c for c in FLAG_CASES if c != "benchmark"])
+@pytest.mark.parametrize("command", FLAG_CASES)
 def test_flag_cases_set_every_optional_flag(command):
     # each optional flag of the command is set, to a value other than its default
     required, optional, *_ = FLAG_CASES[command]
@@ -989,13 +991,6 @@ def test_flag_cases_set_every_optional_flag(command):
     plain = vars(build_parser().parse_args([command, *required, "--out", "out"]))
     unchanged = {key for key in full if full[key] == plain[key]}
     assert unchanged == {"command", "func", "out", "json"} | {flag.lstrip("-").replace("-", "_") for flag in required[::2]}
-
-
-def test_full_bench_config_sets_every_key():
-    raw = parse_flat_config(FULL_BENCH_CONFIG)
-    assert set(raw) == set(cli.BENCH_CONFIG_TYPES)
-    raw.pop("datasets")
-    assert all((tuple(v) if isinstance(v, list) else v) != getattr(BenchConfig(), k) for k, v in raw.items())
 
 
 @pytest.mark.parametrize(
@@ -1027,9 +1022,7 @@ def test_two_datasets_of_one_name_exit_with_error_line(pipeline, tmp_path, capsy
     if command == "transfer-matrix":
         argv = ["--datasets", ",".join(map(str, paths)), "--epochs", "1"]
     else:
-        config = tmp_path / "bench.cfg"
-        config.write_text(f"datasets = {json.dumps(list(map(str, paths)))}\nhorizons = [6]\n")
-        argv = ["--config", str(config), "--zoo", str(zoo_dir)]
+        argv = ["--datasets", ",".join(map(str, paths)), "--horizons", "6", "--zoo", str(zoo_dir)]
     assert run_cli(command, *argv, "--out", str(out)) == 1
     assert capsys.readouterr().err == "error: duplicate dataset name 'x'\n"
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

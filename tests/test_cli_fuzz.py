@@ -5,8 +5,9 @@ transfer-matrix, train-extractor, build-zoo, forecast, embed, evaluate and
 benchmark. Inputs are truncated, non-UTF-8, non-finite and huge-finite
 CSVs; field, scale and digest mutations of a zoo's `zoo.json`, its
 `extractor.json`, a model file and a transfer matrix; a transfer matrix
-that lacks a dataset; and benchmark config values. No run may raise (a
-traceback) or emit a numpy `RuntimeWarning`.
+that lacks a dataset; and benchmark flag values, where a value that its
+flag's type refuses exits 2 with argparse's usage error. No run may raise
+(a traceback) or emit a numpy `RuntimeWarning`.
 """
 
 import hashlib
@@ -181,34 +182,47 @@ def zoo_mutation(draw, zoo: Path) -> dict:
 
 
 def _bench_value():
+    """A flag value: an integer, a comma list of integers or of metric
+    names, or any JSON value's text."""
     return (
-        st.integers(-50, 60)
-        | st.lists(st.integers(-10, 60), max_size=3)
-        | st.lists(st.sampled_from(["mse", "smape", "mape", "rmse"]), max_size=3)
-        | JSON
+        st.integers(-50, 60).map(str)
+        | st.lists(st.integers(-10, 60), max_size=3).map(lambda values: ",".join(map(str, values)))
+        | st.lists(st.sampled_from(["mse", "smape", "mape", "rmse"]), max_size=3).map(",".join)
+        | JSON.map(json.dumps)
     )
 
 
-BENCH_KEYS = st.sampled_from(["look_back", "horizons", "metrics", "top_k", "season_period", "horizon", "trials"])
+BENCH_FLAGS = st.sampled_from(["--look-back", "--horizons", "--metrics", "--top-k", "--season-period"])
 
 
 # -- the property ---------------------------------------------------------------
 
 
 def _run(argv: list) -> tuple:
-    """(exit code, stderr, RuntimeWarnings) of `zoocast argv` in-process."""
+    """(exit code, stderr, RuntimeWarnings) of `zoocast argv` in-process,
+    argparse exits included."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
         warnings.simplefilter("always")
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, err.getvalue(), [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-def _check(argv: list) -> int:
+def _check(argv: list, refused_value: bool = False) -> int:
+    """Exit 0 with nothing on stderr, or 1 with one `error:` line; with
+    `refused_value`, also exit 2 with argparse's usage and its one line
+    naming the flag whose value the flag's type refuses."""
     code, err, runtime_warnings = _run(argv)
     assert not runtime_warnings
     if code == 0:
         assert err == ""
+    elif code == 2 and refused_value:
+        usage, _, message = err.partition(f"{argv[0]}: error: ")
+        assert usage.startswith(f"usage: zoocast {argv[0]} ")
+        assert message.startswith("argument --") and " invalid " in message and message.count("\n") == 1, err
     else:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -257,18 +271,18 @@ def test_evaluate_on_mutated_inputs(workspace, data):
 def test_benchmark_on_mutated_inputs(workspace, data):
     files = {f"zoo/{name}": blob for name, blob in data.draw(zoo_mutation(workspace / "zoo")).items()}
     files["a.csv"] = data.draw(csv_mutation((workspace / "a.csv").read_text()))
-    extra = data.draw(st.lists(st.tuples(BENCH_KEYS, _bench_value()), max_size=2))
+    extra = data.draw(st.lists(st.tuples(BENCH_FLAGS, _bench_value()), max_size=2))
     with _scratch(workspace, files) as root:
-        _check(_benchmark_argv(root, extra))
+        _check(_benchmark_argv(root, extra), refused_value=True)
 
 
 def _benchmark_argv(root: str, extra: list) -> list:
-    """Writes `root`/bench.cfg, whose `extra` (key, value) lines follow
-    (and may override) a valid config, and returns the benchmark's argv."""
-    lines = [f'datasets = ["{root}/a.csv", "{root}/query.csv"]', f"look_back = {INPUT_LEN}", "horizons = [4, 9]"]
-    lines += [f"{key} = {json.dumps(value)}" for key, value in extra]
-    Path(root, "bench.cfg").write_text("\n".join(lines) + "\n")
-    return ["benchmark", "--config", f"{root}/bench.cfg", "--zoo", f"{root}/zoo", "--out", f"{root}/report.json"]
+    """The benchmark's argv: valid flags, followed (and maybe overridden)
+    by the `extra` (flag, value) pairs, each as `--flag=value` so that a
+    value such as `-5,3` is not read as an option."""
+    flags = ["--datasets", f"{root}/a.csv,{root}/query.csv", "--look-back", str(INPUT_LEN), "--horizons", "4,9"]
+    flags += [f"{flag}={value}" for flag, value in extra]
+    return ["benchmark", *flags, "--zoo", f"{root}/zoo", "--out", f"{root}/report.json"]
 
 
 @given(data=st.data())

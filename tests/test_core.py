@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import errno
 import json
@@ -391,6 +392,13 @@ def test_load_csv_errors(tmp_path):
     text.write_text("date,a\n1,hello\n")
     with pytest.raises(ValueError, match="non-numeric"):
         load_csv(text)
+
+    # csv.Error is no ValueError: every command that reads a CSV once printed its traceback
+    long = tmp_path / "long.csv"
+    limit = csv.field_size_limit()
+    long.write_text(f"date,a\n1,1.0\n2,{'1' * (limit + 1)}\n")
+    with pytest.raises(ValueError, match=rf"^long\.csv: line 3: field larger than field limit \({limit}\)$"):
+        load_csv(long)
 
 
 @pytest.mark.parametrize("text", ["date,a\n1,1.0,2.0\n2,1.0,2.0\n", "date,a,b\n1,1.0\n2,1.0\n"])

@@ -11,7 +11,6 @@ from zoocast.extractor import ExtractorParams, cosine, cosine_matrix, encode, in
 from zoocast.forecasters import Forecaster, ForecasterSpec, forecast, init_weights, make_baseline
 from zoocast.fusion import (
     FusionConfig,
-    SelectionResult,
     forecast_multivariate,
     forecast_rows,
     match,

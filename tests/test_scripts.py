@@ -44,25 +44,6 @@ def _run_script(name, out, *args):
     return json.loads(out.read_text(encoding="utf-8"))
 
 
-def test_run_zoo_benchmark_writes_a_finite_report(tmp_path):
-    report = _run_script("run_zoo_benchmark.py", tmp_path / "report.json")
-    assert set(report) == {"config", "format_version", "rows", "summary", "warnings", "zoo_distribution"}
-    assert report["format_version"] == 2
-    assert report["warnings"] == []
-    cfg = BenchConfig()  # the script's flags default to the harness's own config
-    assert report["config"] == {
-        "look_back": cfg.look_back, "horizons": list(cfg.horizons), "metrics": list(cfg.metrics), "top_k": cfg.top_k,
-    }
-    methods = {"zoocast", "last", "mean", "seasonal_naive"}
-    datasets = {row["dataset"] for row in report["summary"]}
-    assert len(datasets) == 5
-    assert {(row["dataset"], row["method"]) for row in report["summary"]} == {(d, m) for d in datasets for m in methods}
-    values = [row["mse"] for key in ("rows", "summary", "zoo_distribution") for row in report[key]]
-    assert all(set(row["windows"]) == set(report["config"]["metrics"]) for row in report["rows"])
-    values += [value for row in report["rows"] for window_values in row["windows"].values() for value in window_values]
-    assert values and all(math.isfinite(v) and v >= 0 for v in values)
-
-
 def test_run_selection_study_writes_a_finite_report(tmp_path):
     report = _run_script("run_selection_study.py", tmp_path / "study.json")
     assert set(report) == {"accuracy", "beats_median", "confusion", "families", "seed", "eval_seed"}
@@ -210,4 +191,19 @@ def test_full_pipeline_prints_a_digest_of_every_file_it_writes(tmp_path):
     assert len(lines) == len(digests) == 20  # the artifacts, outputs and synthesized CSVs, once each
     for name, digest in digests.items():
         assert hashlib.sha256((work / name).read_bytes()).hexdigest() == digest, name
-    assert json.loads((work / "report.json").read_text(encoding="utf-8"))["format_version"] == 2
+    report = json.loads((work / "report.json").read_text(encoding="utf-8"))
+    assert set(report) == {"config", "format_version", "rows", "summary", "warnings", "zoo_distribution"}
+    assert report["format_version"] == 2
+    assert report["warnings"] == []
+    cfg = BenchConfig()  # `zoocast benchmark`'s flags default to the harness's own config
+    assert report["config"] == {
+        "look_back": cfg.look_back, "horizons": list(cfg.horizons), "metrics": list(cfg.metrics), "top_k": cfg.top_k,
+    }
+    methods = {"zoocast", "last", "mean", "seasonal_naive"}
+    datasets = {row["dataset"] for row in report["summary"]}
+    assert len(datasets) == 5
+    assert {(row["dataset"], row["method"]) for row in report["summary"]} == {(d, m) for d in datasets for m in methods}
+    values = [row["mse"] for key in ("rows", "summary", "zoo_distribution") for row in report[key]]
+    assert all(set(row["windows"]) == set(report["config"]["metrics"]) for row in report["rows"])
+    values += [value for row in report["rows"] for window_values in row["windows"].values() for value in window_values]
+    assert values and all(math.isfinite(v) and v >= 0 for v in values)

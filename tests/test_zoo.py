@@ -10,10 +10,10 @@ import pytest
 from zoocast import zoo as zoo_mod
 from zoocast.bench import SyntheticFamilySpec, generate_synthetic
 from zoocast.core import Dataset, MultivariateSeries, mse, normalize
-from zoocast.extractor import DECODER_TENSORS, ENCODER_TENSORS, ExtractorTrainConfig, MaskSpec, encode, encode_batch
+from zoocast.extractor import DECODER_TENSORS, ENCODER_TENSORS, ExtractorTrainConfig, MaskSpec, encode
 from zoocast.extractor import init_params, train_extractor
 from zoocast.extractor import load as load_extractor, save as save_extractor
-from zoocast.forecasters import Forecaster, ForecasterSpec, TrainConfig, extract_windows, forecast_batch, make_baseline
+from zoocast.forecasters import ForecasterSpec, TrainConfig, extract_windows, forecast_batch, make_baseline
 from zoocast.forecasters import save as save_model, train
 from zoocast.fusion import FusionConfig, forecast_multivariate
 from zoocast.zoo import (
