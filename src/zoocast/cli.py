@@ -17,8 +17,6 @@ import numpy as np
 from . import bench, extractor, forecasters, fusion, zoo as zoo_mod
 from .core import BLOCK_HORIZON, LOOK_BACK, MultivariateSeries, canonical_json, load_csv, trim_to_last, write_csv, write_file
 
-ARCH_FLAGS = {"linear": "linear", "patch-mlp": "patch_mlp"}
-
 
 def _emit(args, payload: dict):
     if args.json:
@@ -26,10 +24,6 @@ def _emit(args, payload: dict):
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
-
-
-def _load_datasets(paths: str) -> list:
-    return [load_csv(p) for p in paths.split(",")]
 
 
 def _load_query(path, n: int) -> tuple:
@@ -50,8 +44,7 @@ def _config(cls, values: dict, **given):
 
 def _model_configs(args) -> tuple:
     """(ForecasterSpec, TrainConfig) from train-ptm's and transfer-matrix's flags."""
-    spec = _config(forecasters.ForecasterSpec, vars(args), architecture=ARCH_FLAGS[args.arch])
-    return spec, _config(forecasters.TrainConfig, vars(args))
+    return _config(forecasters.ForecasterSpec, vars(args)), _config(forecasters.TrainConfig, vars(args))
 
 
 def cmd_train_ptm(args):
@@ -63,15 +56,16 @@ def cmd_train_ptm(args):
 
 
 def cmd_transfer_matrix(args):
-    datasets = _load_datasets(args.datasets)
+    datasets = [load_csv(p) for p in args.datasets]
     tm, _ = zoo_mod.compute_transfer_matrix(datasets, *_model_configs(args))
     write_file(args.out, tm.to_bytes())
     _emit(args, {"out": args.out, "datasets": list(tm.dataset_names)})
 
 
 def cmd_train_extractor(args):
-    datasets = _load_datasets(args.datasets)
-    tm = zoo_mod.TransferMatrix.from_bytes(Path(args.transfer_matrix).read_bytes())
+    datasets = [load_csv(p) for p in args.datasets]
+    path = Path(args.transfer_matrix)
+    tm = zoo_mod._parse(zoo_mod.TransferMatrix.from_bytes, path.read_bytes(), path.name)
     cfg = _config(extractor.ExtractorTrainConfig, vars(args))
     mask_spec = _config(extractor.MaskSpec, vars(args))
     params, log = extractor.train_extractor(datasets, tm, cfg, mask_spec, input_len=args.input_len)
@@ -80,12 +74,11 @@ def cmd_train_extractor(args):
 
 
 def cmd_build_zoo(args):
-    model_files = args.models.split(",")
-    sources = _load_datasets(args.data)
+    sources = [load_csv(p) for p in args.data]
     out = zoo_mod.build_zoo(
-        model_files, sources, args.extractor, args.out, per_model_source_samples=args.samples, seed=args.seed
+        args.models, sources, args.extractor, args.out, per_model_source_samples=args.samples, seed=args.seed
     )
-    _emit(args, {"out": str(out), "models": len(model_files)})
+    _emit(args, {"out": str(out), "models": len(args.models)})
 
 
 def cmd_embed(args):
@@ -153,16 +146,20 @@ def cmd_synth(args):
 
 def cmd_benchmark(args):
     cfg = _config(bench.BenchConfig, vars(args))
-    datasets = _load_datasets(args.datasets)
-    report = bench.run_benchmark(cfg, zoo_mod.load_zoo(args.zoo), datasets)
+    datasets = [load_csv(p) for p in args.datasets]
+    z = zoo_mod.load_zoo(args.zoo)  # the look-back is the zoo's input_len, as for forecast and embed
+    report = bench.run_benchmark(dataclasses.replace(cfg, look_back=z.input_len), z, datasets)
     write_file(args.out, canonical_json(report))
     _emit(args, {"out": args.out, "rows": len(report["rows"]), "warnings": report["warnings"]})
 
 
 def _comma_list(kind):
-    """An argparse `type` reading a comma-separated value as a tuple of `kind`."""
+    """An argparse `type` reading a comma-separated value as a tuple of `kind`, with no empty item."""
     def parse(text: str) -> tuple:
-        return tuple(map(kind, text.split(",")))
+        items = text.split(",")
+        if "" in items:  # as a path it would read the current directory
+            raise ValueError(text)
+        return tuple(map(kind, items))
     parse.__name__ = f"comma-separated {kind.__name__}"  # argparse's "invalid ... value" names it
     return parse
 
@@ -176,7 +173,7 @@ def _add_common(p, seed=True):
 
 def _add_model_flags(p):
     spec, train = forecasters.ForecasterSpec, forecasters.TrainConfig
-    p.add_argument("--arch", choices=sorted(ARCH_FLAGS), default="linear")
+    p.add_argument("--arch", dest="architecture", choices=forecasters.TRAINABLE, default="linear")
     p.add_argument("--input-len", type=int, default=LOOK_BACK)
     p.add_argument("--horizon", type=int, default=BLOCK_HORIZON)
     p.add_argument("--patch-len", type=int, default=spec.patch_len)
@@ -194,14 +191,14 @@ def _train_ptm_args(p):
 
 
 def _transfer_matrix_args(p):
-    p.add_argument("--datasets", required=True, help="comma-separated CSV paths")
+    p.add_argument("--datasets", type=_comma_list(str), required=True, help="comma-separated CSV paths")
     _add_model_flags(p)
     _add_common(p)
 
 
 def _train_extractor_args(p):
     ext, mask = extractor.ExtractorTrainConfig, extractor.MaskSpec
-    p.add_argument("--datasets", required=True)
+    p.add_argument("--datasets", type=_comma_list(str), required=True)
     p.add_argument("--transfer-matrix", required=True)
     p.add_argument("--lambda", dest="constraint_weight", type=float, default=ext.constraint_weight)
     p.add_argument("--mask-ratio", type=float, default=mask.mask_ratio)
@@ -219,8 +216,8 @@ def _train_extractor_args(p):
 
 
 def _build_zoo_args(p):
-    p.add_argument("--models", required=True, help="comma-separated model files")
-    p.add_argument("--data", required=True, help="comma-separated source CSVs, one per model")
+    p.add_argument("--models", type=_comma_list(str), required=True, help="comma-separated model files")
+    p.add_argument("--data", type=_comma_list(str), required=True, help="comma-separated source CSVs, one per model")
     p.add_argument("--extractor", required=True)
     p.add_argument("--samples", type=int, default=zoo_mod.REPRESENTATION_SAMPLES)
     _add_common(p)
@@ -266,8 +263,7 @@ def _add_metrics(p):
 def _benchmark_args(p):
     cfg = bench.BenchConfig
     p.add_argument("--zoo", required=True)
-    p.add_argument("--datasets", required=True, help="comma-separated CSV paths")
-    p.add_argument("--look-back", type=int, default=cfg.look_back)
+    p.add_argument("--datasets", type=_comma_list(str), required=True, help="comma-separated CSV paths")
     p.add_argument("--horizons", type=_comma_list(int), default=cfg.horizons)
     _add_metrics(p)
     p.add_argument("--top-k", type=int, default=cfg.top_k)
@@ -292,11 +288,12 @@ COMMANDS = (
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The zoocast parser with every subcommand, or with only `command`'s
     sub-parser, which parses that command's arguments the same way."""
-    parser = argparse.ArgumentParser(prog="zoocast", description="Zero-shot forecasting with a zoo of lightweight pre-trained models")
+    description = "Zero-shot forecasting with a zoo of lightweight pre-trained models"
+    parser = argparse.ArgumentParser(prog="zoocast", description=description, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, func, add_arguments in COMMANDS:
         if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
+            p = sub.add_parser(name, help=help_text, allow_abbrev=False)  # a flag has one spelling, not its prefixes
             add_arguments(p)
             p.set_defaults(func=func)
     return parser

@@ -160,7 +160,7 @@ class Zoo:
             if entry is None:
                 raise ValueError(f"no model {model_id!r} in zoo")
             blob = _read_checked(self.root or Path("."), entry.file, entry.digest, f"entry {model_id!r}")
-            model = _load_model(blob, f"entry {model_id!r} ({entry.file})")
+            model = _parse(forecasters.load, blob, f"entry {model_id!r} ({entry.file})")
             for name, value in (("input_len", model.spec.input_len), ("horizon", model.spec.horizon)):
                 if value != getattr(entry, name):
                     raise ValueError(
@@ -201,10 +201,10 @@ def _read_checked(root: Path, name: str, digest: str, what: str) -> bytes:
     return blob
 
 
-def _load_model(blob: bytes, where: str) -> forecasters.Forecaster:
-    """The model file `blob`, parsed; its faults are prefixed with `where`."""
+def _parse(load, blob: bytes, where: str):
+    """`load(blob)`, the parse of a model, extractor or transfer-matrix file; its faults are prefixed with `where`."""
     try:
-        return forecasters.load(blob)
+        return load(blob)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
@@ -277,12 +277,12 @@ def build_zoo(
         raise ValueError("one source dataset required per model file")
     model_ids = [Path(p).stem for p in model_files]
     check_unique(model_ids, "model_id")
-    params, _ = extractor_mod.load(Path(extractor_file).read_bytes())
+    params, _ = _parse(extractor_mod.load, Path(extractor_file).read_bytes(), Path(extractor_file).name)
     params = replace(params, weights={name: params.weights[name] for name in extractor_mod.ENCODER_TENSORS})
     blobs, models, reprs = [], {}, {}
     for model_id, model_path, source in zip(model_ids, model_files, source_datasets):
         blobs.append(Path(model_path).read_bytes())
-        model = _load_model(blobs[-1], Path(model_path).name)  # named like `load_csv` names its file
+        model = _parse(forecasters.load, blobs[-1], Path(model_path).name)  # named like `load_csv` names its file
         models[model_id] = replace(model, source_dataset=model.source_dataset or source.name)
         reprs[model_id] = compute_model_representation(params, source, per_model_source_samples, seed)
     zoo = zoo_from_models(models, params, reprs)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -8,6 +9,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import pytest
 from zoocast import cli, forecasters
 from zoocast.bench import BenchConfig, run_benchmark
 from zoocast.cli import COMMANDS, build_parser, main
-from zoocast.core import MAX_NESTING, canonical_json, load_csv, normalize, read_artifact
+from zoocast.core import LOOK_BACK, MAX_NESTING, canonical_json, load_csv, normalize, read_artifact
 from zoocast.extractor import encode
 from zoocast.zoo import load_zoo
 
@@ -240,7 +242,7 @@ def test_evaluate_identical_files(pipeline, capsys):
 
 def test_benchmark_command(pipeline, tmp_path, capsys):
     root, datasets, zoo_dir = pipeline
-    flags = ["--datasets", str(datasets[0]), "--look-back", "36", "--horizons", "6,8", "--metrics", "mse"]
+    flags = ["--datasets", str(datasets[0]), "--horizons", "6,8", "--metrics", "mse"]
     report = tmp_path / "report.json"
     assert run_cli("benchmark", *flags, "--zoo", str(zoo_dir), "--out", str(report), "--json") == 0
     payload = json.loads(report.read_bytes())
@@ -250,7 +252,7 @@ def test_benchmark_command(pipeline, tmp_path, capsys):
 
 def test_benchmark_determinism_bytes(pipeline, tmp_path):
     root, datasets, zoo_dir = pipeline
-    flags = ["--datasets", str(datasets[0]), "--look-back", "36", "--horizons", "6"]
+    flags = ["--datasets", str(datasets[0]), "--horizons", "6"]
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert run_cli("benchmark", *flags, "--zoo", str(zoo_dir), "--out", str(r1)) == 0
     assert run_cli("benchmark", *flags, "--zoo", str(zoo_dir), "--out", str(r2)) == 0
@@ -563,8 +565,10 @@ def test_known_command_builds_only_its_own_sub_parser(monkeypatch):
         ("--horizons", "", "comma-separated int"),
         ("--top-k", "[1]", "int"),
         ("--top-k", "2.7", "int"),
-        ("--look-back", "true", "int"),
-        ("--look-back", "", "int"),
+        # an empty item, which as a path read the current directory: `[Errno 21] Is a directory: '.'`
+        ("--datasets", "a.csv,", "comma-separated str"),
+        ("--datasets", "", "comma-separated str"),
+        ("--metrics", "mse,", "comma-separated str"),  # was `unknown metrics ['']`
         ("--season-period", '"7"', "int"),
         # a config file's value nested this deep was once a RecursionError traceback
         pytest.param("--horizons", "[" * 100_000 + "6" + "]" * 100_000, "comma-separated int", id="--horizons-deeply-nested"),
@@ -827,14 +831,12 @@ def test_an_error_quoting_a_line_break_stays_on_one_line(pipeline, tmp_path, cap
 @pytest.mark.parametrize(
     "flag, message",
     [
-        ("--look-back=0", "field 'look_back' must be >= 1, got 0"),
         ("--horizons=-36", "field 'horizons' must be >= 1, got -36"),  # was a ZeroDivisionError traceback
         ("--metrics=foo", "unknown metrics ['foo']; known metrics: ['mape', 'mse', 'smape']"),
         ("--top-k=0", "field 'top_k' must be >= 1, got 0"),
         # was raised only after the zoo had forecast the first horizon
         ("--season-period=0", "field 'season_period' must be >= 1, got 0"),
         # both were numpy's "array is too big; ..." from the window tiler
-        (f"--look-back={2**62}", f"field 'look_back' must be at most {2**20}, got {2**62}"),
         (f"--horizons=6,{2**62}", f"field 'horizons' must be at most {2**20}, got {2**62}"),
         ("--metrics=mse,mse", "metrics name 'mse' more than once"),  # was exit 0, every record twice
     ],
@@ -862,12 +864,121 @@ def test_a_comma_list_flag_reads_a_tuple_of_its_kind(argv, dest, value):
     assert getattr(build_parser().parse_args([*argv, *required[argv[0]]]), dest) == value
 
 
+def _every_parser():
+    """Each parser that `build_parser()` and each `build_parser(command)` builds."""
+    for command in (None, *COMMAND_NAMES):
+        parser = build_parser(command)
+        (sub,) = (action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+        yield parser
+        yield from sub.choices.values()
+
+
+def test_every_parser_refuses_a_prefix_of_a_flag():
+    parsers = list(_every_parser())
+    assert {p.prog for p in parsers} == {"zoocast", *(f"zoocast {name}" for name in COMMAND_NAMES)}  # 10 parsers
+    assert not any(p.allow_abbrev for p in parsers)
+
+
+def test_every_list_flag_is_a_comma_list():
+    typed = {
+        (parser.prog.split()[-1], action.dest): getattr(action.type, "__qualname__", None) == "_comma_list.<locals>.parse"
+        for parser in _every_parser()
+        for action in parser._actions
+        if action.dest in {"datasets", "models", "data", "horizons", "metrics"}
+    }
+    assert {key for key, comma in typed.items() if comma} == {
+        ("transfer-matrix", "datasets"), ("train-extractor", "datasets"), ("build-zoo", "models"), ("build-zoo", "data"),
+        ("evaluate", "metrics"), ("benchmark", "datasets"), ("benchmark", "horizons"), ("benchmark", "metrics"),
+    }
+    assert {key for key, comma in typed.items() if not comma} == {("train-ptm", "data")}  # one CSV
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["transfer-matrix", "--datasets", "a.csv,"], "--datasets", "a.csv,"),
+        (["train-extractor", "--datasets", ",a.csv", "--transfer-matrix", "tm.json"], "--datasets", ",a.csv"),
+        (["build-zoo", "--models", "m.json,,n.json", "--data", "a.csv,b.csv", "--extractor", "e.json"], "--models", "m.json,,n.json"),
+        (["build-zoo", "--models", "m.json", "--data", "", "--extractor", "e.json"], "--data", ""),
+    ],
+    ids=["transfer-matrix", "train-extractor", "build-zoo-models", "build-zoo-data"],
+)
+def test_an_empty_item_of_a_path_list_exits_with_usage_error(tmp_path, capsys, argv, flag, value):
+    # each was `error: [Errno 21] Is a directory: '.'`, once the command's other inputs were read
+    code, out, err = _outcome(main, [*argv, "--out", str(tmp_path / "out")], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"zoocast {argv[0]}: error: argument {flag}: invalid comma-separated str value: {value!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train-ptm", "transfer-matrix"])
+def test_arch_is_spelt_as_the_api_spells_it(tmp_path, capsys, command):
+    data = ["--data", "a.csv"] if command == "train-ptm" else ["--datasets", "a.csv,b.csv"]
+    code, out, err = _outcome(main, [command, *data, "--arch", "patch-mlp", "--out", str(tmp_path / "m.json")], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith("argument --arch: invalid choice: 'patch-mlp' (choose from 'linear', 'patch_mlp')\n")
+    assert build_parser().parse_args([command, *data, "--arch", "patch_mlp", "--out", "o"]).architecture == "patch_mlp"
+
+
+def test_benchmark_reads_its_look_back_from_the_zoo(pipeline, tmp_path):
+    root, datasets, _ = pipeline
+    sources = ",".join(map(str, datasets))
+    models = [tmp_path / f"{csv.stem}.model.json" for csv in datasets]
+    for csv, model in zip(datasets, models):
+        assert run_cli("train-ptm", "--data", str(csv), "--input-len", "24", "--epochs", "2", "--out", str(model)) == 0
+    ext, zoo_dir, report = tmp_path / "extractor.json", tmp_path / "zoo", tmp_path / "report.json"
+    assert run_cli(
+        "train-extractor", "--datasets", sources, "--transfer-matrix", str(root / "tm.json"), "--input-len", "24",
+        "--epochs", "2", "--windows-per-dataset", "4", "--dim", "4", "--hidden-dim", "8", "--out", str(ext),
+    ) == 0
+    assert run_cli(
+        "build-zoo", "--models", ",".join(map(str, models)), "--data", sources, "--extractor", str(ext),
+        "--samples", "8", "--out", str(zoo_dir),
+    ) == 0
+    assert run_cli("benchmark", "--zoo", str(zoo_dir), "--datasets", str(datasets[0]), "--horizons", "6", "--out", str(report)) == 0
+    assert json.loads(report.read_bytes())["config"]["look_back"] == 24
+    expected = run_benchmark(BenchConfig(look_back=24, horizons=(6,)), load_zoo(zoo_dir), [load_csv(datasets[0])])
+    assert report.read_bytes() == canonical_json(expected)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            lambda root, sources, bad: ["train-extractor", "--datasets", sources, "--transfer-matrix", bad],
+            "transfer matrix file field 'datasets' is missing",
+        ),
+        (
+            lambda root, sources, bad: ["build-zoo", "--models", f"{root}/sine.model.json,{root}/sawtooth.model.json",
+                                        "--data", sources, "--extractor", bad],
+            "unsupported extractor format_version None",
+        ),
+        (
+            lambda root, sources, bad: ["build-zoo", "--models", f"{bad},{root}/sawtooth.model.json",
+                                        "--data", sources, "--extractor", f"{root}/extractor.json"],
+            "unsupported model format_version None",
+        ),
+    ],
+    ids=["transfer-matrix", "extractor", "model"],
+)
+def test_a_malformed_file_a_command_is_handed_is_named(pipeline, tmp_path, capsys, argv, message):
+    # the transfer matrix and the extractor were not named
+    root, datasets, _ = pipeline
+    bad = tmp_path / "bad.json"
+    bad.write_text("{}")
+    rc = run_cli(*argv(root, ",".join(map(str, datasets)), str(bad)), "--out", str(tmp_path / "out"))
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: bad.json: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_benchmark_refuses_a_misspelt_flag(pipeline, tmp_path, capsys):
     # a config file's unknown keys were once only warned about; the report holds no warning of them
     root, datasets, zoo_dir = pipeline
     report = tmp_path / "report.json"
     flags = ["--datasets", str(datasets[0]), "--horizons", "6", "--zoo", str(zoo_dir), "--out", str(report)]
-    for misspelt in (["--trials", "1"], ["--look_back", "36"]):
+    # the look-back is the zoo's input_len, and a prefix of a flag is not that flag (was `--horizons 12`)
+    for misspelt in (["--trials", "1"], ["--look_back", "36"], ["--look-back", "36"], ["--horizon", "12"]):
         code, out, err = _outcome(main, ["benchmark", *flags, *misspelt], capsys)
         assert (code, out) == (2, "")
         assert err.endswith(f"zoocast: error: unrecognized arguments: {' '.join(misspelt)}\n")
@@ -883,10 +994,11 @@ def test_benchmark_help_lists_the_bench_config_flags_and_no_other(capsys):
     assert code == 0
     options = set(re.findall(r"(?<![\w-])--[a-z-]+", out))
     assert options == {"--help", "--zoo", "--datasets", "--out", "--json",
-                       "--look-back", "--horizons", "--metrics", "--top-k", "--season-period"}
-    # each config flag feeds the BenchConfig field of its dest name
+                       "--horizons", "--metrics", "--top-k", "--season-period"}
+    # each config flag feeds the BenchConfig field of its dest name; the look-back is the zoo's input_len
     args = vars(build_parser().parse_args(["benchmark", "--zoo", "z", "--datasets", "a.csv", "--out", "o"]))
-    assert set(args) - {"command", "func", "zoo", "datasets", "out", "json"} == {f.name for f in dataclasses.fields(BenchConfig)}
+    config_fields = {f.name for f in dataclasses.fields(BenchConfig)} - {"look_back"}
+    assert set(args) - {"command", "func", "zoo", "datasets", "out", "json"} == config_fields
 
 
 # -- every optional flag reaches its config field ------------------------------
@@ -912,7 +1024,7 @@ def _handed_to(monkeypatch, module, name, argv) -> tuple:
 
 
 MODEL_FLAGS = [
-    "--arch", "patch-mlp", "--input-len", "24", "--horizon", "6", "--patch-len", "8", "--hidden-dim", "16",
+    "--arch", "patch_mlp", "--input-len", "24", "--horizon", "6", "--patch-len", "8", "--hidden-dim", "16",
     "--epochs", "3", "--lr", "0.01", "--batch-size", "4", "--stride", "2", "--seed", "5",
 ]
 MODEL_CONFIGS = (
@@ -957,9 +1069,9 @@ FLAG_CASES = {
     ),
     "benchmark": (
         ["--zoo", "zoo", "--datasets", "a.csv"],
-        ["--look-back", "24", "--horizons", "6,12", "--metrics", "mse,smape", "--top-k", "2", "--season-period", "12"],
+        ["--horizons", "6,12", "--metrics", "mse,smape", "--top-k", "2", "--season-period", "12"],
         cli.bench, "run_benchmark", lambda a, k: a[0],
-        BenchConfig(look_back=24, horizons=(6, 12), metrics=("mse", "smape"), top_k=2, season_period=12),
+        BenchConfig(horizons=(6, 12), metrics=("mse", "smape"), top_k=2, season_period=12),
         BenchConfig(),
     ),
 }
@@ -972,7 +1084,7 @@ def flag_inputs(tmp_path, monkeypatch):
     for name in ("a", "b"):
         Path(f"{name}.csv").write_text("t,x\n" + "".join(f"{t},{float(np.sin(t))!r}\n" for t in range(60)))
     Path("tm.json").write_bytes(cli.zoo_mod.TransferMatrix(("a", "b"), np.eye(2)).to_bytes())
-    monkeypatch.setattr(cli.zoo_mod, "load_zoo", lambda path: None)
+    monkeypatch.setattr(cli.zoo_mod, "load_zoo", lambda path: SimpleNamespace(input_len=LOOK_BACK))
 
 
 @pytest.mark.parametrize("command", FLAG_CASES)

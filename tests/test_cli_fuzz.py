@@ -192,7 +192,7 @@ def _bench_value():
     )
 
 
-BENCH_FLAGS = st.sampled_from(["--look-back", "--horizons", "--metrics", "--top-k", "--season-period"])
+BENCH_FLAGS = st.sampled_from(["--horizons", "--metrics", "--top-k", "--season-period"])
 
 
 # -- the property ---------------------------------------------------------------
@@ -280,7 +280,7 @@ def _benchmark_argv(root: str, extra: list) -> list:
     """The benchmark's argv: valid flags, followed (and maybe overridden)
     by the `extra` (flag, value) pairs, each as `--flag=value` so that a
     value such as `-5,3` is not read as an option."""
-    flags = ["--datasets", f"{root}/a.csv,{root}/query.csv", "--look-back", str(INPUT_LEN), "--horizons", "4,9"]
+    flags = ["--datasets", f"{root}/a.csv,{root}/query.csv", "--horizons", "4,9"]
     flags += [f"{flag}={value}" for flag, value in extra]
     return ["benchmark", *flags, "--zoo", f"{root}/zoo", "--out", f"{root}/report.json"]
 
@@ -326,7 +326,7 @@ def test_offline_commands_on_mutated_inputs(workspace, data):
         elif tm == "lacks b":
             files["tm.json"] = TransferMatrix(("a", "c"), np.eye(2)).to_bytes()
     else:
-        flags += ["--arch", data.draw(st.sampled_from(["linear", "patch-mlp"]))]
+        flags += ["--arch", data.draw(st.sampled_from(["linear", "patch_mlp"]))]
     with _scratch(workspace, files) as root:
         _check(_offline_argv(root, command) + flags)
 

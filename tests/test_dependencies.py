@@ -52,3 +52,23 @@ def test_every_name_a_module_imports_is_used():
     paths = [*(ROOT / "src" / "zoocast").rglob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "tests").glob("*.py")]
     unused = {str(path.relative_to(ROOT)): _unused_imports(path) for path in sorted(paths)}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _comma_splits(path: Path) -> list:
+    """The top-level definitions of `path` that call `.split(",")`; a
+    nested function counts as the definition that holds it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        getattr(top, "name", type(top).__name__)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "split"
+        and [getattr(arg, "value", None) for arg in node.args] == [","]
+    ]
+
+
+def test_only_the_cli_comma_list_type_splits_on_commas():
+    # one grammar for every comma-separated flag, so an empty item is refused everywhere
+    package = ROOT / "src" / "zoocast"
+    splits = {path.name: _comma_splits(path) for path in sorted(package.rglob("*.py"))}
+    assert {name: found for name, found in splits.items() if found} == {"cli.py": ["_comma_list"]}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zoocast import core, forecasters
 from zoocast import extractor as extractor_mod
 from zoocast.core import MultivariateSeries, denormalize, normalize
 from zoocast.extractor import ExtractorParams, cosine, cosine_matrix, encode, init_params
@@ -420,6 +421,49 @@ def test_batched_scores_are_the_cosines_of_each_rows_encoding(monkeypatch):
     expected = np.array([[cosine(entry.representation, e) for entry in zoo.entries] for e in encodings])
     assert len(scored) == 1 and scored[0].tobytes() == expected.tobytes()
     assert (expected[:, 0] == expected[:, 3]).all() and (expected[:, 2] == 0.0).all()  # the tie and the zero
+
+
+def _rows(x) -> int:
+    """The rows of a (..., L) stack; a 1-D window is one row."""
+    return int(np.prod(np.shape(x)[:-1]))
+
+
+def _work(call) -> dict:
+    """The rows `call` normalizes, the (row, model) pairs it scores and the
+    row-blocks it forecasts (one model's block of one row), each counted
+    from the shapes of the arguments it hands the primitives; a stacked
+    call counts every row it holds."""
+    units = dict.fromkeys(["normalized", "scored", "forecast"], 0)
+
+    def counting(real, unit, count):
+        def wrapper(*args):
+            units[unit] += count(*args)
+            return real(*args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name, unit, count in [
+            (core, "normalize_rows", "normalized", _rows),
+            (extractor_mod, "cosine", "scored", lambda u, v: 1),
+            (extractor_mod, "cosine_matrix", "scored", lambda a, b: len(a) * len(b)),
+            (forecasters, "forecast", "forecast", lambda model, window: _rows(window)),
+        ]:
+            mp.setattr(module, name, counting(getattr(module, name), unit, count))
+        call()
+    return units
+
+
+def test_work_per_request_is_pinned():
+    # C=4 channels, N=3 models, top-3, H=48 in blocks of h=12
+    models = {arch: make_baseline(arch, 36, 12) for arch in ("last", "mean", "seasonal_naive")}
+    rng = np.random.default_rng(0)
+    zoo = _make_zoo(models, {model_id: rng.normal(size=8) for model_id in models})
+    values, cfg = rng.normal(size=(36, 4)), FusionConfig(horizon=48, top_k=3)
+    # each channel normalized twice (`forecast_multivariate`, then `match`), each pair scored once, C·k·⌈H/h⌉ row-blocks
+    per_channel = _work(lambda: forecast_multivariate(zoo, MultivariateSeries(values), cfg))
+    assert per_channel == {"normalized": 2 * 4, "scored": 4 * 3, "forecast": 4 * 3 * 4}
+    batched = _work(lambda: forecast_rows(zoo, values.T, cfg))
+    assert batched == {"normalized": 4, "scored": 4 * 3, "forecast": 4 * 3 * 4}
 
 
 def _fault(call) -> str:
