@@ -24,6 +24,7 @@ import time
 import numpy as np
 
 from zoocast.bench import SUITE_NOISE, default_family_suite
+from zoocast.cli import _comma_list
 from zoocast.core import BLOCK_HORIZON, LOOK_BACK, mse
 from zoocast.extractor import cosine_matrix
 from zoocast.forecasters import ForecasterSpec
@@ -38,10 +39,6 @@ def int_range(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected N or A-B, got {text!r}")
     first, last = match.groups()
     return list(range(int(first), int(last or first) + 1))
-
-
-def float_list(text: str) -> list:
-    return [float(part) for part in text.split(",")]
 
 
 # the calibration values of a run, as they are keyed in `--out`
@@ -126,11 +123,11 @@ def study(seed: int, eval_seed: int, noise: float, families: int, windows_per_fa
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter, allow_abbrev=False)
     ap.add_argument("--seed", type=int_range, default=[0], help="training seeds, e.g. 0 or 0-9")
     ap.add_argument("--eval-seed", type=int, default=100,
                     help="seed s draws its held-out windows from the suite seeded eval-seed + s, also when it runs alone")
-    ap.add_argument("--noise", type=float_list, default=[SUITE_NOISE], help="suite noise levels, e.g. 0.05,0.3")
+    ap.add_argument("--noise", type=_comma_list(float), default=(SUITE_NOISE,), help="suite noise levels, e.g. 0.05,0.3")
     ap.add_argument("--families", type=int_range, default=[5], help="study the first N families of the suite, e.g. 5 or 2-5")
     ap.add_argument("--windows-per-family", type=int, default=100)
     ap.add_argument("--look-back", type=int, default=LOOK_BACK)

@@ -55,8 +55,7 @@ def check_metrics(names) -> None:
     unknown = set(names) - set(METRIC_FNS)
     if unknown:
         raise ValueError(f"unknown metrics {sorted(unknown, key=str)}; known metrics: {sorted(METRIC_FNS)}")
-    if len(set(names)) < len(names):  # a report row keeps one mean and one window list per name
-        raise ValueError(f"metrics name {max(names, key=names.count)!r} more than once")
+    check_unique(names, "metric")  # a report row keeps one mean and one window list per name
 
 
 @dataclass(frozen=True)
@@ -126,11 +125,9 @@ def default_family_suite(seed: int = 0, noise_std: float = SUITE_NOISE, length: 
 def evaluation_windows(data: Dataset, look_back: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """(W, T, C) windows and their (W, H, C) truths: non-overlapping views
     tiled over the tail of the series, stride T + H. The tail of the
-    C-contiguous (N, C) values reshapes to (W, T + H, C) without a copy."""
+    C-contiguous (N, C) values reshapes to (N // (T + H), T + H, C) without a copy."""
     values = data.series.values
     total = look_back + horizon
-    if values.shape[0] < total:
-        return np.empty((0, look_back, values.shape[1])), np.empty((0, horizon, values.shape[1]))
     tiles = values[values.shape[0] % total :].reshape(-1, total, values.shape[1])
     return tiles[:, :look_back], tiles[:, look_back:]
 
@@ -147,12 +144,6 @@ def _row_labels(names: list, horizon: int, bounds: np.ndarray, channels: list):
     return where
 
 
-def _as_windows(rows: np.ndarray, shape: tuple) -> np.ndarray:
-    """(W*C, H) forecast rows, window-major, as (W, H, C) windows."""
-    w, horizon, c = shape
-    return rows.reshape(w, c, horizon).transpose(0, 2, 1)
-
-
 def _runs(kept: list, truths: list, bounds: np.ndarray) -> list:
     """Each run of consecutive kept datasets with one channel count, as
     (its dataset indices, its (ΣW, H, C) truth stack, the bounds of each
@@ -167,10 +158,11 @@ def _runs(kept: list, truths: list, bounds: np.ndarray) -> list:
 
 
 def _run_scores(metric: str, run: tuple, pred: np.ndarray) -> list:
-    """One `score` of a run's forecast rows against its truth stack, split
-    into each dataset's (W,) window scores."""
+    """One `score` of a run's window-major forecast rows, as (ΣW, H, C)
+    windows, against its truth stack, split into each dataset's (W,) window scores."""
     _, truth, windows, rows = run
-    values = score(metric, truth, _as_windows(pred[rows], truth.shape))
+    w, horizon, c = truth.shape
+    values = score(metric, truth, pred[rows].reshape(w, c, horizon).transpose(0, 2, 1))
     return [values[lo:hi] for lo, hi in zip(windows, windows[1:])]
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, extractor, forecasters, fusion, zoo as zoo_mod
-from .core import BLOCK_HORIZON, LOOK_BACK, MultivariateSeries, canonical_json, load_csv, trim_to_last, write_csv, write_file
+from .core import BLOCK_HORIZON, LOOK_BACK, MultivariateSeries, canonical_json, load_csv, write_csv, write_file
 
 
 def _emit(args, payload: dict):
@@ -29,10 +29,9 @@ def _emit(args, payload: dict):
 def _load_query(path, n: int) -> tuple:
     """The query CSV at `path` and its last `n` rows; a shortfall names the file."""
     data = load_csv(path)
-    try:
-        return data, trim_to_last(data.series.values, n)
-    except ValueError as exc:
-        raise ValueError(f"{Path(path).name}: {exc}") from None
+    if data.series.length < n:
+        raise ValueError(f"{Path(path).name}: insufficient history: have {data.series.length}, need {n}")
+    return data, data.series.values[-n:]
 
 
 def _config(cls, values: dict, **given):
@@ -89,7 +88,7 @@ def cmd_embed(args):
         kinds.append("ptm")
         reprs.append(entry.representation)
     if args.input:
-        data, last = _load_query(args.input, z.extractor_params.input_len)
+        data, last = _load_query(args.input, z.input_len)
         windows = last.T
         reprs.extend(fusion.encode_rows(z, windows)[3])  # forecast's encodings, with its overflow checks
         labels.extend(data.series.channel_names or [f"{data.name}:{c}" for c in range(len(windows))])

@@ -326,13 +326,6 @@ def checked_tensors(raw, shapes: dict, kind: str) -> dict:
     return tensors
 
 
-def trim_to_last(x, n: int) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape[0] < n:
-        raise ValueError(f"insufficient history: have {arr.shape[0]}, need {n}")
-    return arr[arr.shape[0] - n:]
-
-
 def _as_window_pair(truth, pred) -> tuple[np.ndarray, np.ndarray]:
     """(H, C) or (W, H, C) float64 arrays of truth and pred; an (H,) window
     is one channel."""

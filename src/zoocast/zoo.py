@@ -143,10 +143,6 @@ class Zoo:
                 )
 
     @property
-    def repr_dim(self) -> int:
-        return self.extractor_params.repr_dim
-
-    @property
     def input_len(self) -> int:
         return self.entries[0].input_len
 
@@ -311,7 +307,8 @@ def load_zoo(zoo_dir) -> Zoo:
     except (OSError, ValueError):  # ValueError: a path holding a NUL
         raise ValueError(f"no zoo.json in {root}") from None
     manifest = read_artifact(blob, "zoo manifest", ZOO_FORMAT_VERSION, MANIFEST_FIELDS)
-    params, _ = extractor_mod.load(_read_checked(root, manifest["extractor"], manifest["extractor_digest"], "extractor"))
+    name = manifest["extractor"]
+    params, _ = _parse(extractor_mod.load, _read_checked(root, name, manifest["extractor_digest"], "extractor"), f"extractor ({name})")
     entries = []
     for i, raw in enumerate(manifest["entries"]):
         check_fields(raw, ENTRY_FIELDS, f"zoo manifest entry {i} field")

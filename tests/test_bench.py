@@ -91,7 +91,7 @@ def test_score_rejects_an_smape_term_whose_denominator_overflows():
 @pytest.mark.parametrize("metrics, repeated", [(("mse", "mse"), "mse"), (("smape", "mse", "mape", "mse"), "mse")])
 def test_bench_config_rejects_a_repeated_metric(metrics, repeated):
     # each of its per-window records was once written twice
-    with pytest.raises(ValueError, match=rf"^metrics name '{repeated}' more than once$"):
+    with pytest.raises(ValueError, match=rf"^duplicate metric '{repeated}'$"):
         BenchConfig(metrics=metrics)
 
 

@@ -14,10 +14,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from zoocast import cli, forecasters
+from zoocast import cli, forecasters, fusion
 from zoocast.bench import BenchConfig, run_benchmark
 from zoocast.cli import COMMANDS, build_parser, main
-from zoocast.core import LOOK_BACK, MAX_NESTING, canonical_json, load_csv, normalize, read_artifact
+from zoocast.core import LOOK_BACK, MAX_NESTING, MultivariateSeries, canonical_json, load_csv, normalize, read_artifact
 from zoocast.extractor import encode
 from zoocast.zoo import load_zoo
 
@@ -180,16 +180,54 @@ def test_forecast_short_history_fails(pipeline, tmp_path, capsys):
     assert "36" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows", [3, LOOK_BACK - 1])
 @pytest.mark.parametrize("command", ["forecast", "embed"])
-def test_a_too_short_query_is_named_and_writes_nothing(pipeline, tmp_path, capsys, command):
+def test_a_too_short_query_is_named_and_writes_nothing(pipeline, tmp_path, capsys, command, rows):
     _, _, zoo_dir = pipeline
     short = tmp_path / "short.csv"
-    short.write_text("t,a\n0,1\n1,2\n2,3\n")
+    short.write_text("t,a\n" + "".join(f"{t},{t + 1}\n" for t in range(rows)))
     out = tmp_path / "out"
     extra = ["--horizon", "6"] if command == "forecast" else []
     assert run_cli(command, "--zoo", str(zoo_dir), "--input", str(short), *extra, "--out", str(out)) == 1
-    assert capsys.readouterr() == ("", "error: short.csv: insufficient history: have 3, need 36\n")
+    assert capsys.readouterr() == ("", f"error: short.csv: insufficient history: have {rows}, need {LOOK_BACK}\n")
     assert not out.exists()
+
+
+def test_a_query_of_exactly_the_input_len_uses_every_row(pipeline, tmp_path):
+    _, _, zoo_dir = pipeline
+    z = load_zoo(zoo_dir)
+    values = np.random.default_rng(5).normal(size=(z.input_len, 2))
+    exact = tmp_path / "exact.csv"
+    exact.write_text("t,a,b\n" + "".join(f"{t},{','.join(map(repr, row.tolist()))}\n" for t, row in enumerate(values)))
+    out = tmp_path / "fc"
+    assert run_cli("forecast", "--zoo", str(zoo_dir), "--input", str(exact), "--horizon", "6", "--top-k", "2", "--out", str(out)) == 0
+    pred, _, _ = fusion.forecast_multivariate(z, MultivariateSeries(values, ("a", "b")), fusion.FusionConfig(horizon=6, top_k=2))
+    cells = [line.split(",") for line in (out / "forecast.csv").read_text().strip().splitlines()[1:]]
+    assert [float(value) for _, _, value in cells] == pred.values.T.ravel().tolist()
+    embedded = tmp_path / "embed.csv"
+    assert run_cli("embed", "--zoo", str(zoo_dir), "--input", str(exact), "--out", str(embedded)) == 0
+    rows = [line.split(",") for line in embedded.read_text().strip().splitlines()[-2:]]
+    assert [row[:2] for row in rows] == [["a", "variate"], ["b", "variate"]]
+    for row, column in zip(rows, values.T):
+        assert [float(v) for v in row[2:]] == encode(z.extractor_params, normalize(column)[0]).tolist()
+
+
+def test_a_zoo_extractor_fault_names_the_file(pipeline, tmp_path, capsys):
+    # once "error: unsupported extractor format_version None", naming neither the zoo's extractor nor its file
+    _, datasets, zoo_dir = pipeline
+    zoo = tmp_path / "zoo"
+    shutil.copytree(zoo_dir, zoo)
+    (zoo / "extractor.json").write_bytes(b"{}")
+    manifest = json.loads((zoo / "zoo.json").read_bytes())
+    manifest["extractor_digest"] = hashlib.sha256(b"{}").hexdigest()
+    (zoo / "zoo.json").write_bytes(json.dumps(manifest).encode())
+    message = "extractor (extractor.json): unsupported extractor format_version None"
+    out = tmp_path / "fc"
+    assert run_cli("forecast", "--zoo", str(zoo), "--input", str(datasets[0]), "--horizon", "6", "--out", str(out)) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        load_zoo(zoo)
 
 
 def test_embed_with_pca(pipeline, tmp_path):
@@ -596,7 +634,7 @@ def test_evaluate_rejects_a_repeated_metric(pipeline, capsys):
     root, datasets, _ = pipeline
     rc = run_cli("evaluate", "--truth", str(datasets[0]), "--pred", str(datasets[0]), "--metrics", "mse,mse")
     assert rc == 1
-    assert capsys.readouterr().err == "error: metrics name 'mse' more than once\n"
+    assert capsys.readouterr().err == "error: duplicate metric 'mse'\n"
 
 
 @pytest.mark.parametrize("kind", ["sine", "random_walk"])
@@ -838,7 +876,7 @@ def test_an_error_quoting_a_line_break_stays_on_one_line(pipeline, tmp_path, cap
         ("--season-period=0", "field 'season_period' must be >= 1, got 0"),
         # both were numpy's "array is too big; ..." from the window tiler
         (f"--horizons=6,{2**62}", f"field 'horizons' must be at most {2**20}, got {2**62}"),
-        ("--metrics=mse,mse", "metrics name 'mse' more than once"),  # was exit 0, every record twice
+        ("--metrics=mse,mse", "duplicate metric 'mse'"),  # was exit 0, every record twice
     ],
 )
 def test_benchmark_config_value_out_of_range_exits_with_error_line(pipeline, tmp_path, capsys, flag, message):

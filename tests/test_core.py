@@ -36,7 +36,6 @@ from zoocast.core import (
     read_artifact,
     sample_windows,
     smape,
-    trim_to_last,
     write_csv,
     write_file,
 )
@@ -173,22 +172,6 @@ def test_sample_windows_matches_per_window_loop(shape_and_seed, length, count):
     for row, c, start in zip(got, channels, starts):
         assert np.array_equal(row, normalize(values[start : start + length, c])[0])
     assert rng.random() == ref_rng.random()  # same number of draws
-
-
-def test_trim_to_last():
-    np.testing.assert_array_equal(trim_to_last([1, 2, 3, 4, 5], 3), [3, 4, 5])
-    np.testing.assert_array_equal(trim_to_last([1, 2], 2), [1, 2])
-    with pytest.raises(ValueError, match="insufficient history"):
-        trim_to_last([1, 2, 3], 4)
-
-
-@given(series_strategy, st.integers(min_value=0, max_value=50))
-def test_trim_suffix_reconstruction(x, n):
-    n = min(n, len(x))
-    if n == 0:
-        return
-    rebuilt = np.concatenate([x[: len(x) - n], trim_to_last(x, n)])
-    np.testing.assert_array_equal(rebuilt, x)
 
 
 # -- metric oracles ----------------------------------------------------------

@@ -68,7 +68,7 @@ def _comma_splits(path: Path) -> list:
 
 
 def test_only_the_cli_comma_list_type_splits_on_commas():
-    # one grammar for every comma-separated flag, so an empty item is refused everywhere
-    package = ROOT / "src" / "zoocast"
-    splits = {path.name: _comma_splits(path) for path in sorted(package.rglob("*.py"))}
+    # one grammar for every comma-separated flag, the scripts' too, so an empty item is refused everywhere
+    paths = [*(ROOT / "src" / "zoocast").rglob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    splits = {path.name: _comma_splits(path) for path in sorted(paths)}
     assert {name: found for name, found in splits.items() if found} == {"cli.py": ["_comma_list"]}

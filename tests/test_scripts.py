@@ -83,6 +83,25 @@ def test_run_selection_study_summarizes_each_family_count_and_noise_over_seeds(t
     }]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--windows", "12"], "unrecognized arguments: --windows 12"),  # once read as --windows-per-family 12
+        (["--noise", "0.05,"], "argument --noise: invalid comma-separated float value: '0.05,'"),
+    ],
+    ids=["prefix", "empty-noise-item"],
+)
+def test_run_selection_study_speaks_the_cli_grammar(tmp_path, argv, message):
+    out = tmp_path / "study.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_selection_study.py"), "--out", str(out), *argv],
+        env=_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == f"run_selection_study.py: error: {message}"
+    assert proc.stdout == "" and not out.exists()
+
+
 def _load_script(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)

@@ -314,7 +314,7 @@ def test_build_and_load_zoo(tmp_path):
     out = _build_test_zoo(tmp_path)
     zoo = load_zoo(out)
     assert len(zoo.entries) == 3
-    assert zoo.repr_dim == 4
+    assert zoo.extractor_params.repr_dim == 4
     model = zoo.forecaster("model0")
     assert model.spec.input_len == 12
     # lazy cache returns the same object
